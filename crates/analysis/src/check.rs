@@ -590,7 +590,11 @@ mod tests {
             "S($x) <- R($x), a·$x = $x·a.\nS($x) <- R($x), a·$x = $x·a.",
             &["S"],
         );
-        assert!(codes(&report).contains("SD-W105"), "{:?}", report.diagnostics);
+        assert!(
+            codes(&report).contains("SD-W105"),
+            "{:?}",
+            report.diagnostics
+        );
         let note = report
             .diagnostics
             .iter()

@@ -636,10 +636,7 @@ fn preflight_warnings(program: &Program, options: &CheckOptions) -> String {
 /// a relation whose rules were all removed is no longer IDB there, so without
 /// this pre-check the optimized and unoptimized runs would diverge (silent
 /// acceptance vs error) on the same invalid input.
-fn check_idb_schema(
-    program: &Program,
-    instance: &Instance,
-) -> Result<(), seqdl_engine::EvalError> {
+fn check_idb_schema(program: &Program, instance: &Instance) -> Result<(), seqdl_engine::EvalError> {
     // An inconsistent-arity program fails through evaluation on its own terms.
     let Ok(arities) = program.relation_arities() else {
         return Ok(());
@@ -816,7 +813,8 @@ fn cmd_query(flags: &Flags) -> Result<String, CliError> {
         &check_options([goal.relation], Some(&instance)),
     ));
     let format = stats_format(flags)?;
-    check_idb_schema(&mp.program, &instance).map_err(|e| eval_error_report(&executor, &e, format))?;
+    check_idb_schema(&mp.program, &instance)
+        .map_err(|e| eval_error_report(&executor, &e, format))?;
     // Prune magic rules that cannot reach the answer relation before
     // lowering.  The seeds make relations nonempty that neither the raw
     // instance nor the program's rules know anything about — the goal's
@@ -1640,7 +1638,14 @@ mod tests {
             .insert_fact(seqdl_core::Fact::new(rel("N"), vec![path_of(&["a"])]))
             .unwrap();
         let instance = write_instance_file("query-seed.sdi", &graph);
-        let base = ["--program", &program, "--instance", &instance, "--goal", "T(a·$y)?"];
+        let base = [
+            "--program",
+            &program,
+            "--instance",
+            &instance,
+            "--goal",
+            "T(a·$y)?",
+        ];
         let stripped = cmd_query(&flags(&base)).unwrap();
         let mut unstripped_args = base.to_vec();
         unstripped_args.push("--no-strip-dead");
@@ -1661,7 +1666,14 @@ mod tests {
             .insert_fact(seqdl_core::Fact::new(rel("Dead"), vec![path_of(&["b"])]))
             .unwrap();
         let instance = write_instance_file("run-idb.sdi", &input);
-        let base = ["--program", &program, "--instance", &instance, "--output", "S"];
+        let base = [
+            "--program",
+            &program,
+            "--instance",
+            &instance,
+            "--output",
+            "S",
+        ];
         let stripped = cmd_run(&flags(&base)).unwrap_err();
         let mut unstripped_args = base.to_vec();
         unstripped_args.push("--no-strip-dead");

@@ -5,6 +5,21 @@
 //! deterministic across runs (unlike `RandomState`) and much cheaper than
 //! SipHash for the short interned-id sequences that make up paths and tuples:
 //! hashing a tuple is one `write_*` call per length prefix and per interned id.
+//!
+//! Invariant: the last word written must reach the low bits of the hash.  The
+//! std `HashMap` (hashbrown) picks a key's home bucket from those low bits, and
+//! most keys here — [`crate::Value`], [`crate::AtomId`], [`crate::Path`] — vary
+//! only in their last `u32`.  Each step therefore XORs the word in *after* the
+//! rotate and multiplies last: since the multiplier is odd, the low `k` bits of
+//! the result are a bijection of the low `k` bits of the mixed word, so keys
+//! differing in the low bits of their last word land in different buckets.
+//! Rotating after the XOR instead would push every bit of the word out of the
+//! low 26 bits and put all such keys in one home bucket.  The `hash_spread`
+//! test of this crate checks the invariant.
+//!
+//! Strings are poor keys for this hasher: `str` hashing ends with a constant
+//! `0xff` word, so the low bits depend on little more than the first byte of
+//! the last eight-byte chunk.  Key maps by interned ids instead.
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hash, Hasher};
@@ -24,7 +39,7 @@ impl Default for FxHasher {
 impl FxHasher {
     #[inline]
     fn mix(&mut self, word: u64) {
-        self.0 = (self.0 ^ word).rotate_left(26).wrapping_mul(FX_SEED);
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(FX_SEED);
     }
 }
 

@@ -44,18 +44,10 @@ impl fmt::Display for IoError {
 
 impl std::error::Error for IoError {}
 
-/// Strip full-line comments (`#` or `%` as the first non-whitespace character).
-fn strip_comment_lines(text: &str) -> String {
-    text.lines()
-        .filter(|line| {
-            let trimmed = line.trim_start();
-            !(trimmed.starts_with('#') || trimmed.starts_with('%'))
-        })
-        .collect::<Vec<_>>()
-        .join("\n")
-}
-
 /// Load a Sequence Datalog program from a `.sdl` file.
+///
+/// The text is parsed as written (the lexer skips `%`, `#` and `//`
+/// comments), so parse-error offsets are byte offsets into the file.
 ///
 /// # Errors
 /// File-system errors and parse errors, each tagged with the path.
@@ -65,7 +57,7 @@ pub fn load_program(path: impl AsRef<FsPath>) -> Result<Program, IoError> {
         path: path.display().to_string(),
         source,
     })?;
-    parse_program(&strip_comment_lines(&text)).map_err(|source| IoError::Program {
+    parse_program(&text).map_err(|source| IoError::Program {
         path: path.display().to_string(),
         source,
     })
@@ -148,6 +140,20 @@ mod tests {
         assert!(err.to_string().contains("/nonexistent/prog.sdl"));
         let err = load_instance("/nonexistent/inst.sdi").unwrap_err();
         assert!(err.to_string().contains("/nonexistent/inst.sdi"));
+    }
+
+    #[test]
+    fn program_parse_errors_are_located_in_the_file_as_written() {
+        let path = temp_file("commented-bad.sdl");
+        std::fs::write(&path, "% a comment line\nS($x <- R($x).\n").unwrap();
+        match load_program(&path) {
+            Err(IoError::Program {
+                source: SyntaxError::Parse { offset, .. },
+                ..
+            }) => assert_eq!(offset, 22),
+            other => panic!("expected a parse error, got {other:?}"),
+        }
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]

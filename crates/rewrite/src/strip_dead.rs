@@ -435,7 +435,11 @@ mod tests {
         // must survive.
         let p = parse_program("M($x) <- R($x), a·$x = b·$x.\nS($x) <- M($x), R($x).").unwrap();
         let unseeded = strip_dead(&p, &outputs(&["S"]));
-        assert_eq!(unseeded.program.rule_count(), 0, "sanity: M propagates empty");
+        assert_eq!(
+            unseeded.program.rule_count(),
+            0,
+            "sanity: M propagates empty"
+        );
 
         let seeds = outputs(&["M"]);
         assert!(!statically_empty_relations_seeded(&p, None, &seeds).contains(&rel("M")));
@@ -493,7 +497,9 @@ mod tests {
         let p = parse_program("S($x) <- B($x).").unwrap();
         let nonempty = outputs(&["R"]);
         let seeds = outputs(&["B"]);
-        assert!(!statically_empty_relations_seeded(&p, Some(&nonempty), &seeds).contains(&rel("B")));
+        assert!(
+            !statically_empty_relations_seeded(&p, Some(&nonempty), &seeds).contains(&rel("B"))
+        );
     }
 
     #[test]

@@ -4,11 +4,17 @@
 //! is a plain hand-written recursive-descent parser over a small token stream; it
 //! reports byte offsets in errors and round-trips with the `Display`
 //! implementations of the AST (see the `parse_print_roundtrip` tests).
+//!
+//! The lexer walks the input by byte offset and its tokens borrow names from the
+//! input, so lexing allocates only the token vector.  Instance files are parsed
+//! one fact line at a time through [`parse_rule`], which makes this the loader's
+//! per-fact cost.
 
 use crate::ast::{Atom, Equation, Literal, Predicate, Program, Rule, Stratum};
 use crate::error::SyntaxError;
 use crate::term::{PathExpr, Term, Var};
 use seqdl_core::{AtomId, RelName};
+use std::borrow::Cow;
 
 /// Parse a complete program (one or more strata separated by `---` lines).
 pub fn parse_program(input: &str) -> Result<Program, SyntaxError> {
@@ -35,12 +41,14 @@ pub fn parse_expr(input: &str) -> Result<PathExpr, SyntaxError> {
     Ok(expr)
 }
 
-#[derive(Debug, Clone, PartialEq, Eq)]
-enum Tok {
-    Ident(String),
-    Quoted(String),
-    AtomVar(String),
-    PathVar(String),
+/// A token.  Names borrow from the input; only a quoted atom containing an
+/// escaped quote owns its (unescaped) text.
+#[derive(Debug, PartialEq, Eq)]
+enum Tok<'a> {
+    Ident(&'a str),
+    Quoted(Cow<'a, str>),
+    AtomVar(&'a str),
+    PathVar(&'a str),
     LParen,
     RParen,
     LAngle,
@@ -56,9 +64,9 @@ enum Tok {
     Eps,
 }
 
-#[derive(Debug, Clone)]
-struct Spanned {
-    tok: Tok,
+#[derive(Debug)]
+struct Spanned<'a> {
+    tok: Tok<'a>,
     offset: usize,
 }
 
@@ -66,274 +74,156 @@ fn is_ident_char(c: char) -> bool {
     c.is_ascii_alphanumeric() || c == '_'
 }
 
-fn lex(input: &str) -> Result<Vec<Spanned>, SyntaxError> {
-    let mut out = Vec::new();
-    let chars: Vec<char> = input.chars().collect();
-    let mut i = 0usize;
-    // Byte offsets for error messages.
-    let offsets: Vec<usize> = input.char_indices().map(|(o, _)| o).collect();
-    let offset_at = |i: usize| offsets.get(i).copied().unwrap_or(input.len());
+/// The byte length of the identifier at the start of `text` (identifier
+/// characters are ASCII, so bytes and characters coincide).
+fn ident_len(text: &str) -> usize {
+    text.bytes()
+        .take_while(|&b| is_ident_char(char::from(b)))
+        .count()
+}
 
-    while i < chars.len() {
-        let c = chars[i];
-        let off = offset_at(i);
-        match c {
+/// The body of a quoted atom whose opening `'` precedes `text`, and the bytes
+/// consumed including the closing `'`; `None` if the quote is never closed.
+/// `\'` stands for a quote; any other backslash is literal.
+fn quoted_atom(text: &str) -> Option<(Cow<'_, str>, usize)> {
+    let bytes = text.as_bytes();
+    let mut unescaped: Option<String> = None;
+    let mut run_start = 0;
+    let mut i = 0;
+    while i < bytes.len() {
+        match bytes[i] {
+            b'\\' if bytes.get(i + 1) == Some(&b'\'') => {
+                let owned = unescaped.get_or_insert_with(String::new);
+                owned.push_str(&text[run_start..i]);
+                owned.push('\'');
+                i += 2;
+                run_start = i;
+            }
+            b'\'' => {
+                let name = match unescaped {
+                    Some(mut owned) => {
+                        owned.push_str(&text[run_start..i]);
+                        Cow::Owned(owned)
+                    }
+                    None => Cow::Borrowed(&text[..i]),
+                };
+                return Some((name, i + 1));
+            }
+            _ => i += 1,
+        }
+    }
+    None
+}
+
+/// Split `input` into tokens, walking it by byte offset.
+fn lex(input: &str) -> Result<Vec<Spanned<'_>>, SyntaxError> {
+    // Sized for about one token per two bytes, so a fact line never regrows.
+    let mut out = Vec::with_capacity(input.len() / 2 + 1);
+    let mut i = 0usize;
+    while let Some(c) = input[i..].chars().next() {
+        let offset = i;
+        let width = c.len_utf8();
+        let rest = &input[i + width..];
+        let (tok, len) = match c {
             ' ' | '\t' | '\r' | '\n' => {
                 i += 1;
+                continue;
             }
             '%' | '#' => {
-                while i < chars.len() && chars[i] != '\n' {
-                    i += 1;
-                }
+                i += input[i..].find('\n').unwrap_or(input.len() - i);
+                continue;
             }
-            '/' if chars.get(i + 1) == Some(&'/') => {
-                while i < chars.len() && chars[i] != '\n' {
-                    i += 1;
-                }
+            '/' if rest.starts_with('/') => {
+                i += input[i..].find('\n').unwrap_or(input.len() - i);
+                continue;
             }
-            '-' if chars.get(i + 1) == Some(&'-') && chars.get(i + 2) == Some(&'-') => {
-                while i < chars.len() && chars[i] == '-' {
-                    i += 1;
-                }
-                out.push(Spanned {
-                    tok: Tok::StratumSep,
-                    offset: off,
-                });
+            '-' if rest.starts_with("--") => {
+                let dashes = input[i..].bytes().take_while(|&b| b == b'-').count();
+                (Tok::StratumSep, dashes)
             }
-            '(' => {
-                out.push(Spanned {
-                    tok: Tok::LParen,
-                    offset: off,
-                });
-                i += 1;
-            }
-            ')' => {
-                out.push(Spanned {
-                    tok: Tok::RParen,
-                    offset: off,
-                });
-                i += 1;
-            }
-            ',' => {
-                out.push(Spanned {
-                    tok: Tok::Comma,
-                    offset: off,
-                });
-                i += 1;
-            }
-            '∧' => {
-                out.push(Spanned {
-                    tok: Tok::Comma,
-                    offset: off,
-                });
-                i += 1;
-            }
-            '<' => {
-                if chars.get(i + 1) == Some(&'-') {
-                    out.push(Spanned {
-                        tok: Tok::Arrow,
-                        offset: off,
-                    });
-                    i += 2;
-                } else {
-                    out.push(Spanned {
-                        tok: Tok::LAngle,
-                        offset: off,
-                    });
-                    i += 1;
-                }
-            }
-            '⟨' => {
-                out.push(Spanned {
-                    tok: Tok::LAngle,
-                    offset: off,
-                });
-                i += 1;
-            }
-            '>' | '⟩' => {
-                out.push(Spanned {
-                    tok: Tok::RAngle,
-                    offset: off,
-                });
-                i += 1;
-            }
-            '←' => {
-                out.push(Spanned {
-                    tok: Tok::Arrow,
-                    offset: off,
-                });
-                i += 1;
-            }
-            ':' if chars.get(i + 1) == Some(&'-') => {
-                out.push(Spanned {
-                    tok: Tok::Arrow,
-                    offset: off,
-                });
-                i += 2;
-            }
-            '·' | '*' => {
-                out.push(Spanned {
-                    tok: Tok::Concat,
-                    offset: off,
-                });
-                i += 1;
-            }
+            '(' => (Tok::LParen, width),
+            ')' => (Tok::RParen, width),
+            ',' | '∧' => (Tok::Comma, width),
+            '<' if rest.starts_with('-') => (Tok::Arrow, 2),
+            '<' | '⟨' => (Tok::LAngle, width),
+            '>' | '⟩' => (Tok::RAngle, width),
+            '←' => (Tok::Arrow, width),
+            ':' if rest.starts_with('-') => (Tok::Arrow, 2),
+            '·' | '*' => (Tok::Concat, width),
             '.' => {
                 // A dot immediately followed by something that can start a term is
                 // concatenation; otherwise it ends a rule.
-                let next = chars.get(i + 1).copied();
-                let is_concat = next.is_some_and(|n| {
+                let is_concat = rest.chars().next().is_some_and(|n| {
                     is_ident_char(n) || n == '@' || n == '$' || n == '<' || n == '\'' || n == '⟨'
                 });
-                out.push(Spanned {
-                    tok: if is_concat { Tok::Concat } else { Tok::RuleEnd },
-                    offset: off,
-                });
-                i += 1;
+                (if is_concat { Tok::Concat } else { Tok::RuleEnd }, width)
             }
-            '=' => {
-                out.push(Spanned {
-                    tok: Tok::Eq,
-                    offset: off,
-                });
-                i += 1;
-            }
-            '≠' => {
-                out.push(Spanned {
-                    tok: Tok::Neq,
-                    offset: off,
-                });
-                i += 1;
-            }
-            '!' => {
-                if chars.get(i + 1) == Some(&'=') {
-                    out.push(Spanned {
-                        tok: Tok::Neq,
-                        offset: off,
-                    });
-                    i += 2;
-                } else {
-                    out.push(Spanned {
-                        tok: Tok::Not,
-                        offset: off,
-                    });
-                    i += 1;
-                }
-            }
-            '~' | '¬' => {
-                out.push(Spanned {
-                    tok: Tok::Not,
-                    offset: off,
-                });
-                i += 1;
-            }
+            '=' => (Tok::Eq, width),
+            '≠' => (Tok::Neq, width),
+            '!' if rest.starts_with('=') => (Tok::Neq, 2),
+            '!' | '~' | '¬' => (Tok::Not, width),
             '@' | '$' => {
-                let sigil = c;
-                i += 1;
-                let start = i;
-                while i < chars.len() && is_ident_char(chars[i]) {
-                    i += 1;
-                }
-                if start == i {
+                let name = &rest[..ident_len(rest)];
+                if name.is_empty() {
                     return Err(SyntaxError::Lex {
-                        offset: off,
-                        message: format!("expected a variable name after `{sigil}`"),
+                        offset,
+                        message: format!("expected a variable name after `{c}`"),
                     });
                 }
-                let name: String = chars[start..i].iter().collect();
-                out.push(Spanned {
-                    tok: if sigil == '@' {
-                        Tok::AtomVar(name)
-                    } else {
-                        Tok::PathVar(name)
-                    },
-                    offset: off,
-                });
-            }
-            '\'' => {
-                i += 1;
-                let mut name = String::new();
-                let mut closed = false;
-                while i < chars.len() {
-                    if chars[i] == '\\' && chars.get(i + 1) == Some(&'\'') {
-                        name.push('\'');
-                        i += 2;
-                    } else if chars[i] == '\'' {
-                        closed = true;
-                        i += 1;
-                        break;
-                    } else {
-                        name.push(chars[i]);
-                        i += 1;
-                    }
-                }
-                if !closed {
-                    return Err(SyntaxError::Lex {
-                        offset: off,
-                        message: "unterminated quoted atom".into(),
-                    });
-                }
-                out.push(Spanned {
-                    tok: Tok::Quoted(name),
-                    offset: off,
-                });
-            }
-            c if is_ident_char(c) => {
-                let start = i;
-                while i < chars.len() && is_ident_char(chars[i]) {
-                    i += 1;
-                }
-                let name: String = chars[start..i].iter().collect();
-                out.push(Spanned {
-                    tok: if name == "eps" {
-                        Tok::Eps
-                    } else {
-                        Tok::Ident(name)
-                    },
-                    offset: off,
-                });
-            }
-            'ε' => {
-                out.push(Spanned {
-                    tok: Tok::Eps,
-                    offset: off,
-                });
-                i += 1;
-            }
-            other => {
-                if other == 'ε' {
-                    out.push(Spanned {
-                        tok: Tok::Eps,
-                        offset: off,
-                    });
-                    i += 1;
+                let tok = if c == '@' {
+                    Tok::AtomVar(name)
                 } else {
-                    return Err(SyntaxError::Lex {
-                        offset: off,
-                        message: format!("unexpected character `{other}`"),
-                    });
-                }
+                    Tok::PathVar(name)
+                };
+                (tok, width + name.len())
             }
-        }
+            '\'' => match quoted_atom(rest) {
+                Some((name, consumed)) => (Tok::Quoted(name), width + consumed),
+                None => {
+                    return Err(SyntaxError::Lex {
+                        offset,
+                        message: "unterminated quoted atom".into(),
+                    })
+                }
+            },
+            c if is_ident_char(c) => {
+                let name = &input[i..i + ident_len(&input[i..])];
+                let tok = if name == "eps" {
+                    Tok::Eps
+                } else {
+                    Tok::Ident(name)
+                };
+                (tok, name.len())
+            }
+            'ε' => (Tok::Eps, width),
+            other => {
+                return Err(SyntaxError::Lex {
+                    offset,
+                    message: format!("unexpected character `{other}`"),
+                })
+            }
+        };
+        out.push(Spanned { tok, offset });
+        i += len;
     }
     Ok(out)
 }
 
-struct Parser {
-    tokens: Vec<Spanned>,
+struct Parser<'a> {
+    tokens: Vec<Spanned<'a>>,
     pos: usize,
 }
 
-impl Parser {
-    fn new(tokens: Vec<Spanned>) -> Parser {
+impl<'a> Parser<'a> {
+    fn new(tokens: Vec<Spanned<'a>>) -> Parser<'a> {
         Parser { tokens, pos: 0 }
     }
 
-    fn peek(&self) -> Option<&Tok> {
+    fn peek(&self) -> Option<&Tok<'a>> {
         self.tokens.get(self.pos).map(|s| &s.tok)
     }
 
-    fn peek_at(&self, n: usize) -> Option<&Tok> {
+    fn peek_at(&self, n: usize) -> Option<&Tok<'a>> {
         self.tokens.get(self.pos + n).map(|s| &s.tok)
     }
 
@@ -344,14 +234,6 @@ impl Parser {
             .unwrap_or_else(|| self.tokens.last().map(|s| s.offset + 1).unwrap_or(0))
     }
 
-    fn bump(&mut self) -> Option<Tok> {
-        let t = self.tokens.get(self.pos).map(|s| s.tok.clone());
-        if t.is_some() {
-            self.pos += 1;
-        }
-        t
-    }
-
     fn error<T>(&self, message: impl Into<String>) -> Result<T, SyntaxError> {
         Err(SyntaxError::Parse {
             offset: self.offset(),
@@ -359,7 +241,7 @@ impl Parser {
         })
     }
 
-    fn expect(&mut self, tok: Tok, what: &str) -> Result<(), SyntaxError> {
+    fn expect(&mut self, tok: Tok<'a>, what: &str) -> Result<(), SyntaxError> {
         match self.peek() {
             Some(t) if *t == tok => {
                 self.pos += 1;
@@ -465,12 +347,17 @@ impl Parser {
     }
 
     fn predicate(&mut self) -> Result<Predicate, SyntaxError> {
-        let name = match self.bump() {
-            Some(Tok::Ident(name)) => name,
-            Some(other) => return self.error(format!("expected a relation name, found {other:?}")),
+        let relation = match self.peek() {
+            Some(&Tok::Ident(name)) => RelName::new(name),
+            Some(other) => {
+                // The offending token is consumed, so the error points past it.
+                let message = format!("expected a relation name, found {other:?}");
+                self.pos += 1;
+                return self.error(message);
+            }
             None => return self.error("expected a relation name, found end of input"),
         };
-        let relation = RelName::new(&name);
+        self.pos += 1;
         if self.peek() != Some(&Tok::LParen) {
             return Ok(Predicate::nullary(relation));
         }
@@ -500,32 +387,16 @@ impl Parser {
     }
 
     fn expr_item(&mut self, terms: &mut Vec<Term>) -> Result<(), SyntaxError> {
-        match self.peek().cloned() {
-            Some(Tok::Ident(name)) => {
-                self.pos += 1;
-                terms.push(Term::Const(AtomId::new(&name)));
-                Ok(())
-            }
-            Some(Tok::Quoted(name)) => {
-                self.pos += 1;
-                terms.push(Term::Const(AtomId::new(&name)));
-                Ok(())
-            }
-            Some(Tok::AtomVar(name)) => {
-                self.pos += 1;
-                terms.push(Term::Var(Var::atom(&name)));
-                Ok(())
-            }
-            Some(Tok::PathVar(name)) => {
-                self.pos += 1;
-                terms.push(Term::Var(Var::path(&name)));
-                Ok(())
-            }
+        let term = match self.peek() {
+            Some(&Tok::Ident(name)) => Term::Const(AtomId::new(name)),
+            Some(Tok::Quoted(name)) => Term::Const(AtomId::new(name)),
+            Some(&Tok::AtomVar(name)) => Term::Var(Var::atom(name)),
+            Some(&Tok::PathVar(name)) => Term::Var(Var::path(name)),
             Some(Tok::Eps) => {
                 self.pos += 1;
                 // ε contributes no terms: a·eps·b is a·b, and a lone eps is the
                 // empty expression.
-                Ok(())
+                return Ok(());
             }
             Some(Tok::LAngle) => {
                 self.pos += 1;
@@ -536,18 +407,23 @@ impl Parser {
                 };
                 self.expect(Tok::RAngle, "`>` closing the packed expression")?;
                 terms.push(Term::Packed(inner));
-                Ok(())
+                return Ok(());
             }
-            Some(other) => self.error(format!("expected a path-expression item, found {other:?}")),
-            None => self.error("expected a path-expression item, found end of input"),
-        }
+            Some(other) => {
+                return self.error(format!("expected a path-expression item, found {other:?}"))
+            }
+            None => return self.error("expected a path-expression item, found end of input"),
+        };
+        self.pos += 1;
+        terms.push(term);
+        Ok(())
     }
 }
 
 // The `atom` method signals nonequalities with a sentinel error; intercept it in
 // `literal` by re-parsing.  To keep that logic local we implement it as a free
 // function extension here.
-impl Parser {
+impl Parser<'_> {
     fn literal(&mut self) -> Result<Literal, SyntaxError> {
         let start = self.pos;
         match self.literal_inner() {
@@ -693,6 +569,10 @@ mod tests {
         let e = parse_expr("'complete order'·'receive payment'").unwrap();
         assert_eq!(e.len(), 2);
         assert_eq!(e.to_string(), "'complete order'·'receive payment'");
+        // `\'` is an escaped quote; any other backslash is literal.
+        let e = parse_expr("'it\\'s'·'a\\b'").unwrap();
+        assert_eq!(e.terms()[0], Term::Const(AtomId::new("it's")));
+        assert_eq!(e.terms()[1], Term::Const(AtomId::new("a\\b")));
     }
 
     #[test]
@@ -720,21 +600,36 @@ mod tests {
         assert!(parse_rule("S($x) ← R($x).").is_ok());
     }
 
+    /// The error kind and byte offset of a failed parse.
+    fn error_at<T: std::fmt::Debug>(result: Result<T, SyntaxError>) -> (&'static str, usize) {
+        match result.unwrap_err() {
+            SyntaxError::Lex { offset, .. } => ("lex", offset),
+            SyntaxError::Parse { offset, .. } => ("parse", offset),
+            other => panic!("expected a lex or parse error, got {other:?}"),
+        }
+    }
+
     #[test]
     fn lex_and_parse_errors_are_reported_with_offsets() {
-        assert!(matches!(
-            parse_program("S($x) <- R($x)"),
-            Err(SyntaxError::Parse { .. })
-        ));
-        assert!(matches!(
-            parse_program("S(&x) <- R($x)."),
-            Err(SyntaxError::Lex { .. })
-        ));
-        assert!(matches!(
-            parse_expr("'unterminated"),
-            Err(SyntaxError::Lex { .. })
-        ));
-        assert!(matches!(parse_expr("a ="), Err(SyntaxError::Parse { .. })));
+        // Offsets are in bytes: `·` and `ε` are two bytes, `⟨` and `⟩` three.
+        assert_eq!(error_at(parse_program("S($x) <- R($x)")), ("parse", 14));
+        assert_eq!(error_at(parse_program("S(&x) <- R($x).")), ("lex", 2));
+        assert_eq!(error_at(parse_expr("'unterminated")), ("lex", 0));
+        assert_eq!(error_at(parse_expr("a =")), ("parse", 2));
+
+        assert_eq!(error_at(parse_program("S(a·b, &x).")), ("lex", 8));
+        assert_eq!(error_at(parse_program("S(ε·?).")), ("lex", 6));
+        assert_eq!(error_at(parse_program("S(⟨a⟩·$).")), ("lex", 11));
+        assert_eq!(error_at(parse_program("S('x·y', 'oops).")), ("lex", 10));
+        assert_eq!(error_at(parse_program("S('it\\'s'·&).")), ("lex", 11));
+
+        assert_eq!(
+            error_at(parse_program("S(a·b) <- R(⟨a⟩·ε) R(b).")),
+            ("parse", 26)
+        );
+        assert_eq!(error_at(parse_program("S('a·b' ·).")), ("parse", 11));
+        assert_eq!(error_at(parse_program("S('ε') <- R(ε)")), ("parse", 16));
+        assert_eq!(error_at(parse_rule("⟨a⟩(b).")), ("parse", 3));
     }
 
     #[test]

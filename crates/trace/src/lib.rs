@@ -10,7 +10,8 @@
 //!
 //! When a [`Session`] is active, each thread appends [`Event`]s to its own
 //! thread-local buffer (no locks on the record path); buffers drain into a
-//! global sink when a thread exits or the session [`finish`](Session::finish)es.
+//! global sink when a thread closes its outermost open span, when it exits,
+//! and when the session [`finish`](Session::finish)es.
 //! Thread ids are small process-local ordinals assigned at a thread's first
 //! event, and timestamps are microseconds from a process-wide monotonic epoch,
 //! so per-thread event order is meaningful.
@@ -88,6 +89,11 @@ pub struct Event {
 struct ThreadBuf {
     tid: u32,
     events: Vec<Event>,
+    /// Spans this thread has open.  The buffer drains when the outermost one
+    /// closes: the destructors of a scoped thread's thread-locals may run
+    /// after `std::thread::scope` has returned, so draining only on thread
+    /// exit could leave a joined worker's events out of [`Session::finish`].
+    open_spans: usize,
 }
 
 impl Drop for ThreadBuf {
@@ -102,6 +108,7 @@ thread_local! {
     static BUF: RefCell<ThreadBuf> = RefCell::new(ThreadBuf {
         tid: NEXT_TID.fetch_add(1, Ordering::Relaxed),
         events: Vec::new(),
+        open_spans: 0,
     });
 }
 
@@ -134,6 +141,16 @@ fn record(kind: EventKind, name: String, value: u64) {
         let mut b = b.borrow_mut();
         let tid = b.tid;
         b.events.push(Event { tid, ..event });
+        match kind {
+            EventKind::Begin => b.open_spans += 1,
+            EventKind::End => {
+                b.open_spans = b.open_spans.saturating_sub(1);
+                if b.open_spans == 0 {
+                    lock(&SINK).append(&mut b.events);
+                }
+            }
+            EventKind::Counter | EventKind::Instant => {}
+        }
     });
 }
 
@@ -159,10 +176,11 @@ impl Session {
     /// Stop recording and return every event of this session, stably ordered
     /// by timestamp (per-thread relative order is preserved).
     ///
-    /// Threads that exited before this call (e.g. a scoped worker pool)
-    /// flushed their buffers on exit; the calling thread's buffer is flushed
-    /// here.  A thread still running concurrently may lose its tail events —
-    /// the callers in this workspace all join their workers first.
+    /// Other threads flush their buffers whenever their outermost span closes
+    /// and again on exit, so a joined worker pool's spans are all here; the
+    /// calling thread's buffer is flushed here.  A thread still running
+    /// concurrently may lose its tail events — the callers in this workspace
+    /// all join their workers first.
     #[must_use]
     pub fn finish(self) -> Vec<Event> {
         ENABLED.store(false, Ordering::Relaxed);
