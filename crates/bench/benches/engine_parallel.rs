@@ -1,4 +1,4 @@
-//! Thread-count scaling of the stratified SCC executor on the two recursive
+//! Thread-count scaling of the executor on the two recursive
 //! engine workloads (Section 5.1.1 reachability and Example 2.1 NFA product) at
 //! their largest configured sizes, against the sequential engine baseline.
 //! `threads = 1` runs in-line (no pool), isolating the scheduler overhead;

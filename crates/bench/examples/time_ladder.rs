@@ -23,14 +23,7 @@ fn time_us<F: FnMut()>(mut f: F, iters: usize) -> f64 {
 }
 
 fn main() {
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let use_ram = match args.iter().position(|a| a == "--no-ram") {
-        Some(i) => {
-            args.remove(i);
-            false
-        }
-        None => true,
-    };
+    let args: Vec<String> = std::env::args().skip(1).collect();
     let iters: usize = args.first().and_then(|a| a.parse().ok()).unwrap_or(15);
     for (n, e) in [
         (8usize, 16usize),
@@ -41,12 +34,7 @@ fn main() {
     ] {
         let m = time_us(
             || {
-                seqdl_bench::reachability_run_configured(
-                    n,
-                    e,
-                    FixpointStrategy::SemiNaive,
-                    use_ram,
-                );
+                seqdl_bench::reachability_run(n, e, FixpointStrategy::SemiNaive);
             },
             iters,
         );
@@ -61,7 +49,7 @@ fn main() {
     ] {
         let m = time_us(
             || {
-                seqdl_bench::nfa_run_configured(s, w, l, FixpointStrategy::SemiNaive, use_ram);
+                seqdl_bench::nfa_run(s, w, l, FixpointStrategy::SemiNaive);
             },
             iters,
         );

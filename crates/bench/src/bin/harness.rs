@@ -1,7 +1,7 @@
 //! Textual reproduction of every figure of the paper plus the derived experiment
 //! tables recorded in EXPERIMENTS.md.
 //!
-//! Usage: `cargo run -p seqdl-bench --bin harness [--release] [--threads N] [--mem-stats] [--no-ram]
+//! Usage: `cargo run -p seqdl-bench --bin harness [--release] [--threads N] [--mem-stats]
 //! [--stats-format text|json] [--profile] [--trace-out trace.json] [section…]`
 //! where `section` is any of `fig1 fig2 fig3 arity equations packing folding
 //! linearity reachability nfa query algebra regex termination`; with no arguments every section is printed.
@@ -10,8 +10,6 @@
 //! `--mem-stats` appends memory-footprint columns (result facts, distinct
 //! interned paths, approximate store KiB) to the reachability and NFA rows and
 //! a peak-RSS footer per section; store numbers are cumulative per process.
-//! `--no-ram` runs the reachability, NFA, and query sections through the legacy
-//! tree-walking matcher instead of the lowered RAM instruction programs.
 //! `--stats-format json` appends the machine-readable evaluation-statistics
 //! document (the `seqdl --stats-format json` schema) for the largest workload
 //! of the reachability, NFA, and query sections; `--profile` appends the
@@ -90,13 +88,6 @@ fn main() {
             true
         }
         None => false,
-    };
-    let use_ram = match args.iter().position(|a| a == "--no-ram") {
-        Some(i) => {
-            args.remove(i);
-            false
-        }
-        None => true,
     };
     let json = match args.iter().position(|a| a == "--stats-format") {
         Some(i) => {
@@ -280,25 +271,19 @@ fn main() {
             (128, 1024),
         ] {
             let t1 = Instant::now();
-            let semi_result = drivers::reachability_result_configured(nodes, edges, use_ram);
+            let semi_result = drivers::reachability_result(nodes, edges);
             let t_semi = t1.elapsed();
             let semi = drivers::reachability_answer(&semi_result);
             // The quadratic naive baseline is only tractable at the small end.
             let naive_time = (nodes <= 32).then(|| {
                 let t0 = Instant::now();
-                let naive = drivers::reachability_run_configured(
-                    nodes,
-                    edges,
-                    FixpointStrategy::Naive,
-                    use_ram,
-                );
+                let naive = drivers::reachability_run(nodes, edges, FixpointStrategy::Naive);
                 let elapsed = t0.elapsed();
                 assert_eq!(naive, semi);
                 elapsed
             });
             let t2 = Instant::now();
-            let parallel =
-                drivers::reachability_run_parallel_configured(nodes, edges, threads, use_ram);
+            let parallel = drivers::reachability_run_parallel(nodes, edges, threads);
             let t_exec = t2.elapsed();
             assert_eq!(semi, parallel, "executor must agree with the engine");
             let naive_col = naive_time.map_or("-".to_string(), |t| format!("{t:?}"));
@@ -329,8 +314,7 @@ fn main() {
                 .trace_out
                 .as_ref()
                 .map(|p| (p.clone(), seqdl_trace::start()));
-            let (_, stats) =
-                drivers::reachability_exec_stats_configured(128, 1024, threads, use_ram);
+            let (_, stats) = drivers::reachability_exec_stats(128, 1024, threads);
             if let Some((path, session)) = trace {
                 let events = session.finish();
                 std::fs::write(&path, seqdl_trace::chrome_trace_json(&events))
@@ -365,25 +349,19 @@ fn main() {
             (16, 48, 64),
         ] {
             let t1 = Instant::now();
-            let semi_result = drivers::nfa_result_configured(states, words, len, use_ram);
+            let semi_result = drivers::nfa_result(states, words, len);
             let t_semi = t1.elapsed();
             let b = drivers::nfa_answer(&semi_result);
             // The quadratic naive baseline is only tractable at the small end.
             let naive_time = (states <= 8).then(|| {
                 let t0 = Instant::now();
-                let a = drivers::nfa_run_configured(
-                    states,
-                    words,
-                    len,
-                    FixpointStrategy::Naive,
-                    use_ram,
-                );
+                let a = drivers::nfa_run(states, words, len, FixpointStrategy::Naive);
                 let elapsed = t0.elapsed();
                 assert_eq!(a, b);
                 elapsed
             });
             let t2 = Instant::now();
-            let c = drivers::nfa_run_parallel_configured(states, words, len, threads, use_ram);
+            let c = drivers::nfa_run_parallel(states, words, len, threads);
             let t_exec = t2.elapsed();
             assert_eq!(b, c, "executor must agree with the engine");
             let naive_col = naive_time.map_or("-".to_string(), |t| format!("{t:?}"));
@@ -407,7 +385,7 @@ fn main() {
             println!("peak RSS: {} KiB", drivers::peak_rss_kib());
         }
         if obs.json || obs.profile {
-            let (_, stats) = drivers::nfa_exec_stats_configured(16, 48, 64, threads, use_ram);
+            let (_, stats) = drivers::nfa_exec_stats(16, 48, 64, threads);
             obs.emit(&format!("nfa 16x64, exec({threads})"), &stats);
         }
     }
@@ -427,11 +405,11 @@ fn main() {
         ] {
             let t0 = Instant::now();
             let (full_answers, full_stats) =
-                drivers::reachability_query_full_configured(nodes, edges, threads, use_ram);
+                drivers::reachability_query_full(nodes, edges, threads);
             let t_full = t0.elapsed();
             let t1 = Instant::now();
             let (demanded_answers, demanded_stats) =
-                drivers::reachability_query_demanded_configured(nodes, edges, threads, use_ram);
+                drivers::reachability_query_demanded(nodes, edges, threads);
             let t_demanded = t1.elapsed();
             assert_eq!(
                 full_answers, demanded_answers,
@@ -447,8 +425,7 @@ fn main() {
             );
         }
         if obs.json || obs.profile {
-            let (_, stats) =
-                drivers::reachability_query_demanded_configured(128, 1024, threads, use_ram);
+            let (_, stats) = drivers::reachability_query_demanded(128, 1024, threads);
             obs.emit(&format!("query demanded 128x1024, exec({threads})"), &stats);
         }
     }

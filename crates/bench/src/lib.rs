@@ -32,14 +32,6 @@ pub fn bench_engine() -> Engine {
     })
 }
 
-/// [`bench_engine`] with the execution path selected explicitly: `use_ram`
-/// runs the lowered RAM instruction programs, `false` the legacy tree-walking
-/// matcher — the A/B axis of the `ram_lowering` bench and the harness's
-/// `--no-ram` flag.
-pub fn bench_engine_configured(use_ram: bool) -> Engine {
-    bench_engine().with_ram(use_ram)
-}
-
 // ---------------------------------------------------------------------------
 // FIG-1: the Hasse diagram of Figure 1
 // ---------------------------------------------------------------------------
@@ -270,19 +262,9 @@ pub fn nonrecursive_output_length(n: usize) -> usize {
 /// Run graph reachability (Section 5.1.1) on a random digraph with the given
 /// strategy; returns whether `b` is reachable from `a`.
 pub fn reachability_run(nodes: usize, edges: usize, strategy: FixpointStrategy) -> bool {
-    reachability_run_configured(nodes, edges, strategy, true)
-}
-
-/// [`reachability_run`] with the execution path selected explicitly.
-pub fn reachability_run_configured(
-    nodes: usize,
-    edges: usize,
-    strategy: FixpointStrategy,
-    use_ram: bool,
-) -> bool {
     let w = witnesses::reachability();
     let input = Workloads::new(17).digraph_instance(nodes, edges);
-    bench_engine_configured(use_ram)
+    bench_engine()
         .with_strategy(strategy)
         .run(&w.program, &input)
         .expect("terminates")
@@ -292,20 +274,9 @@ pub fn reachability_run_configured(
 /// Run the Example 2.1 NFA-acceptance program on a random NFA instance; returns the
 /// number of accepted words.
 pub fn nfa_run(states: usize, words: usize, word_len: usize, strategy: FixpointStrategy) -> usize {
-    nfa_run_configured(states, words, word_len, strategy, true)
-}
-
-/// [`nfa_run`] with the execution path selected explicitly.
-pub fn nfa_run_configured(
-    states: usize,
-    words: usize,
-    word_len: usize,
-    strategy: FixpointStrategy,
-    use_ram: bool,
-) -> usize {
     let w = witnesses::nfa_acceptance();
     let input = Workloads::new(23).nfa_instance(states, 2, words, word_len);
-    bench_engine_configured(use_ram)
+    bench_engine()
         .with_strategy(strategy)
         .run(&w.program, &input)
         .expect("terminates")
@@ -358,20 +329,9 @@ pub fn peak_rss_kib() -> usize {
 /// the same computation [`reachability_run`] times, kept so `--mem-stats`
 /// rows snapshot the instance the timed run produced instead of re-running.
 pub fn reachability_result(nodes: usize, edges: usize) -> seqdl_core::Instance {
-    reachability_result_configured(nodes, edges, true)
-}
-
-/// [`reachability_result`] with the execution path selected explicitly.
-pub fn reachability_result_configured(
-    nodes: usize,
-    edges: usize,
-    use_ram: bool,
-) -> seqdl_core::Instance {
     let w = witnesses::reachability();
     let input = Workloads::new(17).digraph_instance(nodes, edges);
-    bench_engine_configured(use_ram)
-        .run(&w.program, &input)
-        .expect("terminates")
+    bench_engine().run(&w.program, &input).expect("terminates")
 }
 
 /// The §5.1.1 answer read off a result instance.
@@ -382,21 +342,9 @@ pub fn reachability_answer(result: &seqdl_core::Instance) -> bool {
 /// The full semi-naive result instance of the Example 2.1 NFA workload; see
 /// [`reachability_result`].
 pub fn nfa_result(states: usize, words: usize, word_len: usize) -> seqdl_core::Instance {
-    nfa_result_configured(states, words, word_len, true)
-}
-
-/// [`nfa_result`] with the execution path selected explicitly.
-pub fn nfa_result_configured(
-    states: usize,
-    words: usize,
-    word_len: usize,
-    use_ram: bool,
-) -> seqdl_core::Instance {
     let w = witnesses::nfa_acceptance();
     let input = Workloads::new(23).nfa_instance(states, 2, words, word_len);
-    bench_engine_configured(use_ram)
-        .run(&w.program, &input)
-        .expect("terminates")
+    bench_engine().run(&w.program, &input).expect("terminates")
 }
 
 /// The NFA acceptance count read off a result instance.
@@ -406,35 +354,20 @@ pub fn nfa_answer(result: &seqdl_core::Instance) -> usize {
         .count()
 }
 
-/// The stratified SCC executor with the bench engine's limits and the given
+/// The executor with the bench engine's limits and the given
 /// worker-pool size.
 pub fn bench_executor(threads: usize) -> seqdl_exec::Executor {
-    bench_executor_configured(threads, true)
-}
-
-/// [`bench_executor`] with the execution path selected explicitly.
-pub fn bench_executor_configured(threads: usize, use_ram: bool) -> seqdl_exec::Executor {
     seqdl_exec::Executor::new()
-        .with_engine(bench_engine_configured(use_ram))
+        .with_engine(bench_engine())
         .with_threads(threads)
 }
 
 /// Run graph reachability (Section 5.1.1) through the stratified parallel
 /// executor; must agree with [`reachability_run`].
 pub fn reachability_run_parallel(nodes: usize, edges: usize, threads: usize) -> bool {
-    reachability_run_parallel_configured(nodes, edges, threads, true)
-}
-
-/// [`reachability_run_parallel`] with the execution path selected explicitly.
-pub fn reachability_run_parallel_configured(
-    nodes: usize,
-    edges: usize,
-    threads: usize,
-    use_ram: bool,
-) -> bool {
     let w = witnesses::reachability();
     let input = Workloads::new(17).digraph_instance(nodes, edges);
-    bench_executor_configured(threads, use_ram)
+    bench_executor(threads)
         .run(&w.program, &input)
         .expect("terminates")
         .nullary_true(w.output)
@@ -443,55 +376,42 @@ pub fn reachability_run_parallel_configured(
 /// Run the Example 2.1 NFA-acceptance program through the stratified parallel
 /// executor; must agree with [`nfa_run`].
 pub fn nfa_run_parallel(states: usize, words: usize, word_len: usize, threads: usize) -> usize {
-    nfa_run_parallel_configured(states, words, word_len, threads, true)
-}
-
-/// [`nfa_run_parallel`] with the execution path selected explicitly.
-pub fn nfa_run_parallel_configured(
-    states: usize,
-    words: usize,
-    word_len: usize,
-    threads: usize,
-    use_ram: bool,
-) -> usize {
     let w = witnesses::nfa_acceptance();
     let input = Workloads::new(23).nfa_instance(states, 2, words, word_len);
-    bench_executor_configured(threads, use_ram)
+    bench_executor(threads)
         .run(&w.program, &input)
         .expect("terminates")
         .unary_paths_iter(w.output)
         .count()
 }
 
-/// [`reachability_run_parallel_configured`] returning the run's statistics
-/// alongside the answer — the observability hook behind the harness's
-/// `--stats-format json`, `--profile`, and `--trace-out` modes.
-pub fn reachability_exec_stats_configured(
+/// [`reachability_run_parallel`] returning the run's statistics alongside the
+/// answer — the observability hook behind the harness's `--stats-format
+/// json`, `--profile`, and `--trace-out` modes.
+pub fn reachability_exec_stats(
     nodes: usize,
     edges: usize,
     threads: usize,
-    use_ram: bool,
 ) -> (bool, seqdl_engine::EvalStats) {
     let w = witnesses::reachability();
     let input = Workloads::new(17).digraph_instance(nodes, edges);
-    let (out, stats) = bench_executor_configured(threads, use_ram)
+    let (out, stats) = bench_executor(threads)
         .run_with_stats(&w.program, &input)
         .expect("terminates");
     (out.nullary_true(w.output), stats)
 }
 
-/// [`nfa_run_parallel_configured`] returning the run's statistics alongside
-/// the accepted-word count.
-pub fn nfa_exec_stats_configured(
+/// [`nfa_run_parallel`] returning the run's statistics alongside the
+/// accepted-word count.
+pub fn nfa_exec_stats(
     states: usize,
     words: usize,
     word_len: usize,
     threads: usize,
-    use_ram: bool,
 ) -> (usize, seqdl_engine::EvalStats) {
     let w = witnesses::nfa_acceptance();
     let input = Workloads::new(23).nfa_instance(states, 2, words, word_len);
-    let (out, stats) = bench_executor_configured(threads, use_ram)
+    let (out, stats) = bench_executor(threads)
         .run_with_stats(&w.program, &input)
         .expect("terminates");
     (out.unary_paths_iter(w.output).count(), stats)
@@ -515,20 +435,10 @@ pub fn reachability_query_full(
     edges: usize,
     threads: usize,
 ) -> (usize, seqdl_engine::EvalStats) {
-    reachability_query_full_configured(nodes, edges, threads, true)
-}
-
-/// [`reachability_query_full`] with the execution path selected explicitly.
-pub fn reachability_query_full_configured(
-    nodes: usize,
-    edges: usize,
-    threads: usize,
-    use_ram: bool,
-) -> (usize, seqdl_engine::EvalStats) {
     let w = witnesses::reachability();
     let goal = reachability_goal();
     let input = Workloads::new(17).digraph_instance(nodes, edges);
-    let (out, stats) = bench_executor_configured(threads, use_ram)
+    let (out, stats) = bench_executor(threads)
         .run_with_stats(&w.program, &input)
         .expect("terminates");
     let answers = out.relation(rel("T")).map_or(0, |r| {
@@ -548,21 +458,11 @@ pub fn reachability_query_demanded(
     edges: usize,
     threads: usize,
 ) -> (usize, seqdl_engine::EvalStats) {
-    reachability_query_demanded_configured(nodes, edges, threads, true)
-}
-
-/// [`reachability_query_demanded`] with the execution path selected explicitly.
-pub fn reachability_query_demanded_configured(
-    nodes: usize,
-    edges: usize,
-    threads: usize,
-    use_ram: bool,
-) -> (usize, seqdl_engine::EvalStats) {
     let w = witnesses::reachability();
     let goal = reachability_goal();
     let input = Workloads::new(17).digraph_instance(nodes, edges);
     let mp = seqdl_rewrite::magic(&w.program, &goal).expect("reachability goal rewrites");
-    let (out, stats) = bench_executor_configured(threads, use_ram)
+    let (out, stats) = bench_executor(threads)
         .run_with_stats_seeded(&mp.program, &input, &mp.seeds)
         .expect("terminates");
     (mp.answers(&out).len(), stats)

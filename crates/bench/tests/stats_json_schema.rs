@@ -9,7 +9,7 @@ use seqdl_engine::{stats_json, EvalError, EvalStats, LimitKind};
 
 /// A parsed document from one §5.1.1 reachability run through the executor.
 fn run_document(threads: usize) -> Json {
-    let (reachable, stats) = seqdl_bench::reachability_exec_stats_configured(16, 48, threads, true);
+    let (reachable, stats) = seqdl_bench::reachability_exec_stats(16, 48, threads);
     assert!(
         reachable,
         "workload sanity: the digraph has a reachable pair"
@@ -177,7 +177,7 @@ fn chrome_trace_export_parses_as_json() {
     // A traced parallel run's `--trace-out` document must be valid JSON with
     // the Chrome trace-event fields on every record.
     let session = seqdl_trace::start();
-    let (reachable, _) = seqdl_bench::reachability_exec_stats_configured(16, 48, 4, true);
+    let (reachable, _) = seqdl_bench::reachability_exec_stats(16, 48, 4);
     let events = session.finish();
     assert!(reachable);
     assert!(!events.is_empty(), "a traced run records events");

@@ -5,7 +5,7 @@ use seqdl_algebra::datalog_to_algebra;
 use seqdl_analysis::{check_json, check_program, render_text, CheckOptions, Severity};
 use seqdl_core::{Instance, RelName, Tuple};
 use seqdl_engine::{Engine, EvalLimits, FixpointStrategy};
-use seqdl_exec::{Executor, Schedule};
+use seqdl_exec::Executor;
 use seqdl_fragments::{rewrite_into, Feature, Fragment, HasseDiagram};
 use seqdl_io::{load_instance, load_program};
 use seqdl_regex::{compile_contains, compile_match, parse_regex, CompileOptions};
@@ -13,7 +13,7 @@ use seqdl_rewrite::{
     eliminate_arity, eliminate_equations, eliminate_packing_nonrecursive,
     fold_intermediate_predicates, goal_matches, magic, parse_goal, to_normal_form,
 };
-use seqdl_syntax::{parse_expr, Equation, Program};
+use seqdl_syntax::{parse_expr, Equation, PrecedenceGraph, Program};
 use seqdl_unify::{is_one_sided_nonlinear, solve, solve_allowing_empty, SolveOptions};
 use std::fmt;
 use std::fmt::Write as _;
@@ -63,10 +63,10 @@ pub fn help_text() -> String {
         "  seqdl run         --program q.sdl --instance db.sdi [--output S] [--strategy naive|semi-naive]\n",
         "                    [--threads N] [--shard-size N] [--max-iterations N] [--max-facts N]\n",
         "                    [--max-path-len N] [--timeout 50ms|2s] [--max-store-bytes 64m]\n",
-        "                    [--no-ram] [--stats] [--profile] [--stats-format text|json]\n",
+        "                    [--stats] [--profile] [--stats-format text|json]\n",
         "                    [--trace-out trace.json] [--save out.sdi]\n",
         "  seqdl query       --program q.sdl --instance db.sdi --goal \"Reach(a·b·$x)?\"\n",
-        "                    [--threads N] [--timeout 50ms] [--no-ram] [--stats] [--profile]\n",
+        "                    [--threads N] [--timeout 50ms] [--stats] [--profile]\n",
         "                    [--stats-format text|json] [--trace-out trace.json] [--show-rewrite]\n",
         "                    (demand-driven: only rules relevant to the goal fire, via the\n",
         "                    magic-set rewrite)\n",
@@ -98,9 +98,8 @@ pub fn help_text() -> String {
         "evaluation (disable with `--no-strip-dead`; `--save` also disables the\n",
         "pruning, since it must materialise every relation).\n",
         "\n",
-        "By default rules are compiled to a flat RAM-style instruction program\n",
-        "(`seqdl analyze --show-ram` prints the listing); `--no-ram` falls back to\n",
-        "the legacy tree-walking matcher.\n",
+        "Rules are compiled to a flat RAM-style instruction program\n",
+        "(`seqdl analyze --show-ram` prints the listing).\n",
         "\n",
         "Resource governance: `--timeout D` imposes a wall-clock deadline (bare\n",
         "numbers are milliseconds; `ms`/`s`/`m` suffixes accepted), and\n",
@@ -245,13 +244,12 @@ fn engine_from_flags(flags: &Flags) -> Result<Engine, CliError> {
     Ok(Engine::new()
         .with_limits(limits)
         .with_strategy(strategy)
-        .with_ram(!flags.has("no-ram"))
         // Ctrl-C cancels a running evaluation at the next governor checkpoint
         // instead of killing the process: the run returns with partial stats.
         .with_cancel_token(seqdl_core::CancelToken::linked_to(&crate::INTERRUPTED)))
 }
 
-/// The stratified SCC executor configured by the flags: the engine's limits and
+/// The executor configured by the flags: the engine's limits and
 /// strategy plus `--threads N` (1 = in-line, 0 = all available cores) and
 /// `--shard-size N` (base delta tuples per parallel shard).
 fn executor_from_flags(flags: &Flags) -> Result<Executor, CliError> {
@@ -895,12 +893,13 @@ fn cmd_analyze(flags: &Flags) -> Result<String, CliError> {
     let mut report = String::new();
     writeln!(report, "rules: {}", program.rule_count()).expect("write to string");
     writeln!(report, "strata: {}", program.stratum_count()).expect("write to string");
-    for (i, stratum) in Schedule::of_program(&program).strata.iter().enumerate() {
-        let members: Vec<String> = stratum
+    for (i, stratum) in program.strata.iter().enumerate() {
+        let condensation = PrecedenceGraph::of_rules(stratum.rules.iter()).condensation();
+        let members: Vec<String> = condensation
             .components
             .iter()
             .map(|c| {
-                let names: Vec<String> = c.relations.iter().map(ToString::to_string).collect();
+                let names: Vec<String> = c.members.iter().map(ToString::to_string).collect();
                 format!(
                     "{{{}}}{}",
                     names.join(", "),
@@ -911,9 +910,13 @@ fn cmd_analyze(flags: &Flags) -> Result<String, CliError> {
         writeln!(
             report,
             "schedule stratum {i}: {} SCC(s) over {} level(s), {} recursive: {}",
-            stratum.component_count(),
-            stratum.levels.len(),
-            stratum.recursive_count(),
+            condensation.components.len(),
+            condensation.level_count(),
+            condensation
+                .components
+                .iter()
+                .filter(|c| c.recursive)
+                .count(),
             members.join(" -> ")
         )
         .expect("write to string");
@@ -1793,13 +1796,13 @@ mod tests {
     }
 
     #[test]
-    fn run_stats_surface_instruction_counters_and_no_ram_disables_them() {
+    fn run_stats_surface_instruction_counters() {
         let program = write_program("ram-stats.sdl", "S($x) <- R($x).");
         let instance = write_instance_file(
             "ram-stats.sdi",
             &Instance::unary(rel("R"), [path_of(&["a"]), path_of(&["b"])]),
         );
-        let with_ram = cmd_run(&flags(&[
+        let output = cmd_run(&flags(&[
             "--program",
             &program,
             "--instance",
@@ -1807,36 +1810,16 @@ mod tests {
             "--stats",
         ]))
         .unwrap();
-        assert!(with_ram.contains("instructions executed: "), "{with_ram}");
-        assert!(with_ram.contains("fused probes: "), "{with_ram}");
-        assert!(with_ram.contains("delta shard(s)"), "{with_ram}");
-        let instructions: usize = with_ram
+        assert!(output.contains("instructions executed: "), "{output}");
+        assert!(output.contains("fused probes: "), "{output}");
+        assert!(output.contains("delta shard(s)"), "{output}");
+        let instructions: usize = output
             .split("instructions executed: ")
             .nth(1)
             .and_then(|rest| rest.split(',').next())
             .and_then(|n| n.trim().parse().ok())
             .expect("parse instruction count");
-        assert!(instructions > 0, "{with_ram}");
-        // The legacy matcher executes no RAM instructions, but the answers
-        // are identical.
-        let without = cmd_run(&flags(&[
-            "--program",
-            &program,
-            "--instance",
-            &instance,
-            "--stats",
-            "--no-ram",
-        ]))
-        .unwrap();
-        assert!(
-            without.contains("instructions executed: 0, fused probes: 0"),
-            "{without}"
-        );
-        assert_eq!(
-            with_ram.lines().take(3).collect::<Vec<_>>(),
-            without.lines().take(3).collect::<Vec<_>>(),
-            "answers must not depend on the execution path"
-        );
+        assert!(instructions > 0, "{output}");
     }
 
     #[test]

@@ -1,18 +1,16 @@
-//! Stratum-by-stratum fixpoint evaluation (Section 2.3).
+//! Stratum-by-stratum fixpoint evaluation (Section 2.3): the [`Engine`] entry
+//! points, resource limits and the run's governor, evaluation statistics,
+//! and the index selection the RAM interpreter probes through.  The fixpoint
+//! loop itself is [`crate::drive`].
 
+use crate::drive::{prepare_run, Driver, ShardPolicy};
 use crate::error::{EvalError, LimitKind};
-use crate::matching::{
-    equation_holds, ground_tuple, match_equation, match_predicate_flat, match_predicate_sink,
-};
-use crate::plan::{
-    plan_rule, BodyPlan, ColumnProbe, PlannedLiteral, PlannedPredicate, PrefixSource,
-};
+use crate::plan::{BodyPlan, ColumnProbe, PlannedLiteral, PlannedPredicate, PrefixSource};
 use seqdl_core::{
-    CancelToken, Fact, Instance, Path, RelName, Relation, TrieEntry, Tuple, Value, TRIE_DEPTH,
+    CancelToken, Fact, Instance, Path, RelName, Relation, TrieEntry, Value, TRIE_DEPTH,
 };
-use seqdl_syntax::{Binding, Program, ProgramInfo, Rule, Valuation};
-use std::cell::{Cell, RefCell};
-use std::collections::{BTreeMap, BTreeSet};
+use seqdl_syntax::{Binding, Program, ProgramInfo, Valuation};
+use std::sync::{PoisonError, RwLock};
 use std::time::{Duration, Instant};
 
 /// Resource limits for evaluation.
@@ -21,7 +19,8 @@ use std::time::{Duration, Instant};
 /// make non-termination (Example 2.3) a reportable error instead of a hang.
 #[derive(Clone, Copy, Debug)]
 pub struct EvalLimits {
-    /// Maximum fixpoint iterations per stratum.
+    /// Maximum fixpoint rounds per scheduled fixpoint: a dependency level's
+    /// merge round plus its loop rounds.
     pub max_iterations: usize,
     /// Maximum total number of derived facts.
     pub max_facts: usize,
@@ -176,15 +175,14 @@ pub struct EvalStats {
     /// its delta window).
     pub scans: usize,
     /// RAM instruction dispatches executed by [`crate::ram::fire_proc`]
-    /// (including choice-point resumes and fused-loop candidate advances);
-    /// zero when the legacy matcher runs.
+    /// (including choice-point resumes and fused-loop candidate advances).
     pub instructions_executed: usize,
     /// Executions of instructions the RAM lowering fused: fully-bound
     /// predicate probes compiled to existence-check filters, and terminal
-    /// probe+emit loops; zero when the legacy matcher runs.
+    /// probe+emit loops.
     pub fused_probes: usize,
     /// Firings whose derived fact was recognised as a duplicate by the
-    /// per-rule emit memo (one segment-identity probe instead of grounding
+    /// per-job emit memo (one segment-identity probe instead of grounding
     /// and re-deriving the head tuple).
     pub emit_memo_hits: usize,
     /// High-water mark of shard jobs any single delta window fanned out into
@@ -194,9 +192,8 @@ pub struct EvalStats {
     /// Per-stratum breakdown, one entry per declared stratum, in evaluation order.
     pub strata: Vec<StratumStats>,
     /// Per-rule profile, one entry per (stratum, rule) that fired at least one
-    /// pass, in first-fire order.  Populated identically by the sequential
-    /// engine and (merged deterministically from shard jobs) the parallel
-    /// executor.
+    /// pass, in first-fire order, merged deterministically from the driver's
+    /// jobs at any thread count.
     pub rules: Vec<RuleStats>,
 }
 
@@ -259,7 +256,7 @@ impl EvalStats {
     }
 }
 
-/// Counters produced by one [`fire_rule`] pass.
+/// Counters produced by one [`fire_proc`](crate::ram::fire_proc) pass.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct FireStats {
     /// Head instantiations (rule firings, counting duplicates).
@@ -268,9 +265,9 @@ pub struct FireStats {
     pub index_probes: usize,
     /// Predicate steps that scanned the relation.
     pub scans: usize,
-    /// RAM instruction dispatches (zero on the legacy matcher).
+    /// RAM instruction dispatches.
     pub instructions: usize,
-    /// Executions of fused instructions (zero on the legacy matcher).
+    /// Executions of fused instructions.
     pub fused_probes: usize,
     /// Firings deduplicated by the emit memo (segment-identity probe hits,
     /// plus duplicates a fused bucket-count loop collapsed without probing).
@@ -299,9 +296,9 @@ pub struct RuleStats {
     pub index_probes: usize,
     /// Predicate steps that scanned the relation.
     pub scans: usize,
-    /// RAM instruction dispatches (zero on the legacy matcher).
+    /// RAM instruction dispatches.
     pub instructions: usize,
-    /// Executions of fused instructions (zero on the legacy matcher).
+    /// Executions of fused instructions.
     pub fused_probes: usize,
     /// Firings deduplicated by the emit memo.
     pub emit_memo_hits: usize,
@@ -312,10 +309,10 @@ pub struct RuleStats {
 pub struct StratumStats {
     /// Number of rules in the stratum.
     pub rules: usize,
-    /// Fixpoint iterations (evaluation rounds) spent in the stratum.  A
-    /// non-recursive stratum evaluated by the SCC scheduler takes exactly one
-    /// round per dependency level; the plain stratum fixpoint takes at least two
-    /// (one productive round plus the empty round that detects convergence).
+    /// Fixpoint iterations (evaluation rounds) spent in the stratum: one
+    /// merge round per dependency level with a merge section, plus the rounds
+    /// of the level's loops (a non-recursive stratum takes exactly one round
+    /// per level).
     pub iterations: usize,
     /// Facts derived by the stratum.
     pub derived_facts: usize,
@@ -335,9 +332,8 @@ pub struct StratumStats {
 ///
 /// With `lo` the relation's length at the previous iteration boundary and `hi` its
 /// current length, this is classic semi-naive evaluation ("at least one fact from
-/// the last iteration").  A parallel executor can further split `lo..hi` into
-/// disjoint shards and fire the same rule variant concurrently, one window per
-/// shard, without the shards overlapping.
+/// the last iteration").  The driver further splits `lo..hi` into disjoint
+/// shards, one job per shard, which a worker pool can fire concurrently.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct DeltaWindow {
     /// The plan position (index into [`BodyPlan::steps`]) being restricted.
@@ -353,7 +349,6 @@ pub struct DeltaWindow {
 pub struct Engine {
     limits: EvalLimits,
     strategy: FixpointStrategy,
-    use_ram: bool,
     cancel: Option<CancelToken>,
 }
 
@@ -364,13 +359,11 @@ impl Default for Engine {
 }
 
 impl Engine {
-    /// An engine with default limits, semi-naive evaluation, and RAM-lowered
-    /// rule execution.
+    /// An engine with default limits and semi-naive evaluation.
     pub fn new() -> Engine {
         Engine {
             limits: EvalLimits::default(),
             strategy: FixpointStrategy::SemiNaive,
-            use_ram: true,
             cancel: None,
         }
     }
@@ -385,20 +378,6 @@ impl Engine {
     pub fn with_strategy(mut self, strategy: FixpointStrategy) -> Engine {
         self.strategy = strategy;
         self
-    }
-
-    /// Enable or disable the RAM lowering (`false` selects the legacy
-    /// tree-walking matcher — the `--no-ram` escape hatch used for
-    /// differential testing).  Output is identical either way; only the inner
-    /// rule-firing machinery changes.
-    pub fn with_ram(mut self, use_ram: bool) -> Engine {
-        self.use_ram = use_ram;
-        self
-    }
-
-    /// Whether rules fire through the RAM instruction interpreter.
-    pub fn ram_enabled(&self) -> bool {
-        self.use_ram
     }
 
     /// Attach a [`CancelToken`] the engine polls at every governor checkpoint.
@@ -466,7 +445,8 @@ impl Engine {
     }
 
     /// Like [`Engine::run_seeded`], additionally returning evaluation
-    /// statistics.
+    /// statistics.  The run is the [`Driver`] with its inline round: the
+    /// same rounds, jobs, and counters as a one-thread executor.
     ///
     /// # Errors
     /// Ill-formed programs, seed arity mismatches, and exceeded resource
@@ -479,309 +459,34 @@ impl Engine {
     ) -> Result<(Instance, EvalStats), EvalError> {
         let governor = ResourceGovernor::for_run(&self.limits, self.cancel.clone());
         let mut stats = EvalStats::default();
-        match self.run_seeded_inner(program, input, seeds, &governor, &mut stats) {
+        let outcome = prepare_run(program, input, seeds).and_then(|(instance, lowered)| {
+            let instance = RwLock::new(instance);
+            let driver = Driver {
+                engine: self,
+                governor: &governor,
+                shard: ShardPolicy::default(),
+                program: &lowered,
+                instance: &instance,
+            };
+            driver.run(&mut stats, driver.inline_round(), |_, e, _| Err(e))?;
+            Ok(instance
+                .into_inner()
+                .unwrap_or_else(PoisonError::into_inner))
+        });
+        match outcome {
             Ok(instance) => Ok((instance, stats)),
             Err(e) => Err(e.with_partial_stats(stats)),
         }
     }
 
-    /// The body of [`Engine::run_with_stats_seeded`], with the statistics
-    /// owned by the caller so a cancellation can surface them partially
-    /// filled.
-    fn run_seeded_inner(
-        &self,
-        program: &Program,
-        input: &Instance,
-        seeds: &[Fact],
-        governor: &ResourceGovernor,
-        stats: &mut EvalStats,
-    ) -> Result<Instance, EvalError> {
-        let info = ProgramInfo::analyse(program)?;
-        let mut instance = prepare_idb_instance(&info, input)?;
-        seed_instance(&mut instance, seeds)?;
-        // Whole-program probe analysis: derived relations keep only the
-        // column tries some plan can actually consult.  The same plans are
-        // then handed down per stratum, so each rule is planned exactly once
-        // per run.
-        let mut stratum_plans: Vec<Vec<(&Rule, BodyPlan)>> = program
-            .strata
-            .iter()
-            .map(|s| {
-                s.rules
-                    .iter()
-                    .map(|r| plan_rule(r).map(|p| (r, p)))
-                    .collect::<Result<_, _>>()
-            })
-            .collect::<Result<_, _>>()?;
-        restrict_head_indexes(
-            info.idb.iter().copied(),
-            stratum_plans.iter().flatten().map(|(_, p)| p),
-            &mut instance,
-        );
-        let _run_span = seqdl_trace::span(|| "run".to_string());
-        for (si, (stratum, plans)) in program
-            .strata
-            .iter()
-            .zip(stratum_plans.drain(..))
-            .enumerate()
-        {
-            let _stratum_span = seqdl_trace::span(|| format!("stratum {si}"));
-            // Stratum-boundary checkpoint (full: includes the store budget).
-            seqdl_trace::instant("governor check");
-            governor.check()?;
-            let start = Instant::now();
-            let before = (stats.iterations, stats.derived_facts, stats.rule_firings);
-            self.eval_planned_rule_set(
-                plans,
-                &stratum.head_relations(),
-                &mut instance,
-                stats,
-                governor,
-            )?;
-            stats.strata.push(StratumStats {
-                rules: stratum.rules.len(),
-                iterations: stats.iterations - before.0,
-                derived_facts: stats.derived_facts - before.1,
-                rule_firings: stats.rule_firings - before.2,
-                shards: std::mem::take(&mut stats.delta_shards),
-                wall: start.elapsed(),
-            });
-        }
-        Ok(instance)
-    }
-
-    /// Evaluate a scoped set of rules over `instance`, the engine's inner loop
-    /// made reusable for SCC-scoped scheduling (the `seqdl-exec` crate).
-    ///
-    /// `recursive_over` names the relations whose growth drives the fixpoint —
-    /// for plain stratum evaluation the stratum's head relations, for an SCC
-    /// scheduler the members of one strongly connected component.  A rule set
-    /// that is non-recursive over `recursive_over` converges after its first
-    /// productive iteration plus one empty convergence round.
-    ///
-    /// # Errors
-    /// Ill-formed rules and exceeded resource limits.
-    pub fn eval_rule_set(
-        &self,
-        rules: &[&Rule],
-        recursive_over: &BTreeSet<RelName>,
-        instance: &mut Instance,
-        stats: &mut EvalStats,
-    ) -> Result<(), EvalError> {
-        let governor = ResourceGovernor::for_run(&self.limits, self.cancel.clone());
-        self.eval_rule_set_governed(rules, recursive_over, instance, stats, &governor)
-    }
-
-    /// [`eval_rule_set`](Engine::eval_rule_set) under a caller-owned
-    /// [`ResourceGovernor`] — the parallel executor scopes one governor to a
-    /// whole run and shares it across strata (and with its sequential-retry
-    /// path), so deadlines and store baselines are measured once per run, not
-    /// once per rule set.
-    ///
-    /// # Errors
-    /// Ill-formed rules, exceeded resource limits, and cancellation.
-    pub fn eval_rule_set_governed(
-        &self,
-        rules: &[&Rule],
-        recursive_over: &BTreeSet<RelName>,
-        instance: &mut Instance,
-        stats: &mut EvalStats,
-        governor: &ResourceGovernor,
-    ) -> Result<(), EvalError> {
-        let plans: Vec<(&Rule, BodyPlan)> = rules
-            .iter()
-            .map(|r| plan_rule(r).map(|p| (*r, p)))
-            .collect::<Result<_, _>>()?;
-        self.eval_planned_rule_set(plans, recursive_over, instance, stats, governor)
-    }
-
-    /// [`eval_rule_set`](Engine::eval_rule_set) for rules already planned by
-    /// the caller — the whole-run entry points plan once and share the plans
-    /// between index analysis and evaluation.
-    fn eval_planned_rule_set(
-        &self,
-        plans: Vec<(&Rule, BodyPlan)>,
-        recursive_over: &BTreeSet<RelName>,
-        instance: &mut Instance,
-        stats: &mut EvalStats,
-        governor: &ResourceGovernor,
-    ) -> Result<(), EvalError> {
-        if plans.is_empty() {
-            return Ok(());
-        }
-        // Register the planner-selected indexes up front; inserts maintain
-        // them incrementally for the rest of the fixpoint.
-        register_plan_indexes(plans.iter().map(|(_, p)| p), instance);
-        // Lower each planned rule to its RAM procedure once per fixpoint (the
-        // plan *moves* into the procedure — no clone); the legacy matcher
-        // fires straight off the plans when RAM is disabled.
-        let rule_count = plans.len();
-        let (procs, plans): (Option<Vec<crate::ram::RuleProc>>, Vec<(&Rule, BodyPlan)>) =
-            if self.use_ram {
-                let procs = plans
-                    .into_iter()
-                    .map(|(rule, plan)| crate::ram::lower_rule(rule, plan, recursive_over))
-                    .collect();
-                (Some(procs), Vec::new())
-            } else {
-                (None, plans)
-            };
-        // For semi-naive firing: the plan positions (per rule) that match a
-        // relation driving the fixpoint.  Only instantiations using at least
-        // one delta fact can be new, so one restricted variant fires per
-        // position (precomputed by the lowering on the RAM path).
-        let delta_positions: Vec<Vec<usize>> = match &procs {
-            Some(procs) => procs.iter().map(|p| p.delta_positions.clone()).collect(),
-            None => plans
-                .iter()
-                .map(|(_, plan)| plan.delta_positions(recursive_over))
-                .collect(),
-        };
-
-        // Semi-naive delta as *watermarks* into the insertion-ordered store: for
-        // each fixpoint-driving relation, the id of the first tuple inserted in
-        // the previous iteration.  The delta itself is then a borrowed
-        // [`DeltaWindow`] over the relation's id space — no tuples are copied out.
-        let mut delta_start: BTreeMap<RelName, usize> = BTreeMap::new();
-        // Ordinal of the stratum being evaluated, for the per-rule profile:
-        // strata entries are pushed at stratum boundaries, so the entry under
-        // construction is the current length.  Holds for the executor's
-        // sequential-retry path too (it re-runs the stratum before pushing).
-        let stratum_ix = stats.strata.len();
-        let mut iteration = 0usize;
-        let mut new_facts: Vec<Fact> = Vec::new();
-        // One emit memo per rule, persisted across rounds: duplicate
-        // derivations in later rounds are recognised in one probe.
-        let mut memos: Vec<EmitMemo> = (0..rule_count).map(|_| EmitMemo::new()).collect();
-        loop {
-            if iteration >= self.limits.max_iterations {
-                return Err(EvalError::LimitExceeded {
-                    what: LimitKind::Iterations,
-                    limit: self.limits.max_iterations,
-                });
-            }
-            stats.iterations += 1;
-            let _round_span = seqdl_trace::span(|| format!("round {iteration}"));
-            // Fixpoint-round checkpoint (full: includes the store budget).
-            seqdl_trace::instant("governor check");
-            governor.check()?;
-            for (ix, positions) in delta_positions.iter().enumerate() {
-                let memo = &mut memos[ix];
-                let plan = match &procs {
-                    Some(procs) => &procs[ix].plan,
-                    None => &plans[ix].1,
-                };
-                // One dispatch point for both execution paths: the lowered RAM
-                // procedure when enabled, the legacy tree-walking matcher
-                // otherwise.
-                let fire = |window: Option<DeltaWindow>,
-                            memo: &mut EmitMemo,
-                            out: &mut Vec<Fact>|
-                 -> Result<FireStats, EvalError> {
-                    match &procs {
-                        Some(procs) => crate::ram::fire_proc(
-                            &procs[ix],
-                            instance,
-                            window,
-                            memo,
-                            out,
-                            Some(governor),
-                        ),
-                        None => {
-                            let (rule, plan) = &plans[ix];
-                            fire_rule(rule, plan, instance, window, memo, out, Some(governor))
-                        }
-                    }
-                };
-                let rule_ref: &Rule = match &procs {
-                    Some(procs) => &procs[ix].rule,
-                    None => plans[ix].0,
-                };
-                // One profiled pass: a rule span around the fire, counters
-                // into the per-rule profile keyed by (stratum, rule index).
-                let profiled = |window: Option<DeltaWindow>,
-                                memo: &mut EmitMemo,
-                                out: &mut Vec<Fact>,
-                                stats: &mut EvalStats|
-                 -> Result<(), EvalError> {
-                    let _rule_span = seqdl_trace::span(|| format!("rule s{stratum_ix}r{ix}"));
-                    let buffered = out.len();
-                    let pass_start = Instant::now();
-                    let fire_stats = fire(window, memo, out)?;
-                    let wall = pass_start.elapsed();
-                    if seqdl_trace::enabled() {
-                        seqdl_trace::counter("index probes", fire_stats.index_probes as u64);
-                        seqdl_trace::counter("scans", fire_stats.scans as u64);
-                        seqdl_trace::counter("emits", fire_stats.firings as u64);
-                    }
-                    stats.apply_rule_fire(
-                        stratum_ix,
-                        ix,
-                        || rule_ref.to_string(),
-                        fire_stats,
-                        wall,
-                        out.len() - buffered,
-                    );
-                    Ok(())
-                };
-                if iteration == 0 {
-                    profiled(None, memo, &mut new_facts, stats)?;
-                    continue;
-                }
-                match self.strategy {
-                    FixpointStrategy::Naive => {
-                        profiled(None, memo, &mut new_facts, stats)?;
-                    }
-                    FixpointStrategy::SemiNaive => {
-                        for &pos in positions {
-                            let r = plan.predicate_at(pos)?.pred.relation;
-                            let hi = instance.relation(r).map_or(0, Relation::len);
-                            let lo = delta_start.get(&r).copied().unwrap_or(hi);
-                            // An empty delta at the restricted position cannot
-                            // contribute a new instantiation; skip the variant
-                            // before any earlier step does scan work.
-                            if lo >= hi {
-                                continue;
-                            }
-                            // The sequential engine never splits a window.
-                            stats.note_shards(1);
-                            profiled(
-                                Some(DeltaWindow { pos, lo, hi }),
-                                memo,
-                                &mut new_facts,
-                                stats,
-                            )?;
-                        }
-                    }
-                }
-            }
-
-            // Record the current length of every fixpoint-driving relation — the
-            // tuples inserted below land at ids ≥ these marks and form the next
-            // delta.
-            let marks: BTreeMap<RelName, usize> = recursive_over
-                .iter()
-                .map(|r| (*r, instance.relation(*r).map_or(0, Relation::len)))
-                .collect();
-
-            let grew = self.absorb(instance, &mut new_facts, stats)?;
-            if !grew {
-                return Ok(());
-            }
-            delta_start = marks;
-            iteration += 1;
-        }
-    }
-
     /// Drain `new_facts` into `instance`, enforcing the fact-count and path-length
-    /// limits; returns whether the instance grew.  Each fact is *moved* into the
+    /// limits.  Each fact is *moved* into the
     /// store (no tuple clone), duplicates cost one dedup-map lookup, and the
     /// path-length limit is checked once per genuinely new head tuple — anything
     /// already in the instance passed that check when it was first inserted, so
     /// duplicates are not re-walked.
     ///
-    /// This is the single merge point shared by the sequential fixpoint and the
-    /// parallel executor (which calls it between rounds, under its write lock).
+    /// The driver's merge calls it between rounds, under the write lock.
     ///
     /// # Errors
     /// Arity mismatches and exceeded resource limits.
@@ -790,8 +495,7 @@ impl Engine {
         instance: &mut Instance,
         new_facts: &mut Vec<Fact>,
         stats: &mut EvalStats,
-    ) -> Result<bool, EvalError> {
-        let mut grew = false;
+    ) -> Result<(), EvalError> {
         for fact in new_facts.drain(..) {
             let Some(inserted_tuple) = instance.insert_fact_new(fact).map_err(EvalError::Data)?
             else {
@@ -806,7 +510,6 @@ impl Engine {
                     limit: self.limits.max_path_len,
                 });
             }
-            grew = true;
             stats.derived_facts += 1;
             if stats.derived_facts > self.limits.max_facts {
                 return Err(EvalError::LimitExceeded {
@@ -815,7 +518,7 @@ impl Engine {
                 });
             }
         }
-        Ok(grew)
+        Ok(())
     }
 }
 
@@ -915,12 +618,12 @@ pub fn restrict_head_indexes<'a>(
     }
 }
 
-/// A per-rule emit-deduplication memo, keyed by the *segment identity* of the
+/// An emit-deduplication memo, keyed by the *segment identity* of the
 /// grounded head: one interned id per head term (atom binding, path binding,
-/// or constant).  A firing whose segment tuple was seen before in this
-/// fixpoint is a duplicate derivation — it is counted, but recognised in one
-/// hash probe without grounding any path and without touching the relation's
-/// dedup index.  Create one per rule and reuse it across rounds.
+/// or constant).  A firing whose segment tuple was seen before by this memo
+/// is a duplicate derivation — it is counted, but recognised in one hash
+/// probe without grounding any path and without touching the relation's
+/// dedup index.  The driver gives every job a fresh one.
 #[derive(Debug, Default)]
 pub struct EmitMemo {
     pub(crate) seen: seqdl_core::FxMap<EmitKey, ()>,
@@ -973,366 +676,6 @@ impl EmitKey {
             _ => EmitKey::Heap(segs.into()),
         }
     }
-}
-
-/// Evaluate one rule against the instance, appending every derived head fact to
-/// `out` and returning the pass's [`FireStats`] (head instantiations plus
-/// index-probe/scan counters).  If a [`DeltaWindow`] is given, the predicate
-/// at that plan position only draws tuples with ids inside the window — the
-/// semi-naive delta restriction, shardable by a parallel executor.
-///
-/// Evaluation is a fully pipelined depth-first nested-loop join: a single
-/// valuation is threaded through every body step by backtracking, and the head
-/// is grounded at the innermost level, so no intermediate frontier of
-/// valuations is ever materialised.  The function only *reads* `instance`, so
-/// independent calls may run concurrently on shared references.  `memo` is
-/// the rule's [`EmitMemo`]; passing a fresh one is always correct (it only
-/// short-circuits duplicate emissions), reusing one across the rounds of a
-/// fixpoint is what makes duplicate-heavy workloads cheap.
-///
-/// `governor`, when given, is polled once every
-/// [`GOVERNOR_CHECK_INTERVAL`] candidate tuples, so a single firing pass over
-/// a huge relation still observes deadlines and cancellation.
-///
-/// # Errors
-/// Unsafe rules surface as [`EvalError::Unplannable`]; cancellation as
-/// [`EvalError::Cancelled`].
-pub fn fire_rule(
-    rule: &Rule,
-    plan: &BodyPlan,
-    instance: &Instance,
-    window: Option<DeltaWindow>,
-    memo: &mut EmitMemo,
-    out: &mut Vec<Fact>,
-    governor: Option<&ResourceGovernor>,
-) -> Result<FireStats, EvalError> {
-    let head = &rule.head;
-    // Errors discovered inside the enumeration (an unsafe rule reaching a
-    // step with unbound variables) land here; the sink-based matchers have no
-    // return channel.  Errors are fatal, so finishing the walk first is fine.
-    let err: RefCell<Option<EvalError>> = RefCell::new(None);
-    let counters: Cell<FireStats> = Cell::new(FireStats::default());
-    let mut firings = 0usize;
-    let mut memo_hits = 0usize;
-    let mut nu = Valuation::new();
-    // Read-only view of the head's relation for emit-time deduplication:
-    // firings that re-derive a fact already in the instance are counted but
-    // never buffered, so they cost no allocation and no merge work.  `absorb`
-    // stays the authority — facts first derived within this same pass are
-    // still deduplicated there.
-    let head_relation = instance
-        .relation(head.relation)
-        .filter(|r| r.arity() == head.args.len());
-    let term_counts: Vec<usize> = head.args.iter().map(|a| a.terms().len()).collect();
-    // Resolve every positive-predicate step's relation once per pass: the
-    // instance is frozen for the duration of the call, so per-candidate
-    // B-tree lookups are wasted work.
-    let step_relations: Vec<Option<&Relation>> = plan
-        .steps
-        .iter()
-        .map(|s| match s {
-            PlannedLiteral::MatchPredicate(p) => instance
-                .relation(p.pred.relation)
-                .filter(|r| r.arity() == p.pred.args.len()),
-            _ => None,
-        })
-        .collect();
-    let mut tuple_scratch: Tuple = Vec::with_capacity(head.args.len());
-    let mut seg_scratch: Vec<seqdl_core::Segment> = Vec::new();
-    let mut emit = |nu: &mut Valuation| {
-        seg_scratch.clear();
-        for arg in &head.args {
-            if nu.segments_into(arg, &mut seg_scratch).is_none() {
-                err.borrow_mut()
-                    .get_or_insert_with(|| EvalError::Unplannable {
-                        rule: rule.to_string(),
-                    });
-                return;
-            }
-        }
-        firings += 1;
-        // One probe on the segment identity answers "derived this before?"
-        // without grounding a single path.
-        match memo.seen.entry(EmitKey::from_slice(&seg_scratch)) {
-            std::collections::hash_map::Entry::Occupied(_) => {
-                memo_hits += 1;
-                return;
-            }
-            std::collections::hash_map::Entry::Vacant(slot) => {
-                slot.insert(());
-            }
-        }
-        tuple_scratch.clear();
-        let mut offset = 0usize;
-        for &n in &term_counts {
-            tuple_scratch.push(Path::from_segments(&seg_scratch[offset..offset + n]));
-            offset += n;
-        }
-        if head_relation.is_some_and(|r| r.contains(&tuple_scratch)) {
-            return;
-        }
-        out.push(Fact::new(head.relation, tuple_scratch.clone()));
-    };
-    let ticks = Cell::new(0usize);
-    eval_steps(
-        &plan.steps,
-        0,
-        instance,
-        &step_relations,
-        window,
-        rule,
-        &mut nu,
-        &err,
-        &counters,
-        governor,
-        &ticks,
-        &mut emit,
-    );
-    match err.into_inner() {
-        Some(e) => Err(e),
-        None => {
-            let mut stats = counters.get();
-            stats.firings = firings;
-            stats.emit_memo_hits = memo_hits;
-            Ok(stats)
-        }
-    }
-}
-
-/// Run the body steps `steps[0..]` (at absolute plan offset `base_ix`) against
-/// `instance` under the partial valuation `nu`, calling `emit` once per valuation
-/// that satisfies the whole remaining body.  Backtracks on `nu` in place.
-#[allow(clippy::too_many_arguments)]
-fn eval_steps(
-    steps: &[PlannedLiteral],
-    base_ix: usize,
-    instance: &Instance,
-    step_relations: &[Option<&Relation>],
-    window: Option<DeltaWindow>,
-    rule: &Rule,
-    nu: &mut Valuation,
-    err: &RefCell<Option<EvalError>>,
-    counters: &Cell<FireStats>,
-    governor: Option<&ResourceGovernor>,
-    ticks: &Cell<usize>,
-    emit: &mut dyn FnMut(&mut Valuation),
-) {
-    if err.borrow().is_some() {
-        return;
-    }
-    let unplannable = || EvalError::Unplannable {
-        rule: rule.to_string(),
-    };
-    let Some((step, rest)) = steps.split_first() else {
-        emit(nu);
-        return;
-    };
-    match step {
-        PlannedLiteral::MatchPredicate(planned) => {
-            let pred = &planned.pred;
-            // An absent or arity-mismatched relation has no matching tuples
-            // (pre-resolved once per pass): the positive match fails outright.
-            let Some(relation) = step_relations[base_ix] else {
-                return;
-            };
-            // Tuples outside the delta window are excluded at the restricted
-            // position; everywhere else the full store is visible.
-            let (first_id, last_id) = match window {
-                Some(w) if w.pos == base_ix => (w.lo.min(relation.len()), w.hi.min(relation.len())),
-                _ => (0, relation.len()),
-            };
-            let tuples = relation.as_slice();
-            let mut cont = |nu: &mut Valuation| {
-                // The last body step emits directly — no recursion frame and
-                // no re-dispatch for the by far most frequent continuation.
-                if rest.is_empty() {
-                    if err.borrow().is_none() {
-                        emit(nu);
-                    }
-                    return;
-                }
-                eval_steps(
-                    rest,
-                    base_ix + 1,
-                    instance,
-                    step_relations,
-                    window,
-                    rule,
-                    nu,
-                    err,
-                    counters,
-                    governor,
-                    ticks,
-                    &mut *emit,
-                );
-            };
-            // Flat predicates (constants and atomic variables only) match in
-            // one non-recursive pass with a single continuation call; the
-            // general matcher handles everything else.
-            let mut handle = |tuple: &seqdl_core::Tuple, nu: &mut Valuation| {
-                // An error (including a cancellation recorded below) aborts
-                // the walk: remaining candidates fall through cheaply.
-                if err.borrow().is_some() {
-                    return;
-                }
-                // Amortised governor checkpoint, one cheap check per
-                // GOVERNOR_CHECK_INTERVAL candidate tuples: a firing pass
-                // over a huge relation cannot outrun the deadline unobserved.
-                let t = ticks.get().wrapping_add(1);
-                ticks.set(t);
-                if t.is_multiple_of(GOVERNOR_CHECK_INTERVAL) {
-                    if let Some(g) = governor {
-                        if let Err(e) = g.check_fast() {
-                            err.borrow_mut().get_or_insert(e);
-                            return;
-                        }
-                    }
-                }
-                if planned.flat {
-                    let mut newly = [None; crate::plan::FLAT_MAX_VARS];
-                    if let Some(n) = match_predicate_flat(&pred.args, tuple, nu, &mut newly) {
-                        cont(nu);
-                        for v in newly[..n].iter().rev().flatten() {
-                            nu.pop_binding(*v);
-                        }
-                    }
-                } else {
-                    match_predicate_sink(pred, tuple, nu, &mut cont);
-                }
-            };
-            match choose_candidates(relation, planned, nu) {
-                Some(chosen) => {
-                    bump(counters, |c| c.index_probes += 1);
-                    match chosen.list {
-                        CandList::Entries(entries) => {
-                            let lo = entries.partition_point(|e| (e.id as usize) < first_id);
-                            let hi = entries.partition_point(|e| (e.id as usize) < last_id);
-                            let window = &entries[lo..hi];
-                            // Bucket-side matching: for unary flat patterns
-                            // whose trie bucket consumed the whole resolved
-                            // prefix, the entry's length and next-value decide
-                            // the match — a sequential walk with no tuple
-                            // dereference at all.
-                            let bucket_side = planned.extend.filter(|_| {
-                                chosen.trie_col == Some((0, planned.probes[0].sources.len()))
-                            });
-                            match bucket_side {
-                                Some(None) => {
-                                    let n = planned.probes[0].sources.len() as u32;
-                                    for e in window {
-                                        if e.len == n {
-                                            cont(nu);
-                                        }
-                                    }
-                                }
-                                Some(Some(v)) => {
-                                    let n = planned.probes[0].sources.len() as u32;
-                                    for e in window {
-                                        if e.len == n + 1 {
-                                            if let Some(b) = e.next_atom() {
-                                                nu.bind_new(v, Binding::Atom(b));
-                                                cont(nu);
-                                                nu.pop_binding(v);
-                                            }
-                                        }
-                                    }
-                                }
-                                None => {
-                                    for e in window {
-                                        handle(&tuples[e.id as usize], nu);
-                                    }
-                                }
-                            }
-                        }
-                        CandList::Ids(ids) => {
-                            let lo = ids.partition_point(|&id| (id as usize) < first_id);
-                            let hi = ids.partition_point(|&id| (id as usize) < last_id);
-                            for &id in &ids[lo..hi] {
-                                handle(&tuples[id as usize], nu);
-                            }
-                        }
-                    }
-                }
-                None => {
-                    bump(counters, |c| c.scans += 1);
-                    for tuple in &tuples[first_id..last_id] {
-                        handle(tuple, nu);
-                    }
-                }
-            }
-        }
-        PlannedLiteral::SolveEquation(eq) => match match_equation(eq, nu) {
-            Some(extensions) => {
-                for mut ext in extensions {
-                    eval_steps(
-                        rest,
-                        base_ix + 1,
-                        instance,
-                        step_relations,
-                        window,
-                        rule,
-                        &mut ext,
-                        err,
-                        counters,
-                        governor,
-                        ticks,
-                        emit,
-                    );
-                }
-            }
-            None => {
-                err.borrow_mut().get_or_insert_with(unplannable);
-            }
-        },
-        PlannedLiteral::CheckNegatedPredicate(pred) => {
-            let Some(tuple) = ground_tuple(pred, nu) else {
-                err.borrow_mut().get_or_insert_with(unplannable);
-                return;
-            };
-            if !instance.contains_fact(&Fact::new(pred.relation, tuple)) {
-                eval_steps(
-                    rest,
-                    base_ix + 1,
-                    instance,
-                    step_relations,
-                    window,
-                    rule,
-                    nu,
-                    err,
-                    counters,
-                    governor,
-                    ticks,
-                    emit,
-                );
-            }
-        }
-        PlannedLiteral::CheckNegatedEquation(eq) => match equation_holds(eq, nu) {
-            Some(false) => eval_steps(
-                rest,
-                base_ix + 1,
-                instance,
-                step_relations,
-                window,
-                rule,
-                nu,
-                err,
-                counters,
-                governor,
-                ticks,
-                emit,
-            ),
-            Some(true) => {}
-            None => {
-                err.borrow_mut().get_or_insert_with(unplannable);
-            }
-        },
-    }
-}
-
-fn bump(counters: &Cell<FireStats>, f: impl FnOnce(&mut FireStats)) {
-    let mut c = counters.get();
-    f(&mut c);
-    counters.set(c);
 }
 
 /// A placeholder for value buffers (never read before being overwritten).
@@ -1522,6 +865,7 @@ mod tests {
     use super::*;
     use seqdl_core::{path_of, rel, repeat_path};
     use seqdl_syntax::parse_program;
+    use std::collections::BTreeSet;
 
     fn engine() -> Engine {
         Engine::new().with_limits(EvalLimits {
@@ -1772,35 +1116,6 @@ mod tests {
             .unwrap();
         assert_eq!(naive.unary_paths(rel("S")), semi.unary_paths(rel("S")));
         assert_eq!(naive.unary_paths(rel("S")).len(), 5 + 4 + 4 + 4 + 3);
-    }
-
-    #[test]
-    fn eval_rule_set_scopes_the_fixpoint_to_the_given_rules() {
-        // Evaluate only the T component of the reachability program: S's rule
-        // is excluded, so S is never derived, while T still reaches fixpoint.
-        let program = parse_program(
-            "T(@x·@y) <- R(@x·@y).\nT(@x·@z) <- T(@x·@y), R(@y·@z).\nS($p) <- T($p).",
-        )
-        .unwrap();
-        let rules: Vec<&seqdl_syntax::Rule> = program.strata[0].rules.iter().take(2).collect();
-        let mut instance = Instance::new();
-        for (x, y) in [("a", "b"), ("b", "c")] {
-            instance
-                .insert_fact(Fact::new(rel("R"), vec![path_of(&[x, y])]))
-                .unwrap();
-        }
-        let mut stats = EvalStats::default();
-        engine()
-            .eval_rule_set(
-                &rules,
-                &BTreeSet::from([rel("T")]),
-                &mut instance,
-                &mut stats,
-            )
-            .unwrap();
-        assert_eq!(instance.relation(rel("T")).unwrap().len(), 3);
-        assert!(instance.relation(rel("S")).is_none());
-        assert_eq!(stats.derived_facts, 3);
     }
 
     #[test]

@@ -13,9 +13,13 @@
 //!   variables first, positive equations are evaluated once one side is ground
 //!   (which rule safety guarantees is always eventually possible), and negated
 //!   literals are checked last;
-//! * [`eval`] — naive and semi-naive fixpoint evaluation with explicit
+//! * [`ram`] — planned rules lowered to a flat instruction IR, and each
+//!   stratum's rules arranged into per-level merge sections and fixpoint loops;
+//! * [`drive`] — the one fixpoint driver, which walks the lowered program
+//!   (semi-naive, or naive without delta windows) under explicit
 //!   [`EvalLimits`], so that non-terminating programs (such as Example 2.3 of the
-//!   paper) surface as [`EvalError::LimitExceeded`] instead of diverging.
+//!   paper) surface as [`EvalError::LimitExceeded`] instead of diverging;
+//! * [`eval`] — the [`Engine`] entry points, limits, governor, and statistics.
 //!
 //! The top-level entry point is [`Engine`]:
 //!
@@ -36,6 +40,7 @@
 #![warn(rust_2018_idioms)]
 #![warn(clippy::unwrap_used)]
 
+pub mod drive;
 pub mod error;
 pub mod eval;
 pub mod matching;
@@ -43,11 +48,12 @@ pub mod plan;
 pub mod ram;
 pub mod stats_json;
 
+pub use drive::{prepare_run, Driver, Job, JobOutcome, ShardPolicy};
 pub use error::{EvalError, LimitKind};
 pub use eval::{
-    fire_rule, prepare_idb_instance, register_plan_indexes, restrict_head_indexes, seed_instance,
-    DeltaWindow, EmitMemo, Engine, EvalLimits, EvalStats, FireStats, FixpointStrategy,
-    ResourceGovernor, RuleStats, StratumStats, GOVERNOR_CHECK_INTERVAL,
+    prepare_idb_instance, register_plan_indexes, restrict_head_indexes, seed_instance, DeltaWindow,
+    EmitMemo, Engine, EvalLimits, EvalStats, FireStats, FixpointStrategy, ResourceGovernor,
+    RuleStats, StratumStats, GOVERNOR_CHECK_INTERVAL,
 };
 pub use plan::{plan_rule, BodyPlan, ColumnProbe, PlannedLiteral, PlannedPredicate, PrefixSource};
 pub use ram::{fire_proc, RuleProc};

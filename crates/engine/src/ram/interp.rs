@@ -8,11 +8,12 @@
 //! entry and backtracks by truncating to it — no recursion frames, no
 //! continuation closures, no interior-mutability error channel.
 //!
-//! Candidate enumeration is byte-for-byte the legacy matcher's: the same
-//! [`choose_candidates`] index selection, the same delta-window clamping and
-//! `partition_point` slicing, the same bucket-side fast path, and the same
-//! flat/general matchers — so the machine derives exactly the same facts in
-//! exactly the same order, which the differential property tests pin down.
+//! Candidate enumeration picks the smallest index list through
+//! [`choose_candidates`], clamps it to the delta window with
+//! `partition_point`, walks trie buckets bucket-side where the plan allows,
+//! and otherwise matches tuples with the flat or general matchers.  The
+//! differential property tests pin its output to the test-only reference
+//! evaluator.
 
 use crate::error::EvalError;
 use crate::eval::{
@@ -118,8 +119,8 @@ impl<'r> Frame<'r> {
     }
 
     /// (Re-)initialise this frame for a probe of `planned` over `relation`,
-    /// with the same index selection, window clamping, and bucket-side
-    /// eligibility as the legacy matcher.
+    /// choosing the index, clamping to the window, and deciding bucket-side
+    /// eligibility.
     #[allow(clippy::too_many_arguments)]
     fn enter_probe(
         &mut self,
@@ -216,8 +217,7 @@ impl<'r> Frame<'r> {
     }
 
     /// Clamp a chosen candidate list to the `[first_id, last_id)` window
-    /// and install it, deciding bucket-side eligibility — the legacy
-    /// matcher's logic verbatim.  The full-range case (no window on this
+    /// and install it, deciding bucket-side eligibility.  The full-range case (no window on this
     /// step) skips the `partition_point` searches outright.
     fn apply_chosen(
         &mut self,
@@ -430,8 +430,7 @@ fn plan_invariant(step: usize, expected: &str) -> EvalError {
 }
 
 /// Ground the head under `nu`, deduplicate through the memo, and append
-/// genuinely new facts — identical to the legacy `fire_rule` emit closure but
-/// with a direct error return.
+/// genuinely new facts.
 #[allow(clippy::too_many_arguments)]
 fn emit_head(
     rule: &Rule,
@@ -510,9 +509,12 @@ fn predicate_of(proc: &RuleProc, step: usize) -> Result<&PlannedPredicate, EvalE
 
 /// The probe predicate trailed at choice point `cp`, resolved through the
 /// Execute one lowered rule procedure against the instance, appending derived
-/// head facts to `out` — the RAM twin of [`crate::eval::fire_rule`], sharing
-/// its window semantics, emit memo, and counter meanings, plus the RAM-only
-/// `instructions`/`fused_probes` counters.
+/// head facts to `out` and returning the pass's counters.  With a
+/// [`DeltaWindow`] the predicate at the window's plan position only draws
+/// tuples with ids inside it — the semi-naive restriction, shardable across
+/// jobs.  The call only reads `instance`, so jobs may run concurrently.
+/// `memo` is the pass's [`EmitMemo`]: a fresh one is always correct, since it
+/// only short-circuits duplicate emissions.
 ///
 /// `governor`, when given, is polled once every
 /// [`crate::eval::GOVERNOR_CHECK_INTERVAL`] dispatched instructions — an

@@ -7,7 +7,10 @@
 //! through the emit memo.  A [`Program`] arranges the procedures of each
 //! stratum into per-level statements: a merge section that runs exactly once
 //! (non-recursive components plus static rules of recursive components,
-//! hoisted out of the fixpoint) and one loop per recursive component.
+//! hoisted out of the fixpoint) and one loop per recursive component.  That
+//! statement list is what executes: [`crate::drive::Driver`] walks it level
+//! by level, one round for each merge section and lock-step semi-naive
+//! rounds for each level's loops.
 
 use crate::plan::{BodyPlan, PlannedLiteral};
 use seqdl_core::RelName;
@@ -133,7 +136,8 @@ pub struct LoopProgram {
     /// every round); the loop exits when every delta is empty.
     pub relations: BTreeSet<RelName>,
     /// Procedure indices of the loop body: the component's rules with at
-    /// least one delta position, fired once per delta window per round.
+    /// least one delta position, fired over the full instance in the loop's
+    /// first round and once per delta window in every later round.
     pub body: Vec<usize>,
 }
 

@@ -327,6 +327,67 @@ mod tests {
     }
 
     #[test]
+    fn nonrecursive_chain_schedules_one_component_per_level() {
+        let lowered = lower_first("T1($x) <- R($x).\nT2($x) <- T1($x).\nS($x) <- T2($x).");
+        assert_eq!(lowered.levels.len(), 3);
+        for (li, level) in lowered.levels.iter().enumerate() {
+            assert_eq!(level.merge, vec![li], "rule {li} alone at level {li}");
+            assert!(level.loops.is_empty());
+        }
+    }
+
+    #[test]
+    fn independent_relations_share_a_level() {
+        let lowered = lower_first(
+            "T($x) <- R($x).\nU($x) <- R($x).\nS($x) <- T($x), U($x).\nS($x) <- R($x·a).",
+        );
+        assert_eq!(lowered.levels.len(), 2);
+        let mut level0 = lowered.levels[0].merge.clone();
+        level0.sort_unstable();
+        assert_eq!(level0, vec![0, 1], "T and U are independent");
+        assert_eq!(
+            lowered.levels[1].merge,
+            vec![2, 3],
+            "both S rules in one unit"
+        );
+        assert!(lowered.levels.iter().all(|l| l.loops.is_empty()));
+    }
+
+    #[test]
+    fn recursion_is_confined_to_its_component() {
+        let lowered = lower_first(
+            "E($p) <- R($p).\nT(@x·@y) <- E(@x·@y).\nT(@x·@z) <- T(@x·@y), E(@y·@z).\nS <- T(a·b).",
+        );
+        assert_eq!(lowered.levels.len(), 3);
+        assert_eq!(lowered.levels[0].merge, vec![0]);
+        assert!(lowered.levels[0].loops.is_empty());
+        // T's base rule hoists into level 1's merge; only the recursive rule
+        // loops, over T alone.
+        assert_eq!(lowered.levels[1].merge, vec![1]);
+        assert_eq!(lowered.levels[1].loops.len(), 1);
+        assert_eq!(lowered.levels[1].loops[0].body, vec![2]);
+        assert_eq!(
+            lowered.levels[1].loops[0].relations,
+            BTreeSet::from([rel("T")])
+        );
+        assert_eq!(lowered.levels[2].merge, vec![3]);
+        assert!(lowered.levels[2].loops.is_empty());
+    }
+
+    #[test]
+    fn declared_strata_schedule_separately() {
+        let program =
+            parse_program("W(@x) <- R(@x·@y), !B(@y).\n---\nS(@x) <- R(@x·@y), !W(@x).").unwrap();
+        let lowered = lower(&program).unwrap();
+        assert_eq!(lowered.strata.len(), 2);
+        for stratum in &lowered.strata {
+            assert_eq!(stratum.levels.len(), 1);
+            assert_eq!(stratum.levels[0].merge, vec![0]);
+            assert!(stratum.levels[0].loops.is_empty());
+        }
+    }
+
+    #[test]
     fn negated_literals_lower_to_filters() {
         let program = parse_program("T($x) <- R($x).\n---\nS($x) <- T($x), !B($x).").unwrap();
         let lowered = lower_stratum(&program.strata[1]).unwrap();

@@ -6,10 +6,11 @@
 //! fully-bound probes and equations into filters and the terminal probe into
 //! its emit — and arranges each stratum's procedures into per-level merge
 //! sections (run once) and fixpoint loops (one per recursive component).
-//! Execution ([`fire_proc`]) walks the instruction sequence with an explicit
-//! frame-per-choice-point machine that enumerates exactly the same candidates
-//! in exactly the same order as the legacy recursive matcher, so both
-//! evaluators can swap it in behind `--no-ram` without observable change.
+//! Execution ([`fire_proc`]) walks one procedure's instruction sequence with
+//! an explicit frame-per-choice-point machine.  The lowered [`Program`] is
+//! the schedule too: [`crate::drive`] walks its levels — merge sections once,
+//! loops to their fixpoint — and fires every procedure through
+//! [`fire_proc`].
 
 pub mod interp;
 pub mod ir;

@@ -1,27 +1,23 @@
-//! # seqdl-exec — stratified scheduler and multi-threaded semi-naive executor
+//! # seqdl-exec — the worker pool behind the fixpoint driver
 //!
-//! The engine (`seqdl-engine`) evaluates a program stratum by stratum, running
-//! *every* rule of a stratum in *every* fixpoint iteration on one thread.  This
-//! crate sits between the planner and the engine's inner join loop and replaces
-//! that global fixpoint with a schedule derived from the program's precedence
-//! graph (`seqdl_syntax::PrecedenceGraph`):
+//! `seqdl-engine`'s [`Driver`] evaluates a lowered program in rounds of
+//! independent jobs: per dependency level, one round for the level's merge
+//! section, then lock-step semi-naive rounds for its recursive loops, each
+//! delta window split into shard jobs.  The driver hands every round to a
+//! `round` closure.  [`Engine::run`] fires the jobs in place; this crate's
+//! [`Executor`] supplies the other closures:
 //!
-//! 1. each declared stratum is condensed into strongly connected components and
-//!    topologically ordered into levels ([`Schedule`]);
-//! 2. non-recursive components are evaluated with a single pass — no fixpoint
-//!    bookkeeping at all;
-//! 3. recursive components run the engine's watermark-based semi-naive loop
-//!    restricted to the component's own rules;
-//! 4. independent same-level components — and, inside a recursive fixpoint,
-//!    rule variants over disjoint delta shards — fan out over a fixed worker
-//!    pool built from `std::thread` and `parking_lot`.
+//! * `--threads 1` fires the jobs in place, each under `catch_unwind`;
+//! * `--threads N` fans them out over a fixed pool of `N − 1` workers built
+//!   from `std::thread` and `parking_lot`, the driver thread running the
+//!   first job of each round itself.
 //!
-//! Workers only ever *read* the shared instance (behind a `parking_lot::RwLock`)
-//! and produce derived facts into private buffers; the driver merges those
-//! buffers into the shared indexed relation store between rounds, so the column
-//! indexes are never mutated concurrently.  Merging happens in deterministic job
-//! order, which makes the executor's output instance independent of the thread
-//! count — the property the differential tests pin down.
+//! Workers only ever *read* the shared instance (behind an `RwLock`) and
+//! produce derived facts into private buffers; the driver merges those
+//! buffers between rounds in deterministic job order, so the output instance
+//! is independent of the thread count.  A panicking job poisons the run, the
+//! surviving workers drain, and under [`RecoveryPolicy::Sequential`] the
+//! driver re-runs the failed stratum inline.
 //!
 //! ```
 //! use seqdl_core::{rel, Fact, path_of, Instance};
@@ -44,26 +40,18 @@
 #![warn(rust_2018_idioms)]
 #![warn(clippy::unwrap_used)]
 
-pub mod schedule;
-
-pub use schedule::{Component, Schedule, StratumSchedule};
-
-use parking_lot::{Mutex, RwLock};
-use seqdl_core::{Fact, Instance, RelName, Relation};
-use seqdl_engine::error::LimitKind;
-use seqdl_engine::ram::{self, RuleProc};
+use parking_lot::Mutex;
+use seqdl_core::{Fact, Instance};
+use seqdl_engine::drive::{read, DELTA_SHARD};
 use seqdl_engine::{
-    fire_proc, fire_rule, plan_rule, prepare_idb_instance, register_plan_indexes, BodyPlan,
-    DeltaWindow, EmitMemo, Engine, EvalError, EvalStats, FireStats, FixpointStrategy,
-    ResourceGovernor, StratumStats,
+    prepare_run, Driver, Engine, EvalError, EvalStats, FireStats, Job, JobOutcome,
+    ResourceGovernor, ShardPolicy,
 };
 use seqdl_syntax::Program;
-use seqdl_syntax::{ProgramInfo, Rule, Stratum};
-use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc;
+use std::sync::{mpsc, PoisonError, RwLock};
 use std::thread;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Deterministic fault injection for the robustness test suite: arm a global
 /// countdown and the Kth worker job fired through [`run_job`] panics inside
@@ -144,47 +132,10 @@ fn pool_died() -> EvalError {
     }
 }
 
-/// Default number of delta tuples per shard when a recursive iteration is
-/// split across the pool; override with [`Executor::with_shard_size`].
-const DELTA_SHARD: usize = 128;
-
-/// Upper bound on shards per delta window, as a multiple of the worker count:
-/// a huge delta is split into at most `SHARD_FANOUT × threads` jobs (the shard
-/// size grows instead), so the job queue is never flooded with thousands of
-/// tiny windows.  Output is unaffected — relations compare as sets and the
-/// merge stays in deterministic job order.
-const SHARD_FANOUT: usize = 4;
-
-/// One unit of work for a round: fire one rule, optionally restricted to a
-/// delta window.  Jobs only read the instance; results come back as buffers.
-#[derive(Clone, Copy, Debug)]
-struct Job<'a> {
-    id: usize,
-    /// Index of the rule within its stratum's rule list — the per-rule
-    /// profile key shard jobs are merged under.
-    rule_ix: usize,
-    rule: &'a Rule,
-    plan: &'a BodyPlan,
-    /// The rule's lowered RAM procedure; `None` runs the legacy matcher.
-    proc: Option<&'a RuleProc>,
-    window: Option<DeltaWindow>,
-}
-
-/// The result of one job: the derived facts and the firing-pass counters, or
-/// the first evaluation error the job hit.
-struct JobOutcome {
-    id: usize,
-    /// Stratum-relative rule index, copied from the job.
-    rule_ix: usize,
-    /// Wall-clock time the job's firing pass took on its worker thread.
-    wall: Duration,
-    result: Result<(Vec<Fact>, FireStats), EvalError>,
-}
-
-/// Evaluate one job against the shared instance, containing panics.
+/// Fire one job against the shared instance, containing panics.
 ///
-/// Every job produces exactly one [`JobOutcome`], so the driver's per-round
-/// collect can never block on a missing result:
+/// Every job produces exactly one [`JobOutcome`], so a round's collect can
+/// never block on a missing result:
 ///
 /// * if the run is already poisoned, the job *drains* — it returns an empty
 ///   success without evaluating anything, so the merge surfaces only the
@@ -198,81 +149,33 @@ fn run_job(
     governor: &ResourceGovernor,
     poison: &Poison,
 ) -> JobOutcome {
-    let id = job.id;
     if poison.is_set() {
         return JobOutcome {
-            id,
+            id: job.id,
             rule_ix: job.rule_ix,
             wall: Duration::ZERO,
             result: Ok((Vec::new(), FireStats::default())),
         };
     }
-    let _rule_span = seqdl_trace::span(|| {
-        format!(
-            "rule r{} {}{}",
-            job.rule_ix,
-            job.rule.head.relation,
-            match job.window {
-                Some(w) => format!(" Δ{}..{}", w.lo, w.hi),
-                None => String::new(),
-            }
-        )
-    });
-    let pass_start = Instant::now();
-    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        #[cfg(feature = "fail-inject")]
-        fail::maybe_panic();
-        let mut out = Vec::new();
-        // Jobs are independent work units, so each gets a fresh emit memo; it
-        // still collapses duplicate derivations within the job's delta shard.
-        let mut memo = EmitMemo::new();
-        match job.proc {
-            Some(proc) => fire_proc(
-                proc,
-                instance,
-                job.window,
-                &mut memo,
-                &mut out,
-                Some(governor),
-            ),
-            None => fire_rule(
-                job.rule,
-                job.plan,
-                instance,
-                job.window,
-                &mut memo,
-                &mut out,
-                Some(governor),
-            ),
-        }
-        .map(|fire| (out, fire))
-    }))
-    .unwrap_or_else(|panic| {
-        let detail = panic
-            .downcast_ref::<&str>()
-            .map(|s| (*s).to_string())
-            .or_else(|| panic.downcast_ref::<String>().cloned())
-            .unwrap_or_else(|| "worker panicked".to_string());
-        poison.set();
-        Err(EvalError::WorkerPanic {
-            rule: job.rule.to_string(),
-            detail,
+    job.run(|job| {
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            #[cfg(feature = "fail-inject")]
+            fail::maybe_panic();
+            job.fire(instance, governor)
+        }))
+        .unwrap_or_else(|panic| {
+            let detail = panic
+                .downcast_ref::<&str>()
+                .map(|s| (*s).to_string())
+                .or_else(|| panic.downcast_ref::<String>().cloned())
+                .unwrap_or_else(|| "worker panicked".to_string());
+            poison.set();
+            Err(EvalError::WorkerPanic {
+                rule: job.proc.rule.to_string(),
+                detail,
+            })
         })
-    });
-    let wall = pass_start.elapsed();
-    if seqdl_trace::enabled() {
-        if let Ok((_, fire)) = &result {
-            seqdl_trace::counter("index probes", fire.index_probes as u64);
-            seqdl_trace::counter("scans", fire.scans as u64);
-            seqdl_trace::counter("emits", fire.firings as u64);
-        }
-    }
-    JobOutcome {
-        id,
-        rule_ix: job.rule_ix,
-        wall,
-        result,
-    }
+    })
 }
 
 /// The worker loop: take jobs from the shared queue until it closes, evaluate
@@ -293,7 +196,7 @@ fn worker(
             Ok(job) => job,
             Err(_) => return,
         };
-        let outcome = run_job(job, &instance.read(), governor, poison);
+        let outcome = run_job(job, &read(instance), governor, poison);
         if results.send(outcome).is_err() {
             return;
         }
@@ -305,7 +208,7 @@ fn worker(
 pub enum RecoveryPolicy {
     /// Surface the [`EvalError::WorkerPanic`] immediately.
     Fail,
-    /// Retry the affected stratum once on the engine's single-threaded path
+    /// Re-run the affected stratum once through the driver's inline round
     /// before giving up (the default).  The retry starts from the partially
     /// grown — but always consistent — instance; stratum rules are monotone
     /// over it, so the retried fixpoint lands on exactly the instance an
@@ -314,7 +217,7 @@ pub enum RecoveryPolicy {
     Sequential,
 }
 
-/// The stratified parallel executor.
+/// The worker-pool front end of the fixpoint driver.
 ///
 /// Configured like [`Engine`] (it embeds one for limits, strategy, and the
 /// merge/limit bookkeeping) plus a thread count.  `threads == 1` evaluates
@@ -381,7 +284,11 @@ impl Executor {
     /// (`SHARD_FANOUT ×` the effective thread count) — the clamp that keeps
     /// huge deltas from flooding the job queue.
     pub fn max_delta_shards(&self) -> usize {
-        SHARD_FANOUT * self.effective_threads().max(1)
+        self.shard_policy().max_shards
+    }
+
+    fn shard_policy(&self) -> ShardPolicy {
+        ShardPolicy::new(self.shard_size, self.effective_threads())
     }
 
     /// Set the number of compute threads.  `1` runs in-line (no pool); `N > 1`
@@ -424,8 +331,8 @@ impl Executor {
     }
 
     /// Evaluate `program` on `input` with extra `seeds` injected before the
-    /// first stratum — demand-driven (magic-set) query evaluation through the
-    /// existing SCC schedule; see [`Engine::run_seeded`].
+    /// first stratum — demand-driven (magic-set) query evaluation; see
+    /// [`Engine::run_seeded`].
     ///
     /// # Errors
     /// Ill-formed programs, seed arity mismatches, and exceeded resource
@@ -452,75 +359,49 @@ impl Executor {
         input: &Instance,
         seeds: &[Fact],
     ) -> Result<(Instance, EvalStats), EvalError> {
-        let info = ProgramInfo::analyse(program)?;
-        let mut instance = prepare_idb_instance(&info, input)?;
-        seqdl_engine::seed_instance(&mut instance, seeds)?;
-        let schedule = Schedule::of_program(program);
-        // Plan every rule up front: jobs borrow the plans for the lifetime of
-        // the worker pool.
-        let plans: Vec<Vec<BodyPlan>> = program
-            .strata
-            .iter()
-            .map(|s| s.rules.iter().map(plan_rule).collect::<Result<Vec<_>, _>>())
-            .collect::<Result<_, _>>()?;
-        // Register the planner-selected multi-column indexes before the pool
-        // starts: workers only ever read the instance, and inserts (which all
-        // happen under the driver's write lock) maintain the indexes.
-        register_plan_indexes(plans.iter().flatten(), &mut instance);
-        // Derived relations keep only the column tries some plan can probe;
-        // every other column stops paying per-insert indexing.
-        seqdl_engine::restrict_head_indexes(
-            info.idb.iter().copied(),
-            plans.iter().flatten(),
-            &mut instance,
-        );
-        // Lower the whole program to RAM up front (unless disabled): jobs
-        // borrow the procedures for the lifetime of the worker pool.  The
-        // lowering derives its fixpoint scopes from the same precedence-graph
-        // condensation as the schedule, so delta positions agree exactly.
-        let lowered: Option<ram::Program> = self
-            .engine
-            .ram_enabled()
-            .then(|| ram::lower(program))
-            .transpose()?;
-        let mut stats = EvalStats::default();
+        let (instance, lowered) = prepare_run(program, input, seeds)?;
         let threads = self.effective_threads();
-        let shard = ShardPolicy {
-            base: self.shard_size,
-            max_shards: SHARD_FANOUT * threads.max(1),
-        };
         let lock = RwLock::new(instance);
         // One governor per run: the deadline clock starts here, the store
-        // baseline is sampled here, and every checkpoint below (stratum
-        // boundaries, fixpoint rounds, amortised in-job instruction checks)
-        // polls the same governor from every thread.
+        // baseline is sampled here, and every checkpoint (stratum boundaries,
+        // fixpoint rounds, amortised in-job instruction checks) polls the same
+        // governor from every thread.
         let governor =
             ResourceGovernor::for_run(&self.engine.limits(), self.engine.cancel_token().cloned());
         let poison = Poison::default();
-        let ctx = RunCtx {
+        let driver = Driver {
             engine: &self.engine,
             governor: &governor,
-            poison: &poison,
-            recovery: self.recovery,
-            shard,
+            shard: self.shard_policy(),
+            program: &lowered,
+            instance: &lock,
         };
-
-        let _run_span = seqdl_trace::span(|| "run".to_string());
+        // A worker panic fails its stratum with `WorkerPanic` after the poison
+        // flag drained the other jobs.  The instance is consistent (merges are
+        // atomic under the write lock) and stratum rules are monotone over it,
+        // so re-running the stratum inline reaches exactly the fixpoint an
+        // undisturbed run computes.
+        let recover = |si: usize, err: EvalError, stats: &mut EvalStats| match err {
+            EvalError::WorkerPanic { .. } if self.recovery == RecoveryPolicy::Sequential => {
+                let _recovery_span = seqdl_trace::span(|| format!("recover stratum {si}"));
+                driver.stratum(si, stats, &mut driver.inline_round())?;
+                // Recovery succeeded: later strata run in parallel again.
+                poison.reset();
+                Ok(())
+            }
+            e => Err(e),
+        };
+        let mut stats = EvalStats::default();
         let outcome = if threads <= 1 {
-            drive(
-                &ctx,
-                &program.strata,
-                &schedule,
-                &plans,
-                lowered.as_ref(),
-                &lock,
+            driver.run(
                 &mut stats,
                 |jobs| {
-                    let guard = lock.read();
+                    let guard = read(&lock);
                     jobs.into_iter()
                         .map(|job| run_job(job, &guard, &governor, &poison))
                         .collect()
                 },
+                recover,
             )
         } else {
             let (job_tx, job_rx) = mpsc::channel::<Job<'_>>();
@@ -540,13 +421,7 @@ impl Executor {
                 // Workers hold clones; dropping the original lets a round's
                 // collect fail fast (instead of hanging) if the pool ever dies.
                 drop(out_tx);
-                let outcome = drive(
-                    &ctx,
-                    &program.strata,
-                    &schedule,
-                    &plans,
-                    lowered.as_ref(),
-                    &lock,
+                let outcome = driver.run(
                     &mut stats,
                     |jobs| {
                         // The driver thread is a worker too: hand all but the
@@ -569,7 +444,7 @@ impl Executor {
                             }
                         }
                         if let Some(job) = first {
-                            outcomes.push(run_job(job, &lock.read(), &governor, &poison));
+                            outcomes.push(run_job(job, &read(&lock), &governor, &poison));
                         }
                         while outcomes.len() < expected {
                             match out_rx.recv() {
@@ -587,6 +462,7 @@ impl Executor {
                         }
                         outcomes
                     },
+                    recover,
                 );
                 // Closing the job queue ends the workers; the scope joins them.
                 drop(job_tx);
@@ -594,7 +470,10 @@ impl Executor {
             })
         };
         match outcome {
-            Ok(()) => Ok((lock.into_inner(), stats)),
+            Ok(()) => Ok((
+                lock.into_inner().unwrap_or_else(PoisonError::into_inner),
+                stats,
+            )),
             // Cancelled errors pick up the run's accumulated statistics here —
             // governor checkpoints deep in the evaluation cannot see them.
             Err(e) => Err(e.with_partial_stats(stats)),
@@ -602,412 +481,12 @@ impl Executor {
     }
 }
 
-/// Per-run context shared by the schedule driver and the fixpoint loops: the
-/// embedded engine (limits, strategy, merge bookkeeping), the run's resource
-/// governor, the panic-poison flag, and the recovery and sharding policies.
-struct RunCtx<'e> {
-    engine: &'e Engine,
-    governor: &'e ResourceGovernor,
-    poison: &'e Poison,
-    recovery: RecoveryPolicy,
-    shard: ShardPolicy,
-}
-
-/// How delta windows are split into shard jobs: at least `base` tuples per
-/// shard, at most `max_shards` shards per window.
-#[derive(Clone, Copy, Debug)]
-struct ShardPolicy {
-    base: usize,
-    max_shards: usize,
-}
-
-impl ShardPolicy {
-    /// The shard size used for a delta window of `span` tuples.
-    fn size_for(&self, span: usize) -> usize {
-        let base = self.base.max(1);
-        let max_shards = self.max_shards.max(1);
-        if span.div_ceil(base) > max_shards {
-            span.div_ceil(max_shards)
-        } else {
-            base
-        }
-    }
-}
-
-/// Start a new evaluation round of the current fixpoint scope, enforcing the
-/// shared iteration limit.  The engine bounds the rounds of each declared
-/// stratum's fixpoint; the executor bounds the rounds of each *scheduled*
-/// fixpoint — a level's single-pass round or one lock-step recursive group.
-/// A scheduled fixpoint runs its component with complete inputs, so it never
-/// needs more rounds than the engine's joint stratum fixpoint: the executor
-/// hitting `LimitExceeded` implies the engine does too at the same limit (the
-/// converse may not hold when one stratum chains several recursive components
-/// — the executor's per-fixpoint rounds are then genuinely fewer than the
-/// engine's joint rounds).  On strata whose recursion is one component — the
-/// diverging programs the limit exists for — the two counts coincide exactly,
-/// which `tests/engine_exec_limits.rs` pins at 1, 2, and 4 threads.
-fn next_round(rounds: &mut usize, engine: &Engine) -> Result<(), EvalError> {
-    let limit = engine.limits().max_iterations;
-    if *rounds >= limit {
-        return Err(EvalError::LimitExceeded {
-            what: LimitKind::Iterations,
-            limit,
-        });
-    }
-    *rounds += 1;
-    Ok(())
-}
-
-/// The schedule driver: walk strata, then levels; fire each level's
-/// non-recursive components in one single-pass round, then advance the level's
-/// recursive components as lock-step semi-naive fixpoints.
-///
-/// This is also where panic recovery lives: when a stratum's parallel attempt
-/// surfaces [`EvalError::WorkerPanic`] and the policy is
-/// [`RecoveryPolicy::Sequential`], the stratum retries once on the engine's
-/// single-threaded path (which never runs worker jobs) before the run gives
-/// up.
-#[allow(clippy::too_many_arguments)]
-fn drive<'a>(
-    ctx: &RunCtx<'_>,
-    strata: &'a [Stratum],
-    schedule: &Schedule,
-    plans: &'a [Vec<BodyPlan>],
-    lowered: Option<&'a ram::Program>,
-    instance: &RwLock<Instance>,
-    stats: &mut EvalStats,
-    mut round: impl FnMut(Vec<Job<'a>>) -> Vec<JobOutcome>,
-) -> Result<(), EvalError> {
-    for (si, ((stratum, sched), stratum_plans)) in
-        strata.iter().zip(&schedule.strata).zip(plans).enumerate()
-    {
-        let _stratum_span = seqdl_trace::span(|| format!("stratum {si}"));
-        // Stratum boundary: the full governor check — cancellation, deadline,
-        // and the store byte budget — runs before any job is scheduled.
-        seqdl_trace::instant("governor check");
-        ctx.governor.check()?;
-        let procs: Option<&'a [RuleProc]> = lowered.map(|l| l.strata[si].procs.as_slice());
-        let start = Instant::now();
-        let before = (stats.iterations, stats.derived_facts, stats.rule_firings);
-        let attempt = run_stratum(
-            ctx,
-            stratum,
-            sched,
-            stratum_plans,
-            procs,
-            instance,
-            stats,
-            &mut round,
-        );
-        match attempt {
-            Ok(()) => {}
-            Err(EvalError::WorkerPanic { .. }) if ctx.recovery == RecoveryPolicy::Sequential => {
-                // A worker job panicked; the poison flag has already drained
-                // the surviving workers' queues.  Retry the whole stratum once
-                // sequentially: the instance is consistent (merges are atomic
-                // under the write lock) and stratum rules are monotone over
-                // it, so re-running from the partially grown state reaches
-                // exactly the fixpoint an undisturbed run computes.
-                let _recovery_span = seqdl_trace::span(|| format!("recover stratum {si}"));
-                let rules: Vec<&Rule> = stratum.rules.iter().collect();
-                let mut guard = instance.write();
-                ctx.engine.eval_rule_set_governed(
-                    &rules,
-                    &stratum.head_relations(),
-                    &mut guard,
-                    stats,
-                    ctx.governor,
-                )?;
-                drop(guard);
-                // Recovery succeeded: later strata run in parallel again.
-                ctx.poison.reset();
-            }
-            Err(e) => return Err(e),
-        }
-        stats.strata.push(StratumStats {
-            rules: stratum.rules.len(),
-            iterations: stats.iterations - before.0,
-            derived_facts: stats.derived_facts - before.1,
-            rule_firings: stats.rule_firings - before.2,
-            shards: std::mem::take(&mut stats.delta_shards),
-            wall: start.elapsed(),
-        });
-    }
-    Ok(())
-}
-
-/// One stratum's parallel schedule: walk the levels, fire each level's
-/// non-recursive components in one single-pass round, then advance the level's
-/// recursive components as a lock-step fixpoint group.
-#[allow(clippy::too_many_arguments)]
-fn run_stratum<'a>(
-    ctx: &RunCtx<'_>,
-    stratum: &'a Stratum,
-    sched: &StratumSchedule,
-    stratum_plans: &'a [BodyPlan],
-    procs: Option<&'a [RuleProc]>,
-    instance: &RwLock<Instance>,
-    stats: &mut EvalStats,
-    round: &mut impl FnMut(Vec<Job<'a>>) -> Vec<JobOutcome>,
-) -> Result<(), EvalError> {
-    for (li, level) in sched.levels.iter().enumerate() {
-        let _level_span = seqdl_trace::span(|| format!("level {li}"));
-        // Each level's single pass and each lock-step group is its own
-        // fixpoint scope for the iteration limit; see [`next_round`].
-        let mut rounds = 0usize;
-        // Phase 1: every non-recursive component of the level — independent
-        // SCCs — fires together in one single-pass round.
-        let mut jobs: Vec<Job<'a>> = Vec::new();
-        for &c in level {
-            let component = &sched.components[c];
-            if component.recursive {
-                continue;
-            }
-            for &rule_ix in &component.rule_indices {
-                jobs.push(Job {
-                    id: jobs.len(),
-                    rule_ix,
-                    rule: &stratum.rules[rule_ix],
-                    plan: &stratum_plans[rule_ix],
-                    proc: procs.map(|p| &p[rule_ix]),
-                    window: None,
-                });
-            }
-        }
-        if !jobs.is_empty() {
-            let _round_span = seqdl_trace::span(|| "round 0".to_string());
-            next_round(&mut rounds, ctx.engine)?;
-            seqdl_trace::instant("governor check");
-            ctx.governor.check()?;
-            stats.iterations += 1;
-            let outcomes = round(jobs);
-            merge(ctx.engine, instance, outcomes, stats, stratum)?;
-        }
-        // Phase 2: the recursive components of the level.  They never read
-        // from one another, so their fixpoints advance in lock-step: every
-        // round pools the rule-variant × delta-shard jobs of *all*
-        // components still growing, and each component converges (and drops
-        // out) independently.
-        let recursive: Vec<&Component> = level
-            .iter()
-            .map(|&c| &sched.components[c])
-            .filter(|c| c.recursive)
-            .collect();
-        if !recursive.is_empty() {
-            fixpoint_group(
-                ctx,
-                stratum,
-                stratum_plans,
-                procs,
-                &recursive,
-                &mut rounds,
-                instance,
-                stats,
-                round,
-            )?;
-        }
-    }
-    Ok(())
-}
-
-/// Per-component fixpoint state inside a lock-step group.
-struct ComponentState<'a, 'c> {
-    component: &'c Component,
-    /// `(stratum-relative rule index, rule, plan, proc)` per component rule.
-    rules: Vec<(usize, &'a Rule, &'a BodyPlan, Option<&'a RuleProc>)>,
-    /// Per rule: the plan positions that draw from this component's delta.
-    delta_positions: Vec<Vec<usize>>,
-    /// Watermark per component relation: its length at the previous iteration
-    /// boundary.
-    delta_start: BTreeMap<RelName, usize>,
-    iteration: usize,
-    /// Still growing?  A converged component contributes no further jobs.
-    active: bool,
-}
-
-/// Semi-naive fixpoints of the recursive components of one level, advanced in
-/// lock-step, mirroring [`Engine::eval_rule_set`] per component but with each
-/// round pooling every active component's rule variants — split over disjoint
-/// delta shards — into one parallel fan-out.  The components never read each
-/// other's relations (they share a level), so lock-step rounds derive exactly
-/// what sequential per-component fixpoints would.
-#[allow(clippy::too_many_arguments)]
-fn fixpoint_group<'a, R: FnMut(Vec<Job<'a>>) -> Vec<JobOutcome>>(
-    ctx: &RunCtx<'_>,
-    stratum: &'a Stratum,
-    plans: &'a [BodyPlan],
-    procs: Option<&'a [RuleProc]>,
-    components: &[&Component],
-    rounds: &mut usize,
-    instance: &RwLock<Instance>,
-    stats: &mut EvalStats,
-    round: &mut R,
-) -> Result<(), EvalError> {
-    let naive = ctx.engine.strategy() == FixpointStrategy::Naive;
-    let mut states: Vec<ComponentState<'a, '_>> = components
-        .iter()
-        .map(|component| {
-            let rules: Vec<(usize, &'a Rule, &'a BodyPlan, Option<&'a RuleProc>)> = component
-                .rule_indices
-                .iter()
-                .map(|&i| (i, &stratum.rules[i], &plans[i], procs.map(|p| &p[i])))
-                .collect();
-            let delta_positions = rules
-                .iter()
-                .map(|(_, _, plan, _)| plan.delta_positions(&component.relations))
-                .collect();
-            ComponentState {
-                component,
-                rules,
-                delta_positions,
-                delta_start: BTreeMap::new(),
-                iteration: 0,
-                active: true,
-            }
-        })
-        .collect();
-
-    let mut group_round = 0usize;
-    while states.iter().any(|s| s.active) {
-        let _round_span = seqdl_trace::span(|| format!("round {group_round}"));
-        group_round += 1;
-        next_round(rounds, ctx.engine)?;
-        // Every fixpoint round is a governor checkpoint: a cancelled token, an
-        // expired deadline, or a blown store budget stops the loop here even
-        // if every individual job stays under the amortised in-job check.
-        seqdl_trace::instant("governor check");
-        ctx.governor.check()?;
-        stats.iterations += 1;
-        let mut jobs: Vec<Job<'a>> = Vec::new();
-        {
-            let guard = instance.read();
-            for state in states.iter().filter(|s| s.active) {
-                if state.iteration == 0 || naive {
-                    for &(rule_ix, rule, plan, proc) in &state.rules {
-                        jobs.push(Job {
-                            id: jobs.len(),
-                            rule_ix,
-                            rule,
-                            plan,
-                            proc,
-                            window: None,
-                        });
-                    }
-                    continue;
-                }
-                for (&(rule_ix, rule, plan, proc), positions) in
-                    state.rules.iter().zip(&state.delta_positions)
-                {
-                    for &pos in positions {
-                        let relation = plan.predicate_at(pos)?.pred.relation;
-                        let hi = guard.relation(relation).map_or(0, Relation::len);
-                        let lo = state.delta_start.get(&relation).copied().unwrap_or(hi);
-                        if lo >= hi {
-                            continue;
-                        }
-                        // Split the delta into equal shards; the shard count is
-                        // clamped to a small multiple of the worker count.
-                        let size = ctx.shard.size_for(hi - lo);
-                        stats.note_shards((hi - lo).div_ceil(size));
-                        let mut shard_lo = lo;
-                        while shard_lo < hi {
-                            let shard_hi = (shard_lo + size).min(hi);
-                            jobs.push(Job {
-                                id: jobs.len(),
-                                rule_ix,
-                                rule,
-                                plan,
-                                proc,
-                                window: Some(DeltaWindow {
-                                    pos,
-                                    lo: shard_lo,
-                                    hi: shard_hi,
-                                }),
-                            });
-                            shard_lo = shard_hi;
-                        }
-                    }
-                }
-            }
-        }
-        // Watermarks recorded before merging: facts inserted by this round land
-        // at ids ≥ these marks and form each component's next delta.
-        let marks: Vec<BTreeMap<RelName, usize>> = {
-            let guard = instance.read();
-            states
-                .iter()
-                .map(|state| {
-                    state
-                        .component
-                        .relations
-                        .iter()
-                        .map(|r| (*r, guard.relation(*r).map_or(0, Relation::len)))
-                        .collect()
-                })
-                .collect()
-        };
-        let outcomes = round(jobs);
-        merge(ctx.engine, instance, outcomes, stats, stratum)?;
-        // A component keeps iterating exactly while its own relations grew;
-        // growth is visible as a length past the pre-merge watermark.
-        let guard = instance.read();
-        for (state, marks) in states.iter_mut().zip(marks) {
-            if !state.active {
-                continue;
-            }
-            let grew = marks
-                .iter()
-                .any(|(r, &mark)| guard.relation(*r).map_or(0, Relation::len) > mark);
-            state.active = grew;
-            state.delta_start = marks;
-            state.iteration += 1;
-        }
-    }
-    Ok(())
-}
-
-/// Merge a round's private buffers into the shared store under the write lock,
-/// in ascending job order — the single mutation point of the executor.  Errors
-/// are reported in job order too, so failures are deterministic, and so is the
-/// per-rule profile: shard jobs fold into `stats.rules` in job order under the
-/// same lock, keyed by `(stratum, rule index)`, regardless of which worker ran
-/// them or when they finished.
-fn merge(
-    engine: &Engine,
-    instance: &RwLock<Instance>,
-    mut outcomes: Vec<JobOutcome>,
-    stats: &mut EvalStats,
-    stratum: &Stratum,
-) -> Result<bool, EvalError> {
-    let _merge_span = seqdl_trace::span(|| "merge".to_string());
-    // The stratum under construction: `drive` pushes its `StratumStats` entry
-    // only after the stratum completes.
-    let stratum_ix = stats.strata.len();
-    outcomes.sort_by_key(|o| o.id);
-    let mut guard = instance.write();
-    let mut grew = false;
-    for outcome in outcomes {
-        let rule_ix = outcome.rule_ix;
-        let (mut facts, fire) = outcome.result?;
-        stats.apply_rule_fire(
-            stratum_ix,
-            rule_ix,
-            || stratum.rules[rule_ix].to_string(),
-            fire,
-            outcome.wall,
-            facts.len(),
-        );
-        grew |= engine.absorb(&mut guard, &mut facts, stats)?;
-    }
-    Ok(grew)
-}
-
 #[cfg(test)]
 #[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
     use seqdl_core::{path_of, rel};
-    use seqdl_engine::EvalLimits;
+    use seqdl_engine::{EvalLimits, FixpointStrategy};
     use seqdl_syntax::parse_program;
 
     fn graph_instance(edges: &[(&str, &str)]) -> Instance {
@@ -1031,10 +510,9 @@ mod tests {
         for stratum in &stats.strata {
             assert_eq!(stratum.iterations, 1, "single pass per stratum: {stats:?}");
         }
-        // The engine's whole-stratum fixpoint needs the extra convergence round.
+        // The engine runs the same driver inline: the same rounds and firings.
         let (_, engine_stats) = Engine::new().run_with_stats(&program, &input).unwrap();
-        assert!(engine_stats.iterations > stats.iterations);
-        // Same firing count: no rule was evaluated twice.
+        assert_eq!(engine_stats.iterations, stats.iterations);
         assert_eq!(engine_stats.rule_firings, stats.rule_firings);
     }
 

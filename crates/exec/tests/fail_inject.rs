@@ -4,8 +4,8 @@
 //! countdown and the chosen worker job panics inside the executor's
 //! `catch_unwind` region.  The tests prove the full robustness story — the
 //! panic poisons the run, surviving workers drain, and under
-//! [`RecoveryPolicy::Sequential`] the stratum retries on the single-threaded
-//! engine path and still produces an output identical to an uninjected run.
+//! [`RecoveryPolicy::Sequential`] the driver re-runs the stratum inline and
+//! still produces an output identical to an uninjected run.
 #![cfg(feature = "fail-inject")]
 
 use seqdl_core::{path_of, rel, Fact, Instance};

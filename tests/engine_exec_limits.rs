@@ -1,17 +1,11 @@
-//! Regression tests pinning `max_iterations` limit behavior across the
-//! sequential engine and the parallel executor at 1, 2, and 4 threads.
+//! Regression tests pinning `max_iterations` behaviour of the one fixpoint
+//! driver, through `Engine` and through the executor at 1, 2, and 4 threads.
 //!
-//! Both evaluators bound *evaluation rounds per fixpoint* against the limit:
-//! the engine bounds each declared stratum's fixpoint, the executor each
-//! scheduled fixpoint (a level's single pass, or one lock-step recursive
-//! group).  A scheduled fixpoint never needs more rounds than the engine's
-//! joint stratum fixpoint, so the executor is never *stricter* than the
-//! engine — adding `--threads` cannot make a working program fail — and on
-//! strata whose recursion is a single component (the diverging programs the
-//! limit exists for) the counts coincide exactly, including at the
-//! success/failure threshold.  Previously the executor checked per-SCC
-//! iteration counts and skipped single-pass rounds entirely, so a zero limit
-//! was ignored and per-component counting drifted from the engine's.
+//! The limit bounds *rounds per scheduled fixpoint*: each dependency level of
+//! a stratum is one scheduled fixpoint, and its rounds are the level's merge
+//! round (when it has a merge section) plus the rounds of its loops, which
+//! advance in lock-step.  `Engine` runs the same driver as the executor, so
+//! both hit `LimitExceeded` at exactly the same limit, at any thread count.
 
 use sequence_datalog::engine::{EvalError, EvalLimits};
 use sequence_datalog::exec::Executor;
@@ -26,9 +20,10 @@ fn engine_with_max_iterations(max_iterations: usize) -> Engine {
     })
 }
 
-/// Suffix-closure program: on a single length-5 path it needs exactly 6
-/// productive rounds plus the convergence round, i.e. it converges iff the
-/// limit allows 7 rounds.
+/// Suffix-closure program: on a single length-5 path its one level needs the
+/// merge round (the base rule) plus 6 loop rounds (5 productive rounds and
+/// the round that detects convergence), i.e. it converges iff the limit
+/// allows 7 rounds.
 fn suffix_program() -> Program {
     parse_program("T($x) <- R($x).\nT($y) <- T(@u·$y).").unwrap()
 }
@@ -89,53 +84,65 @@ fn diverging_programs_fail_identically_at_every_thread_count() {
 
 #[test]
 fn single_pass_rounds_respect_the_limit_without_being_stricter_than_the_engine() {
-    // Three dependency levels are three separate single-pass fixpoint scopes:
-    // each needs one round, so any limit ≥ 1 passes (the engine needs 4 joint
-    // rounds — the executor is allowed to be cheaper, never stricter), while a
-    // zero limit forbids evaluation under both (previously the executor never
-    // checked single-pass rounds at all).
+    // Three dependency levels are three scheduled fixpoints of one merge
+    // round each: any limit ≥ 1 passes, while a zero limit forbids
+    // evaluation, through the engine and at every thread count.
     let program = parse_program("T1($x) <- R($x).\nT2($x) <- T1($x).\nS($x) <- T2($x).").unwrap();
     let input = Instance::unary(rel("R"), [path_of(&["a"])]);
-    let ok = Executor::new()
-        .with_engine(engine_with_max_iterations(1))
-        .run(&program, &input);
-    assert!(ok.is_ok(), "{ok:?}");
-    for evaluate in [
-        Executor::new()
-            .with_engine(engine_with_max_iterations(0))
-            .run(&program, &input),
-        engine_with_max_iterations(0).run(&program, &input),
-    ] {
+    let (_, stats) = engine_with_max_iterations(1)
+        .run_with_stats(&program, &input)
+        .unwrap();
+    assert_eq!(stats.strata[0].iterations, 3, "one round per level");
+    for threads in [1usize, 2, 4] {
+        let exec = |limit| {
+            Executor::new()
+                .with_engine(engine_with_max_iterations(limit))
+                .with_threads(threads)
+                .run_with_stats(&program, &input)
+        };
+        let (_, exec_stats) = exec(1).unwrap();
+        assert_eq!(exec_stats.iterations, stats.iterations);
         assert!(
-            matches!(evaluate, Err(EvalError::LimitExceeded { .. })),
-            "{evaluate:?}"
+            matches!(exec(0), Err(EvalError::LimitExceeded { .. })),
+            "threads = {threads}"
         );
     }
+    assert!(matches!(
+        engine_with_max_iterations(0).run(&program, &input),
+        Err(EvalError::LimitExceeded { .. })
+    ));
 }
 
 #[test]
 fn executor_is_never_stricter_than_the_engine_on_chained_recursion() {
-    // Two dependent recursive components in one stratum: the engine's joint
-    // fixpoint needs fewer rounds than the executor's two sequential group
-    // fixpoints would sum to.  With per-fixpoint accounting the executor
-    // accepts every limit the engine accepts.
+    // Two dependent recursive components in one stratum are two levels, and
+    // each level is its own scheduled fixpoint.  Level {A}: the merge round
+    // plus 5 loop rounds over the suffixes of a·b·c·d = 6.  Level {B}: the
+    // merge round copying A plus 1 loop round finding nothing new = 2.  The
+    // limit applies per level, so 6 is the threshold, and the stratum takes
+    // 8 rounds in total.
     let program =
         parse_program("A($x) <- R($x).\nA($y) <- A(@u·$y).\nB($x) <- A($x).\nB($y) <- B(@u·$y).")
             .unwrap();
     let input = Instance::unary(rel("R"), [path_of(&["a", "b", "c", "d"])]);
-    for limit in [6usize, 7, 8, 20] {
+    for (limit, expect_ok) in [(5usize, false), (6, true), (20, true)] {
         let engine = engine_with_max_iterations(limit);
-        let engine_ok = engine.run(&program, &input).is_ok();
+        let engine_result = engine.run_with_stats(&program, &input);
+        assert_eq!(engine_result.is_ok(), expect_ok, "limit {limit}");
         for threads in [1usize, 2, 4] {
-            let exec_ok = Executor::new()
+            let exec_result = Executor::new()
                 .with_engine(engine.clone())
                 .with_threads(threads)
-                .run(&program, &input)
-                .is_ok();
-            assert!(
-                !engine_ok || exec_ok,
-                "limit {limit}, threads {threads}: engine ok but executor failed"
-            );
+                .run_with_stats(&program, &input);
+            match (&engine_result, &exec_result) {
+                (Ok((a, a_stats)), Ok((b, b_stats))) => {
+                    assert_eq!(a, b, "limit {limit}, threads {threads}");
+                    assert_eq!(a_stats.strata[0].iterations, 8);
+                    assert_eq!(b_stats.strata[0].iterations, 8);
+                }
+                (Err(a), Err(b)) => assert_eq!(a, b, "limit {limit}, threads {threads}"),
+                _ => panic!("limit {limit}, threads {threads}: engine and executor disagree"),
+            }
         }
     }
 }

@@ -1,12 +1,14 @@
-//! wgen-driven differential property test for the stratified parallel executor:
-//! the sequential engine (whole-stratum semi-naive fixpoint) and the SCC
-//! scheduler at 1, 2, and 4 worker threads must produce *identical instances*
+//! wgen-driven differential property test for the parallel executor: the
+//! engine (the driver's inline round) and the executor at 1, 2, and 4 worker
+//! threads must produce the reference evaluator's instance (`tests/reference`)
 //! on randomly generated safe, stratified programs — including terminating
 //! recursive rules, which exercise the delta-sharded parallel fixpoint.
 //!
-//! This guards the whole exec subsystem: the precedence-graph condensation, the
-//! single-pass evaluation of non-recursive components, the component-scoped
-//! semi-naive loop, and the between-rounds merge of per-worker buffers.
+//! This guards the whole driver: the lowered level structure, the single
+//! merge round per level, the loop-scoped semi-naive rounds, and the
+//! between-rounds merge of per-worker buffers.
+
+mod reference;
 
 use proptest::prelude::*;
 use sequence_datalog::exec::Executor;
@@ -37,9 +39,11 @@ proptest! {
         input.declare_relation(rel("R0"), 1);
         input.declare_relation(rel("R1"), 1);
 
+        let expected = reference::evaluate(&program, &input);
         let sequential = Engine::new()
             .run(&program, &input)
             .unwrap_or_else(|e| panic!("engine failed: {e}\n{program}"));
+        prop_assert_eq!(&expected, &sequential, "engine vs reference\n{}", program);
         for threads in [1usize, 2, 4] {
             let parallel = Executor::new()
                 .with_threads(threads)
@@ -47,7 +51,7 @@ proptest! {
                 .unwrap_or_else(|e| panic!("executor ({threads} threads) failed: {e}\n{program}"));
             // Instances compare relation-by-relation with set semantics, so this
             // covers every IDB relation regardless of derivation order.
-            prop_assert_eq!(&sequential, &parallel, "threads = {}\n{}", threads, program);
+            prop_assert_eq!(&expected, &parallel, "threads = {}\n{}", threads, program);
         }
     }
 }

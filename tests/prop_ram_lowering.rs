@@ -1,14 +1,16 @@
 //! wgen-driven differential property test for the RAM lowering: compiling
 //! planned rules to the flat instruction IR and running them on the shared
-//! interpreter must derive exactly what the legacy tree-walking matcher
-//! derives — on random safe, stratified programs with recursion and negation,
-//! under the sequential engine and the parallel executor at one and four
+//! interpreter must derive exactly what the reference evaluator
+//! (`tests/reference`) derives — on random safe, stratified programs with
+//! recursion and negation, through `Engine` and the executor at one and four
 //! threads, and through the demand-driven (magic-set) query path.
 //!
 //! This guards the whole lowering: bound-set propagation, probe/equation
 //! fusion, terminal probe+emit fusion, static-rule hoisting, and the
 //! interpreter's frame machine (candidate selection, delta-window clamping,
 //! bucket-side fast path, buffered extension replay, backtracking).
+
+mod reference;
 
 use proptest::prelude::*;
 use sequence_datalog::exec::Executor;
@@ -20,7 +22,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     #[test]
-    fn ram_execution_equals_the_legacy_matcher(
+    fn ram_execution_equals_the_reference(
         seed in 0u64..(1u64 << 32),
         salt in 0u64..(1u64 << 32),
         goal_salt in 0u64..(1u64 << 32),
@@ -41,14 +43,11 @@ proptest! {
         input.declare_relation(rel("R0"), 1);
         input.declare_relation(rel("R1"), 1);
 
-        let legacy = Engine::new()
-            .with_ram(false)
-            .run(&program, &input)
-            .unwrap_or_else(|e| panic!("legacy run failed: {e}\n{program}"));
+        let expected = reference::evaluate(&program, &input);
         let ram = Engine::new()
             .run(&program, &input)
             .unwrap_or_else(|e| panic!("RAM run failed: {e}\n{program}"));
-        prop_assert_eq!(&legacy, &ram, "engine RAM vs legacy on\n{}", &program);
+        prop_assert_eq!(&expected, &ram, "engine vs reference on\n{}", &program);
 
         for threads in [1usize, 4] {
             let out = Executor::new()
@@ -56,9 +55,9 @@ proptest! {
                 .run(&program, &input)
                 .unwrap_or_else(|e| panic!("RAM executor run failed: {e}\n{program}"));
             prop_assert_eq!(
-                &legacy,
+                &expected,
                 &out,
-                "executor (RAM, threads = {}) vs legacy engine on\n{}",
+                "executor (threads = {}) vs reference on\n{}",
                 threads,
                 &program
             );
@@ -75,19 +74,16 @@ proptest! {
         let goal = generator.random_goal(goal_salt, output.relation, output.arity());
         let mp = magic(&program, &goal)
             .unwrap_or_else(|e| panic!("magic failed for goal {goal}: {e}\n{program}"));
-        let legacy_answers = Engine::new()
-            .with_ram(false)
-            .run_seeded(&mp.program, &input, &mp.seeds)
-            .map(|out| mp.answers(&out))
-            .unwrap_or_else(|e| panic!("legacy seeded run failed: {e}\n{}", mp.program));
+        let expected_answers =
+            mp.answers(&reference::evaluate_seeded(&mp.program, &input, &mp.seeds));
         let ram_answers = Engine::new()
             .run_seeded(&mp.program, &input, &mp.seeds)
             .map(|out| mp.answers(&out))
             .unwrap_or_else(|e| panic!("RAM seeded run failed: {e}\n{}", mp.program));
         prop_assert_eq!(
-            &legacy_answers,
+            &expected_answers,
             &ram_answers,
-            "magic RAM vs legacy: goal {} on\n{}",
+            "magic engine vs reference: goal {} on\n{}",
             &goal,
             &mp.program
         );
@@ -98,9 +94,9 @@ proptest! {
                 .map(|out| mp.answers(&out))
                 .unwrap_or_else(|e| panic!("RAM seeded executor failed: {e}\n{}", mp.program));
             prop_assert_eq!(
-                &legacy_answers,
+                &expected_answers,
                 &out,
-                "magic executor (RAM, threads = {}): goal {} on\n{}",
+                "magic executor (threads = {}) vs reference: goal {} on\n{}",
                 threads,
                 &goal,
                 &mp.program
@@ -110,8 +106,8 @@ proptest! {
 }
 
 /// A static rule inside a recursive component fires exactly one pass: its
-/// firings equal the input size, not input × rounds — same count as the
-/// legacy matcher, pinned here so hoisting stays observable in the stats.
+/// firings equal the input size, not input × rounds — at every thread count,
+/// pinned here so hoisting stays observable in the stats.
 #[test]
 fn hoisted_static_rules_fire_one_pass() {
     let program = parse_program("T($x) <- R($x).\nT($y) <- T(@u·$y).").unwrap();
@@ -119,21 +115,23 @@ fn hoisted_static_rules_fire_one_pass() {
         .map(|i| path_of(&[&format!("a{i}"), &format!("b{i}"), &format!("c{i}")]))
         .collect();
     let input = Instance::unary(rel("R"), paths);
-    for use_ram in [true, false] {
-        let engine = Engine::new().with_ram(use_ram);
-        let (out, stats) = engine.run_with_stats(&program, &input).unwrap();
+    for threads in [1usize, 4] {
+        let (out, stats) = Executor::new()
+            .with_threads(threads)
+            .run_with_stats(&program, &input)
+            .unwrap();
         // 10 base paths + their 20 distinct proper suffixes + ε.
-        assert_eq!(out.unary_paths(rel("T")).len(), 31, "ram = {use_ram}");
+        assert_eq!(out.unary_paths(rel("T")).len(), 31, "threads = {threads}");
         // One static pass (10 firings) + 30 recursive firings across the
         // fixpoint rounds.  Re-firing the static rule every productive round
         // would show as ≥ 70.
-        assert_eq!(stats.rule_firings, 40, "ram = {use_ram}: {stats:?}");
-        assert_eq!(stats.iterations, 5, "ram = {use_ram}: {stats:?}");
+        assert_eq!(stats.rule_firings, 40, "threads = {threads}: {stats:?}");
+        assert_eq!(stats.iterations, 5, "threads = {threads}: {stats:?}");
     }
 }
 
 /// RAM runs at 1, 2, and 4 threads produce identical instances on the §5.1.1
-/// reachability program, and match the legacy matcher exactly.
+/// reachability program, and match the reference evaluator exactly.
 #[test]
 fn reachability_identical_across_thread_counts() {
     let program =
@@ -145,12 +143,12 @@ fn reachability_identical_across_thread_counts() {
             .insert_fact(Fact::new(rel("R"), vec![path_of(&[x, y])]))
             .unwrap();
     }
-    let legacy = Engine::new().with_ram(false).run(&program, &input).unwrap();
+    let expected = reference::evaluate(&program, &input);
     for threads in [1usize, 2, 4] {
         let out = Executor::new()
             .with_threads(threads)
             .run(&program, &input)
             .unwrap();
-        assert_eq!(legacy, out, "threads = {threads}");
+        assert_eq!(expected, out, "threads = {threads}");
     }
 }

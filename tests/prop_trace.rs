@@ -192,8 +192,15 @@ fn parallel_trace_spans_workers_and_driver() {
             .insert_fact(Fact::new(rel("R"), vec![path_of(&[x, y])]))
             .unwrap();
     }
+    // One-tuple shards split every delta window into several jobs: the base
+    // rule runs alone in its level's merge round, and a five-edge chain never
+    // fills a default-size shard, so without this no round would reach the
+    // pool.
     let session = trace::start();
-    let result = Executor::new().with_threads(4).run(&program, &input);
+    let result = Executor::new()
+        .with_threads(4)
+        .with_shard_size(1)
+        .run(&program, &input);
     let events = session.finish();
     result.expect("reachability terminates");
     check_well_formed(&events);
