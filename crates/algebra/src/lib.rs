@@ -12,7 +12,7 @@
 //! * **substrings** `SUB_i(R)` appending a column ranging over the substrings of
 //!   column `i`.
 //!
-//! [`eval`] evaluates algebra expressions over instances; [`algebra_to_datalog`] and
+//! [`eval()`] evaluates algebra expressions over instances; [`algebra_to_datalog`] and
 //! [`datalog_to_algebra`] implement the two directions of Theorem 7.1 (equivalence
 //! with nonrecursive Sequence Datalog).
 

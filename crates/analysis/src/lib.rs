@@ -4,7 +4,7 @@
 //! consumers: the `seqdl check` command, the pre-flight warnings of `seqdl
 //! run`/`seqdl query`, and the structural report of `seqdl analyze`.  The
 //! same facts also feed the optimizer: the dead/always-false machinery is
-//! shared with [`seqdl_rewrite::strip_dead`], so what the checker flags as
+//! shared with [`seqdl_rewrite::strip_dead()`], so what the checker flags as
 //! [`Lint::DeadRule`] is exactly what the `--strip-dead` rewrite removes
 //! before lowering to RAM.
 //!

@@ -15,7 +15,7 @@
 //! of the reachability, NFA, and query sections; `--profile` appends the
 //! per-rule hot-rules table for the same runs; `--trace-out FILE` records the
 //! reachability section's largest executor run as Chrome trace-event JSON
-//! (open at https://ui.perfetto.dev).
+//! (open at <https://ui.perfetto.dev>).
 
 use seqdl_bench as drivers;
 use seqdl_engine::FixpointStrategy;

@@ -1779,6 +1779,14 @@ mod tests {
             "{output}"
         );
         assert!(output.contains("probe   T(@x·@y)"), "{output}");
+        // The delta-tagged T probe binds both variables in one deterministic
+        // pass; the fused R probe finishes bucket-side.
+        assert!(
+            output.contains("probe   T(@x·@y), det  [delta]"),
+            "{output}"
+        );
+        assert!(output.contains("; via col0[1], bucket"), "{output}");
+        assert!(!output.contains(", flat"), "{output}");
         assert!(output.contains("[delta]"), "{output}");
         assert!(
             output.contains("probe+emit R(@y·@z) -> T(@x·@z)"),

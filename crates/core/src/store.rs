@@ -25,7 +25,7 @@
 //! * singleton atom paths (the whole content of flat classical instances) go
 //!   through a dense per-atom memo table mirrored thread-locally.
 //!
-//! General reads ([`resolve`]) also go through a thread-local mirror of the
+//! General reads (`resolve`) also go through a thread-local mirror of the
 //! append-only entry table, so resolving an id a thread has seen before is a
 //! plain bounds-checked array read with no atomics — the "shared read-only
 //! store" shape the multi-threaded executor wants.  Only interning *new*

@@ -586,12 +586,12 @@ pub fn register_plan_indexes<'a>(
 
 /// Deactivate every column trie of the `heads` relations that no plan in
 /// `plans` can ever probe ([`ColumnProbe::can_probe`] is the same static
-/// predicate [`choose_candidates`] uses at runtime, so a deactivated column
+/// predicate `choose_candidates` uses at runtime, so a deactivated column
 /// is one the whole evaluation never consults).  Head relations are the
 /// growing ones — every insert during the fixpoint pays for exactly the
 /// indexes some probe can use, instead of indexing every column by default.
 ///
-/// Restriction is safe even when over-eager: [`choose_candidates`] skips
+/// Restriction is safe even when over-eager: `choose_candidates` skips
 /// deactivated columns entirely and falls back to scanning, and
 /// re-activation (by a later evaluation whose plans do probe the column)
 /// rebuilds the trie from the stored tuples.

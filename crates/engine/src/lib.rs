@@ -8,7 +8,9 @@
 //! The components are:
 //!
 //! * [`matching`] — associative *matching* of path expressions against ground paths
-//!   under a partial valuation (all decompositions are enumerated);
+//!   under a partial valuation: one backtracking walk that enumerates every
+//!   decomposition into a continuation (which can stop it), and one
+//!   deterministic pass for probes proved to admit at most one extension;
 //! * [`plan`] — a body planner that orders literals so that positive predicates bind
 //!   variables first, positive equations are evaluated once one side is ground
 //!   (which rule safety guarantees is always eventually possible), and negated

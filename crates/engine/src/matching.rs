@@ -5,126 +5,40 @@
 //! ν′(e) = p.  Because concatenation is associative, an unbound path variable can
 //! absorb any contiguous (possibly empty) block of the remaining path, so matching
 //! enumerates all decompositions.
+//!
+//! Two walks implement it.  One backtracking walk enumerates extensions into a
+//! continuation that can stop it: [`match_predicate_sink`] for probes,
+//! [`solve_equation`] for equations, and [`predicate_matches`] for existence
+//! checks.  One deterministic pass, [`match_predicate_det`], binds in place for
+//! probes the lowering proved admit at most one extension per tuple.
 
-use crate::plan::FLAT_MAX_VARS;
 use seqdl_core::{Path, PathView, Value};
-use seqdl_syntax::{Binding, Equation, PathExpr, Predicate, Term, Valuation, Var, VarKind};
+use seqdl_syntax::{Binding, Equation, PathExpr, Predicate, Term, Valuation, VarKind};
 
-/// Non-backtracking matcher for [flat](crate::plan::PlannedPredicate::flat)
-/// predicates: every term is a constant or an atomic variable, so each column
-/// either matches its path value-for-value or fails — no decompositions, no
-/// continuation chain.  Newly bound variables are recorded in `newly` (the
-/// caller pops them after running its continuation); on failure they are
-/// already backtracked out.  Returns how many entries of `newly` were used.
-pub fn match_predicate_flat(
-    args: &[PathExpr],
-    tuple: &[Path],
-    nu: &mut Valuation,
-    newly: &mut [Option<Var>; FLAT_MAX_VARS],
-) -> Option<usize> {
-    let mut bound = 0usize;
-    let mut ok = true;
-    'outer: for (arg, path) in args.iter().zip(tuple) {
-        let terms = arg.terms();
-        let values = path.values();
-        if terms.len() != values.len() {
-            ok = false;
-            break;
-        }
-        for (term, value) in terms.iter().zip(values) {
-            let Value::Atom(b) = value else {
-                ok = false;
-                break 'outer;
-            };
-            match term {
-                Term::Const(a) => {
-                    if a != b {
-                        ok = false;
-                        break 'outer;
-                    }
-                }
-                Term::Var(v) => match nu.get(*v) {
-                    Some(Binding::Atom(bd)) => {
-                        if bd != b {
-                            ok = false;
-                            break 'outer;
-                        }
-                    }
-                    None => {
-                        nu.bind_new(*v, Binding::Atom(*b));
-                        newly[bound] = Some(*v);
-                        bound += 1;
-                    }
-                    Some(Binding::Path(_)) => {
-                        ok = false;
-                        break 'outer;
-                    }
-                },
-                Term::Packed(_) => {
-                    ok = false;
-                    break 'outer;
-                }
-            }
-        }
-    }
-    if ok {
-        Some(bound)
-    } else {
-        for v in newly[..bound].iter().rev().flatten() {
-            nu.pop_binding(*v);
-        }
-        None
-    }
-}
-
-/// All extensions of `valuation` that make `expr` denote exactly `path`.
-pub fn match_expr(expr: &PathExpr, path: &Path, valuation: &Valuation) -> Vec<Valuation> {
-    let mut out = Vec::new();
-    let mut scratch = valuation.clone();
-    match_terms(
-        expr.terms(),
-        *path,
-        0,
-        path.values(),
-        &mut scratch,
-        &mut |nu| {
-            out.push(nu.clone());
-        },
-    );
-    out
-}
-
-/// All extensions of `valuation` that make every component expression of `pred`
-/// denote the corresponding component path of `tuple`.
-///
-/// Returns an empty vector if the arities differ.
-pub fn match_predicate(pred: &Predicate, tuple: &[Path], valuation: &Valuation) -> Vec<Valuation> {
-    let mut out = Vec::new();
-    let mut scratch = valuation.clone();
-    match_predicate_sink(pred, tuple, &mut scratch, &mut |nu| out.push(nu.clone()));
-    out
-}
-
-/// Like [`match_predicate`], but hands each matching valuation to `sink` instead
-/// of collecting clones.
+/// Hand every extension of `valuation` under which each argument of `pred`
+/// denotes the corresponding path of `tuple` to `sink`, until `sink` returns
+/// `true`; the result says whether it did.  Arity mismatches never match.
 ///
 /// This is the fixpoint loop's entry point: matching backtracks on `valuation`
 /// itself (which is restored to its original bindings before returning), so a
 /// candidate tuple that fails to match allocates nothing.  The valuation passed to
 /// `sink` is only valid for the duration of the call (its extra bindings are
-/// backtracked away afterwards); `sink` must clone whatever it wants to keep.
-/// This lets the final step of a rule body ground the rule head directly, without
-/// materialising a valuation per match.
+/// backtracked away afterwards); `sink` must copy whatever it wants to keep.
 pub fn match_predicate_sink(
     pred: &Predicate,
     tuple: &[Path],
     valuation: &mut Valuation,
-    sink: &mut dyn FnMut(&mut Valuation),
-) {
-    if pred.args.len() != tuple.len() {
-        return;
-    }
-    match_args(&pred.args, tuple, valuation, sink);
+    sink: &mut dyn FnMut(&mut Valuation) -> bool,
+) -> bool {
+    pred.args.len() == tuple.len() && match_args(&pred.args, tuple, valuation, sink)
+}
+
+/// Does *some* extension of `valuation` match `pred` against `tuple`?  The
+/// walk stops at the first match.  Answer filters (`seqdl query` matching a
+/// goal pattern against a result relation) call this once per tuple.
+pub fn predicate_matches(pred: &Predicate, tuple: &[Path], valuation: &Valuation) -> bool {
+    let mut nu = valuation.clone();
+    match_predicate_sink(pred, tuple, &mut nu, &mut |_| true)
 }
 
 /// Match the argument expressions column by column, calling `sink` once for every
@@ -133,18 +47,17 @@ fn match_args(
     args: &[PathExpr],
     tuple: &[Path],
     nu: &mut Valuation,
-    sink: &mut dyn FnMut(&mut Valuation),
-) {
+    sink: &mut dyn FnMut(&mut Valuation) -> bool,
+) -> bool {
     let Some((arg, rest)) = args.split_first() else {
-        sink(nu);
-        return;
+        return sink(nu);
     };
     // invariant: relation arity equals the argument count — enforced when the
     // program is analysed and when facts are inserted, before matching runs.
     let (path, paths) = tuple.split_first().expect("arity checked by the caller");
     match_terms(arg.terms(), *path, 0, path.values(), nu, &mut |nu| {
-        match_args(rest, paths, nu, sink);
-    });
+        match_args(rest, paths, nu, sink)
+    })
 }
 
 /// Does the (fully bound) equation hold under `valuation`?  Returns `None` if some
@@ -155,188 +68,57 @@ pub fn equation_holds(eq: &Equation, valuation: &Valuation) -> Option<bool> {
     Some(lhs == rhs)
 }
 
-/// All extensions of `valuation` satisfying the equation, assuming at least one side
-/// is fully bound under `valuation` (the planner guarantees this for safe rules).
-///
-/// Returns `None` if neither side is fully bound.
-pub fn match_equation(eq: &Equation, valuation: &Valuation) -> Option<Vec<Valuation>> {
-    let lhs_bound = valuation.is_appropriate_for(&eq.lhs);
-    let rhs_bound = valuation.is_appropriate_for(&eq.rhs);
-    match (lhs_bound, rhs_bound) {
-        (true, true) => {
-            let holds = equation_holds(eq, valuation).unwrap_or(false);
-            Some(if holds {
-                vec![valuation.clone()]
-            } else {
-                Vec::new()
-            })
-        }
-        (true, false) => {
-            let ground = valuation.apply(&eq.lhs)?;
-            Some(match_expr(&eq.rhs, &ground, valuation))
-        }
-        (false, true) => {
-            let ground = valuation.apply(&eq.rhs)?;
-            Some(match_expr(&eq.lhs, &ground, valuation))
-        }
-        (false, false) => None,
-    }
+/// Hand every extension of `valuation` satisfying `eq` to `sink`, until `sink`
+/// returns `true`.  One side must be fully bound under `valuation` (the
+/// planner guarantees this for safe rules): the other side is matched against
+/// the path it denotes.  Returns `None` if neither side is fully bound.
+/// `valuation` is restored before returning, as in [`match_predicate_sink`].
+pub fn solve_equation(
+    eq: &Equation,
+    valuation: &mut Valuation,
+    sink: &mut dyn FnMut(&mut Valuation) -> bool,
+) -> Option<()> {
+    let (ground, open) = if valuation.is_appropriate_for(&eq.lhs) {
+        (&eq.lhs, &eq.rhs)
+    } else {
+        (&eq.rhs, &eq.lhs)
+    };
+    let path = valuation.apply(ground)?;
+    match_terms(open.terms(), path, 0, path.values(), valuation, sink);
+    Some(())
 }
 
 /// Match a term sequence against the value suffix `parent.values()[base..]`
-/// (passed pre-sliced as `values`), calling `sink` at every complete match.
-/// Backtracks on `nu` in place: any binding added during the walk is removed
-/// again, so `nu` leaves in the state it entered.  Carrying the parent path's
-/// identity lets every path-variable binding resolve through the store's
-/// `(id, start, end)` subpath memo — a whole-suffix bind at `base == 0` reuses
-/// the parent's id outright, and enumerated prefixes hash three `u32`s instead
-/// of their value content.
+/// (passed pre-sliced as `values`), calling `sink` at every complete match
+/// until it returns `true`; the result says whether it did.  Backtracks on
+/// `nu` in place: any binding added during the walk is removed again, so `nu`
+/// leaves in the state it entered.  Carrying the parent path's identity lets
+/// every path-variable binding resolve through the store's `(id, start, end)`
+/// subpath memo — a whole-suffix bind at `base == 0` reuses the parent's id
+/// outright, and enumerated prefixes hash three `u32`s instead of their value
+/// content.
 fn match_terms(
     terms: &[Term],
     parent: Path,
     base: usize,
     values: &'static [Value],
     nu: &mut Valuation,
-    sink: &mut dyn FnMut(&mut Valuation),
-) {
-    let Some((first, rest)) = terms.split_first() else {
-        if values.is_empty() {
-            sink(nu);
-        }
-        return;
-    };
-    match first {
-        Term::Const(a) => {
-            if let Some(Value::Atom(b)) = values.first() {
-                if a == b {
-                    match_terms(rest, parent, base + 1, &values[1..], nu, sink);
-                }
-            }
-        }
-        Term::Packed(inner) => {
-            if let Some(Value::Packed(p)) = values.first() {
-                match_terms(inner.terms(), *p, 0, p.values(), nu, &mut |nu| {
-                    match_terms(rest, parent, base + 1, &values[1..], nu, sink);
-                });
-            }
-        }
-        Term::Var(v) => match v.kind {
-            VarKind::Atom => {
-                let Some(Value::Atom(b)) = values.first() else {
-                    return;
-                };
-                let b = *b;
-                match nu.get(*v) {
-                    Some(Binding::Atom(bound)) => {
-                        if *bound == b {
-                            match_terms(rest, parent, base + 1, &values[1..], nu, sink);
-                        }
-                    }
-                    None => {
-                        nu.bind_new(*v, Binding::Atom(b));
-                        match_terms(rest, parent, base + 1, &values[1..], nu, sink);
-                        nu.pop_binding(*v);
-                    }
-                    // A binding of the wrong shape cannot occur: `Valuation::bind`
-                    // checks it.
-                    Some(Binding::Path(_)) => unreachable!("valuation binding of the wrong kind"),
-                }
-            }
-            VarKind::Path => {
-                // `None` = unbound; `Some(None)` = bound but mismatching;
-                // `Some(Some(n))` = bound to a matching prefix of length n.
-                let bound_prefix = match nu.get(*v) {
-                    Some(Binding::Path(bound)) => {
-                        let n = bound.len();
-                        if values.len() >= n && &values[..n] == bound.values() {
-                            Some(Some(n))
-                        } else {
-                            Some(None)
-                        }
-                    }
-                    None => None,
-                    Some(Binding::Atom(_)) => unreachable!("valuation binding of the wrong kind"),
-                };
-                match bound_prefix {
-                    Some(Some(n)) => match_terms(rest, parent, base + n, &values[n..], nu, sink),
-                    Some(None) => {}
-                    None if rest.is_empty() => {
-                        // A trailing unbound path variable must absorb everything
-                        // that is left; bind it directly instead of enumerating
-                        // every prefix only to reject all but the full one.
-                        let suffix = PathView::cut(parent, base, base + values.len());
-                        nu.bind_new(*v, Binding::Path(suffix));
-                        sink(nu);
-                        nu.pop_binding(*v);
-                    }
-                    None => {
-                        // Try every prefix (including the empty one), as
-                        // unregistered views: a speculative cut rejected by a
-                        // later term must not grow the global store.
-                        for split in 0..=values.len() {
-                            let prefix = PathView::cut(parent, base, base + split);
-                            nu.bind_new(*v, Binding::Path(prefix));
-                            match_terms(rest, parent, base + split, &values[split..], nu, sink);
-                            nu.pop_binding(*v);
-                        }
-                    }
-                }
-            }
-        },
-    }
-}
-
-/// Does *some* extension of `valuation` make every component of `pred` denote
-/// the corresponding component of `tuple`?  Unlike [`match_predicate`] this
-/// decides existence only: the backtracking walk stops at the first complete
-/// match instead of enumerating every decomposition, and nothing is cloned or
-/// collected.  Answer filters (`seqdl query` matching a goal pattern against a
-/// result relation) call this once per tuple.
-pub fn predicate_matches(pred: &Predicate, tuple: &[Path], valuation: &Valuation) -> bool {
-    if pred.args.len() != tuple.len() {
-        return false;
-    }
-    let mut nu = valuation.clone();
-    match_args_find(&pred.args, tuple, &mut nu)
-}
-
-fn match_args_find(args: &[PathExpr], tuple: &[Path], nu: &mut Valuation) -> bool {
-    let Some((arg, rest)) = args.split_first() else {
-        return true;
-    };
-    // invariant: relation arity equals the argument count — enforced when the
-    // program is analysed and when facts are inserted, before matching runs.
-    let (path, paths) = tuple.split_first().expect("arity checked by the caller");
-    match_terms_find(arg.terms(), *path, 0, path.values(), nu, &mut |nu| {
-        match_args_find(rest, paths, nu)
-    })
-}
-
-/// The short-circuiting twin of [`match_terms`]: `cont` reports whether the
-/// rest of the problem succeeded, and the walk returns as soon as any branch
-/// does.  `nu` is restored before returning, matched or not.
-fn match_terms_find(
-    terms: &[Term],
-    parent: Path,
-    base: usize,
-    values: &'static [Value],
-    nu: &mut Valuation,
-    cont: &mut dyn FnMut(&mut Valuation) -> bool,
+    sink: &mut dyn FnMut(&mut Valuation) -> bool,
 ) -> bool {
     let Some((first, rest)) = terms.split_first() else {
-        return values.is_empty() && cont(nu);
+        return values.is_empty() && sink(nu);
     };
     match first {
         Term::Const(a) => match values.first() {
             Some(Value::Atom(b)) if a == b => {
-                match_terms_find(rest, parent, base + 1, &values[1..], nu, cont)
+                match_terms(rest, parent, base + 1, &values[1..], nu, sink)
             }
             _ => false,
         },
         Term::Packed(inner) => match values.first() {
             Some(Value::Packed(p)) => {
-                match_terms_find(inner.terms(), *p, 0, p.values(), nu, &mut |nu| {
-                    match_terms_find(rest, parent, base + 1, &values[1..], nu, &mut *cont)
+                match_terms(inner.terms(), *p, 0, p.values(), nu, &mut |nu| {
+                    match_terms(rest, parent, base + 1, &values[1..], nu, &mut *sink)
                 })
             }
             _ => false,
@@ -346,64 +128,57 @@ fn match_terms_find(
                 let Some(Value::Atom(b)) = values.first() else {
                     return false;
                 };
-                let b = *b;
                 match nu.get(*v) {
-                    Some(Binding::Atom(bound)) if *bound == b => {
-                        match_terms_find(rest, parent, base + 1, &values[1..], nu, cont)
+                    Some(Binding::Atom(bound)) if bound == b => {
+                        match_terms(rest, parent, base + 1, &values[1..], nu, sink)
                     }
-                    Some(_) => false,
+                    Some(Binding::Atom(_)) => false,
                     None => {
-                        nu.bind_new(*v, Binding::Atom(b));
+                        nu.bind_new(*v, Binding::Atom(*b));
+                        let found = match_terms(rest, parent, base + 1, &values[1..], nu, sink);
+                        nu.pop_binding(*v);
+                        found
+                    }
+                    // A binding of the wrong shape cannot occur: `Valuation::bind`
+                    // checks it.
+                    Some(Binding::Path(_)) => unreachable!("valuation binding of the wrong kind"),
+                }
+            }
+            VarKind::Path => match nu.get(*v) {
+                Some(Binding::Path(bound)) => {
+                    let n = bound.len();
+                    values.len() >= n
+                        && &values[..n] == bound.values()
+                        && match_terms(rest, parent, base + n, &values[n..], nu, sink)
+                }
+                None if rest.is_empty() => {
+                    // A trailing unbound path variable must absorb everything
+                    // that is left; bind it directly instead of enumerating
+                    // every prefix only to reject all but the full one.
+                    let suffix = PathView::cut(parent, base, base + values.len());
+                    nu.bind_new(*v, Binding::Path(suffix));
+                    let found = sink(nu);
+                    nu.pop_binding(*v);
+                    found
+                }
+                None => {
+                    // Try every prefix (including the empty one), as
+                    // unregistered views: a speculative cut rejected by a
+                    // later term must not grow the global store.
+                    for split in 0..=values.len() {
+                        let prefix = PathView::cut(parent, base, base + split);
+                        nu.bind_new(*v, Binding::Path(prefix));
                         let found =
-                            match_terms_find(rest, parent, base + 1, &values[1..], nu, cont);
+                            match_terms(rest, parent, base + split, &values[split..], nu, sink);
                         nu.pop_binding(*v);
-                        found
-                    }
-                }
-            }
-            VarKind::Path => {
-                let bound_prefix = match nu.get(*v) {
-                    Some(Binding::Path(bound)) => {
-                        let n = bound.len();
-                        if values.len() >= n && &values[..n] == bound.values() {
-                            Some(n)
-                        } else {
-                            return false;
+                        if found {
+                            return true;
                         }
                     }
-                    None => None,
-                    Some(Binding::Atom(_)) => unreachable!("valuation binding of the wrong kind"),
-                };
-                match bound_prefix {
-                    Some(n) => match_terms_find(rest, parent, base + n, &values[n..], nu, cont),
-                    None if rest.is_empty() => {
-                        let suffix = PathView::cut(parent, base, base + values.len());
-                        nu.bind_new(*v, Binding::Path(suffix));
-                        let found = cont(nu);
-                        nu.pop_binding(*v);
-                        found
-                    }
-                    None => {
-                        for split in 0..=values.len() {
-                            let prefix = PathView::cut(parent, base, base + split);
-                            nu.bind_new(*v, Binding::Path(prefix));
-                            let found = match_terms_find(
-                                rest,
-                                parent,
-                                base + split,
-                                &values[split..],
-                                nu,
-                                cont,
-                            );
-                            nu.pop_binding(*v);
-                            if found {
-                                return true;
-                            }
-                        }
-                        false
-                    }
+                    false
                 }
-            }
+                Some(Binding::Atom(_)) => unreachable!("valuation binding of the wrong kind"),
+            },
         },
     }
 }
@@ -505,12 +280,6 @@ fn det_terms(
     values.is_empty()
 }
 
-/// A variable assignment enumerator used by negated-predicate checks: does *some*
-/// tuple of `tuples` match `pred` under an extension of `valuation`?
-pub fn matches_some_tuple(pred: &Predicate, tuples: &[Vec<Path>], valuation: &Valuation) -> bool {
-    tuples.iter().any(|t| predicate_matches(pred, t, valuation))
-}
-
 /// Convenience for tests and callers: apply a valuation to a predicate to obtain the
 /// corresponding ground tuple, if the valuation is appropriate.
 pub fn ground_tuple(pred: &Predicate, valuation: &Valuation) -> Option<Vec<Path>> {
@@ -528,34 +297,55 @@ mod tests {
         parse_expr(s).unwrap()
     }
 
+    /// Every extension of `nu` matching `pred` against `tuple`, collected
+    /// through the sink; also checks that the walk restores the valuation.
+    fn all_matches(pred: &Predicate, tuple: &[Path], nu: &Valuation) -> Vec<Valuation> {
+        let mut out = Vec::new();
+        let mut scratch = nu.clone();
+        let stopped = match_predicate_sink(pred, tuple, &mut scratch, &mut |nu| {
+            out.push(nu.clone());
+            false
+        });
+        assert!(!stopped);
+        assert_eq!(&scratch, nu, "the walk restores the valuation");
+        out
+    }
+
+    /// [`all_matches`] of the one-column pattern `e` against `path`.
+    fn expr_matches(e: &str, path: Path, nu: &Valuation) -> Vec<Valuation> {
+        all_matches(&Predicate::new(rel("T"), vec![expr(e)]), &[path], nu)
+    }
+
+    /// Every extension of `nu` satisfying `eq`, collected through the sink.
+    fn solutions(eq: &Equation, nu: &Valuation) -> Option<Vec<Valuation>> {
+        let mut out = Vec::new();
+        let mut scratch = nu.clone();
+        solve_equation(eq, &mut scratch, &mut |nu| {
+            out.push(nu.clone());
+            false
+        })?;
+        assert_eq!(&scratch, nu, "the walk restores the valuation");
+        Some(out)
+    }
+
     #[test]
     fn matching_constants_and_atom_variables() {
-        let matches = match_expr(
-            &expr("a·@x·c"),
-            &path_of(&["a", "b", "c"]),
-            &Valuation::new(),
-        );
+        let matches = expr_matches("a·@x·c", path_of(&["a", "b", "c"]), &Valuation::new());
         assert_eq!(matches.len(), 1);
         assert_eq!(
             matches[0].get(Var::atom("x")),
             Some(&Binding::Atom(atom("b")))
         );
         // Atom variable cannot absorb two values.
-        assert!(
-            match_expr(&expr("a·@x"), &path_of(&["a", "b", "c"]), &Valuation::new()).is_empty()
-        );
+        assert!(expr_matches("a·@x", path_of(&["a", "b", "c"]), &Valuation::new()).is_empty());
         // Constant mismatch.
-        assert!(match_expr(&expr("a·b"), &path_of(&["a", "c"]), &Valuation::new()).is_empty());
+        assert!(expr_matches("a·b", path_of(&["a", "c"]), &Valuation::new()).is_empty());
     }
 
     #[test]
     fn unbound_path_variables_enumerate_all_decompositions() {
         // $x·$y against a·b·c: 4 splits (|$x| = 0..3).
-        let matches = match_expr(
-            &expr("$x·$y"),
-            &path_of(&["a", "b", "c"]),
-            &Valuation::new(),
-        );
+        let matches = expr_matches("$x·$y", path_of(&["a", "b", "c"]), &Valuation::new());
         assert_eq!(matches.len(), 4);
         // Each match reassembles to the original path.
         for nu in &matches {
@@ -568,29 +358,20 @@ mod tests {
     #[test]
     fn repeated_path_variables_must_agree() {
         // $x·$x against a·b·a·b: only $x = a·b.
-        let matches = match_expr(
-            &expr("$x·$x"),
-            &path_of(&["a", "b", "a", "b"]),
-            &Valuation::new(),
-        );
+        let matches = expr_matches("$x·$x", path_of(&["a", "b", "a", "b"]), &Valuation::new());
         assert_eq!(matches.len(), 1);
         assert_eq!(
             matches[0].get(Var::path("x")),
             Some(&Binding::Path(path_of(&["a", "b"]).into()))
         );
-        assert!(match_expr(
-            &expr("$x·$x"),
-            &path_of(&["a", "b", "a"]),
-            &Valuation::new()
-        )
-        .is_empty());
+        assert!(expr_matches("$x·$x", path_of(&["a", "b", "a"]), &Valuation::new()).is_empty());
     }
 
     #[test]
     fn bound_variables_constrain_the_match() {
         let mut nu = Valuation::new();
         nu.bind_path(Var::path("x"), path_of(&["a"]));
-        let matches = match_expr(&expr("$x·$y"), &path_of(&["a", "b"]), &nu);
+        let matches = expr_matches("$x·$y", path_of(&["a", "b"]), &nu);
         assert_eq!(matches.len(), 1);
         assert_eq!(
             matches[0].get(Var::path("y")),
@@ -599,54 +380,54 @@ mod tests {
         // A conflicting binding yields no matches.
         let mut nu = Valuation::new();
         nu.bind_path(Var::path("x"), path_of(&["c"]));
-        assert!(match_expr(&expr("$x·$y"), &path_of(&["a", "b"]), &nu).is_empty());
+        assert!(expr_matches("$x·$y", path_of(&["a", "b"]), &nu).is_empty());
     }
 
     #[test]
     fn packing_must_match_packed_values() {
         let packed_path =
             Path::from_values([Value::atom("c"), Value::packed(path_of(&["a", "b"]))]);
-        let matches = match_expr(&expr("c·<$s>"), &packed_path, &Valuation::new());
+        let matches = expr_matches("c·<$s>", packed_path, &Valuation::new());
         assert_eq!(matches.len(), 1);
         assert_eq!(
             matches[0].get(Var::path("s")),
             Some(&Binding::Path(path_of(&["a", "b"]).into()))
         );
         // A packed expression never matches an atomic value.
-        assert!(match_expr(&expr("<$s>"), &path_of(&["a"]), &Valuation::new()).is_empty());
+        assert!(expr_matches("<$s>", path_of(&["a"]), &Valuation::new()).is_empty());
         // And a path variable *can* match a packed value (it is a value like any
         // other).
-        let matches = match_expr(&expr("c·$v"), &packed_path, &Valuation::new());
+        let matches = expr_matches("c·$v", packed_path, &Valuation::new());
         assert_eq!(matches.len(), 1);
     }
 
     #[test]
     fn empty_expression_matches_only_the_empty_path() {
         assert_eq!(
-            match_expr(&expr("eps"), &Path::empty(), &Valuation::new()).len(),
+            expr_matches("eps", Path::empty(), &Valuation::new()).len(),
             1
         );
-        assert!(match_expr(&expr("eps"), &path_of(&["a"]), &Valuation::new()).is_empty());
+        assert!(expr_matches("eps", path_of(&["a"]), &Valuation::new()).is_empty());
     }
 
     #[test]
     fn predicate_matching_threads_valuations_across_components() {
         // T($x, $x·a) against (b, b·a) succeeds; against (b, c·a) fails.
         let pred = Predicate::new(rel("T"), vec![expr("$x"), expr("$x·a")]);
-        let ok = match_predicate(
+        let ok = all_matches(
             &pred,
             &[path_of(&["b"]), path_of(&["b", "a"])],
             &Valuation::new(),
         );
         assert_eq!(ok.len(), 1);
-        let bad = match_predicate(
+        let bad = all_matches(
             &pred,
             &[path_of(&["b"]), path_of(&["c", "a"])],
             &Valuation::new(),
         );
         assert!(bad.is_empty());
         // Arity mismatch never matches.
-        assert!(match_predicate(&pred, &[path_of(&["b"])], &Valuation::new()).is_empty());
+        assert!(all_matches(&pred, &[path_of(&["b"])], &Valuation::new()).is_empty());
     }
 
     #[test]
@@ -655,7 +436,7 @@ mod tests {
         let eq = Equation::new(expr("a·$x"), expr("$y·a"));
         let mut nu = Valuation::new();
         nu.bind_path(Var::path("x"), path_of(&["a"]));
-        let matches = match_equation(&eq, &nu).unwrap();
+        let matches = solutions(&eq, &nu).unwrap();
         assert_eq!(matches.len(), 1);
         assert_eq!(
             matches[0].get(Var::path("y")),
@@ -665,16 +446,16 @@ mod tests {
         let mut nu2 = matches[0].clone();
         nu2.bind_path(Var::path("z"), Path::empty());
         let eq2 = Equation::new(expr("$x"), expr("$y"));
-        assert_eq!(match_equation(&eq2, &nu2).unwrap().len(), 1);
+        assert_eq!(solutions(&eq2, &nu2).unwrap().len(), 1);
+        let eq3 = Equation::new(expr("$x"), expr("$z"));
+        assert!(solutions(&eq3, &nu2).unwrap().is_empty());
         // Neither side bound: planner error signalled by None.
-        assert!(
-            match_equation(&Equation::new(expr("$p"), expr("$q")), &Valuation::new()).is_none()
-        );
+        assert!(solutions(&Equation::new(expr("$p"), expr("$q")), &Valuation::new()).is_none());
     }
 
     #[test]
     fn predicate_matches_agrees_with_enumeration() {
-        // Same answers as match_predicate on a grab-bag of patterns, without
+        // Same answers as full enumeration on a grab-bag of patterns, without
         // enumerating: repeated variables, packing, constants, arity mismatch.
         let cases: Vec<(Predicate, Vec<Path>)> = vec![
             (
@@ -712,7 +493,7 @@ mod tests {
         for (pred, tuple) in cases {
             assert_eq!(
                 predicate_matches(&pred, &tuple, &Valuation::new()),
-                !match_predicate(&pred, &tuple, &Valuation::new()).is_empty(),
+                !all_matches(&pred, &tuple, &Valuation::new()).is_empty(),
                 "disagreement on {pred} vs {tuple:?}"
             );
         }
@@ -731,11 +512,11 @@ mod tests {
         assert_eq!(ground_tuple(&pred, &nu), Some(vec![path_of(&["b", "a"])]));
         assert_eq!(ground_tuple(&pred, &Valuation::new()), None);
 
-        let tuples = vec![vec![path_of(&["b", "a"])], vec![path_of(&["c"])]];
-        assert!(matches_some_tuple(&pred, &tuples, &nu));
+        let tuples = [vec![path_of(&["b", "a"])], vec![path_of(&["c"])]];
+        assert!(tuples.iter().any(|t| predicate_matches(&pred, t, &nu)));
         let mut nu_miss = Valuation::new();
         nu_miss.bind_path(Var::path("x"), path_of(&["z"]));
-        assert!(!matches_some_tuple(&pred, &tuples, &nu_miss));
+        assert!(!tuples.iter().any(|t| predicate_matches(&pred, t, &nu_miss)));
     }
 
     #[test]

@@ -118,36 +118,14 @@ pub struct PlannedPredicate {
     /// least two: the evaluator registers a joint index over exactly this set
     /// on the predicate's relation and probes it with the resolved values.
     pub joint_cols: Option<Vec<usize>>,
-    /// Every argument is a sequence of constants and *atomic* variables (and
-    /// the predicate binds few enough variables for a stack frame): matching
-    /// never backtracks, so the evaluator uses a non-recursive flat loop
-    /// instead of the general continuation-passing matcher.
-    pub flat: bool,
-    /// Bucket-side matching eligibility: the predicate is unary and flat, and
-    /// its column's terms are all prefix sources except at most one trailing
-    /// unbound atomic variable.  `Some(None)` — the prefix covers the whole
-    /// pattern (match = length check); `Some(Some(v))` — one trailing
-    /// variable, bound from the bucket entry's next-value.  Candidates from
-    /// the column trie then finish matching without touching the tuple store.
+    /// Bucket-side matching eligibility: the predicate is unary, its column
+    /// holds only constants and atomic variables, and those terms are all
+    /// prefix sources except at most one trailing unbound atomic variable.
+    /// `Some(None)` — the prefix covers the whole pattern (match = length
+    /// check); `Some(Some(v))` — one trailing variable, bound from the bucket
+    /// entry's next-value.  Candidates from the column trie then finish
+    /// matching without touching the tuple store.
     pub extend: Option<Option<Var>>,
-}
-
-/// Upper bound on variables a [flat](PlannedPredicate::flat) match may newly
-/// bind (the evaluator's stack frame for backtracking them out).
-pub const FLAT_MAX_VARS: usize = 16;
-
-fn is_flat(pred: &Predicate) -> bool {
-    let terms = pred
-        .args
-        .iter()
-        .flat_map(|arg| arg.terms().iter())
-        .collect::<Vec<_>>();
-    terms.len() <= FLAT_MAX_VARS
-        && terms.iter().all(|t| match t {
-            Term::Const(_) => true,
-            Term::Var(v) => v.kind == VarKind::Atom,
-            Term::Packed(_) => false,
-        })
 }
 
 fn column_probes(pred: &Predicate, bound_before: &BTreeSet<Var>) -> Vec<ColumnProbe> {
@@ -227,7 +205,6 @@ fn plan_predicate(pred: &Predicate, bound_before: &BTreeSet<Var>) -> PlannedPred
         .map(|(c, _)| c)
         .collect();
     PlannedPredicate {
-        flat: is_flat(pred),
         extend: extend_probe(pred, &probes),
         pred: pred.clone(),
         probes,

@@ -9,11 +9,13 @@
 //! continuation closures, no interior-mutability error channel.
 //!
 //! Candidate enumeration picks the smallest index list through
-//! [`choose_candidates`], clamps it to the delta window with
+//! `choose_candidates`, clamps it to the delta window with
 //! `partition_point`, walks trie buckets bucket-side where the plan allows,
-//! and otherwise matches tuples with the flat or general matchers.  The
+//! and otherwise matches tuples with the deterministic pass (probes the
+//! lowering proved admit at most one extension) or the backtracking walk,
+//! whose extensions a frame buffers and replays — equations included.  The
 //! differential property tests pin its output to the test-only reference
-//! evaluator.
+//! evaluator, which has a matcher of its own.
 
 use crate::error::EvalError;
 use crate::eval::{
@@ -21,10 +23,9 @@ use crate::eval::{
     MAX_JOINT_COLS,
 };
 use crate::matching::{
-    equation_holds, ground_tuple, match_equation, match_predicate_det, match_predicate_flat,
-    match_predicate_sink,
+    equation_holds, ground_tuple, match_predicate_det, match_predicate_sink, solve_equation,
 };
-use crate::plan::{PlannedLiteral, PlannedPredicate, PrefixSource, FLAT_MAX_VARS};
+use crate::plan::{PlannedLiteral, PlannedPredicate, PrefixSource};
 use crate::ram::ir::{FilterOp, Inst, RuleProc};
 use seqdl_core::{
     joint_probe_key, Fact, FxMap, Instance, Path, PathId, Relation, Segment, TrieEntry, Tuple,
@@ -47,9 +48,7 @@ enum Cands<'r> {
 /// How a probe frame finishes matching one candidate.
 #[derive(Clone, Copy)]
 enum Mode {
-    /// Flat predicate: one non-backtracking pass per tuple.
-    Flat,
-    /// Deterministic general predicate (proved by the lowering): at most one
+    /// Deterministic predicate (proved by the lowering): at most one
     /// extension per tuple, bound in place — no buffering, no replay.
     Det,
     /// Bucket-side, prefix covers the pattern: entry length `n` decides.
@@ -108,7 +107,7 @@ impl<'r> Frame<'r> {
             depth: 0,
             cands: Cands::Empty,
             cursor: 0,
-            mode: Mode::Flat,
+            mode: Mode::General,
             tuples: &[],
             ext: Vec::new(),
             bounds: Vec::new(),
@@ -138,13 +137,7 @@ impl<'r> Frame<'r> {
         self.ext.clear();
         self.bounds.clear();
         self.next_ext = 0;
-        self.mode = if planned.flat {
-            Mode::Flat
-        } else if det {
-            Mode::Det
-        } else {
-            Mode::General
-        };
+        self.mode = if det { Mode::Det } else { Mode::General };
         let Some(relation) = relation else {
             self.cands = Cands::Empty;
             return;
@@ -264,26 +257,31 @@ impl<'r> Frame<'r> {
     }
 
     /// (Re-)initialise this frame for an equation, buffering every binding
-    /// extension up front.  `Err` means neither side was fully bound — an
+    /// extension up front.  `None` means neither side was fully bound — an
     /// unsafe rule.
-    fn enter_solve(&mut self, eq: &Equation, nu: &Valuation) -> Result<(), ()> {
+    fn enter_solve(&mut self, eq: &Equation, nu: &mut Valuation) -> Option<()> {
         self.depth = nu.len();
         self.cands = Cands::Empty;
         self.cursor = 0;
         self.mode = Mode::Equation;
+        solve_equation(eq, nu, &mut self.refill())
+    }
+
+    /// Empty the extension buffer and return the sink that refills it: the
+    /// bindings each extension adds past the entry depth become one buffered
+    /// entry, replayed in order by [`Frame::next`].  The sink never stops the
+    /// walk.
+    fn refill(&mut self) -> impl FnMut(&mut Valuation) -> bool + '_ {
         self.ext.clear();
         self.bounds.clear();
         self.bounds.push(0);
         self.next_ext = 0;
-        let Some(extensions) = match_equation(eq, nu) else {
-            return Err(());
-        };
-        for extension in &extensions {
-            self.ext
-                .extend(extension.bindings_since(self.depth).iter().cloned());
-            self.bounds.push(self.ext.len());
+        let (ext, bounds, depth) = (&mut self.ext, &mut self.bounds, self.depth);
+        move |nu| {
+            ext.extend_from_slice(nu.bindings_since(depth));
+            bounds.push(ext.len());
+            false
         }
-        Ok(())
     }
 
     /// Candidates remaining in this frame (before any matching filters them).
@@ -354,18 +352,6 @@ impl<'r> Frame<'r> {
                         }
                     }
                 }
-                (Mode::Flat, cand) => {
-                    // invariant: flat-mode frames are only built by probe lowering, which
-                    // always attaches the planned predicate.
-                    let planned = planned.expect("flat mode only on probe frames");
-                    let tuple = &self.tuples[cand.id()];
-                    let mut newly = [None; FLAT_MAX_VARS];
-                    // Success leaves the bindings on `nu`; the truncate on
-                    // resume pops them.  Failure already backtracked.
-                    if match_predicate_flat(&planned.pred.args, tuple, nu, &mut newly).is_some() {
-                        return true;
-                    }
-                }
                 (Mode::Det, cand) => {
                     // invariant: det-mode frames are only built by probe lowering, which
                     // always attaches the planned predicate.
@@ -379,18 +365,8 @@ impl<'r> Frame<'r> {
                     // invariant: general-mode frames are only built by probe lowering, which
                     // always attaches the planned predicate.
                     let planned = planned.expect("general mode only on probe frames");
-                    let tuple = &self.tuples[cand.id()];
-                    self.ext.clear();
-                    self.bounds.clear();
-                    self.bounds.push(0);
-                    self.next_ext = 0;
-                    let base = nu.len();
-                    let ext = &mut self.ext;
-                    let bounds = &mut self.bounds;
-                    match_predicate_sink(&planned.pred, tuple, nu, &mut |nu2: &mut Valuation| {
-                        ext.extend(nu2.bindings_since(base).iter().cloned());
-                        bounds.push(ext.len());
-                    });
+                    let tuples = self.tuples;
+                    match_predicate_sink(&planned.pred, &tuples[cand.id()], nu, &mut self.refill());
                     // Loop: the buffered-extension branch replays them.
                 }
                 (Mode::Equation, _)
@@ -507,7 +483,6 @@ fn predicate_of(proc: &RuleProc, step: usize) -> Result<&PlannedPredicate, EvalE
     }
 }
 
-/// The probe predicate trailed at choice point `cp`, resolved through the
 /// Execute one lowered rule procedure against the instance, appending derived
 /// head facts to `out` and returning the pass's counters.  With a
 /// [`DeltaWindow`] the predicate at the window's plan position only draws
@@ -790,7 +765,7 @@ pub fn fire_proc(
                     PlannedLiteral::SolveEquation(eq) => eq,
                     _ => return Err(plan_invariant(*step, "a positive equation")),
                 };
-                if frames[pc].enter_solve(eq, &nu).is_err() {
+                if frames[pc].enter_solve(eq, &mut nu).is_none() {
                     return Err(unplannable(rule));
                 }
                 if frames[pc].next(None, &mut nu) {

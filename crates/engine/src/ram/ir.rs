@@ -20,7 +20,7 @@ use std::fmt;
 
 /// One instruction of a lowered rule procedure.  `step` indexes into the
 /// procedure's [`BodyPlan::steps`]; the plan's per-step metadata (column
-/// probes, flatness, bucket-side eligibility) is reused at execution time.
+/// probes, bucket-side eligibility) is reused at execution time.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Inst {
     /// Choice point: enumerate the candidates of the positive predicate at
@@ -97,8 +97,7 @@ pub struct RuleProc {
     /// bound atomic variables' values — no column's prefix sources include a
     /// bound *path* variable, so constants and packed terms fix the rest of
     /// every prefix statically — and the interpreter memoises
-    /// [`choose_candidates`](crate::eval::choose_candidates) per key tuple
-    /// within one fire call.
+    /// `choose_candidates` per key tuple within one fire call.
     pub choose_cacheable: Vec<bool>,
     /// Plan positions that draw from a fixpoint-driving relation — the
     /// precomputed [`DeltaWindow`](crate::eval::DeltaWindow) variant
@@ -185,8 +184,8 @@ impl RuleProc {
                 }
                 if planned.extend.is_some() {
                     write!(f, ", bucket")?;
-                } else if planned.flat {
-                    write!(f, ", flat")?;
+                } else if self.det[*step] {
+                    write!(f, ", det")?;
                 }
                 if self.delta_positions.contains(step) {
                     write!(f, "  [delta]")?;

@@ -1,7 +1,7 @@
 //! The RAM layer: planned rules compiled to a flat instruction IR and run on
 //! one shared non-recursive interpreter.
 //!
-//! Lowering ([`lower`], [`lower_stratum`], [`lower_rule`]) turns each
+//! Lowering ([`lower()`], [`lower_stratum`], [`lower_rule`]) turns each
 //! [`BodyPlan`](crate::plan::BodyPlan) into a linear [`RuleProc`] — fusing
 //! fully-bound probes and equations into filters and the terminal probe into
 //! its emit — and arranges each stratum's procedures into per-level merge

@@ -20,10 +20,10 @@
 //! (Section 3.1); the test-suites check this by differential evaluation against the
 //! original program on concrete instances.
 //!
-//! Beyond the paper's feature eliminations, [`magic`] adapts the classical
+//! Beyond the paper's feature eliminations, [`magic()`] adapts the classical
 //! magic-set *demand* transformation to sequence datalog (first-value
 //! adornments matched to the storage layer's column index), powering the
-//! `seqdl query` goal-directed evaluation pipeline, and [`strip_dead`]
+//! `seqdl query` goal-directed evaluation pipeline, and [`strip_dead()`]
 //! removes rules that provably cannot contribute to the output relations
 //! (unreachable heads, statically unsatisfiable bodies, reads from
 //! statically empty relations) before the program is lowered to RAM.

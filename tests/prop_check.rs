@@ -3,6 +3,8 @@
 //! checker reports every defect the workload generator injects, and the
 //! pruning is observable in the RAM instruction counter.
 
+mod reference;
+
 use sequence_datalog::analysis::{check_program, CheckOptions, Lint, Severity};
 use sequence_datalog::core::Tuple;
 use sequence_datalog::exec::Executor;
@@ -68,14 +70,12 @@ fn strip_dead_preserves_the_output_on_random_programs() {
         let input = edb_instance(salt ^ 0x9E);
         let stripped = strip_dead_with_edb(&program, &outputs, Some(&nonempty_relations(&input)));
 
-        let reference = Engine::new()
-            .run(&program, &input)
-            .unwrap_or_else(|e| panic!("salt {salt}: original failed: {e}\n{program}"));
+        let expected = reference::evaluate(&program, &input);
         let pruned = Engine::new()
             .run(&stripped.program, &input)
             .unwrap_or_else(|e| panic!("salt {salt}: stripped failed: {e}\n{}", stripped.program));
         assert_eq!(
-            tuples_of(&reference, output),
+            tuples_of(&expected, output),
             tuples_of(&pruned, output),
             "salt {salt}: strip_dead changed the output\noriginal:\n{program}\nstripped:\n{}",
             stripped.program
@@ -87,7 +87,7 @@ fn strip_dead_preserves_the_output_on_random_programs() {
                 .run(&stripped.program, &input)
                 .unwrap_or_else(|e| panic!("salt {salt}: {threads}-thread run failed: {e}"));
             assert_eq!(
-                tuples_of(&reference, output),
+                tuples_of(&expected, output),
                 tuples_of(&exec, output),
                 "salt {salt}: executor at {threads} thread(s) disagrees\n{}",
                 stripped.program

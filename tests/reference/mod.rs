@@ -6,20 +6,26 @@
 //! whole instance, round after round, until a round derives nothing new.
 //! A rule's valuations are enumerated literal by literal.  Positive
 //! predicates go in written order, each matched against every tuple of its
-//! relation with `match_predicate`.  Positive equations (through
-//! `match_equation`) and negated literals (as filters) apply as soon as
+//! relation with [`match_predicate`].  Positive equations (through
+//! [`solve_equation`]) and negated literals (as filters) apply as soon as
 //! their variables are bound.  There is no planner, no index, no emit memo,
 //! no delta watermark, and no RAM.
+//!
+//! The matcher is the reference's own and shares no code with the engine's:
+//! a generate-and-test split enumerator.  Each term of an expression tries
+//! every end position in turn, and the block it would cover is tested
+//! against what the term denotes.  Grounding goes through
+//! `Valuation::apply`.
 //!
 //! Include it from an integration test with `mod reference;`.
 
 #![allow(dead_code)]
 
-use sequence_datalog::core::{Fact, Instance};
-use sequence_datalog::engine::matching::{
-    equation_holds, ground_tuple, match_equation, match_predicate,
+use sequence_datalog::core::{Fact, Instance, Path, PathView, Value};
+use sequence_datalog::syntax::{
+    Atom, Binding, Equation, Literal, PathExpr, Predicate, Program, Rule, Term, Valuation, Var,
+    VarKind,
 };
-use sequence_datalog::syntax::{Atom, Literal, Program, Rule, Valuation, Var};
 use std::collections::BTreeSet;
 
 /// Rounds per stratum before the reference gives up on convergence.
@@ -68,7 +74,7 @@ pub fn consequences(rule: &Rule, instance: &Instance) -> Vec<Fact> {
     valuations(&rule.body, instance)
         .iter()
         .map(|nu| {
-            let tuple = ground_tuple(&rule.head, nu).expect("safe rule binds its head");
+            let tuple = ground(&rule.head, nu).expect("safe rule binds its head");
             Fact::new(rule.head.relation, tuple)
         })
         .collect()
@@ -129,20 +135,91 @@ fn settle(
         *frontier = match (&literal.atom, literal.positive) {
             (Atom::Eq(eq), true) => frontier
                 .iter()
-                .flat_map(|nu| match_equation(eq, nu).expect("one side is bound"))
+                .flat_map(|nu| solve_equation(eq, nu).expect("one side is bound"))
                 .collect(),
             (Atom::Eq(eq), false) => frontier
                 .drain(..)
-                .filter(|nu| equation_holds(eq, nu) == Some(false))
+                .filter(|nu| nu.apply(&eq.lhs) != nu.apply(&eq.rhs))
                 .collect(),
             (Atom::Pred(pred), _) => frontier
                 .drain(..)
                 .filter(|nu| {
-                    let tuple = ground_tuple(pred, nu).expect("negation is bound");
+                    let tuple = ground(pred, nu).expect("negation is bound");
                     !instance.contains_fact(&Fact::new(pred.relation, tuple))
                 })
                 .collect(),
         };
         bound.extend(literal.vars());
+    }
+}
+
+/// The tuple `pred` denotes under `nu`, if `nu` binds all its variables.
+fn ground(pred: &Predicate, nu: &Valuation) -> Option<Vec<Path>> {
+    pred.args.iter().map(|arg| nu.apply(arg)).collect()
+}
+
+/// Every extension of `nu` under which each argument of `pred` denotes the
+/// corresponding path of `tuple`; none when the arities differ.
+pub fn match_predicate(pred: &Predicate, tuple: &[Path], nu: &Valuation) -> Vec<Valuation> {
+    if pred.args.len() != tuple.len() {
+        return Vec::new();
+    }
+    let mut frontier = vec![nu.clone()];
+    for (arg, path) in pred.args.iter().zip(tuple) {
+        frontier = frontier
+            .iter()
+            .flat_map(|nu| match_expr(arg, *path, nu))
+            .collect();
+    }
+    frontier
+}
+
+/// Every extension of `nu` satisfying the positive equation `eq`: the side
+/// `nu` grounds is applied, and the other side is matched against the
+/// result.  `None` when `nu` grounds neither side.
+pub fn solve_equation(eq: &Equation, nu: &Valuation) -> Option<Vec<Valuation>> {
+    match nu.apply(&eq.lhs) {
+        Some(lhs) => Some(match_expr(&eq.rhs, lhs, nu)),
+        None => nu.apply(&eq.rhs).map(|rhs| match_expr(&eq.lhs, rhs, nu)),
+    }
+}
+
+/// Every extension of `nu` under which `expr` denotes `path`.  Each term in
+/// turn tries every end position from where the previous term stopped; the
+/// expression matches when the last term ends at the end of `path`.
+fn match_expr(expr: &PathExpr, path: Path, nu: &Valuation) -> Vec<Valuation> {
+    let mut frontier = vec![(0, nu.clone())];
+    for term in expr.terms() {
+        let mut next = Vec::new();
+        for (start, nu) in &frontier {
+            for end in *start..=path.len() {
+                let block = PathView::cut(path, *start, end);
+                next.extend(match_block(term, block, nu).into_iter().map(|nu| (end, nu)));
+            }
+        }
+        frontier = next;
+    }
+    frontier
+        .into_iter()
+        .filter(|(end, _)| *end == path.len())
+        .map(|(_, nu)| nu)
+        .collect()
+}
+
+/// Every extension of `nu` under which the single term `term` denotes
+/// exactly `block`.  An unbound variable is bound to the block; a bound one
+/// must equal it.
+fn match_block(term: &Term, block: PathView, nu: &Valuation) -> Vec<Valuation> {
+    let (v, binding) = match (term, block.values()) {
+        (Term::Const(a), [Value::Atom(b)]) if a == b => return vec![nu.clone()],
+        (Term::Packed(inner), [Value::Packed(p)]) => return match_expr(inner, *p, nu),
+        (Term::Var(v), [Value::Atom(b)]) if v.kind == VarKind::Atom => (*v, Binding::Atom(*b)),
+        (Term::Var(v), _) if v.kind == VarKind::Path => (*v, Binding::Path(block)),
+        _ => return Vec::new(),
+    };
+    match nu.get(v) {
+        None => vec![nu.extended(v, binding)],
+        Some(bound) if *bound == binding => vec![nu.clone()],
+        Some(_) => Vec::new(),
     }
 }
