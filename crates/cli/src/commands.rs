@@ -182,8 +182,10 @@ fn parse_timeout(value: &str) -> Result<std::time::Duration, CliError> {
     number
         .trim()
         .parse::<u64>()
-        .map(|n| std::time::Duration::from_millis(n * scale_ms))
-        .map_err(|_| {
+        .ok()
+        .and_then(|n| n.checked_mul(scale_ms))
+        .map(std::time::Duration::from_millis)
+        .ok_or_else(|| {
             CliError::Command(format!(
                 "--timeout expects a duration like `500`, `50ms`, `2s`, or `1m`, got `{value}`"
             ))
@@ -1159,6 +1161,7 @@ fn cmd_regex(flags: &Flags) -> Result<String, CliError> {
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
     use crate::args::parse_flags;
@@ -1454,6 +1457,17 @@ mod tests {
         assert_eq!(parse_bytes("4MB").unwrap(), 4 << 20);
         assert_eq!(parse_bytes("1g").unwrap(), 1 << 30);
         assert!(parse_bytes("lots").is_err());
+    }
+
+    #[test]
+    fn timeout_overflow_is_a_parse_error() {
+        let err = parse_timeout("576460752303423488m").unwrap_err();
+        assert!(err.to_string().contains("expects a duration"), "{err}");
+        assert!(parse_timeout("18446744073709551615s").is_err());
+        assert_eq!(
+            parse_timeout("18446744073709551615ms").unwrap().as_millis(),
+            u128::from(u64::MAX)
+        );
     }
 
     #[test]

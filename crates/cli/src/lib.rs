@@ -23,6 +23,7 @@
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
+#![warn(clippy::unwrap_used)]
 
 pub mod args;
 pub mod commands;
@@ -77,6 +78,7 @@ pub fn run_cli(args: &[String]) -> Result<String, CliError> {
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
 

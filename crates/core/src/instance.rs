@@ -907,6 +907,7 @@ impl fmt::Display for Instance {
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
     use crate::{atom, path_of, rel, repeat_path};

@@ -179,6 +179,7 @@ symbol_newtype!(
 );
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
     use std::collections::HashSet;

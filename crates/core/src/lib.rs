@@ -19,6 +19,7 @@
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
+#![warn(clippy::unwrap_used)]
 
 pub mod cancel;
 pub mod error;
@@ -36,8 +37,8 @@ pub use instance::{
     joint_probe_key, Fact, Instance, PrefixTrie, Relation, Schema, TrieEntry, Tuple, TRIE_DEPTH,
 };
 pub use interner::{AtomId, RelName, Symbol, VarSym};
-pub use path::{Path, PathView, Subpaths};
-pub use store::{store_stats, PathId, Segment, StoreStats};
+pub use path::{Path, PathView, Segment, Subpaths};
+pub use store::{store_stats, PathId, StoreStats};
 pub use value::Value;
 
 /// Convenience: intern an atomic value by name.

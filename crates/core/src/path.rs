@@ -1,7 +1,7 @@
 //! Paths: finite sequences of values, with associative concatenation (Section 2.1).
 
 use crate::interner::AtomId;
-use crate::store::{self, PathId, Segment};
+use crate::store::{self, PathId};
 use crate::value::Value;
 use std::cmp::Ordering;
 use std::fmt;
@@ -32,28 +32,25 @@ impl Path {
 
     /// A one-element path holding `value`.
     pub fn singleton(value: Value) -> Path {
-        match value {
-            Value::Atom(a) => Path(store::intern_singleton_atom(a)),
-            packed => Path(store::intern_vec(vec![packed])),
-        }
+        Path(store::intern(&[value], None))
     }
 
     /// Build a path from any sequence of values.
     pub fn from_values(values: impl IntoIterator<Item = Value>) -> Path {
-        Path(store::intern_vec(values.into_iter().collect()))
+        Path(store::intern_built(|buf| buf.extend(values)))
     }
 
     /// Build a path from a borrowed value slice (copied only if the content is
     /// new to the store).
     pub fn from_slice(values: &[Value]) -> Path {
-        Path(store::intern_slice(values))
+        Path(store::intern(values, None))
     }
 
     /// Build a path from a slice that lives forever — typically a sub-slice of
     /// another path's [`Path::values`].  Never copies the values: on a store
     /// miss the slice itself becomes the stored content.
     pub fn from_static(values: &'static [Value]) -> Path {
-        Path(store::intern_static(values))
+        Path(store::intern(values, Some(values)))
     }
 
     /// Build a flat path from atoms.
@@ -87,9 +84,9 @@ impl Path {
         self.values().iter()
     }
 
-    /// Concatenation `self · other`.  A repeat concatenation of the same two
-    /// interned operands resolves through the composition memo by hashing the
-    /// two ids — the content is neither copied nor re-hashed.
+    /// Concatenation `self · other`, built like [`Path::from_segments`]: the
+    /// two operands' values are copied into a reused buffer and interned, so
+    /// a repeat concatenation allocates nothing.
     pub fn concat(&self, other: &Path) -> Path {
         if self.is_empty() {
             return *other;
@@ -101,11 +98,22 @@ impl Path {
     }
 
     /// Build the path denoted by a segment sequence (single values and whole
-    /// interned paths, spliced in order), through the thread-local
-    /// composition memo: repeat compositions hash one `u32` per segment and
-    /// never rebuild the content.  This is how evaluation grounds rule heads.
+    /// interned paths, spliced in order).  The content is built in a reused
+    /// thread-local buffer and interned from there, so a composition the
+    /// store already holds allocates nothing and a new one is copied once.
+    /// This is how evaluation grounds rule heads.
     pub fn from_segments(segments: &[Segment]) -> Path {
-        Path(store::intern_segments(segments))
+        if let [Segment::Path(p)] = segments {
+            return Path(*p);
+        }
+        Path(store::intern_built(|buf| {
+            for seg in segments {
+                match seg {
+                    Segment::Value(v) => buf.push(*v),
+                    Segment::Path(p) => buf.extend_from_slice(store::resolve(*p)),
+                }
+            }
+        }))
     }
 
     /// This path as a [`Segment`] for [`Path::from_segments`].
@@ -117,16 +125,16 @@ impl Path {
     /// a path value by value should collect into a `Vec<Value>` and intern
     /// once via [`Path::from_values`].
     pub fn push(&mut self, value: Value) {
-        let mut out = Vec::with_capacity(self.len() + 1);
-        out.extend_from_slice(self.values());
-        out.push(value);
-        *self = Path(store::intern_vec(out));
+        let values = self.values();
+        *self = Path(store::intern_built(|buf| {
+            buf.extend_from_slice(values);
+            buf.push(value);
+        }));
     }
 
     /// The contiguous subpath `p[start..end]` (half-open), as its own path.
-    /// Zero-copy: the subpath shares the parent's stored values, and a repeat
-    /// cut of the same path resolves through an O(1) `(id, start, end)` memo
-    /// without re-hashing the content.
+    /// Zero-copy: the cut is interned from the parent's own storage, so a new
+    /// subpath aliases the parent's stored values and nothing is allocated.
     ///
     /// # Panics
     /// Panics if the range is out of bounds (mirrors slice indexing).
@@ -139,7 +147,7 @@ impl Path {
         if slice.is_empty() {
             return Path::empty();
         }
-        Path(store::subpath_id(self.0, start as u32, end as u32, slice))
+        Path::from_static(slice)
     }
 
     /// Iterate over all contiguous subpaths (substrings) of this path,
@@ -224,6 +232,18 @@ impl Path {
     }
 }
 
+/// One segment of a composed path for [`Path::from_segments`]: a single value
+/// or a whole interned path.  Either way a segment is an interned identity,
+/// so the engine's emit memo can key a grounded rule head on its segments
+/// without touching the content.
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
+pub enum Segment {
+    /// One value.
+    Value(Value),
+    /// All values of an interned path, spliced in order.
+    Path(PathId),
+}
+
 /// An *unregistered* view `parent[start..end]` of an interned path: a
 /// contiguous slice of the parent's shared storage that is **not** itself
 /// interned in the global store.
@@ -280,8 +300,8 @@ impl PathView {
 
     /// The interned path with this view's content.  This is the *only* point
     /// where a view touches the store: full-range views resolve to the parent
-    /// in O(1), empty views to `ε`, and proper cuts go through the
-    /// `(id, start, end)` subpath memo.
+    /// in O(1), empty views to `ε`, and proper cuts are interned as
+    /// [`Path::subpath`]s, aliasing the parent's storage.
     pub fn to_path(&self) -> Path {
         self.parent.subpath(self.start as usize, self.end as usize)
     }
@@ -460,9 +480,11 @@ impl FromIterator<Value> for Path {
 
 impl Extend<Value> for Path {
     fn extend<T: IntoIterator<Item = Value>>(&mut self, iter: T) {
-        let mut out = self.values().to_vec();
-        out.extend(iter);
-        *self = Path(store::intern_vec(out));
+        let values = self.values();
+        *self = Path(store::intern_built(|buf| {
+            buf.extend_from_slice(values);
+            buf.extend(iter);
+        }));
     }
 }
 
@@ -504,6 +526,7 @@ impl fmt::Debug for Path {
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
     use crate::{atom, path_of, repeat_path};
@@ -563,8 +586,8 @@ mod tests {
         let range = p.values().as_ptr_range();
         for sub in p.subpaths().filter(|s| s.len() >= 2 && s.len() < p.len()) {
             // Multi-value proper subpaths are interned as shared sub-slices of
-            // the parent's storage (singletons go through the per-atom memo,
-            // which owns its own copy).
+            // the parent's storage (a singleton may have been interned earlier
+            // from a copy of its own).
             assert!(range.contains(&sub.values().as_ptr()), "{sub} not shared");
         }
         // Mid-iteration size hints stay exact.

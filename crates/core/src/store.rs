@@ -19,17 +19,30 @@
 //! is shared across identical content and lives for the process, with
 //! [`store_stats`] exposing the footprint so harnesses can report it.
 //!
-//! Two fast paths keep the dominant cases off the lock entirely:
+//! **One consing table.**  Besides the id → content table, the store keeps a
+//! single content-keyed table: the content hash maps to the newest id with
+//! that hash, and older ids with an equal hash chain through a per-id `next`
+//! array, so a collision costs four bytes rather than a bucket vector.  Every
+//! construction route — value sequences, slices, cuts of stored paths,
+//! compositions, singletons — is a thin caller of one function, `intern`,
+//! which hashes the content once and
 //!
-//! * the empty path is the constant [`PathId::EMPTY`], and
-//! * singleton atom paths (the whole content of flat classical instances) go
-//!   through a dense per-atom memo table mirrored thread-locally.
+//! * answers the empty path with the constant [`PathId::EMPTY`];
+//! * otherwise checks this thread's consing cache (content hash → id,
+//!   verified against the thread's entry mirror) without taking any lock —
+//!   the dominant case, since every duplicate rule firing re-derives an
+//!   existing path;
+//! * and on a cache miss takes the write lock once to probe the chain and,
+//!   if the content is new, append it.
 //!
-//! General reads (`resolve`) also go through a thread-local mirror of the
+//! A new content is stored without a copy when the caller hands in a slice
+//! that already lives forever — a cut of a stored path aliases its parent's
+//! storage — and copied once otherwise.  Compositions are built in a reused
+//! thread-local buffer (`intern_built`), so a repeat composition allocates
+//! nothing.  Reads (`resolve`) go through the thread-local mirror of the
 //! append-only entry table, so resolving an id a thread has seen before is a
 //! plain bounds-checked array read with no atomics — the "shared read-only
-//! store" shape the multi-threaded executor wants.  Only interning *new*
-//! content takes the write lock.
+//! store" shape the multi-threaded executor wants.
 //!
 //! **Growth discipline.**  The matcher's backtracking prefix enumeration
 //! tries up to O(L²) distinct cuts of a length-L path probed by adjacent
@@ -44,7 +57,6 @@
 //! bound what remains.
 
 use crate::hash::{fx_hash, FxMap};
-use crate::interner::AtomId;
 use crate::value::Value;
 use parking_lot::RwLock;
 use std::cell::RefCell;
@@ -67,426 +79,115 @@ impl PathId {
     }
 }
 
-const EMPTY_VALUES: &[Value] = &[];
-const NO_ID: u32 = u32::MAX;
-
 struct StoreInner {
-    /// Content hash → candidate ids; the hash-consing table.  Keying on the
-    /// precomputed content hash (instead of the slice) means one content walk
-    /// per intern call total: the caller hashes once and every probe and the
-    /// final insert reuse that hash, where a slice-keyed map re-hashed the
-    /// content at each of its own probes.  Collisions only lengthen the
-    /// candidate list, which the equality checks filter.
-    by_content: FxMap<u64, Vec<u32>>,
     /// Id → content; append-only, so prefixes of this table never change.
     entries: Vec<&'static [Value]>,
-    /// Bytes of leaked owned slices (shared sub-slices add nothing here).
+    /// Content hash → the newest id whose content has that hash.
+    newest: FxMap<u64, u32>,
+    /// Id → the next older id with the same content hash.  Id 0 (`ε`, which
+    /// is never hashed) ends a chain.
+    next: Vec<u32>,
+    /// Bytes of leaked copies (stored cuts alias their parent and add nothing).
     owned_bytes: usize,
-    /// Atom symbol index → id of the singleton path holding that atom.
-    singleton: Vec<u32>,
-    /// `(parent id, start, end)` → subpath id: lets [`crate::Path::subpath`]
-    /// answer repeat cuts by hashing three `u32`s instead of re-hashing the
-    /// value content (the matcher enumerates the same cuts constantly).
-    subpaths: FxMap<(u32, u32, u32), u32>,
 }
 
 fn store() -> &'static RwLock<StoreInner> {
     static STORE: OnceLock<RwLock<StoreInner>> = OnceLock::new();
     STORE.get_or_init(|| {
-        let mut by_content: FxMap<u64, Vec<u32>> = FxMap::default();
-        by_content.insert(fx_hash(EMPTY_VALUES), vec![0]);
         RwLock::new(StoreInner {
-            by_content,
-            entries: vec![EMPTY_VALUES],
+            entries: vec![&[]],
+            newest: FxMap::default(),
+            next: vec![0],
             owned_bytes: 0,
-            singleton: Vec::new(),
-            subpaths: FxMap::default(),
         })
     })
 }
 
-/// Thread-local mirror of the global tables.  The entry and singleton tables
-/// are append-only, so a prefix copy is forever consistent: a hit is a plain
-/// array read, and a miss re-syncs the tail under the read lock.  `by_hash`
-/// is this thread's private consing cache — content hash → candidate ids —
-/// which answers repeat interning of already-stored content (the dominant
-/// case: every duplicate rule firing re-derives an existing path) without
-/// touching the lock at all.
+/// This thread's side of the store.  `entries` is a prefix copy of the
+/// append-only global table, so it never goes stale: a hit is a plain array
+/// read, and a miss re-syncs the tail under the read lock.  `cache` maps a
+/// content hash to the id this thread last interned under it; `buf` is the
+/// reused buffer of `intern_built`.
 struct Mirror {
     entries: Vec<&'static [Value]>,
-    singleton: Vec<u32>,
-    by_hash: FxMap<u64, Vec<u32>>,
-    /// `(parent, start, end)` → id: this thread's subpath-cut cache.
-    subpaths: FxMap<(u32, u32, u32), u32>,
-    /// Segment-sequence hash → candidate ids: this thread's composition
-    /// cache, so re-deriving `q2 · $y` with interned `$y` hashes two ids
-    /// instead of the concatenated content (see [`crate::path::Segment`]).
-    by_segments: FxMap<u64, Vec<u32>>,
-}
-
-const fn new_fx_map<K, V>() -> FxMap<K, V> {
-    std::collections::HashMap::with_hasher(std::hash::BuildHasherDefault::new())
+    cache: FxMap<u64, u32>,
+    buf: Vec<Value>,
 }
 
 thread_local! {
     static MIRROR: RefCell<Mirror> = const {
         RefCell::new(Mirror {
             entries: Vec::new(),
-            singleton: Vec::new(),
-            by_hash: new_fx_map(),
-            subpaths: new_fx_map(),
-            by_segments: new_fx_map(),
+            cache: std::collections::HashMap::with_hasher(std::hash::BuildHasherDefault::new()),
+            buf: Vec::new(),
         })
     };
 }
 
-/// Resolve an id through the mirror the caller already borrowed.
-fn mirror_resolve(m: &mut Mirror, ix: usize) -> &'static [Value] {
-    if ix >= m.entries.len() {
-        let guard = store().read();
-        let from = m.entries.len();
-        m.entries.extend_from_slice(&guard.entries[from..]);
+impl Mirror {
+    fn resolve(&mut self, ix: usize) -> &'static [Value] {
+        if ix >= self.entries.len() {
+            let guard = store().read();
+            let from = self.entries.len();
+            self.entries.extend_from_slice(&guard.entries[from..]);
+        }
+        self.entries[ix]
     }
-    m.entries[ix]
-}
-
-/// Look `values` up in this thread's consing cache.  Lock-free on a hit;
-/// candidate ids unseen by this thread's entry mirror trigger one tail
-/// re-sync under the read lock.
-fn tls_lookup(hash: u64, values: &[Value]) -> Option<PathId> {
-    MIRROR.with(|m| {
-        let mut m = m.borrow_mut();
-        // Copy the (almost always single) candidate ids out so the map borrow
-        // does not overlap the mirror re-sync below.
-        let mut candidates = [0u32; 4];
-        let n = {
-            let ids = m.by_hash.get(&hash)?;
-            let n = ids.len().min(candidates.len());
-            candidates[..n].copy_from_slice(&ids[..n]);
-            n
-        };
-        for &id in &candidates[..n] {
-            if mirror_resolve(&mut m, id as usize) == values {
-                return Some(PathId(id));
-            }
-        }
-        None
-    })
-}
-
-fn tls_record(hash: u64, id: PathId) {
-    MIRROR.with(|m| {
-        let mut m = m.borrow_mut();
-        let ids = m.by_hash.entry(hash).or_default();
-        if !ids.contains(&id.0) {
-            ids.push(id.0);
-        }
-    });
 }
 
 /// The value slice of an interned path.
 pub(crate) fn resolve(id: PathId) -> &'static [Value] {
-    let ix = id.0 as usize;
-    MIRROR.with(|m| mirror_resolve(&mut m.borrow_mut(), ix))
+    MIRROR.with(|m| m.borrow_mut().resolve(id.0 as usize))
 }
 
-/// What the general interner is given to insert on a miss.
-enum NewContent<'a> {
-    /// An owned vector: leaked into the table on insert.
-    Owned(Vec<Value>),
-    /// A slice that already lives forever (a sub-slice of a stored path):
-    /// stored as-is, no copy, no allocation.
-    Static(&'static [Value]),
-    /// A borrowed slice: copied only on a genuine miss.
-    Borrowed(&'a [Value]),
-}
-
-impl NewContent<'_> {
-    fn as_slice(&self) -> &[Value] {
-        match self {
-            NewContent::Owned(v) => v,
-            NewContent::Static(s) => s,
-            NewContent::Borrowed(s) => s,
-        }
-    }
-}
-
-/// Intern a value sequence, with the empty and singleton-atom fast paths and
-/// the thread-local consing cache in front of the lock.
-fn intern_content(content: NewContent<'_>) -> PathId {
-    let slice = content.as_slice();
-    match slice {
-        [] => return PathId::EMPTY,
-        [Value::Atom(a)] => return intern_singleton_atom(*a),
-        _ => {}
+/// Intern `slice`: the one interning function every construction route calls.
+/// On a miss the store keeps `stored` — which must equal `slice` and lives
+/// forever, so nothing is copied — or, when it is `None`, a copy of `slice`.
+pub(crate) fn intern(slice: &[Value], stored: Option<&'static [Value]>) -> PathId {
+    debug_assert!(stored.is_none_or(|s| s == slice));
+    if slice.is_empty() {
+        return PathId::EMPTY;
     }
     let hash = fx_hash(slice);
-    if let Some(id) = tls_lookup(hash, slice) {
-        return id;
-    }
-    {
-        let guard = store().read();
-        if let Some(id) = find_by_content(&guard, hash, slice) {
-            tls_record(hash, PathId(id));
-            return PathId(id);
+    MIRROR.with(|m| {
+        let mut m = m.borrow_mut();
+        if let Some(&id) = m.cache.get(&hash) {
+            if m.resolve(id as usize) == slice {
+                return PathId(id);
+            }
         }
-    }
-    let id = {
         let mut guard = store().write();
-        if let Some(id) = find_by_content(&guard, hash, content.as_slice()) {
-            PathId(id)
-        } else {
-            let stored: &'static [Value] = match content {
-                NewContent::Owned(v) => {
-                    guard.owned_bytes += v.len() * std::mem::size_of::<Value>();
-                    Box::leak(v.into_boxed_slice())
-                }
-                NewContent::Static(s) => s,
-                NewContent::Borrowed(s) => {
-                    guard.owned_bytes += std::mem::size_of_val(s);
-                    Box::leak(s.to_vec().into_boxed_slice())
-                }
-            };
-            PathId(push_entry(&mut guard, hash, stored))
+        let g = &mut *guard;
+        let mut id = g.newest.get(&hash).copied().unwrap_or(0);
+        while id != 0 && g.entries[id as usize] != slice {
+            id = g.next[id as usize];
         }
-    };
-    tls_record(hash, id);
+        if id == 0 {
+            let stored = stored.unwrap_or_else(|| {
+                g.owned_bytes += std::mem::size_of_val(slice);
+                Box::leak(slice.into())
+            });
+            id = u32::try_from(g.entries.len()).expect("path store overflow");
+            g.entries.push(stored);
+            g.next.push(g.newest.insert(hash, id).unwrap_or(0));
+        }
+        drop(guard);
+        m.cache.insert(hash, id);
+        PathId(id)
+    })
+}
+
+/// Intern the content `fill` writes into this thread's reused buffer: a
+/// content already stored allocates nothing, a new one is copied once.
+/// `fill` may itself intern paths (a nested call just builds in a buffer of
+/// its own).
+pub(crate) fn intern_built(fill: impl FnOnce(&mut Vec<Value>)) -> PathId {
+    let mut buf = MIRROR.with(|m| std::mem::take(&mut m.borrow_mut().buf));
+    buf.clear();
+    fill(&mut buf);
+    let id = intern(&buf, None);
+    MIRROR.with(|m| m.borrow_mut().buf = buf);
     id
-}
-
-/// The id under `hash` whose stored content equals `slice`, if any.
-fn find_by_content(guard: &StoreInner, hash: u64, slice: &[Value]) -> Option<u32> {
-    guard
-        .by_content
-        .get(&hash)?
-        .iter()
-        .copied()
-        .find(|&id| guard.entries[id as usize] == slice)
-}
-
-fn push_entry(guard: &mut StoreInner, hash: u64, stored: &'static [Value]) -> u32 {
-    let id = u32::try_from(guard.entries.len()).expect("path store overflow");
-    guard.entries.push(stored);
-    guard.by_content.entry(hash).or_default().push(id);
-    id
-}
-
-/// Intern an owned value vector (the buffer is reused as the stored slice on
-/// a miss, so building content exactly-sized costs one allocation total).
-pub(crate) fn intern_vec(values: Vec<Value>) -> PathId {
-    intern_content(NewContent::Owned(values))
-}
-
-/// Intern a slice that lives forever — a sub-slice of an already stored
-/// path.  Never copies: on a miss the slice itself becomes the table entry,
-/// which is what makes `subpath`/`subpaths` and the matcher's prefix
-/// enumeration allocation-free.
-pub(crate) fn intern_static(values: &'static [Value]) -> PathId {
-    intern_content(NewContent::Static(values))
-}
-
-/// The id of `parent[start..end]` through the cut memo: a repeat cut hashes
-/// three `u32`s instead of the slice content.  `slice` must be exactly
-/// `resolve(parent)[start..end]`, nonempty and a proper sub-slice.
-pub(crate) fn subpath_id(parent: PathId, start: u32, end: u32, slice: &'static [Value]) -> PathId {
-    let key = (parent.0, start, end);
-    let cached = MIRROR.with(|m| m.borrow().subpaths.get(&key).copied());
-    if let Some(id) = cached {
-        return PathId(id);
-    }
-    let id = {
-        let hit = store().read().subpaths.get(&key).copied();
-        match hit {
-            Some(id) => PathId(id),
-            None => {
-                let id = intern_content(NewContent::Static(slice));
-                store().write().subpaths.insert(key, id.0);
-                id
-            }
-        }
-    };
-    MIRROR.with(|m| {
-        m.borrow_mut().subpaths.insert(key, id.0);
-    });
-    id
-}
-
-/// One segment of a composed path: a single value or a whole interned path.
-/// The composition memo keys on the segment *identities* (each one u32-sized),
-/// so repeat compositions of interned pieces cost O(#segments), not
-/// O(total content length).
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-pub enum Segment {
-    /// One value.
-    Value(Value),
-    /// All values of an interned path, spliced in order.
-    Path(PathId),
-}
-
-fn segment_hash(segments: &[Segment]) -> u64 {
-    use std::hash::Hasher;
-    let mut h = crate::hash::FxHasher::default();
-    for seg in segments {
-        match seg {
-            Segment::Value(Value::Atom(a)) => {
-                h.write_u8(1);
-                h.write_u32(a.symbol().index());
-            }
-            Segment::Value(Value::Packed(p)) => {
-                h.write_u8(2);
-                h.write_u32(p.id().0);
-            }
-            Segment::Path(p) => {
-                h.write_u8(3);
-                h.write_u32(p.0);
-            }
-        }
-    }
-    h.finish()
-}
-
-/// Does `content` equal the concatenation the segments denote?  Pure slice
-/// compares — no hashing, no allocation.
-fn segments_match(m: &mut Mirror, content: &[Value], segments: &[Segment]) -> bool {
-    let mut off = 0usize;
-    for seg in segments {
-        match seg {
-            Segment::Value(v) => {
-                if content.get(off) != Some(v) {
-                    return false;
-                }
-                off += 1;
-            }
-            Segment::Path(p) => {
-                let vals = mirror_resolve(m, p.0 as usize);
-                let end = off + vals.len();
-                if content.len() < end || &content[off..end] != vals {
-                    return false;
-                }
-                off = end;
-            }
-        }
-    }
-    off == content.len()
-}
-
-/// Intern the concatenation denoted by `segments`, through the thread-local
-/// composition memo: a repeat composition hashes one `u32` per segment and
-/// verifies by slice compares; only a genuinely new composition builds the
-/// content and goes through full interning.
-pub(crate) fn intern_segments(segments: &[Segment]) -> PathId {
-    match segments {
-        [] => return PathId::EMPTY,
-        [Segment::Path(p)] => return *p,
-        [Segment::Value(Value::Atom(a))] => return intern_singleton_atom(*a),
-        _ => {}
-    }
-    let hash = segment_hash(segments);
-    let hit = MIRROR.with(|m| {
-        let mut m = m.borrow_mut();
-        let mut candidates = [0u32; 4];
-        let n = match m.by_segments.get(&hash) {
-            Some(ids) => {
-                let n = ids.len().min(candidates.len());
-                candidates[..n].copy_from_slice(&ids[..n]);
-                n
-            }
-            None => 0,
-        };
-        for &id in &candidates[..n] {
-            let content = mirror_resolve(&mut m, id as usize);
-            if segments_match(&mut m, content, segments) {
-                return Some(PathId(id));
-            }
-        }
-        None
-    });
-    if let Some(id) = hit {
-        return id;
-    }
-    // Miss: build the content once and intern it (the buffer becomes the
-    // stored slice if the content is new).
-    let mut content = Vec::with_capacity(
-        segments
-            .iter()
-            .map(|s| match s {
-                Segment::Value(_) => 1,
-                Segment::Path(p) => resolve(*p).len(),
-            })
-            .sum(),
-    );
-    for seg in segments {
-        match seg {
-            Segment::Value(v) => content.push(*v),
-            Segment::Path(p) => content.extend_from_slice(resolve(*p)),
-        }
-    }
-    let id = intern_content(NewContent::Owned(content));
-    MIRROR.with(|m| {
-        let mut m = m.borrow_mut();
-        let ids = m.by_segments.entry(hash).or_default();
-        if !ids.contains(&id.0) {
-            ids.push(id.0);
-        }
-    });
-    id
-}
-
-/// Intern a borrowed slice (copied only when genuinely new).
-pub(crate) fn intern_slice(values: &[Value]) -> PathId {
-    intern_content(NewContent::Borrowed(values))
-}
-
-/// Intern the singleton path holding one atom, through the dense memo table:
-/// after the first touch of an atom, this is a thread-local array read.
-pub(crate) fn intern_singleton_atom(a: AtomId) -> PathId {
-    let ix = a.symbol().index() as usize;
-    let cached = MIRROR.with(|m| {
-        let m = m.borrow();
-        m.singleton.get(ix).copied().unwrap_or(NO_ID)
-    });
-    if cached != NO_ID {
-        return PathId(cached);
-    }
-    let id = {
-        let guard = store().read();
-        guard.singleton.get(ix).copied().unwrap_or(NO_ID)
-    };
-    let id = if id != NO_ID {
-        id
-    } else {
-        let mut guard = store().write();
-        match guard.singleton.get(ix).copied().filter(|&id| id != NO_ID) {
-            Some(id) => id,
-            None => {
-                // The content may already be interned through the general path
-                // (e.g. as a length-1 sub-slice); keep the consing invariant.
-                let single = [Value::Atom(a)];
-                let hash = fx_hash(&single[..]);
-                let id = match find_by_content(&guard, hash, &single[..]) {
-                    Some(id) => id,
-                    None => {
-                        guard.owned_bytes += std::mem::size_of::<Value>();
-                        let stored: &'static [Value] = Box::leak(Box::new(single));
-                        push_entry(&mut guard, hash, stored)
-                    }
-                };
-                if guard.singleton.len() <= ix {
-                    guard.singleton.resize(ix + 1, NO_ID);
-                }
-                guard.singleton[ix] = id;
-                id
-            }
-        }
-    };
-    MIRROR.with(|m| {
-        let mut m = m.borrow_mut();
-        if m.singleton.len() <= ix {
-            m.singleton.resize(ix + 1, NO_ID);
-        }
-        m.singleton[ix] = id;
-    });
-    PathId(id)
 }
 
 /// A snapshot of the global store's size, for memory-footprint reporting.
@@ -498,8 +199,8 @@ pub struct StoreStats {
     /// (subpaths of stored paths) contribute nothing: they alias their
     /// parent's storage.
     pub owned_bytes: usize,
-    /// Approximate bytes of table overhead (entry table, consing map buckets,
-    /// singleton memo).
+    /// Approximate bytes of table overhead: the entry table, the consing
+    /// table's hash map and its per-id chain array.
     pub table_bytes: usize,
 }
 
@@ -513,23 +214,20 @@ impl StoreStats {
 /// Snapshot the global store's statistics.
 pub fn store_stats() -> StoreStats {
     let guard = store().read();
-    let slice_ref = std::mem::size_of::<&'static [Value]>();
-    // Hash-map overhead estimated as key + value + one word of control per
+    // Hash-map overhead estimated as key + value + one byte of control per
     // bucket at the current capacity.
-    let map_bytes = guard.by_content.capacity()
-        * (std::mem::size_of::<u64>() + std::mem::size_of::<Vec<u32>>() + 8)
-        + guard.entries.len() * std::mem::size_of::<u32>();
+    let map_bytes = guard.newest.capacity() * (std::mem::size_of::<(u64, u32)>() + 1);
     StoreStats {
         distinct_paths: guard.entries.len(),
         owned_bytes: guard.owned_bytes,
-        table_bytes: guard.entries.capacity() * slice_ref
+        table_bytes: guard.entries.capacity() * std::mem::size_of::<&'static [Value]>()
             + map_bytes
-            + guard.singleton.capacity() * std::mem::size_of::<u32>()
-            + guard.subpaths.capacity() * (4 * std::mem::size_of::<u32>() + 8),
+            + guard.next.capacity() * std::mem::size_of::<u32>(),
     }
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
     use crate::path::Path;

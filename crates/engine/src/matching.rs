@@ -93,10 +93,10 @@ pub fn solve_equation(
 /// until it returns `true`; the result says whether it did.  Backtracks on
 /// `nu` in place: any binding added during the walk is removed again, so `nu`
 /// leaves in the state it entered.  Carrying the parent path's identity lets
-/// every path-variable binding resolve through the store's `(id, start, end)`
-/// subpath memo — a whole-suffix bind at `base == 0` reuses the parent's id
-/// outright, and enumerated prefixes hash three `u32`s instead of their value
-/// content.
+/// every path-variable binding be an unregistered [`PathView`] cut of it —
+/// a whole-suffix bind at `base == 0` reuses the parent's id outright, and an
+/// enumerated prefix touches the store only if it reaches an emission, where
+/// it is interned from the parent's own storage.
 fn match_terms(
     terms: &[Term],
     parent: Path,

@@ -93,6 +93,7 @@ pub fn save_instance(path: impl AsRef<FsPath>, instance: &Instance) -> Result<()
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
     use seqdl_core::{path_of, rel, Fact};

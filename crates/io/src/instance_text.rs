@@ -128,6 +128,7 @@ fn parse_fact_line(line: &str) -> Result<Fact, String> {
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
     use seqdl_core::{atom, path_of, rel, Value};

@@ -16,6 +16,7 @@
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
+#![warn(clippy::unwrap_used)]
 
 pub mod files;
 pub mod instance_text;
@@ -24,6 +25,7 @@ pub use files::{load_instance, load_program, save_instance, IoError};
 pub use instance_text::{parse_instance, write_instance, InstanceParseError};
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
     use seqdl_core::{path_of, rel, Instance};

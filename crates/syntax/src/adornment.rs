@@ -189,6 +189,7 @@ pub fn sip_order(rule: &Rule, seed_bound: &BTreeSet<Var>) -> Vec<SipStep> {
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
     use crate::parser::{parse_expr, parse_rule};

@@ -552,6 +552,7 @@ impl ProgramInfo {
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
     use crate::parser::{parse_program, parse_rule};

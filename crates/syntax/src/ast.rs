@@ -603,6 +603,7 @@ impl FromStr for Program {
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
     use crate::term::Term;

@@ -29,6 +29,7 @@
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
+#![warn(clippy::unwrap_used)]
 
 pub mod adornment;
 pub mod analysis;
@@ -49,6 +50,7 @@ pub use term::{PathExpr, Term, Var, VarKind};
 pub use valuation::{Binding, Valuation};
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
 

@@ -461,6 +461,7 @@ impl Parser<'_> {
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
     use crate::term::VarKind;

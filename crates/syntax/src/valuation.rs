@@ -240,10 +240,9 @@ impl Valuation {
             _ => {}
         }
         // Ground the expression as a *segment sequence* — one entry per term,
-        // each the interned identity of what the term denotes — and resolve it
-        // through the store's composition memo: re-deriving an already known
-        // path hashes one id per term instead of copying and re-hashing the
-        // concatenated content.
+        // each the interned identity of what the term denotes — and intern it
+        // with `Path::from_segments`, which builds the content in a reused
+        // buffer: re-deriving an already known path allocates nothing.
         APPLY_SCRATCH.with(|scratch| {
             let mut segments = scratch.borrow_mut();
             segments.clear();
@@ -303,6 +302,7 @@ impl fmt::Display for Valuation {
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
     use seqdl_core::{atom, path_of};

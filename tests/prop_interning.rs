@@ -4,8 +4,9 @@
 //! Three layers are pinned down:
 //!
 //! 1. **Store invariants** — id equality ⇔ path equality, concatenation
-//!    associativity through the composition memo, subpath identity through
-//!    the cut memo, and `Display` round-trips through the parser.
+//!    associativity through the buffered composition route, subpath identity
+//!    through the zero-copy cut route, and `Display` round-trips through the
+//!    parser.
 //! 2. **Index agreement** — prefix-trie and joint-index probes return
 //!    exactly the tuples a linear scan finds (modulo the documented
 //!    superset-then-filter contract, which the test closes by filtering).
@@ -55,8 +56,8 @@ proptest! {
         prop_assert_eq!(sliced.id(), a.id());
     }
 
-    /// Concatenation through the composition memo stays associative and
-    /// produces the same ids as element-wise construction.
+    /// Concatenation through the buffered composition route stays
+    /// associative and produces the same ids as element-wise construction.
     #[test]
     fn concat_is_associative_and_consed(a in deep_path(), b in deep_path(), c in deep_path()) {
         let left = a.concat(&b).concat(&c);
@@ -70,7 +71,7 @@ proptest! {
         prop_assert_eq!(Path::empty().id(), PathId::EMPTY);
     }
 
-    /// Subpaths resolved through the cut memo equal fresh interning of the
+    /// Subpaths interned as zero-copy cuts equal fresh interning of the
     /// same content, and the subpath iterator agrees with direct cuts.
     #[test]
     fn subpaths_are_consed_cuts(a in deep_path(), start in 0usize..=6, end in 0usize..=6) {
