@@ -1,19 +1,13 @@
-//! EXP-NFA: NFA acceptance (Example 2.1), naive vs semi-naive evaluation.
+//! EXP-NFA: NFA acceptance (Example 2.1) under semi-naive evaluation.
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use seqdl_engine::FixpointStrategy;
 
 fn bench(c: &mut Criterion) {
     let mut group = c.benchmark_group("engine/nfa");
     for (states, words, len) in [(3usize, 8usize, 8usize), (5, 8, 16)] {
         group.bench_with_input(
-            BenchmarkId::new("naive", format!("{states}x{len}")),
-            &(states, words, len),
-            |b, &(s, w, l)| b.iter(|| seqdl_bench::nfa_run(s, w, l, FixpointStrategy::Naive)),
-        );
-        group.bench_with_input(
             BenchmarkId::new("semi_naive", format!("{states}x{len}")),
             &(states, words, len),
-            |b, &(s, w, l)| b.iter(|| seqdl_bench::nfa_run(s, w, l, FixpointStrategy::SemiNaive)),
+            |b, &(s, w, l)| b.iter(|| seqdl_bench::nfa_run(s, w, l)),
         );
     }
     group.finish();

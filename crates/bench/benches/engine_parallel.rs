@@ -5,7 +5,6 @@
 //! higher counts measure the delta-sharded parallel fixpoint.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use seqdl_engine::FixpointStrategy;
 
 const THREADS: [usize; 3] = [1, 2, 4];
 
@@ -13,7 +12,7 @@ fn bench_reachability(c: &mut Criterion) {
     let mut group = c.benchmark_group("engine_parallel/reachability");
     let (nodes, edges) = (128usize, 1024usize);
     group.bench_function(BenchmarkId::new("engine", nodes), |b| {
-        b.iter(|| seqdl_bench::reachability_run(nodes, edges, FixpointStrategy::SemiNaive))
+        b.iter(|| seqdl_bench::reachability_run(nodes, edges))
     });
     for threads in THREADS {
         group.bench_with_input(
@@ -29,7 +28,7 @@ fn bench_nfa(c: &mut Criterion) {
     let mut group = c.benchmark_group("engine_parallel/nfa");
     let (states, words, len) = (16usize, 48usize, 64usize);
     group.bench_function(BenchmarkId::new("engine", format!("{states}x{len}")), |b| {
-        b.iter(|| seqdl_bench::nfa_run(states, words, len, FixpointStrategy::SemiNaive))
+        b.iter(|| seqdl_bench::nfa_run(states, words, len))
     });
     for threads in THREADS {
         group.bench_with_input(

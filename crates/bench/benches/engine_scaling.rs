@@ -1,24 +1,14 @@
 //! Engine scaling: the reachability (Section 5.1.1) and NFA-product (Example 2.1)
 //! workloads at sizes where the pre-index quadratic relation scan dominated.
-//! Semi-naive evaluation scales to the large configurations; naive evaluation is
-//! kept at the small end as the quadratic baseline.
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use seqdl_engine::FixpointStrategy;
 
 fn bench_reachability(c: &mut Criterion) {
     let mut group = c.benchmark_group("engine_scaling/reachability");
-    group.bench_with_input(
-        BenchmarkId::new("naive", 32),
-        &(32usize, 128usize),
-        |b, &(n, e)| b.iter(|| seqdl_bench::reachability_run(n, e, FixpointStrategy::Naive)),
-    );
     for (nodes, edges) in [(32usize, 128usize), (64, 384), (128, 1024)] {
         group.bench_with_input(
             BenchmarkId::new("semi_naive", nodes),
             &(nodes, edges),
-            |b, &(n, e)| {
-                b.iter(|| seqdl_bench::reachability_run(n, e, FixpointStrategy::SemiNaive))
-            },
+            |b, &(n, e)| b.iter(|| seqdl_bench::reachability_run(n, e)),
         );
     }
     group.finish();
@@ -26,16 +16,11 @@ fn bench_reachability(c: &mut Criterion) {
 
 fn bench_nfa(c: &mut Criterion) {
     let mut group = c.benchmark_group("engine_scaling/nfa");
-    group.bench_with_input(
-        BenchmarkId::new("naive", "8x24"),
-        &(8usize, 16usize, 24usize),
-        |b, &(s, w, l)| b.iter(|| seqdl_bench::nfa_run(s, w, l, FixpointStrategy::Naive)),
-    );
     for (states, words, len) in [(8usize, 16usize, 24usize), (12, 32, 40), (16, 48, 64)] {
         group.bench_with_input(
             BenchmarkId::new("semi_naive", format!("{states}x{len}")),
             &(states, words, len),
-            |b, &(s, w, l)| b.iter(|| seqdl_bench::nfa_run(s, w, l, FixpointStrategy::SemiNaive)),
+            |b, &(s, w, l)| b.iter(|| seqdl_bench::nfa_run(s, w, l)),
         );
     }
     group.finish();

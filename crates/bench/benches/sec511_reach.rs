@@ -1,21 +1,13 @@
-//! EXP-B: graph reachability (Section 5.1.1), naive vs semi-naive evaluation.
+//! EXP-B: graph reachability (Section 5.1.1) under semi-naive evaluation.
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use seqdl_engine::FixpointStrategy;
 
 fn bench(c: &mut Criterion) {
     let mut group = c.benchmark_group("sec511/reachability");
     for (nodes, edges) in [(8usize, 16usize), (16, 48)] {
         group.bench_with_input(
-            BenchmarkId::new("naive", nodes),
-            &(nodes, edges),
-            |b, &(n, e)| b.iter(|| seqdl_bench::reachability_run(n, e, FixpointStrategy::Naive)),
-        );
-        group.bench_with_input(
             BenchmarkId::new("semi_naive", nodes),
             &(nodes, edges),
-            |b, &(n, e)| {
-                b.iter(|| seqdl_bench::reachability_run(n, e, FixpointStrategy::SemiNaive))
-            },
+            |b, &(n, e)| b.iter(|| seqdl_bench::reachability_run(n, e)),
         );
     }
     group.finish();

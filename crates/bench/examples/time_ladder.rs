@@ -1,4 +1,3 @@
-use seqdl_engine::FixpointStrategy;
 use std::time::Instant;
 
 fn median(mut v: Vec<f64>) -> f64 {
@@ -34,7 +33,7 @@ fn main() {
     ] {
         let m = time_us(
             || {
-                seqdl_bench::reachability_run(n, e, FixpointStrategy::SemiNaive);
+                seqdl_bench::reachability_run(n, e);
             },
             iters,
         );
@@ -49,7 +48,7 @@ fn main() {
     ] {
         let m = time_us(
             || {
-                seqdl_bench::nfa_run(s, w, l, FixpointStrategy::SemiNaive);
+                seqdl_bench::nfa_run(s, w, l);
             },
             iters,
         );

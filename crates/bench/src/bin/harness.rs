@@ -1,5 +1,5 @@
 //! Textual reproduction of every figure of the paper plus the derived experiment
-//! tables recorded in EXPERIMENTS.md.
+//! tables (ablations, engine scaling, demand-driven queries).
 //!
 //! Usage: `cargo run -p seqdl-bench --bin harness [--release] [--threads N] [--mem-stats]
 //! [--stats-format text|json] [--profile] [--trace-out trace.json] [section…]`
@@ -18,7 +18,6 @@
 //! (open at <https://ui.perfetto.dev>).
 
 use seqdl_bench as drivers;
-use seqdl_engine::FixpointStrategy;
 use std::time::Instant;
 
 /// The observability add-ons requested for the reachability/NFA/query
@@ -249,18 +248,17 @@ fn main() {
     }
 
     if want("reachability") {
-        section("EXP-B  Section 5.1.1: graph reachability, naive vs semi-naive vs exec");
+        section("EXP-B  Section 5.1.1: graph reachability, engine vs exec");
         let mem_cols = if mem_stats {
             format!(" {:>9} {:>9} {:>10}", "facts", "paths", "store KiB")
         } else {
             String::new()
         };
         println!(
-            "{:>8} {:>8} {:>12} {:>12} {:>12}{mem_cols}",
+            "{:>8} {:>8} {:>12} {:>12}{mem_cols}",
             "nodes",
             "edges",
-            "naive",
-            "semi-naive",
+            "engine",
             format!("exec({threads})")
         );
         for (nodes, edges) in [
@@ -274,19 +272,10 @@ fn main() {
             let semi_result = drivers::reachability_result(nodes, edges);
             let t_semi = t1.elapsed();
             let semi = drivers::reachability_answer(&semi_result);
-            // The quadratic naive baseline is only tractable at the small end.
-            let naive_time = (nodes <= 32).then(|| {
-                let t0 = Instant::now();
-                let naive = drivers::reachability_run(nodes, edges, FixpointStrategy::Naive);
-                let elapsed = t0.elapsed();
-                assert_eq!(naive, semi);
-                elapsed
-            });
             let t2 = Instant::now();
             let parallel = drivers::reachability_run_parallel(nodes, edges, threads);
             let t_exec = t2.elapsed();
             assert_eq!(semi, parallel, "executor must agree with the engine");
-            let naive_col = naive_time.map_or("-".to_string(), |t| format!("{t:?}"));
             let mem_cols = if mem_stats {
                 let m = drivers::mem_snapshot(&semi_result);
                 format!(
@@ -299,7 +288,7 @@ fn main() {
                 String::new()
             };
             println!(
-                "{nodes:>8} {edges:>8} {naive_col:>12} {:>12?} {:>12?}{mem_cols}   (reachable: {semi})",
+                "{nodes:>8} {edges:>8} {:>12?} {:>12?}{mem_cols}   (reachable: {semi})",
                 t_semi, t_exec
             );
         }
@@ -326,19 +315,18 @@ fn main() {
     }
 
     if want("nfa") {
-        section("EXP-NFA  Example 2.1: NFA acceptance, naive vs semi-naive vs exec");
+        section("EXP-NFA  Example 2.1: NFA acceptance, engine vs exec");
         let mem_cols = if mem_stats {
             format!(" {:>9} {:>9} {:>10}", "facts", "paths", "store KiB")
         } else {
             String::new()
         };
         println!(
-            "{:>8} {:>8} {:>10} {:>12} {:>12} {:>12}{mem_cols}",
+            "{:>8} {:>8} {:>10} {:>12} {:>12}{mem_cols}",
             "states",
             "words",
             "word len",
-            "naive",
-            "semi-naive",
+            "engine",
             format!("exec({threads})")
         );
         for (states, words, len) in [
@@ -352,19 +340,10 @@ fn main() {
             let semi_result = drivers::nfa_result(states, words, len);
             let t_semi = t1.elapsed();
             let b = drivers::nfa_answer(&semi_result);
-            // The quadratic naive baseline is only tractable at the small end.
-            let naive_time = (states <= 8).then(|| {
-                let t0 = Instant::now();
-                let a = drivers::nfa_run(states, words, len, FixpointStrategy::Naive);
-                let elapsed = t0.elapsed();
-                assert_eq!(a, b);
-                elapsed
-            });
             let t2 = Instant::now();
             let c = drivers::nfa_run_parallel(states, words, len, threads);
             let t_exec = t2.elapsed();
             assert_eq!(b, c, "executor must agree with the engine");
-            let naive_col = naive_time.map_or("-".to_string(), |t| format!("{t:?}"));
             let mem_cols = if mem_stats {
                 let m = drivers::mem_snapshot(&semi_result);
                 format!(
@@ -377,7 +356,7 @@ fn main() {
                 String::new()
             };
             println!(
-                "{states:>8} {words:>8} {len:>10} {naive_col:>12} {:>12?} {:>12?}{mem_cols}   (accepted: {b})",
+                "{states:>8} {words:>8} {len:>10} {:>12?} {:>12?}{mem_cols}   (accepted: {b})",
                 t_semi, t_exec
             );
         }

@@ -1,8 +1,9 @@
 //! # seqdl-bench — experiment drivers
 //!
-//! Shared drivers for every figure of the paper and the derived experiments listed
-//! in DESIGN.md / EXPERIMENTS.md.  The `harness` binary prints each reproduction as
-//! text; the Criterion benches in `benches/` time the same drivers.
+//! Shared drivers for every figure of the paper and the derived experiments
+//! (ablations, engine scaling, demand-driven queries).  The `harness` binary
+//! prints each reproduction as text; the Criterion benches in `benches/` time
+//! the same drivers.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -10,7 +11,7 @@
 pub mod json;
 
 use seqdl_core::{rel, repeat_path, Instance, Path, RelName};
-use seqdl_engine::{Engine, EvalLimits, FixpointStrategy};
+use seqdl_engine::{Engine, EvalLimits};
 use seqdl_fragments::witnesses;
 use seqdl_fragments::{equivalence_classes, Fragment, HasseDiagram};
 use seqdl_rewrite::{
@@ -256,32 +257,19 @@ pub fn nonrecursive_output_length(n: usize) -> usize {
 }
 
 // ---------------------------------------------------------------------------
-// EXP-B / EXP-NFA: engine scaling, naive vs semi-naive
+// EXP-B / EXP-NFA: engine scaling
 // ---------------------------------------------------------------------------
 
-/// Run graph reachability (Section 5.1.1) on a random digraph with the given
-/// strategy; returns whether `b` is reachable from `a`.
-pub fn reachability_run(nodes: usize, edges: usize, strategy: FixpointStrategy) -> bool {
-    let w = witnesses::reachability();
-    let input = Workloads::new(17).digraph_instance(nodes, edges);
-    bench_engine()
-        .with_strategy(strategy)
-        .run(&w.program, &input)
-        .expect("terminates")
-        .nullary_true(w.output)
+/// Run graph reachability (Section 5.1.1) on a random digraph; returns whether
+/// `b` is reachable from `a`.
+pub fn reachability_run(nodes: usize, edges: usize) -> bool {
+    reachability_answer(&reachability_result(nodes, edges))
 }
 
 /// Run the Example 2.1 NFA-acceptance program on a random NFA instance; returns the
 /// number of accepted words.
-pub fn nfa_run(states: usize, words: usize, word_len: usize, strategy: FixpointStrategy) -> usize {
-    let w = witnesses::nfa_acceptance();
-    let input = Workloads::new(23).nfa_instance(states, 2, words, word_len);
-    bench_engine()
-        .with_strategy(strategy)
-        .run(&w.program, &input)
-        .expect("terminates")
-        .unary_paths_iter(w.output)
-        .count()
+pub fn nfa_run(states: usize, words: usize, word_len: usize) -> usize {
+    nfa_answer(&nfa_result(states, words, word_len))
 }
 
 /// A memory-footprint snapshot for the harness's `--mem-stats` columns: the
@@ -325,7 +313,7 @@ pub fn peak_rss_kib() -> usize {
         .unwrap_or(0)
 }
 
-/// The full semi-naive result instance of the §5.1.1 reachability workload —
+/// The full result instance of the §5.1.1 reachability workload —
 /// the same computation [`reachability_run`] times, kept so `--mem-stats`
 /// rows snapshot the instance the timed run produced instead of re-running.
 pub fn reachability_result(nodes: usize, edges: usize) -> seqdl_core::Instance {
@@ -339,7 +327,7 @@ pub fn reachability_answer(result: &seqdl_core::Instance) -> bool {
     result.nullary_true(witnesses::reachability().output)
 }
 
-/// The full semi-naive result instance of the Example 2.1 NFA workload; see
+/// The full result instance of the Example 2.1 NFA workload; see
 /// [`reachability_result`].
 pub fn nfa_result(states: usize, words: usize, word_len: usize) -> seqdl_core::Instance {
     let w = witnesses::nfa_acceptance();
@@ -621,18 +609,6 @@ mod tests {
             let bound = lemma51_bound(&witnesses::only_as_equation().program, n);
             assert!(linear <= bound);
         }
-    }
-
-    #[test]
-    fn engine_runs_agree_across_strategies() {
-        assert_eq!(
-            reachability_run(10, 20, FixpointStrategy::Naive),
-            reachability_run(10, 20, FixpointStrategy::SemiNaive)
-        );
-        assert_eq!(
-            nfa_run(3, 4, 6, FixpointStrategy::Naive),
-            nfa_run(3, 4, 6, FixpointStrategy::SemiNaive)
-        );
     }
 
     #[test]

@@ -2,7 +2,8 @@
 //!
 //! The grammar is the conventional one: the first argument names the subcommand;
 //! `--flag value` supplies an option, `--flag` alone a boolean switch, and anything
-//! else is a positional argument.  `--flag=value` is also accepted.
+//! else is a positional argument.  `--flag=value` is also accepted.  A `--flag`
+//! named in neither [`VALUE_FLAGS`] nor [`SWITCH_FLAGS`] is an error.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
@@ -30,8 +31,7 @@ impl fmt::Display for ArgError {
 
 impl std::error::Error for ArgError {}
 
-/// The set of flag names that take a value; everything else starting with `--` is a
-/// boolean switch.
+/// The set of flag names that take a value.
 pub const VALUE_FLAGS: &[&str] = &[
     "program",
     "instance",
@@ -40,7 +40,6 @@ pub const VALUE_FLAGS: &[&str] = &[
     "deny",
     "input",
     "target",
-    "strategy",
     "eliminate",
     "equation",
     "pattern",
@@ -57,6 +56,53 @@ pub const VALUE_FLAGS: &[&str] = &[
     "trace-out",
     "stats-format",
 ];
+
+/// The set of boolean switches some command reads.
+pub const SWITCH_FLAGS: &[&str] = &[
+    "all",
+    "allow-empty",
+    "contains",
+    "dot",
+    "no-strip-dead",
+    "profile",
+    "show-ram",
+    "show-rewrite",
+    "stats",
+];
+
+/// An [`ArgError`] for a flag in neither list, suggesting the nearest known
+/// flag when one is within two edits.
+fn unknown_flag(name: &str) -> ArgError {
+    let suggestion = VALUE_FLAGS
+        .iter()
+        .chain(SWITCH_FLAGS)
+        .map(|known| (edit_distance(name, known), known))
+        .filter(|(distance, _)| *distance <= 2)
+        .min_by_key(|(distance, _)| *distance)
+        .map_or_else(
+            || "run `seqdl help` for usage".to_string(),
+            |(_, known)| format!("did you mean `--{known}`?"),
+        );
+    ArgError(format!("unknown flag `--{name}`; {suggestion}"))
+}
+
+/// Levenshtein edit distance, for did-you-mean suggestions.
+pub(crate) fn edit_distance(a: &str, b: &str) -> usize {
+    let a: Vec<char> = a.chars().collect();
+    let b: Vec<char> = b.chars().collect();
+    let mut row: Vec<usize> = (0..=b.len()).collect();
+    for (i, ca) in a.iter().enumerate() {
+        let mut prev = row[0];
+        row[0] = i + 1;
+        for (j, cb) in b.iter().enumerate() {
+            let cost = usize::from(ca != cb);
+            let next = (prev + cost).min(row[j] + 1).min(row[j + 1] + 1);
+            prev = row[j + 1];
+            row[j + 1] = next;
+        }
+    }
+    row[b.len()]
+}
 
 /// Parse the arguments following the subcommand name.
 ///
@@ -85,6 +131,8 @@ pub fn parse_flags(args: &[String]) -> Result<Flags, ArgError> {
                 if flags.options.insert(name.to_string(), value).is_some() {
                     return Err(ArgError(format!("--{name} given twice")));
                 }
+            } else if !SWITCH_FLAGS.contains(&name) {
+                return Err(unknown_flag(name));
             } else if inline_value.is_some() {
                 return Err(ArgError(format!("--{name} does not take a value")));
             } else {
@@ -166,6 +214,18 @@ mod tests {
         assert!(parse_flags(&args(&["--program"])).is_err());
         assert!(parse_flags(&args(&["--program", "a", "--program", "b"])).is_err());
         assert!(parse_flags(&args(&["--dot=value"])).is_err());
+    }
+
+    #[test]
+    fn unknown_flags_are_errors_with_a_suggestion() {
+        let err = parse_flags(&args(&["--stast"])).unwrap_err();
+        assert!(err.to_string().contains("unknown flag `--stast`"), "{err}");
+        assert!(err.to_string().contains("did you mean `--stats`?"), "{err}");
+        let err = parse_flags(&args(&["--strategy", "naive"])).unwrap_err();
+        assert!(
+            err.to_string().contains("unknown flag `--strategy`"),
+            "{err}"
+        );
     }
 
     #[test]

@@ -1,10 +1,10 @@
 //! The subcommand implementations.
 
-use crate::args::{ArgError, Flags};
+use crate::args::{edit_distance, ArgError, Flags};
 use seqdl_algebra::datalog_to_algebra;
 use seqdl_analysis::{check_json, check_program, render_text, CheckOptions, Severity};
 use seqdl_core::{Instance, RelName, Tuple};
-use seqdl_engine::{Engine, EvalLimits, FixpointStrategy};
+use seqdl_engine::{Engine, EvalLimits};
 use seqdl_exec::Executor;
 use seqdl_fragments::{rewrite_into, Feature, Fragment, HasseDiagram};
 use seqdl_io::{load_instance, load_program};
@@ -60,8 +60,8 @@ pub fn help_text() -> String {
         "seqdl — Sequence Datalog for sequence databases (PODS 2021 reproduction)\n",
         "\n",
         "Usage:\n",
-        "  seqdl run         --program q.sdl --instance db.sdi [--output S] [--strategy naive|semi-naive]\n",
-        "                    [--threads N] [--shard-size N] [--max-iterations N] [--max-facts N]\n",
+        "  seqdl run         --program q.sdl --instance db.sdi [--output S] [--threads N]\n",
+        "                    [--shard-size N] [--max-iterations N] [--max-facts N]\n",
         "                    [--max-path-len N] [--timeout 50ms|2s] [--max-store-bytes 64m]\n",
         "                    [--stats] [--profile] [--stats-format text|json]\n",
         "                    [--trace-out trace.json] [--save out.sdi]\n",
@@ -217,7 +217,10 @@ fn parse_bytes(value: &str) -> Result<usize, CliError> {
         })
 }
 
-fn engine_from_flags(flags: &Flags) -> Result<Engine, CliError> {
+/// The executor configured by the flags: the engine's limits and Ctrl-C
+/// token plus `--threads N` (1 = in-line, 0 = all available cores) and
+/// `--shard-size N` (base delta tuples per parallel shard).
+fn executor_from_flags(flags: &Flags) -> Result<Executor, CliError> {
     let mut limits = EvalLimits::default();
     if let Some(n) = flags.get_usize("max-iterations")? {
         limits.max_iterations = n;
@@ -234,52 +237,17 @@ fn engine_from_flags(flags: &Flags) -> Result<Engine, CliError> {
     if let Some(value) = flags.get("max-store-bytes") {
         limits.max_store_bytes = Some(parse_bytes(value)?);
     }
-    let strategy = match flags.get("strategy") {
-        None | Some("semi-naive") | Some("seminaive") => FixpointStrategy::SemiNaive,
-        Some("naive") => FixpointStrategy::Naive,
-        Some(other) => {
-            return Err(CliError::Command(format!(
-                "unknown strategy `{other}` (expected `naive` or `semi-naive`)"
-            )))
-        }
-    };
-    Ok(Engine::new()
+    let engine = Engine::new()
         .with_limits(limits)
-        .with_strategy(strategy)
         // Ctrl-C cancels a running evaluation at the next governor checkpoint
         // instead of killing the process: the run returns with partial stats.
-        .with_cancel_token(seqdl_core::CancelToken::linked_to(&crate::INTERRUPTED)))
-}
-
-/// The executor configured by the flags: the engine's limits and
-/// strategy plus `--threads N` (1 = in-line, 0 = all available cores) and
-/// `--shard-size N` (base delta tuples per parallel shard).
-fn executor_from_flags(flags: &Flags) -> Result<Executor, CliError> {
-    let engine = engine_from_flags(flags)?;
+        .with_cancel_token(seqdl_core::CancelToken::linked_to(&crate::INTERRUPTED));
     let threads = flags.get_usize("threads")?.unwrap_or(1);
     let mut executor = Executor::new().with_engine(engine).with_threads(threads);
     if let Some(shard) = flags.get_usize("shard-size")? {
         executor = executor.with_shard_size(shard);
     }
     Ok(executor)
-}
-
-/// Levenshtein edit distance, for did-you-mean suggestions.
-fn edit_distance(a: &str, b: &str) -> usize {
-    let a: Vec<char> = a.chars().collect();
-    let b: Vec<char> = b.chars().collect();
-    let mut row: Vec<usize> = (0..=b.len()).collect();
-    for (i, ca) in a.iter().enumerate() {
-        let mut prev = row[0];
-        row[0] = i + 1;
-        for (j, cb) in b.iter().enumerate() {
-            let cost = usize::from(ca != cb);
-            let next = (prev + cost).min(row[j] + 1).min(row[j + 1] + 1);
-            prev = row[j + 1];
-            row[j + 1] = next;
-        }
-    }
-    row[b.len()]
 }
 
 /// Every relation name known to the program or the instance.
@@ -1147,8 +1115,7 @@ fn cmd_regex(flags: &Flags) -> Result<String, CliError> {
     );
     if flags.get("instance").is_some() {
         let instance = load_instance_flag(flags)?;
-        let engine = engine_from_flags(flags)?;
-        let result = engine
+        let result = executor_from_flags(flags)?
             .run(&compiled.program, &instance)
             .map_err(command_error)?;
         let matches = result.unary_paths(compiled.output);

@@ -4,7 +4,7 @@
 //! who want to work with Sequence Datalog programs as files:
 //!
 //! ```text
-//! seqdl run        --program q.sdl --instance db.sdi [--output S] [--strategy naive] [--stats]
+//! seqdl run        --program q.sdl --instance db.sdi [--output S] [--threads N] [--stats]
 //! seqdl check      --program q.sdl [--instance db.sdi] [--format json] [--deny warnings]
 //! seqdl analyze    --program q.sdl
 //! seqdl termination --program q.sdl

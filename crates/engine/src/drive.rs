@@ -4,8 +4,7 @@
 //! The driver walks the lowered statement list itself.  Per declared stratum
 //! and per dependency level it fires the level's `merge` section once, in one
 //! round, and then advances the level's `loops` (one per recursive component)
-//! as lock-step semi-naive fixpoints over each [`LoopProgram::body`].  Naive
-//! evaluation is the same loop without delta windows.
+//! as lock-step semi-naive fixpoints over each [`LoopProgram::body`].
 //!
 //! Every round is a batch of [`Job`]s handed to a caller-supplied `round`
 //! closure, which returns one [`JobOutcome`] per job.  That closure is the
@@ -18,7 +17,7 @@
 use crate::error::{EvalError, LimitKind};
 use crate::eval::{
     prepare_idb_instance, register_plan_indexes, restrict_head_indexes, seed_instance, DeltaWindow,
-    EmitMemo, Engine, EvalStats, FireStats, FixpointStrategy, ResourceGovernor, StratumStats,
+    EmitMemo, Engine, EvalStats, FireStats, ResourceGovernor, StratumStats,
 };
 use crate::ram::{self, fire_proc, LoopProgram, RuleProc, StratumProgram};
 use seqdl_core::{Fact, Instance, RelName, Relation};
@@ -213,7 +212,7 @@ pub fn prepare_run(
 
 /// The fixpoint driver over one lowered program and its working instance.
 pub struct Driver<'a> {
-    /// Limits, strategy, and the merge bookkeeping ([`Engine::absorb`]).
+    /// Limits, cancellation, and the merge bookkeeping ([`Engine::absorb`]).
     pub engine: &'a Engine,
     /// The run's governor, polled at every stratum and round boundary.
     pub governor: &'a ResourceGovernor,
@@ -356,7 +355,6 @@ impl<'a> Driver<'a> {
         stats: &mut EvalStats,
         round: &mut impl FnMut(Vec<Job<'a>>) -> Vec<JobOutcome>,
     ) -> Result<(), EvalError> {
-        let naive = self.engine.strategy() == FixpointStrategy::Naive;
         let mut states: Vec<LoopState<'a>> = loops
             .iter()
             .map(|program| LoopState {
@@ -379,18 +377,6 @@ impl<'a> Driver<'a> {
                 for state in states.iter().filter(|s| s.active) {
                     for &rule_ix in &state.program.body {
                         let proc = &stratum.procs[rule_ix];
-                        let mut push = |window| {
-                            jobs.push(Job {
-                                id: jobs.len(),
-                                rule_ix,
-                                proc,
-                                window,
-                            })
-                        };
-                        if naive {
-                            push(None);
-                            continue;
-                        }
                         // Round 0 covers every valuation once: the whole
                         // relation at the first delta position, the full
                         // instance elsewhere.  Later rounds fire one variant
@@ -419,11 +405,16 @@ impl<'a> Driver<'a> {
                             let mut shard_lo = lo;
                             while shard_lo < hi {
                                 let shard_hi = (shard_lo + size).min(hi);
-                                push(Some(DeltaWindow {
-                                    pos,
-                                    lo: shard_lo,
-                                    hi: shard_hi,
-                                }));
+                                jobs.push(Job {
+                                    id: jobs.len(),
+                                    rule_ix,
+                                    proc,
+                                    window: Some(DeltaWindow {
+                                        pos,
+                                        lo: shard_lo,
+                                        hi: shard_hi,
+                                    }),
+                                });
                                 shard_lo = shard_hi;
                             }
                         }

@@ -18,9 +18,9 @@
 //! * [`ram`] — planned rules lowered to a flat instruction IR, and each
 //!   stratum's rules arranged into per-level merge sections and fixpoint loops;
 //! * [`drive`] — the one fixpoint driver, which walks the lowered program
-//!   (semi-naive, or naive without delta windows) under explicit
-//!   [`EvalLimits`], so that non-terminating programs (such as Example 2.3 of the
-//!   paper) surface as [`EvalError::LimitExceeded`] instead of diverging;
+//!   semi-naively under explicit [`EvalLimits`], so that non-terminating
+//!   programs (such as Example 2.3 of the paper) surface as
+//!   [`EvalError::LimitExceeded`] instead of diverging;
 //! * [`eval`] — the [`Engine`] entry points, limits, governor, and statistics.
 //!
 //! The top-level entry point is [`Engine`]:
@@ -54,8 +54,8 @@ pub use drive::{prepare_run, Driver, Job, JobOutcome, ShardPolicy};
 pub use error::{EvalError, LimitKind};
 pub use eval::{
     prepare_idb_instance, register_plan_indexes, restrict_head_indexes, seed_instance, DeltaWindow,
-    EmitMemo, Engine, EvalLimits, EvalStats, FireStats, FixpointStrategy, ResourceGovernor,
-    RuleStats, StratumStats, GOVERNOR_CHECK_INTERVAL,
+    EmitMemo, Engine, EvalLimits, EvalStats, FireStats, ResourceGovernor, RuleStats, StratumStats,
+    GOVERNOR_CHECK_INTERVAL,
 };
 pub use plan::{plan_rule, BodyPlan, ColumnProbe, PlannedLiteral, PlannedPredicate, PrefixSource};
 pub use ram::{fire_proc, RuleProc};

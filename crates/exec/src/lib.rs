@@ -219,8 +219,8 @@ pub enum RecoveryPolicy {
 
 /// The worker-pool front end of the fixpoint driver.
 ///
-/// Configured like [`Engine`] (it embeds one for limits, strategy, and the
-/// merge/limit bookkeeping) plus a thread count.  `threads == 1` evaluates
+/// Configured like [`Engine`] (it embeds one for limits, cancellation, and
+/// the merge/limit bookkeeping) plus a thread count.  `threads == 1` evaluates
 /// in-line with no pool at all; `threads == 0` uses the machine's available
 /// parallelism.
 #[derive(Clone, Debug)]
@@ -248,7 +248,7 @@ impl Executor {
         }
     }
 
-    /// Use the given engine (limits and fixpoint strategy).
+    /// Use the given engine (limits and cancel token).
     pub fn with_engine(mut self, engine: Engine) -> Executor {
         self.engine = engine;
         self
@@ -486,7 +486,7 @@ impl Executor {
 mod tests {
     use super::*;
     use seqdl_core::{path_of, rel};
-    use seqdl_engine::{EvalLimits, FixpointStrategy};
+    use seqdl_engine::EvalLimits;
     use seqdl_syntax::parse_program;
 
     fn graph_instance(edges: &[(&str, &str)]) -> Instance {
@@ -627,25 +627,6 @@ mod tests {
                 .unwrap_err();
             assert!(matches!(err, EvalError::LimitExceeded { .. }), "{err}");
         }
-    }
-
-    #[test]
-    fn naive_strategy_is_supported() {
-        let program = parse_program(
-            "T(@x·@y) <- R(@x·@y).\nT(@x·@z) <- T(@x·@y), R(@y·@z).\nS($p) <- T($p).",
-        )
-        .unwrap();
-        let input = graph_instance(&[("a", "b"), ("b", "c"), ("c", "a")]);
-        let naive = Executor::new()
-            .with_engine(Engine::new().with_strategy(FixpointStrategy::Naive))
-            .with_threads(2)
-            .run(&program, &input)
-            .unwrap();
-        let semi = Executor::new()
-            .with_threads(2)
-            .run(&program, &input)
-            .unwrap();
-        assert_eq!(naive, semi);
     }
 
     #[test]

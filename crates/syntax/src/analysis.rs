@@ -247,10 +247,8 @@ pub fn is_semipositive(program: &Program) -> bool {
 /// strongly connected components and ordering them topologically yields a plan in
 /// which every component is computed after everything it reads, non-recursive
 /// components need a single pass, and components at the same level are mutually
-/// independent (they can run in parallel).  Where a caller needs the actual
-/// evaluation order — not just a yes/no answer — this graph supersedes the
-/// boolean [`check_stratification`]; see [`PrecedenceGraph::check_stratifiable`]
-/// for the soundness caveat that distinction carries.
+/// independent (they can run in parallel).  Whether a program is stratified is
+/// decided by [`check_stratification`] over its declared strata.
 #[derive(Clone, Debug)]
 pub struct PrecedenceGraph {
     /// The nodes (head relation names of the rules), in first-head order.
@@ -425,49 +423,6 @@ impl PrecedenceGraph {
         }
         Condensation { components }
     }
-
-    /// Check that no *negative* edge joins two relations of the same strongly
-    /// connected component — the graph-based form of stratifiability: recursion
-    /// through negation is exactly a negative edge inside an SCC.
-    ///
-    /// **Soundness scope.**  This check is *more permissive* than
-    /// [`check_stratification`]: it accepts a program whose negation crosses
-    /// SCCs inside one declared stratum (e.g. `T($x) <- R($x).  S($x) <- R($x),
-    /// !T($x).` written without a `---` separator).  Such a program is only
-    /// evaluated correctly by a scheduler that runs the SCC condensation in
-    /// topological order (negated relations fully computed before their
-    /// negations are read — auto-stratification, the `seqdl-exec` model).  The
-    /// sequential engine's whole-declared-stratum fixpoint would read `!T` at
-    /// iteration 0, before `T` is populated, and over-derive; programs headed
-    /// for that evaluator must pass [`check_stratification`] instead, which is
-    /// what [`ProgramInfo::analyse`] enforces for both evaluators today.
-    ///
-    /// # Errors
-    /// Returns [`SyntaxError::NotStratified`] naming the offending edge.
-    pub fn check_stratifiable(&self) -> Result<(), SyntaxError> {
-        if self.negative.is_empty() {
-            return Ok(());
-        }
-        let condensation = self.condensation();
-        let component_of: BTreeMap<RelName, usize> = condensation
-            .components
-            .iter()
-            .enumerate()
-            .flat_map(|(c, info)| info.members.iter().map(move |r| (*r, c)))
-            .collect();
-        for &(from, to) in &self.negative {
-            let (from, to) = (self.nodes[from], self.nodes[to]);
-            if component_of[&from] == component_of[&to] {
-                return Err(SyntaxError::NotStratified {
-                    message: format!(
-                        "relation {from} is negated in a rule defining {to}, but {from} and {to} \
-                         are mutually recursive (recursion through negation)"
-                    ),
-                });
-            }
-        }
-        Ok(())
-    }
 }
 
 /// One strongly connected component of a [`PrecedenceGraph`].
@@ -510,17 +465,11 @@ impl Condensation {
     }
 }
 
-/// A bundle of the most commonly needed facts about a program.
+/// The facts about a well-formed program that evaluation needs.
 #[derive(Clone, Debug)]
 pub struct ProgramInfo {
-    /// The features the program uses.
-    pub features: FeatureSet,
     /// The IDB relation names.
     pub idb: BTreeSet<RelName>,
-    /// The EDB relation names.
-    pub edb: BTreeSet<RelName>,
-    /// The dependency graph over IDB relation names.
-    pub dependencies: DependencyGraph,
     /// Arity of every relation name (consistent across the program).
     pub arities: BTreeMap<RelName, usize>,
 }
@@ -535,19 +484,9 @@ impl ProgramInfo {
         check_stratification(program)?;
         let arities = program.relation_arities()?;
         Ok(ProgramInfo {
-            features: FeatureSet::of_program(program),
             idb: program.idb_relations(),
-            edb: program.edb_relations(),
-            dependencies: DependencyGraph::of_program(program),
             arities,
         })
-    }
-
-    /// Is `program` a legal program *over* the given EDB relation names, i.e. do its
-    /// EDB relations all come from that set and its IDB relations avoid it
-    /// (Section 2.3)?
-    pub fn is_over_edb(&self, edb: &BTreeSet<RelName>) -> bool {
-        self.edb.is_subset(edb) && self.idb.is_disjoint(edb)
     }
 }
 
@@ -696,12 +635,11 @@ mod tests {
         let p = parse_program("T($x) <- R($x).\n---\nS($x) <- T($x), !B($x).").unwrap();
         let info = ProgramInfo::analyse(&p).unwrap();
         assert_eq!(info.idb, BTreeSet::from([rel("S"), rel("T")]));
-        assert_eq!(info.edb, BTreeSet::from([rel("B"), rel("R")]));
-        assert!(info.features.intermediate);
-        assert!(info.features.negation);
+        assert_eq!(p.edb_relations(), BTreeSet::from([rel("B"), rel("R")]));
+        let features = FeatureSet::of_program(&p);
+        assert!(features.intermediate);
+        assert!(features.negation);
         assert_eq!(info.arities[&rel("S")], 1);
-        assert!(info.is_over_edb(&BTreeSet::from([rel("R"), rel("B"), rel("X")])));
-        assert!(!info.is_over_edb(&BTreeSet::from([rel("R")])));
 
         // An unsafe program is rejected by analyse().
         let bad = parse_program("S($y) <- R($x).").unwrap();
@@ -757,30 +695,6 @@ mod tests {
         assert!(!c.components[s].recursive);
         assert!(t < s);
         assert_eq!(c.component_of(rel("Absent")), None);
-    }
-
-    #[test]
-    fn graph_stratifiability_rejects_recursion_through_negation() {
-        // Negation on an acyclic path passes the *graph* check even within one
-        // declared stratum — sound only under condensation-ordered evaluation
-        // (see the check_stratifiable docs); check_stratification still rejects
-        // this program for the declared-stratum engine.
-        let acyclic = parse_program("T($x) <- R($x).\nS($x) <- R($x), !T($x).").unwrap();
-        let g = PrecedenceGraph::of_program(&acyclic);
-        assert!(g.has_negative_edge(rel("T"), rel("S")));
-        assert!(g.check_stratifiable().is_ok());
-
-        // Negation inside a cycle is recursion through negation.
-        let cyclic = parse_program("T($x) <- S($x).\nS($x) <- R($x), !T($x).").unwrap();
-        assert!(PrecedenceGraph::of_program(&cyclic)
-            .check_stratifiable()
-            .is_err());
-
-        // Purely positive recursion is stratifiable.
-        let positive = parse_program("T($x) <- R($x).\nT($x) <- T($x·a).").unwrap();
-        assert!(PrecedenceGraph::of_program(&positive)
-            .check_stratifiable()
-            .is_ok());
     }
 
     #[test]

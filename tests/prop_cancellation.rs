@@ -8,10 +8,13 @@
 //! * the cancelled run returns `EvalError::Cancelled` (or finishes before the
 //!   countdown elapses — small runs may hit no checkpoint at all);
 //! * its partial statistics are monotone: every counter is bounded by the
-//!   reference run's totals (evaluation does strictly less work, never more);
+//!   uncancelled run's totals (evaluation does strictly less work, never more);
 //! * a fresh re-run of the same program on the same input — after the
-//!   cancelled attempt — produces exactly the reference instance, proving the
-//!   cancelled evaluation leaked no state into later runs.
+//!   cancelled attempt — produces exactly the instance of the reference
+//!   evaluator (`tests/reference`), proving the cancelled evaluation leaked
+//!   no state into later runs.
+
+mod reference;
 
 use proptest::prelude::*;
 use sequence_datalog::core::CancelToken;
@@ -41,11 +44,11 @@ proptest! {
         input.declare_relation(rel("R0"), 1);
         input.declare_relation(rel("R1"), 1);
 
-        // The uncancelled reference.
-        let (reference, ref_stats) = Executor::new()
+        // The uncancelled run, whose counters bound the cancelled run's.
+        let (_, full_stats) = Executor::new()
             .with_threads(threads)
             .run_with_stats(&program, &input)
-            .unwrap_or_else(|e| panic!("reference failed: {e}\n{program}"));
+            .unwrap_or_else(|e| panic!("uncancelled run failed: {e}\n{program}"));
 
         // Cancel after `countdown` checkpoints (deterministic test countdown;
         // no wall clock involved).
@@ -61,10 +64,10 @@ proptest! {
                     reason.contains("countdown"),
                     "unexpected reason `{}`", reason
                 );
-                // Partial work is bounded by the reference totals.
-                prop_assert!(partial_stats.iterations <= ref_stats.iterations);
-                prop_assert!(partial_stats.derived_facts <= ref_stats.derived_facts);
-                prop_assert!(partial_stats.rule_firings <= ref_stats.rule_firings);
+                // Partial work is bounded by the uncancelled totals.
+                prop_assert!(partial_stats.iterations <= full_stats.iterations);
+                prop_assert!(partial_stats.derived_facts <= full_stats.derived_facts);
+                prop_assert!(partial_stats.rule_firings <= full_stats.rule_firings);
             }
             Err(e) => panic!("expected Cancelled, got {e}\n{program}"),
             // The whole run fit under the countdown: nothing to check beyond
@@ -73,11 +76,12 @@ proptest! {
         }
 
         // A fresh run after the cancelled attempt matches the reference
-        // exactly: cancellation left no partial state behind.
+        // evaluator exactly: cancellation left no partial state behind.
         let rerun = Executor::new()
             .with_threads(threads)
             .run(&program, &input)
             .unwrap_or_else(|e| panic!("re-run failed: {e}\n{program}"));
-        prop_assert_eq!(&reference, &rerun, "{}", program);
+        let expected = reference::evaluate(&program, &input);
+        prop_assert_eq!(&expected, &rerun, "{}", program);
     }
 }

@@ -11,15 +11,15 @@
 //!    exactly the tuples a linear scan finds (modulo the documented
 //!    superset-then-filter contract, which the test closes by filtering).
 //! 3. **Pipeline differential** — the interned pipeline computes the same
-//!    models as the PR-4 semantics on random wgen programs, through the
-//!    sequential `Engine` *and* the `Executor` at 1 and 4 threads, naive and
-//!    semi-naive.  (The reference implementation here is the naive fixpoint
-//!    of the same front end, which the earlier PRs' differential tests tied
-//!    to the seed semantics.)
+//!    models as the reference evaluator (`tests/reference`, the §2.2
+//!    semantics written down directly) on random wgen programs, through the
+//!    sequential `Engine` *and* the `Executor` at 1 and 4 threads.
+
+mod reference;
 
 use proptest::prelude::*;
 use seqdl_core::{rel, Fact, Instance, Path, PathId, Value, TRIE_DEPTH};
-use seqdl_engine::{Engine, EvalLimits, FixpointStrategy};
+use seqdl_engine::{Engine, EvalLimits};
 use seqdl_exec::Executor;
 use seqdl_wgen::{ProgramConfig, ProgramGenerator, Workloads};
 
@@ -188,9 +188,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// The whole interned pipeline — tries, joint indexes, bucket-side
-    /// matching, emit memo — is output-identical to the naive reference
-    /// fixpoint on random programs, for the Engine and for the Executor at 1
-    /// and 4 threads.
+    /// matching, emit memo — is output-identical to the reference evaluator
+    /// on random programs, for the Engine and for the Executor at 1 and 4
+    /// threads.
     #[test]
     fn interned_pipeline_is_output_identical(
         seed in 0u64..(1u64 << 32),
@@ -208,20 +208,11 @@ proptest! {
         input.declare_relation(rel("R0"), 1);
         input.declare_relation(rel("R1"), 1);
 
-        let naive = Engine::new()
-            .with_limits(eval_limits())
-            .with_strategy(FixpointStrategy::Naive)
-            .run(&program, &input);
-        let semi = Engine::new()
-            .with_limits(eval_limits())
-            .with_strategy(FixpointStrategy::SemiNaive)
-            .run(&program, &input);
-        // Limit blowups must at least be consistent between strategies:
-        // the model either exists within limits for both or for neither
-        // (iteration accounting differs, so only fact/path limits are
-        // comparable; skip the case).
-        if let (Ok(reference), Ok(semi)) = (naive, semi) {
-            prop_assert_eq!(&reference, &semi, "semi-naive diverged from naive");
+        // A run that finishes within the limits has a finite model, so the
+        // reference terminates on it too; a run that hits a limit is skipped.
+        if let Ok(semi) = Engine::new().with_limits(eval_limits()).run(&program, &input) {
+            let reference = reference::evaluate(&program, &input);
+            prop_assert_eq!(&reference, &semi, "engine diverged from the reference");
             for threads in [1usize, 4] {
                 let parallel = Executor::new()
                     .with_engine(Engine::new().with_limits(eval_limits()))
