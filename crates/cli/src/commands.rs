@@ -3,7 +3,7 @@
 use crate::args::{edit_distance, ArgError, Flags};
 use seqdl_algebra::datalog_to_algebra;
 use seqdl_analysis::{check_json, check_program, render_text, CheckOptions, Severity};
-use seqdl_core::{Instance, RelName, Tuple};
+use seqdl_core::{Instance, Path, RelName, Relation, Renderer};
 use seqdl_engine::{Engine, EvalLimits};
 use seqdl_exec::Executor;
 use seqdl_fragments::{rewrite_into, Feature, Fragment, HasseDiagram};
@@ -665,13 +665,11 @@ fn cmd_run(flags: &Flags) -> Result<String, CliError> {
         }
         Some(relation) => {
             writeln!(report, "{output}: {} fact(s)", relation.len()).expect("write to string");
-            // Borrow and sort references for stable output; no tuple is cloned.
-            let mut rows: Vec<&seqdl_core::Tuple> = relation.iter().collect();
-            rows.sort();
-            for tuple in rows {
-                let args: Vec<String> = tuple.iter().map(ToString::to_string).collect();
-                writeln!(report, "  {output}({})", args.join(", ")).expect("write to string");
-            }
+            Renderer::new().write_sorted_rows(
+                &mut report,
+                output,
+                relation.iter().map(Vec::as_slice),
+            );
         }
     }
     match format {
@@ -722,17 +720,17 @@ fn cmd_query(flags: &Flags) -> Result<String, CliError> {
     let executor = executor_from_flags(flags)?;
 
     let mut report = String::new();
-    let print_answers = |report: &mut String, answers: &std::collections::BTreeSet<Tuple>| {
+    // The tuples of `relation` the goal matches, printed sorted under the
+    // goal's relation name.
+    let print_answers = |report: &mut String, relation: Option<&Relation>| {
+        let answers: Vec<&[Path]> = relation
+            .into_iter()
+            .flat_map(Relation::iter)
+            .filter(|t| goal_matches(&goal, t))
+            .map(Vec::as_slice)
+            .collect();
         writeln!(report, "{}: {} answer(s)", goal, answers.len()).expect("write to string");
-        for tuple in answers {
-            if tuple.is_empty() {
-                writeln!(report, "  {}", goal.relation).expect("write to string");
-            } else {
-                let args: Vec<String> = tuple.iter().map(ToString::to_string).collect();
-                writeln!(report, "  {}({})", goal.relation, args.join(", "))
-                    .expect("write to string");
-            }
-        }
+        Renderer::new().write_sorted_rows(report, goal.relation, answers);
     };
 
     if !program.idb_relations().contains(&goal.relation) {
@@ -745,7 +743,7 @@ fn cmd_query(flags: &Flags) -> Result<String, CliError> {
         // the same way `magic` rejects IDB goals of the wrong arity.
         let expected = instance
             .relation(goal.relation)
-            .map(seqdl_core::Relation::arity)
+            .map(Relation::arity)
             .or_else(|| {
                 program
                     .relation_arities()
@@ -762,16 +760,7 @@ fn cmd_query(flags: &Flags) -> Result<String, CliError> {
                 )));
             }
         }
-        let answers: std::collections::BTreeSet<Tuple> = instance
-            .relation(goal.relation)
-            .map(|rel| {
-                rel.iter()
-                    .filter(|t| goal_matches(&goal, t))
-                    .cloned()
-                    .collect()
-            })
-            .unwrap_or_default();
-        print_answers(&mut report, &answers);
+        print_answers(&mut report, instance.relation(goal.relation));
         return Ok(report);
     }
 
@@ -804,8 +793,7 @@ fn cmd_query(flags: &Flags) -> Result<String, CliError> {
     let run = executor.run_with_stats_seeded(eval_program, &instance, &mp.seeds);
     let trace_note = trace.map(TraceCapture::write).transpose()?;
     let (result, stats) = run.map_err(|e| eval_error_report(&executor, &e, format))?;
-    let answers = mp.answers(&result);
-    print_answers(&mut report, &answers);
+    print_answers(&mut report, result.relation(mp.answer));
     if flags.has("show-rewrite") {
         writeln!(report, "% magic rewrite (answers read from {}):", mp.answer)
             .expect("write to string");
@@ -1176,6 +1164,35 @@ mod tests {
         assert!(output.contains("S: 1 fact(s)"), "{output}");
         assert!(output.contains("S(a·a)"), "{output}");
         assert!(output.contains("iterations:"), "{output}");
+    }
+
+    #[test]
+    fn run_orders_atoms_by_first_interning_not_by_name() {
+        // Atoms compare by interner index, so sorted output follows the order
+        // in which the input first names them.  That order is fixed by the
+        // input, so the output is the same at every thread count.
+        let program = write_program("order.sdl", "S($x) <- R($x).");
+        let instance = write_program(
+            "order.sdi",
+            "R(order_pin_zeta).\nR(order_pin_alpha).\nR(order_pin_mid).\n",
+        );
+        for threads in ["1", "4"] {
+            let output = cmd_run(&flags(&[
+                "--program",
+                &program,
+                "--instance",
+                &instance,
+                "--output",
+                "S",
+                "--threads",
+                threads,
+            ]))
+            .unwrap();
+            assert_eq!(
+                output,
+                "S: 3 fact(s)\n  S(order_pin_zeta)\n  S(order_pin_alpha)\n  S(order_pin_mid)\n"
+            );
+        }
     }
 
     #[test]

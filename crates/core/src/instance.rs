@@ -9,6 +9,7 @@ use crate::error::CoreError;
 use crate::hash::{FxHasher, FxMap};
 use crate::interner::{AtomId, RelName};
 use crate::path::Path;
+use crate::render;
 use crate::value::Value;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
@@ -268,12 +269,7 @@ impl Fact {
 
 fn fmt_fact(f: &mut fmt::Formatter<'_>, relation: RelName, tuple: &[Path]) -> fmt::Result {
     write!(f, "{relation}(")?;
-    for (i, p) in tuple.iter().enumerate() {
-        if i > 0 {
-            f.write_str(", ")?;
-        }
-        write!(f, "{p}")?;
-    }
+    render::write_args(f, tuple.iter().map(Path::values), &mut render::Interned)?;
     f.write_str(")")
 }
 
@@ -319,7 +315,8 @@ impl Schema {
         self.arities.contains_key(&relation)
     }
 
-    /// Iterate over `(relation, arity)` pairs in name order.
+    /// Iterate over `(relation, arity)` pairs in [`RelName`] order (the order
+    /// the names were first interned).
     pub fn iter(&self) -> impl Iterator<Item = (RelName, usize)> + '_ {
         self.arities.iter().map(|(r, a)| (*r, *a))
     }
@@ -764,14 +761,15 @@ impl Instance {
         self.relation(name).is_some_and(|r| !r.is_empty())
     }
 
-    /// Relation names present in the instance, collected in name order.  For a
-    /// walk that allocates nothing, see [`Instance::relation_names_iter`].
+    /// Relation names present in the instance, collected in [`RelName`] order
+    /// (the order the names were first interned).  For a walk that allocates
+    /// nothing, see [`Instance::relation_names_iter`].
     pub fn relation_names(&self) -> Vec<RelName> {
         self.relation_names_iter().collect()
     }
 
-    /// Iterate over the relation names of the instance, in name order,
-    /// without allocating.
+    /// Iterate over the relation names of the instance, in [`RelName`] order
+    /// (the order the names were first interned), without allocating.
     pub fn relation_names_iter(&self) -> impl Iterator<Item = RelName> + '_ {
         self.relations.keys().copied()
     }

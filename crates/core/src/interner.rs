@@ -20,8 +20,9 @@ use std::sync::OnceLock;
 /// An interned string: a cheap, copyable identity for a name.
 ///
 /// Two `Symbol`s are equal if and only if they were interned from equal strings.
-/// Ordering is by the underlying index (i.e. interning order), which is stable
-/// within a process run and is only used to obtain deterministic iteration orders.
+/// Ordering is by the underlying index (i.e. interning order), not by name.  It
+/// is stable within a process run; it gives deterministic iteration orders, and
+/// it is the order in which sorted output lists atoms.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Symbol(u32);
 

@@ -13,6 +13,9 @@
 //! * *instances* assigning a finite n-ary relation on paths to every relation name
 //!   ([`Instance`]), equivalently viewed as finite sets of *facts* ([`Fact`]).
 //!
+//! It also holds the one text rendering of values, paths and facts
+//! ([`render`]), which every `Display` impl and the answer [`Renderer`] share.
+//!
 //! The crate deliberately contains no syntax (path *expressions*, rules, programs —
 //! see `seqdl-syntax`) and no evaluation (see `seqdl-engine`): it is the substrate
 //! every other crate in the workspace builds on.
@@ -27,6 +30,7 @@ pub mod hash;
 pub mod instance;
 pub mod interner;
 pub mod path;
+pub mod render;
 pub mod store;
 pub mod value;
 
@@ -38,6 +42,7 @@ pub use instance::{
 };
 pub use interner::{AtomId, RelName, Symbol, VarSym};
 pub use path::{Path, PathView, Segment, Subpaths};
+pub use render::Renderer;
 pub use store::{store_stats, PathId, StoreStats};
 pub use value::Value;
 

@@ -1,6 +1,7 @@
 //! Paths: finite sequences of values, with associative concatenation (Section 2.1).
 
 use crate::interner::AtomId;
+use crate::render;
 use crate::store::{self, PathId};
 use crate::value::Value;
 use std::cmp::Ordering;
@@ -19,8 +20,10 @@ use std::ops::Index;
 /// (valid because the store holds each content exactly once).  The value
 /// sequence itself is the shared `&'static [Value]` returned by
 /// [`Path::values`].  Ordering remains *content* ordering (lexicographic over
-/// values), so sorted snapshots and `BTreeSet<Path>` orders are independent of
-/// interning order and therefore deterministic across runs and thread counts.
+/// values), not id ordering.  Atoms inside compare by their interner index
+/// (see [`Value`]), so a sorted output follows the order in which its atoms
+/// were first interned; for a given input that order, and hence the output,
+/// is the same at every thread count.
 #[derive(Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Path(PathId);
 
@@ -377,17 +380,7 @@ impl PartialOrd for PathView {
 
 impl fmt::Display for PathView {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let values = self.values();
-        if values.is_empty() {
-            return f.write_str("eps");
-        }
-        for (i, v) in values.iter().enumerate() {
-            if i > 0 {
-                f.write_str("·")?;
-            }
-            v.fmt_into(f)?;
-        }
-        Ok(())
+        render::write_path(f, self.values(), &mut render::Interned)
     }
 }
 
@@ -447,9 +440,10 @@ impl Default for Path {
     }
 }
 
-/// Content ordering (lexicographic over values), *not* id ordering: sorted
-/// output is deterministic regardless of interning order.  Consistent with
-/// `Eq` because equal content implies equal id.
+/// Content ordering (lexicographic over values), *not* id ordering, so the
+/// order of two paths does not depend on which was interned first.  Atoms
+/// compare by interner index (see [`Value`]).  Consistent with `Eq` because
+/// equal content implies equal id.
 impl Ord for Path {
     fn cmp(&self, other: &Path) -> Ordering {
         if self.0 == other.0 {
@@ -506,16 +500,7 @@ impl<'a> IntoIterator for &'a Path {
 
 impl fmt::Display for Path {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.is_empty() {
-            return f.write_str("eps");
-        }
-        for (i, v) in self.values().iter().enumerate() {
-            if i > 0 {
-                f.write_str("·")?;
-            }
-            v.fmt_into(f)?;
-        }
-        Ok(())
+        render::write_path(f, self.values(), &mut render::Interned)
     }
 }
 

@@ -11,13 +11,18 @@
 
 use crate::interner::AtomId;
 use crate::path::Path;
+use crate::render;
 use std::fmt;
 
 /// A value: an atomic value or a packed path `⟨p⟩`.
 ///
 /// Both variants wrap an interned `u32` identity — an [`AtomId`] symbol or a
-/// hash-consed [`Path`] id — so a `Value` is eight bytes, `Copy`, and compares
-/// and hashes in O(1) even when the packed payload is arbitrarily deep.
+/// hash-consed [`Path`] id — so a `Value` is eight bytes, `Copy`, and tests
+/// equality and hashes in O(1) even when the packed payload is arbitrarily
+/// deep.  Ordering is not O(1) for packed values: it compares the packed
+/// paths by content.  Atoms come before packed values, and two atoms compare
+/// by interner index (the order their names were first interned), not by
+/// name.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Value {
     /// An atomic value from **dom**.
@@ -87,33 +92,14 @@ impl Value {
             Value::Packed(p) => p.atom_count(),
         }
     }
-
-    /// Render with an explicit quoting convention (used by [`fmt::Display`]).
-    ///
-    /// Atom names consisting of ASCII alphanumerics and `_` are printed bare; any
-    /// other atom name is printed single-quoted so that the output can be re-parsed.
-    pub(crate) fn fmt_into(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Value::Atom(a) => a.symbol().with_name(|name| {
-                let bare = !name.is_empty()
-                    && name.chars().all(|c| c.is_ascii_alphanumeric() || c == '_')
-                    && name != "eps";
-                if bare {
-                    f.write_str(name)
-                } else {
-                    write!(f, "'{}'", name.replace('\'', "\\'"))
-                }
-            }),
-            Value::Packed(p) => {
-                write!(f, "<{p}>")
-            }
-        }
-    }
 }
 
+/// Atom names consisting of ASCII alphanumerics and `_` (other than `eps`)
+/// print bare; any other atom name prints single-quoted so that the output
+/// can be re-parsed.  See [`crate::render`].
 impl fmt::Display for Value {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        self.fmt_into(f)
+        render::write_value(f, *self, &mut render::Interned)
     }
 }
 

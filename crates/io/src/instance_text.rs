@@ -1,8 +1,9 @@
 //! The textual instance format: ground facts, one per line.
 
-use seqdl_core::{Fact, Instance, Path, RelName};
+use seqdl_core::{Fact, Instance, RelName, Renderer};
 use seqdl_syntax::parse_rule;
-use std::fmt;
+use std::fmt::{self, Write as _};
+use std::ops::Range;
 
 /// Errors raised while parsing an instance file.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -26,32 +27,34 @@ impl fmt::Display for InstanceParseError {
 impl std::error::Error for InstanceParseError {}
 
 /// Render an instance in the textual format: one `@relation` declaration per
-/// relation (so empty relations survive the round trip) followed by one ground fact
-/// per line, both sorted for reproducible output.
+/// relation (so empty relations survive the round trip), in [`RelName`] order,
+/// followed by one ground fact per line.  The facts are rendered into one
+/// buffer and sorted as strings, so their order does not depend on interning.
 pub fn write_instance(instance: &Instance) -> String {
     let mut out = String::new();
-    // `relation_names_iter` walks the instance's map in name order without
-    // materialising a vector.
+    let mut facts = String::new();
+    let mut ranges: Vec<Range<usize>> = Vec::new();
+    let mut renderer = Renderer::new();
     for name in instance.relation_names_iter() {
-        if let Some(relation) = instance.relation(name) {
-            out.push_str(&format!("@relation {}/{}.\n", name, relation.arity()));
+        let Some(relation) = instance.relation(name) else {
+            continue;
+        };
+        writeln!(out, "@relation {}/{}.", name, relation.arity()).expect("write to string");
+        let name = name.name();
+        for tuple in relation.iter() {
+            let start = facts.len();
+            renderer.write_tuple(&mut facts, &name, tuple);
+            facts.push('.');
+            ranges.push(start..facts.len());
         }
     }
-    let mut rendered: Vec<String> = instance.facts().map(|f| render_fact(&f)).collect();
-    rendered.sort();
-    for fact in rendered {
-        out.push_str(&fact);
+    ranges.sort_unstable_by(|a, b| facts[a.clone()].cmp(&facts[b.clone()]));
+    out.reserve(facts.len() + ranges.len());
+    for range in ranges {
+        out.push_str(&facts[range]);
         out.push('\n');
     }
     out
-}
-
-fn render_fact(fact: &Fact) -> String {
-    if fact.tuple.is_empty() {
-        return format!("{}.", fact.relation);
-    }
-    let args: Vec<String> = fact.tuple.iter().map(Path::to_string).collect();
-    format!("{}({}).", fact.relation, args.join(", "))
 }
 
 /// Parse the textual instance format produced by [`write_instance`].
@@ -131,7 +134,7 @@ fn parse_fact_line(line: &str) -> Result<Fact, String> {
 #[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
-    use seqdl_core::{atom, path_of, rel, Value};
+    use seqdl_core::{atom, path_of, rel, Path, Value};
 
     fn roundtrip(instance: &Instance) -> Instance {
         parse_instance(&write_instance(instance)).expect("round trip parses")

@@ -239,14 +239,14 @@ pub fn is_semipositive(program: &Program) -> bool {
 
 /// The *precedence graph* over the IDB relation names of a set of rules: there is
 /// an edge from `R` to `S` ("R precedes S") when `R` occurs in the body of a rule
-/// with head `S`, i.e. `S` can only be computed once `R` is.  Edges arising from a
-/// *negated* occurrence are additionally recorded as negative.
+/// with head `S`, i.e. `S` can only be computed once `R` is, whether that
+/// occurrence is positive or negated.
 ///
-/// This is the [`DependencyGraph`] with its edges reversed, plus negation labels —
-/// the orientation an evaluation *scheduler* wants: condensing the graph into
-/// strongly connected components and ordering them topologically yields a plan in
-/// which every component is computed after everything it reads, non-recursive
-/// components need a single pass, and components at the same level are mutually
+/// This is the [`DependencyGraph`] with its edges reversed — the orientation an
+/// evaluation *scheduler* wants: condensing the graph into strongly connected
+/// components and ordering them topologically yields a plan in which every
+/// component is computed after everything it reads, non-recursive components
+/// need a single pass, and components at the same level are mutually
 /// independent (they can run in parallel).  Whether a program is stratified is
 /// decided by [`check_stratification`] over its declared strata.
 #[derive(Clone, Debug)]
@@ -258,9 +258,6 @@ pub struct PrecedenceGraph {
     /// `succ[i]` holds `j` when node `i` precedes node `j` (i occurs in a body of a
     /// rule with head `j`).
     succ: Vec<BTreeSet<usize>>,
-    /// Edges `(i, j)` where the occurrence of `i` in a body with head `j` is
-    /// negated.
-    negative: BTreeSet<(usize, usize)>,
 }
 
 impl PrecedenceGraph {
@@ -279,27 +276,15 @@ impl PrecedenceGraph {
             }
         }
         let mut succ: Vec<BTreeSet<usize>> = vec![BTreeSet::new(); nodes.len()];
-        let mut negative: BTreeSet<(usize, usize)> = BTreeSet::new();
         for rule in rules {
             let head_ix = index[&rule.head.relation];
-            for pred in rule.positive_body_predicates() {
-                if let Some(&body_ix) = index.get(&pred.relation) {
+            for relation in rule.body_relations() {
+                if let Some(&body_ix) = index.get(&relation) {
                     succ[body_ix].insert(head_ix);
                 }
             }
-            for pred in rule.negative_body_predicates() {
-                if let Some(&body_ix) = index.get(&pred.relation) {
-                    succ[body_ix].insert(head_ix);
-                    negative.insert((body_ix, head_ix));
-                }
-            }
         }
-        PrecedenceGraph {
-            nodes,
-            index,
-            succ,
-            negative,
-        }
+        PrecedenceGraph { nodes, index, succ }
     }
 
     /// Build the precedence graph of a whole program (all strata pooled).
@@ -316,14 +301,6 @@ impl PrecedenceGraph {
     pub fn has_edge(&self, from: RelName, to: RelName) -> bool {
         match (self.index.get(&from), self.index.get(&to)) {
             (Some(&f), Some(&t)) => self.succ[f].contains(&t),
-            _ => false,
-        }
-    }
-
-    /// Is the edge from `from` to `to` negative (some negated body occurrence)?
-    pub fn has_negative_edge(&self, from: RelName, to: RelName) -> bool {
-        match (self.index.get(&from), self.index.get(&to)) {
-            (Some(&f), Some(&t)) => self.negative.contains(&(f, t)),
             _ => false,
         }
     }
