@@ -431,7 +431,7 @@ mod tests {
     use super::*;
     use crate::eval::eval;
     use seqdl_core::{path_of, rel, Fact, Instance, Path};
-    use seqdl_engine::Engine;
+    use seqdl_exec::Executor;
     use seqdl_syntax::parse_program;
     use std::collections::BTreeSet;
 
@@ -439,9 +439,9 @@ mod tests {
     fn assert_translation_agrees(src: &str, target: &str, instances: Vec<Instance>) {
         let program = parse_program(src).unwrap();
         let expr = datalog_to_algebra(&program, rel(target)).unwrap();
-        let engine = Engine::new();
+        let executor = Executor::new();
         for instance in instances {
-            let datalog: BTreeSet<Vec<Path>> = engine
+            let datalog: BTreeSet<Vec<Path>> = executor
                 .run(&program, &instance)
                 .unwrap()
                 .relation(rel(target))
@@ -502,11 +502,11 @@ mod tests {
             AlgebraExpr::unpack(AlgebraExpr::relation(rel("P"), 1), 1),
             AlgebraExpr::constant(1, vec![vec![path_of(&["q"])]]),
         ];
-        let engine = Engine::new();
+        let executor = Executor::new();
         for expr in exprs {
             let program = algebra_to_datalog(&expr, rel("Out")).unwrap();
             let expected = eval(&expr, &inst).unwrap();
-            let got: BTreeSet<Vec<Path>> = engine
+            let got: BTreeSet<Vec<Path>> = executor
                 .run(&program, &inst)
                 .unwrap()
                 .relation(rel("Out"))

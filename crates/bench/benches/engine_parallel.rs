@@ -1,8 +1,7 @@
 //! Thread-count scaling of the executor on the two recursive
 //! engine workloads (Section 5.1.1 reachability and Example 2.1 NFA product) at
-//! their largest configured sizes, against the sequential engine baseline.
-//! `threads = 1` runs in-line (no pool), isolating the scheduler overhead;
-//! higher counts measure the delta-sharded parallel fixpoint.
+//! their largest configured sizes.  `threads = 1` runs in place (no pool) and
+//! is the baseline; higher counts measure the delta-sharded parallel fixpoint.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
@@ -11,14 +10,11 @@ const THREADS: [usize; 3] = [1, 2, 4];
 fn bench_reachability(c: &mut Criterion) {
     let mut group = c.benchmark_group("engine_parallel/reachability");
     let (nodes, edges) = (128usize, 1024usize);
-    group.bench_function(BenchmarkId::new("engine", nodes), |b| {
-        b.iter(|| seqdl_bench::reachability_run(nodes, edges))
-    });
     for threads in THREADS {
         group.bench_with_input(
             BenchmarkId::new(&format!("exec_t{threads}"), nodes),
             &threads,
-            |b, &t| b.iter(|| seqdl_bench::reachability_run_parallel(nodes, edges, t)),
+            |b, &t| b.iter(|| seqdl_bench::reachability_result(nodes, edges, t)),
         );
     }
     group.finish();
@@ -27,14 +23,11 @@ fn bench_reachability(c: &mut Criterion) {
 fn bench_nfa(c: &mut Criterion) {
     let mut group = c.benchmark_group("engine_parallel/nfa");
     let (states, words, len) = (16usize, 48usize, 64usize);
-    group.bench_function(BenchmarkId::new("engine", format!("{states}x{len}")), |b| {
-        b.iter(|| seqdl_bench::nfa_run(states, words, len))
-    });
     for threads in THREADS {
         group.bench_with_input(
             BenchmarkId::new(&format!("exec_t{threads}"), format!("{states}x{len}")),
             &threads,
-            |b, &t| b.iter(|| seqdl_bench::nfa_run_parallel(states, words, len, t)),
+            |b, &t| b.iter(|| seqdl_bench::nfa_result(states, words, len, t)),
         );
     }
     group.finish();

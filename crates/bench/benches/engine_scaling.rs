@@ -1,4 +1,4 @@
-//! Engine scaling: the reachability (Section 5.1.1) and NFA-product (Example 2.1)
+//! Evaluation scaling: the reachability (Section 5.1.1) and NFA-product (Example 2.1)
 //! workloads at sizes where the pre-index quadratic relation scan dominated.
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 

@@ -11,7 +11,7 @@
 pub mod json;
 
 use seqdl_core::{rel, repeat_path, Instance, Path, RelName};
-use seqdl_engine::{Engine, EvalLimits};
+use seqdl_engine::EvalLimits;
 use seqdl_fragments::witnesses;
 use seqdl_fragments::{equivalence_classes, Fragment, HasseDiagram};
 use seqdl_rewrite::{
@@ -23,14 +23,17 @@ use seqdl_unify::{solve, SolutionSet, SolveOptions};
 use seqdl_wgen::Workloads;
 use std::collections::BTreeSet;
 
-/// An engine configured with generous limits for experiments.
-pub fn bench_engine() -> Engine {
-    Engine::new().with_limits(EvalLimits {
-        max_iterations: 100_000,
-        max_facts: 5_000_000,
-        max_path_len: 1_000_000,
-        ..EvalLimits::default()
-    })
+/// An executor with generous limits for experiments and the given
+/// worker-pool size.
+pub fn bench_executor(threads: usize) -> seqdl_exec::Executor {
+    seqdl_exec::Executor::new()
+        .with_limits(EvalLimits {
+            max_iterations: 100_000,
+            max_facts: 5_000_000,
+            max_path_len: 1_000_000,
+            ..EvalLimits::default()
+        })
+        .with_threads(threads)
 }
 
 // ---------------------------------------------------------------------------
@@ -105,7 +108,7 @@ pub fn figure3_decide_all() -> usize {
 
 /// Evaluate a unary query and return the output paths.
 pub fn run_query(program: &Program, input: &Instance, output: RelName) -> BTreeSet<Path> {
-    bench_engine()
+    bench_executor(1)
         .run(program, input)
         .expect("experiment programs terminate within limits")
         .unary_paths(output)
@@ -176,12 +179,12 @@ pub fn packing_ablation(hay_len: usize) -> (usize, bool) {
             vec![workloads.random_string(2, 2, 1)],
         ))
         .unwrap();
-    let engine = bench_engine();
-    let a = engine
+    let executor = bench_executor(1);
+    let a = executor
         .run(&w.program, &input)
         .unwrap()
         .nullary_true(w.output);
-    let b = engine
+    let b = executor
         .run(&rewritten, &input)
         .unwrap()
         .nullary_true(w.output);
@@ -263,13 +266,13 @@ pub fn nonrecursive_output_length(n: usize) -> usize {
 /// Run graph reachability (Section 5.1.1) on a random digraph; returns whether
 /// `b` is reachable from `a`.
 pub fn reachability_run(nodes: usize, edges: usize) -> bool {
-    reachability_answer(&reachability_result(nodes, edges))
+    reachability_answer(&reachability_result(nodes, edges, 1))
 }
 
 /// Run the Example 2.1 NFA-acceptance program on a random NFA instance; returns the
 /// number of accepted words.
 pub fn nfa_run(states: usize, words: usize, word_len: usize) -> usize {
-    nfa_answer(&nfa_result(states, words, word_len))
+    nfa_answer(&nfa_result(states, words, word_len, 1))
 }
 
 /// A memory-footprint snapshot for the harness's `--mem-stats` columns: the
@@ -313,13 +316,16 @@ pub fn peak_rss_kib() -> usize {
         .unwrap_or(0)
 }
 
-/// The full result instance of the §5.1.1 reachability workload —
-/// the same computation [`reachability_run`] times, kept so `--mem-stats`
-/// rows snapshot the instance the timed run produced instead of re-running.
-pub fn reachability_result(nodes: usize, edges: usize) -> seqdl_core::Instance {
+/// The full result instance of the §5.1.1 reachability workload evaluated
+/// with `threads` compute threads — the computation [`reachability_run`]
+/// times at one thread, kept so `--mem-stats` rows snapshot the instance the
+/// timed run produced instead of re-running.
+pub fn reachability_result(nodes: usize, edges: usize, threads: usize) -> seqdl_core::Instance {
     let w = witnesses::reachability();
     let input = Workloads::new(17).digraph_instance(nodes, edges);
-    bench_engine().run(&w.program, &input).expect("terminates")
+    bench_executor(threads)
+        .run(&w.program, &input)
+        .expect("terminates")
 }
 
 /// The §5.1.1 answer read off a result instance.
@@ -327,12 +333,19 @@ pub fn reachability_answer(result: &seqdl_core::Instance) -> bool {
     result.nullary_true(witnesses::reachability().output)
 }
 
-/// The full result instance of the Example 2.1 NFA workload; see
-/// [`reachability_result`].
-pub fn nfa_result(states: usize, words: usize, word_len: usize) -> seqdl_core::Instance {
+/// The full result instance of the Example 2.1 NFA workload evaluated with
+/// `threads` compute threads; see [`reachability_result`].
+pub fn nfa_result(
+    states: usize,
+    words: usize,
+    word_len: usize,
+    threads: usize,
+) -> seqdl_core::Instance {
     let w = witnesses::nfa_acceptance();
     let input = Workloads::new(23).nfa_instance(states, 2, words, word_len);
-    bench_engine().run(&w.program, &input).expect("terminates")
+    bench_executor(threads)
+        .run(&w.program, &input)
+        .expect("terminates")
 }
 
 /// The NFA acceptance count read off a result instance.
@@ -342,40 +355,9 @@ pub fn nfa_answer(result: &seqdl_core::Instance) -> usize {
         .count()
 }
 
-/// The executor with the bench engine's limits and the given
-/// worker-pool size.
-pub fn bench_executor(threads: usize) -> seqdl_exec::Executor {
-    seqdl_exec::Executor::new()
-        .with_engine(bench_engine())
-        .with_threads(threads)
-}
-
-/// Run graph reachability (Section 5.1.1) through the stratified parallel
-/// executor; must agree with [`reachability_run`].
-pub fn reachability_run_parallel(nodes: usize, edges: usize, threads: usize) -> bool {
-    let w = witnesses::reachability();
-    let input = Workloads::new(17).digraph_instance(nodes, edges);
-    bench_executor(threads)
-        .run(&w.program, &input)
-        .expect("terminates")
-        .nullary_true(w.output)
-}
-
-/// Run the Example 2.1 NFA-acceptance program through the stratified parallel
-/// executor; must agree with [`nfa_run`].
-pub fn nfa_run_parallel(states: usize, words: usize, word_len: usize, threads: usize) -> usize {
-    let w = witnesses::nfa_acceptance();
-    let input = Workloads::new(23).nfa_instance(states, 2, words, word_len);
-    bench_executor(threads)
-        .run(&w.program, &input)
-        .expect("terminates")
-        .unary_paths_iter(w.output)
-        .count()
-}
-
-/// [`reachability_run_parallel`] returning the run's statistics alongside the
-/// answer — the observability hook behind the harness's `--stats-format
-/// json`, `--profile`, and `--trace-out` modes.
+/// [`reachability_run`] at `threads` compute threads, returning the run's
+/// statistics alongside the answer — the observability hook behind the
+/// harness's `--stats-format json`, `--profile`, and `--trace-out` modes.
 pub fn reachability_exec_stats(
     nodes: usize,
     edges: usize,
@@ -389,8 +371,8 @@ pub fn reachability_exec_stats(
     (out.nullary_true(w.output), stats)
 }
 
-/// [`nfa_run_parallel`] returning the run's statistics alongside the
-/// accepted-word count.
+/// [`nfa_run`] at `threads` compute threads, returning the run's statistics
+/// alongside the accepted-word count.
 pub fn nfa_exec_stats(
     states: usize,
     words: usize,
@@ -524,7 +506,7 @@ pub fn regex_datalog_run(strings: usize, max_len: usize) -> usize {
     let compiled =
         seqdl_regex::compile_match(&regex_pattern(), &seqdl_regex::CompileOptions::default());
     let input = regex_workload(strings, max_len);
-    bench_engine()
+    bench_executor(1)
         .run(&compiled.program, &input)
         .expect("terminates")
         .unary_paths_iter(compiled.output)

@@ -4,7 +4,7 @@ use crate::args::{edit_distance, ArgError, Flags};
 use seqdl_algebra::datalog_to_algebra;
 use seqdl_analysis::{check_json, check_program, render_text, CheckOptions, Severity};
 use seqdl_core::{Instance, Path, RelName, Relation, Renderer};
-use seqdl_engine::{Engine, EvalLimits};
+use seqdl_engine::EvalLimits;
 use seqdl_exec::Executor;
 use seqdl_fragments::{rewrite_into, Feature, Fragment, HasseDiagram};
 use seqdl_io::{load_instance, load_program};
@@ -106,6 +106,10 @@ pub fn help_text() -> String {
         "`--max-store-bytes N` bounds the path store's growth (`k`/`m`/`g`\n",
         "suffixes accepted).  A run stopped by either — or by Ctrl-C — exits\n",
         "nonzero and reports the statistics accumulated up to that point.\n",
+        "\n",
+        "Parallelism: `--threads N` evaluates with N compute threads (1, the\n",
+        "default, runs in place; 0 uses all available cores; at most 256).\n",
+        "The output is identical at every thread count.\n",
         "\n",
         "Observability: `--stats` prints evaluation counters with per-stratum\n",
         "wall percentages and the path store's size; `--profile` prints a\n",
@@ -217,9 +221,15 @@ fn parse_bytes(value: &str) -> Result<usize, CliError> {
         })
 }
 
-/// The executor configured by the flags: the engine's limits and Ctrl-C
-/// token plus `--threads N` (1 = in-line, 0 = all available cores) and
-/// `--shard-size N` (base delta tuples per parallel shard).
+/// The largest `--threads` value accepted.  It is checked before any thread
+/// starts, so a mistyped count is an error message rather than a failed
+/// spawn deep inside the worker pool.
+const MAX_THREADS: usize = 256;
+
+/// The executor configured by the flags: limits and the Ctrl-C token plus
+/// `--threads N` (1 = in place, 0 = all available cores, at most
+/// [`MAX_THREADS`]) and `--shard-size N` (base delta tuples per parallel
+/// shard).
 fn executor_from_flags(flags: &Flags) -> Result<Executor, CliError> {
     let mut limits = EvalLimits::default();
     if let Some(n) = flags.get_usize("max-iterations")? {
@@ -237,13 +247,18 @@ fn executor_from_flags(flags: &Flags) -> Result<Executor, CliError> {
     if let Some(value) = flags.get("max-store-bytes") {
         limits.max_store_bytes = Some(parse_bytes(value)?);
     }
-    let engine = Engine::new()
+    let threads = flags.get_usize("threads")?.unwrap_or(1);
+    if threads > MAX_THREADS {
+        return Err(CliError::Command(format!(
+            "--threads must be at most {MAX_THREADS} (0 = all available cores), got {threads}"
+        )));
+    }
+    let mut executor = Executor::new()
         .with_limits(limits)
         // Ctrl-C cancels a running evaluation at the next governor checkpoint
         // instead of killing the process: the run returns with partial stats.
-        .with_cancel_token(seqdl_core::CancelToken::linked_to(&crate::INTERRUPTED));
-    let threads = flags.get_usize("threads")?.unwrap_or(1);
-    let mut executor = Executor::new().with_engine(engine).with_threads(threads);
+        .with_cancel_token(seqdl_core::CancelToken::linked_to(&crate::INTERRUPTED))
+        .with_threads(threads);
     if let Some(shard) = flags.get_usize("shard-size")? {
         executor = executor.with_shard_size(shard);
     }
@@ -609,16 +624,7 @@ fn check_idb_schema(program: &Program, instance: &Instance) -> Result<(), seqdl_
     let Ok(arities) = program.relation_arities() else {
         return Ok(());
     };
-    for relation in program.idb_relations() {
-        if let Some(existing) = instance.relation(relation) {
-            if !existing.is_empty() || arities.get(&relation) != Some(&existing.arity()) {
-                return Err(seqdl_engine::EvalError::IdbRelationInInput {
-                    relation: relation.name().to_string(),
-                });
-            }
-        }
-    }
-    Ok(())
+    seqdl_engine::check_idb_input(&program.idb_relations(), &arities, instance)
 }
 
 fn cmd_run(flags: &Flags) -> Result<String, CliError> {
@@ -1193,6 +1199,34 @@ mod tests {
                 "S: 3 fact(s)\n  S(order_pin_zeta)\n  S(order_pin_alpha)\n  S(order_pin_mid)\n"
             );
         }
+    }
+
+    #[test]
+    fn thread_counts_above_the_bound_are_rejected_before_any_thread_starts() {
+        let program = write_program("threads-bound.sdl", "S($x) <- R($x).");
+        let instance = write_program("threads-bound.sdi", "R(a).\n");
+        let run = |threads: usize| {
+            let threads = threads.to_string();
+            cmd_run(&flags(&[
+                "--program",
+                &program,
+                "--instance",
+                &instance,
+                "--threads",
+                &threads,
+            ]))
+        };
+        // Just above the bound: a missing check would start only 256
+        // workers for a one-fact program.
+        match run(MAX_THREADS + 1) {
+            Err(CliError::Command(message)) => {
+                assert!(message.contains("--threads"), "{message}");
+                assert!(message.contains(&MAX_THREADS.to_string()), "{message}");
+            }
+            other => panic!("expected a --threads error, got {other:?}"),
+        }
+        assert!(run(2).unwrap().contains("S(a)"));
+        assert!(help_text().contains(&format!("at most {MAX_THREADS}")));
     }
 
     #[test]

@@ -8,16 +8,15 @@
 //!
 //! Every round is a batch of [`Job`]s handed to a caller-supplied `round`
 //! closure, which returns one [`JobOutcome`] per job.  That closure is the
-//! only seam: [`Driver::inline_round`] fires the jobs in place (what
-//! [`Engine::run`](crate::Engine::run) uses), and the `seqdl-exec` worker pool
-//! fans them out over threads.  Jobs only read the instance; the driver merges
+//! only seam: `seqdl_exec::Executor` fires the jobs in place or fans them out
+//! over its worker pool.  Jobs only read the instance; the driver merges
 //! their private buffers between rounds in job order, so the output is
 //! independent of how a round was executed.
 
 use crate::error::{EvalError, LimitKind};
 use crate::eval::{
     prepare_idb_instance, register_plan_indexes, restrict_head_indexes, seed_instance, DeltaWindow,
-    EmitMemo, Engine, EvalStats, FireStats, ResourceGovernor, StratumStats,
+    EmitMemo, EvalLimits, EvalStats, FireStats, ResourceGovernor, StratumStats,
 };
 use crate::ram::{self, fire_proc, LoopProgram, RuleProc, StratumProgram};
 use seqdl_core::{Fact, Instance, RelName, Relation};
@@ -65,14 +64,6 @@ impl ShardPolicy {
         } else {
             base
         }
-    }
-}
-
-impl Default for ShardPolicy {
-    /// The one-thread policy: [`DELTA_SHARD`]-tuple shards, at most four per
-    /// window.
-    fn default() -> Self {
-        ShardPolicy::new(DELTA_SHARD, 1)
     }
 }
 
@@ -212,8 +203,8 @@ pub fn prepare_run(
 
 /// The fixpoint driver over one lowered program and its working instance.
 pub struct Driver<'a> {
-    /// Limits, cancellation, and the merge bookkeeping ([`Engine::absorb`]).
-    pub engine: &'a Engine,
+    /// The run's limits on rounds, facts, and path length.
+    pub limits: EvalLimits,
     /// The run's governor, polled at every stratum and round boundary.
     pub governor: &'a ResourceGovernor,
     /// How delta windows split into shard jobs.
@@ -237,21 +228,10 @@ struct LoopState<'p> {
 }
 
 impl<'a> Driver<'a> {
-    /// A round closure that fires every job in place, in order.
-    pub fn inline_round(&self) -> impl FnMut(Vec<Job<'a>>) -> Vec<JobOutcome> + 'a {
-        let (instance, governor) = (self.instance, self.governor);
-        move |jobs| {
-            let guard = read(instance);
-            jobs.into_iter()
-                .map(|job| job.run(|job| job.fire(&guard, governor)))
-                .collect()
-        }
-    }
-
     /// Evaluate every stratum in order, each round through `round`.  A
     /// stratum that fails is handed to `recover` with its index and error;
-    /// `recover` either repairs the stratum (e.g. by re-running
-    /// [`Driver::stratum`] inline) or returns the error to end the run.
+    /// `recover` either repairs the stratum (by re-running
+    /// [`Driver::stratum`]) or returns the error to end the run.
     ///
     /// # Errors
     /// Evaluation errors, exceeded limits, and cancellation.
@@ -328,7 +308,7 @@ impl<'a> Driver<'a> {
     /// Start a new round of the current level, enforcing the iteration limit
     /// and polling the full governor.
     fn next_round(&self, rounds: &mut usize, stats: &mut EvalStats) -> Result<(), EvalError> {
-        let limit = self.engine.limits().max_iterations;
+        let limit = self.limits.max_iterations;
         if *rounds >= limit {
             return Err(EvalError::LimitExceeded {
                 what: LimitKind::Iterations,
@@ -477,7 +457,41 @@ impl<'a> Driver<'a> {
                 outcome.wall,
                 facts.len(),
             );
-            self.engine.absorb(&mut guard, &mut facts, stats)?;
+            self.absorb(&mut guard, &mut facts, stats)?;
+        }
+        Ok(())
+    }
+
+    /// Drain `new_facts` into `instance`, enforcing the fact-count and
+    /// path-length limits.  Each fact is *moved* into the store (no tuple
+    /// clone), duplicates cost one dedup-map lookup, and the path-length
+    /// limit is checked once per genuinely new head tuple — anything already
+    /// in the instance passed that check when it was first inserted.
+    fn absorb(
+        &self,
+        instance: &mut Instance,
+        new_facts: &mut Vec<Fact>,
+        stats: &mut EvalStats,
+    ) -> Result<(), EvalError> {
+        let limits = &self.limits;
+        for fact in new_facts.drain(..) {
+            let Some(inserted_tuple) = instance.insert_fact_new(fact).map_err(EvalError::Data)?
+            else {
+                continue;
+            };
+            if inserted_tuple.iter().any(|p| p.len() > limits.max_path_len) {
+                return Err(EvalError::LimitExceeded {
+                    what: LimitKind::PathLength,
+                    limit: limits.max_path_len,
+                });
+            }
+            stats.derived_facts += 1;
+            if stats.derived_facts > limits.max_facts {
+                return Err(EvalError::LimitExceeded {
+                    what: LimitKind::Facts,
+                    limit: limits.max_facts,
+                });
+            }
         }
         Ok(())
     }

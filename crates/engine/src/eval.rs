@@ -1,16 +1,15 @@
-//! Stratum-by-stratum fixpoint evaluation (Section 2.3): the [`Engine`] entry
-//! points, resource limits and the run's governor, evaluation statistics,
-//! and the index selection the RAM interpreter probes through.  The fixpoint
-//! loop itself is [`crate::drive`].
+//! Stratum-by-stratum fixpoint evaluation (Section 2.3): resource limits and
+//! the run's governor, evaluation statistics, instance preparation, and the
+//! index selection the RAM interpreter probes through.  The fixpoint loop
+//! itself is [`crate::drive`]; runs start at `seqdl_exec::Executor`.
 
-use crate::drive::{prepare_run, Driver, ShardPolicy};
 use crate::error::{EvalError, LimitKind};
 use crate::plan::{BodyPlan, ColumnProbe, PlannedLiteral, PlannedPredicate, PrefixSource};
 use seqdl_core::{
     CancelToken, Fact, Instance, Path, RelName, Relation, TrieEntry, Value, TRIE_DEPTH,
 };
-use seqdl_syntax::{Binding, Program, ProgramInfo, Valuation};
-use std::sync::{PoisonError, RwLock};
+use seqdl_syntax::{Binding, ProgramInfo, Valuation};
+use std::collections::{BTreeMap, BTreeSet};
 use std::time::{Duration, Instant};
 
 /// Resource limits for evaluation.
@@ -90,11 +89,6 @@ impl ResourceGovernor {
                 0
             },
         }
-    }
-
-    /// The cancel token this governor observes, if any.
-    pub fn cancel_token(&self) -> Option<&CancelToken> {
-        self.cancel.as_ref()
     }
 
     /// Cancellation-and-deadline checkpoint — cheap enough for the
@@ -334,171 +328,6 @@ pub struct DeltaWindow {
     pub hi: usize,
 }
 
-/// The evaluation engine.
-#[derive(Clone, Debug)]
-pub struct Engine {
-    limits: EvalLimits,
-    cancel: Option<CancelToken>,
-}
-
-impl Default for Engine {
-    fn default() -> Self {
-        Engine::new()
-    }
-}
-
-impl Engine {
-    /// An engine with default limits and semi-naive evaluation.
-    pub fn new() -> Engine {
-        Engine {
-            limits: EvalLimits::default(),
-            cancel: None,
-        }
-    }
-
-    /// Override the resource limits.
-    pub fn with_limits(mut self, limits: EvalLimits) -> Engine {
-        self.limits = limits;
-        self
-    }
-
-    /// Attach a [`CancelToken`] the engine polls at every governor checkpoint.
-    /// Cancelling the token (from any thread, or a signal handler via
-    /// [`CancelToken::linked_to`]) makes the run return
-    /// [`EvalError::Cancelled`] with the statistics accumulated so far.
-    pub fn with_cancel_token(mut self, token: CancelToken) -> Engine {
-        self.cancel = Some(token);
-        self
-    }
-
-    /// The attached cancel token, if any.
-    pub fn cancel_token(&self) -> Option<&CancelToken> {
-        self.cancel.as_ref()
-    }
-
-    /// The configured resource limits.
-    pub fn limits(&self) -> EvalLimits {
-        self.limits
-    }
-
-    /// Evaluate `program` on `input`, returning the final instance (input relations
-    /// plus all IDB relations).
-    ///
-    /// # Errors
-    /// Ill-formed programs and exceeded resource limits.
-    pub fn run(&self, program: &Program, input: &Instance) -> Result<Instance, EvalError> {
-        self.run_with_stats(program, input).map(|(i, _)| i)
-    }
-
-    /// Like [`Engine::run`], additionally returning evaluation statistics.
-    ///
-    /// # Errors
-    /// Ill-formed programs and exceeded resource limits.
-    pub fn run_with_stats(
-        &self,
-        program: &Program,
-        input: &Instance,
-    ) -> Result<(Instance, EvalStats), EvalError> {
-        self.run_with_stats_seeded(program, input, &[])
-    }
-
-    /// Evaluate `program` on `input` with extra `seeds` injected before the
-    /// first stratum — the entry point of demand-driven (magic-set) query
-    /// evaluation, where the goal's bound arguments become facts of the magic
-    /// predicates.  Seeds may populate relations that are IDB in `program`
-    /// (which plain inputs must not), since they are demand, not data.
-    ///
-    /// # Errors
-    /// Ill-formed programs, seed arity mismatches, and exceeded resource
-    /// limits.
-    pub fn run_seeded(
-        &self,
-        program: &Program,
-        input: &Instance,
-        seeds: &[Fact],
-    ) -> Result<Instance, EvalError> {
-        self.run_with_stats_seeded(program, input, seeds)
-            .map(|(i, _)| i)
-    }
-
-    /// Like [`Engine::run_seeded`], additionally returning evaluation
-    /// statistics.  The run is the [`Driver`] with its inline round: the
-    /// same rounds, jobs, and counters as a one-thread executor.
-    ///
-    /// # Errors
-    /// Ill-formed programs, seed arity mismatches, and exceeded resource
-    /// limits.
-    pub fn run_with_stats_seeded(
-        &self,
-        program: &Program,
-        input: &Instance,
-        seeds: &[Fact],
-    ) -> Result<(Instance, EvalStats), EvalError> {
-        let governor = ResourceGovernor::for_run(&self.limits, self.cancel.clone());
-        let mut stats = EvalStats::default();
-        let outcome = prepare_run(program, input, seeds).and_then(|(instance, lowered)| {
-            let instance = RwLock::new(instance);
-            let driver = Driver {
-                engine: self,
-                governor: &governor,
-                shard: ShardPolicy::default(),
-                program: &lowered,
-                instance: &instance,
-            };
-            driver.run(&mut stats, driver.inline_round(), |_, e, _| Err(e))?;
-            Ok(instance
-                .into_inner()
-                .unwrap_or_else(PoisonError::into_inner))
-        });
-        match outcome {
-            Ok(instance) => Ok((instance, stats)),
-            Err(e) => Err(e.with_partial_stats(stats)),
-        }
-    }
-
-    /// Drain `new_facts` into `instance`, enforcing the fact-count and path-length
-    /// limits.  Each fact is *moved* into the
-    /// store (no tuple clone), duplicates cost one dedup-map lookup, and the
-    /// path-length limit is checked once per genuinely new head tuple — anything
-    /// already in the instance passed that check when it was first inserted, so
-    /// duplicates are not re-walked.
-    ///
-    /// The driver's merge calls it between rounds, under the write lock.
-    ///
-    /// # Errors
-    /// Arity mismatches and exceeded resource limits.
-    pub fn absorb(
-        &self,
-        instance: &mut Instance,
-        new_facts: &mut Vec<Fact>,
-        stats: &mut EvalStats,
-    ) -> Result<(), EvalError> {
-        for fact in new_facts.drain(..) {
-            let Some(inserted_tuple) = instance.insert_fact_new(fact).map_err(EvalError::Data)?
-            else {
-                continue;
-            };
-            if inserted_tuple
-                .iter()
-                .any(|p| p.len() > self.limits.max_path_len)
-            {
-                return Err(EvalError::LimitExceeded {
-                    what: LimitKind::PathLength,
-                    limit: self.limits.max_path_len,
-                });
-            }
-            stats.derived_facts += 1;
-            if stats.derived_facts > self.limits.max_facts {
-                return Err(EvalError::LimitExceeded {
-                    what: LimitKind::Facts,
-                    limit: self.limits.max_facts,
-                });
-            }
-        }
-        Ok(())
-    }
-}
-
 /// Insert demand seed facts into a prepared instance.  Seeds bypass the
 /// IDB-in-input check of [`prepare_idb_instance`] on purpose: magic predicates
 /// are heads of magic rules (IDB), yet their initial demand comes from the
@@ -516,26 +345,41 @@ pub fn seed_instance(instance: &mut Instance, seeds: &[Fact]) -> Result<(), Eval
     Ok(())
 }
 
-/// Clone `input` and register every IDB relation of the program so empty results
-/// are observable.  The paper requires IDB relation names to lie outside the input
-/// schema Γ; inputs that already populate an IDB relation (or declare it with
-/// another arity) are rejected here, which would otherwise surface as a confusing
-/// arity error later.
+/// Reject an input that populates an IDB relation of a program, or declares
+/// one at another arity.  The paper requires IDB relation names to lie
+/// outside the input schema Γ; a collision would otherwise surface as a
+/// confusing arity error later.  `arities` must cover every name in `idb`.
+///
+/// # Errors
+/// [`EvalError::IdbRelationInInput`] naming the first colliding relation.
+pub fn check_idb_input(
+    idb: &BTreeSet<RelName>,
+    arities: &BTreeMap<RelName, usize>,
+    input: &Instance,
+) -> Result<(), EvalError> {
+    for rel in idb {
+        if let Some(existing) = input.relation(*rel) {
+            if !existing.is_empty() || arities.get(rel) != Some(&existing.arity()) {
+                return Err(EvalError::IdbRelationInInput {
+                    relation: rel.name().to_string(),
+                });
+            }
+        }
+    }
+    Ok(())
+}
+
+/// Clone `input` and register every IDB relation of the program so empty
+/// results are observable, after [`check_idb_input`].
 ///
 /// # Errors
 /// [`EvalError::IdbRelationInInput`] on a schema collision.
 pub fn prepare_idb_instance(info: &ProgramInfo, input: &Instance) -> Result<Instance, EvalError> {
+    check_idb_input(&info.idb, &info.arities, input)?;
     let mut instance = input.clone();
-    for (rel, arity) in &info.arities {
-        if info.idb.contains(rel) {
-            if let Some(existing) = input.relation(*rel) {
-                if !existing.is_empty() || existing.arity() != *arity {
-                    return Err(EvalError::IdbRelationInInput {
-                        relation: rel.name().to_string(),
-                    });
-                }
-            }
-            instance.declare_relation(*rel, *arity);
+    for rel in &info.idb {
+        if let Some(&arity) = info.arities.get(rel) {
+            instance.declare_relation(*rel, arity);
         }
     }
     Ok(instance)
@@ -834,288 +678,4 @@ pub(crate) fn first_value(probe: &ColumnProbe, nu: &Valuation) -> Option<Value> 
         },
         PrefixSource::PathVar(_) => None,
     }
-}
-
-#[cfg(test)]
-#[allow(clippy::unwrap_used)]
-mod tests {
-    use super::*;
-    use seqdl_core::{path_of, rel, repeat_path};
-    use seqdl_syntax::parse_program;
-    use std::collections::BTreeSet;
-
-    fn engine() -> Engine {
-        Engine::new().with_limits(EvalLimits {
-            max_iterations: 1000,
-            max_facts: 100_000,
-            max_path_len: 10_000,
-            ..EvalLimits::default()
-        })
-    }
-
-    #[test]
-    fn example_3_1_only_as_with_equation() {
-        let program = parse_program("S($x) <- R($x), a·$x = $x·a.").unwrap();
-        let input = Instance::unary(
-            rel("R"),
-            [
-                repeat_path("a", 4),
-                path_of(&["a", "b", "a"]),
-                Path::empty(),
-            ],
-        );
-        let out = engine().run(&program, &input).unwrap();
-        let s = out.unary_paths(rel("S"));
-        assert!(s.contains(&repeat_path("a", 4)));
-        assert!(s.contains(&Path::empty()));
-        assert!(!s.contains(&path_of(&["a", "b", "a"])));
-    }
-
-    #[test]
-    fn example_3_1_only_as_with_recursion_matches_equation_variant() {
-        let with_eq = parse_program("S($x) <- R($x), a·$x = $x·a.").unwrap();
-        let with_rec =
-            parse_program("T($x, $x) <- R($x).\nT($x, $y) <- T($x, $y·a).\nS($x) <- T($x, eps).")
-                .unwrap();
-        let input = Instance::unary(
-            rel("R"),
-            [
-                repeat_path("a", 3),
-                path_of(&["b"]),
-                path_of(&["a", "b"]),
-                Path::empty(),
-            ],
-        );
-        let s1 = engine()
-            .run(&with_eq, &input)
-            .unwrap()
-            .unary_paths(rel("S"));
-        let s2 = engine()
-            .run(&with_rec, &input)
-            .unwrap()
-            .unary_paths(rel("S"));
-        assert_eq!(s1, s2);
-        assert_eq!(s1.len(), 2);
-    }
-
-    #[test]
-    fn example_4_3_reversal_with_arity() {
-        let program = parse_program(
-            "T($x, eps) <- R($x).\nT($x, $y·@u) <- T($x·@u, $y).\nS($x) <- T(eps, $x).",
-        )
-        .unwrap();
-        let input = Instance::unary(rel("R"), [path_of(&["a", "b", "c"])]);
-        let out = engine().run(&program, &input).unwrap();
-        assert_eq!(
-            out.unary_paths(rel("S")),
-            BTreeSet::from([path_of(&["c", "b", "a"])])
-        );
-    }
-
-    #[test]
-    fn example_2_1_nfa_acceptance() {
-        // NFA over {a, b} accepting strings ending in b: states q0 (initial), q1
-        // (final); q0 -a-> q0, q0 -b-> q1, q1 -a-> q0, q1 -b-> q1.
-        let program = parse_program(
-            "S(@q·$x, eps) <- R($x), N(@q).\n\
-             S(@q2·$y, $z·@a) <- S(@q1·@a·$y, $z), D(@q1, @a, @q2).\n\
-             A($x) <- S(@q, $x), F(@q).",
-        )
-        .unwrap();
-        let mut input = Instance::new();
-        input
-            .insert_fact(Fact::new(rel("N"), vec![path_of(&["q0"])]))
-            .unwrap();
-        input
-            .insert_fact(Fact::new(rel("F"), vec![path_of(&["q1"])]))
-            .unwrap();
-        for (from, sym, to) in [
-            ("q0", "a", "q0"),
-            ("q0", "b", "q1"),
-            ("q1", "a", "q0"),
-            ("q1", "b", "q1"),
-        ] {
-            input
-                .insert_fact(Fact::new(
-                    rel("D"),
-                    vec![path_of(&[from]), path_of(&[sym]), path_of(&[to])],
-                ))
-                .unwrap();
-        }
-        for word in [
-            vec!["a", "b"],
-            vec!["b", "b", "b"],
-            vec!["a"],
-            vec!["b", "a"],
-        ] {
-            input
-                .insert_fact(Fact::new(rel("R"), vec![path_of(&word)]))
-                .unwrap();
-        }
-        let out = engine().run(&program, &input).unwrap();
-        let accepted = out.unary_paths(rel("A"));
-        assert!(accepted.contains(&path_of(&["a", "b"])));
-        assert!(accepted.contains(&path_of(&["b", "b", "b"])));
-        assert!(!accepted.contains(&path_of(&["a"])));
-        assert!(!accepted.contains(&path_of(&["b", "a"])));
-    }
-
-    #[test]
-    fn example_2_2_three_occurrences_boolean_query() {
-        let program = parse_program(
-            "T($u·<$s>·$v) <- R($u·$s·$v), S($s).\n\
-             A <- T($x), T($y), T($z), $x != $y, $x != $z, $y != $z.",
-        )
-        .unwrap();
-        // "ab" occurs three times in abxabyab.
-        let mut input = Instance::unary(
-            rel("R"),
-            [path_of(&["a", "b", "x", "a", "b", "y", "a", "b"])],
-        );
-        input
-            .insert_fact(Fact::new(rel("S"), vec![path_of(&["a", "b"])]))
-            .unwrap();
-        assert!(engine()
-            .run(&program, &input)
-            .unwrap()
-            .nullary_true(rel("A")));
-
-        // Only two occurrences: a·b·x·a·b.
-        let mut input2 = Instance::unary(rel("R"), [path_of(&["a", "b", "x", "a", "b"])]);
-        input2
-            .insert_fact(Fact::new(rel("S"), vec![path_of(&["a", "b"])]))
-            .unwrap();
-        assert!(!engine()
-            .run(&program, &input2)
-            .unwrap()
-            .nullary_true(rel("A")));
-    }
-
-    #[test]
-    fn squaring_query_from_theorem_5_3() {
-        let program = parse_program(
-            "T(eps, $x, $x) <- R($x).\nT($y·$x, $x, $z) <- T($y, $x, a·$z).\nS($y) <- T($y, $x, eps).",
-        )
-        .unwrap();
-        for n in [0usize, 1, 2, 3, 5] {
-            let input = Instance::unary(rel("R"), [repeat_path("a", n)]);
-            let out = engine().run(&program, &input).unwrap();
-            let s = out.unary_paths(rel("S"));
-            assert!(
-                s.contains(&repeat_path("a", n * n)),
-                "a^{} missing from output for n={n}",
-                n * n
-            );
-        }
-    }
-
-    #[test]
-    fn stratified_negation_only_black_successors() {
-        // Section 5.2: nodes whose successors are all black, on graphs encoded as
-        // length-2 paths.
-        let program =
-            parse_program("W(@x) <- R(@x·@y), !B(@y).\n---\nS(@x) <- R(@x·@y), !W(@x).").unwrap();
-        let mut input = Instance::new();
-        for (a, b) in [("n1", "n2"), ("n1", "n3"), ("n4", "n2")] {
-            input
-                .insert_fact(Fact::new(rel("R"), vec![path_of(&[a, b])]))
-                .unwrap();
-        }
-        // n2 is black, n3 is not.
-        input
-            .insert_fact(Fact::new(rel("B"), vec![path_of(&["n2"])]))
-            .unwrap();
-        let out = engine().run(&program, &input).unwrap();
-        let s = out.unary_paths(rel("S"));
-        // n4's only successor (n2) is black; n1 has a non-black successor (n3).
-        assert!(s.contains(&path_of(&["n4"])));
-        assert!(!s.contains(&path_of(&["n1"])));
-    }
-
-    #[test]
-    fn graph_reachability_in_fragment_i_r() {
-        let program =
-            parse_program("T(@x·@y) <- R(@x·@y).\nT(@x·@z) <- T(@x·@y), R(@y·@z).\nS <- T(a·b).")
-                .unwrap();
-        let mut chain = Instance::new();
-        for (x, y) in [("a", "c"), ("c", "d"), ("d", "b")] {
-            chain
-                .insert_fact(Fact::new(rel("R"), vec![path_of(&[x, y])]))
-                .unwrap();
-        }
-        assert!(engine()
-            .run(&program, &chain)
-            .unwrap()
-            .nullary_true(rel("S")));
-
-        let mut no_path = Instance::new();
-        for (x, y) in [("a", "c"), ("d", "b")] {
-            no_path
-                .insert_fact(Fact::new(rel("R"), vec![path_of(&[x, y])]))
-                .unwrap();
-        }
-        assert!(!engine()
-            .run(&program, &no_path)
-            .unwrap()
-            .nullary_true(rel("S")));
-    }
-
-    #[test]
-    fn example_2_3_nonterminating_program_hits_limits() {
-        let program = parse_program("T(a).\nT(a·$x) <- T($x).").unwrap();
-        let tight = Engine::new().with_limits(EvalLimits {
-            max_iterations: 50,
-            ..EvalLimits::default()
-        });
-        let err = tight.run(&program, &Instance::new()).unwrap_err();
-        assert!(matches!(err, EvalError::LimitExceeded { .. }));
-    }
-
-    #[test]
-    fn naive_and_semi_naive_agree() {
-        let program = parse_program(
-            "T(@x·@y) <- R(@x·@y).\nT(@x·@z) <- T(@x·@y), R(@y·@z).\nS($p) <- T($p).",
-        )
-        .unwrap();
-        let mut input = Instance::new();
-        for (x, y) in [("a", "b"), ("b", "c"), ("c", "d"), ("d", "a"), ("b", "e")] {
-            input
-                .insert_fact(Fact::new(rel("R"), vec![path_of(&[x, y])]))
-                .unwrap();
-        }
-        let output = engine().run(&program, &input).unwrap();
-        // The least fixpoint, which naive evaluation also reaches: a, b, c and
-        // d lie on one cycle and each reach all five nodes; e reaches none.
-        assert_eq!(output.unary_paths(rel("S")).len(), 5 + 4 + 4 + 4 + 3);
-    }
-
-    #[test]
-    fn stats_report_iterations_and_facts() {
-        let program = parse_program("S($x) <- R($x).").unwrap();
-        let input = Instance::unary(rel("R"), [path_of(&["a"]), path_of(&["b"])]);
-        let (_, stats) = engine().run_with_stats(&program, &input).unwrap();
-        assert_eq!(stats.derived_facts, 2);
-        assert!(stats.iterations >= 1);
-        assert_eq!(stats.rule_firings, 2);
-    }
-
-    #[test]
-    fn empty_idb_relations_are_declared_in_the_output() {
-        let program = parse_program("S($x) <- R($x), a·$x = $x·a.").unwrap();
-        let input = Instance::unary(rel("R"), [path_of(&["b"])]);
-        let out = engine().run(&program, &input).unwrap();
-        assert!(out.relation(rel("S")).is_some());
-        assert!(out.unary_paths(rel("S")).is_empty());
-    }
-
-    #[test]
-    fn unsafe_programs_are_rejected_before_evaluation() {
-        let program = parse_program("S($y) <- R($x).").unwrap();
-        assert!(matches!(
-            engine().run(&program, &Instance::new()),
-            Err(EvalError::IllFormed(_))
-        ));
-    }
-
-    use seqdl_core::Path;
 }

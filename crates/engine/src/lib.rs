@@ -21,21 +21,26 @@
 //!   semi-naively under explicit [`EvalLimits`], so that non-terminating
 //!   programs (such as Example 2.3 of the paper) surface as
 //!   [`EvalError::LimitExceeded`] instead of diverging;
-//! * [`eval`] — the [`Engine`] entry points, limits, governor, and statistics.
+//! * [`eval`] — limits, the run's governor, statistics, and instance
+//!   preparation.
 //!
-//! The top-level entry point is [`Engine`]:
+//! This crate has no run entry point of its own: programs are evaluated
+//! through `seqdl_exec::Executor`, which supplies the driver's rounds (in
+//! place at one thread, over a worker pool at more) and contains worker
+//! panics.  What this crate exposes directly is the compilation the executor
+//! runs, e.g. the lowered program of Example 3.1:
 //!
 //! ```
-//! use seqdl_core::{rel, repeat_path, Instance};
-//! use seqdl_engine::Engine;
+//! use seqdl_engine::ram;
 //! use seqdl_syntax::parse_program;
 //!
 //! // Example 3.1: all paths from R consisting exclusively of a's.
 //! let program = parse_program("S($x) <- R($x), a·$x = $x·a.").unwrap();
-//! let input = Instance::unary(rel("R"), [repeat_path("a", 3), repeat_path("b", 2)]);
-//! let output = Engine::new().run(&program, &input).unwrap();
-//! assert!(output.unary_paths(rel("S")).contains(&repeat_path("a", 3)));
-//! assert!(!output.unary_paths(rel("S")).contains(&repeat_path("b", 2)));
+//! let lowered = ram::lower(&program).unwrap();
+//! // One stratum with one non-recursive rule, fired once in a merge round.
+//! assert_eq!(lowered.strata.len(), 1);
+//! assert_eq!(lowered.strata[0].procs.len(), 1);
+//! assert!(lowered.strata[0].levels.iter().all(|level| level.loops.is_empty()));
 //! ```
 
 #![warn(missing_docs)]
@@ -53,62 +58,10 @@ pub mod stats_json;
 pub use drive::{prepare_run, Driver, Job, JobOutcome, ShardPolicy};
 pub use error::{EvalError, LimitKind};
 pub use eval::{
-    prepare_idb_instance, register_plan_indexes, restrict_head_indexes, seed_instance, DeltaWindow,
-    EmitMemo, Engine, EvalLimits, EvalStats, FireStats, ResourceGovernor, RuleStats, StratumStats,
-    GOVERNOR_CHECK_INTERVAL,
+    check_idb_input, prepare_idb_instance, register_plan_indexes, restrict_head_indexes,
+    seed_instance, DeltaWindow, EmitMemo, EvalLimits, EvalStats, FireStats, ResourceGovernor,
+    RuleStats, StratumStats, GOVERNOR_CHECK_INTERVAL,
 };
 pub use plan::{plan_rule, BodyPlan, ColumnProbe, PlannedLiteral, PlannedPredicate, PrefixSource};
 pub use ram::{fire_proc, RuleProc};
 pub use stats_json::stats_json;
-
-use seqdl_core::{Instance, Path, RelName};
-use seqdl_syntax::Program;
-use std::collections::BTreeSet;
-
-/// Run `program` on `input` and read off the unary output relation `output`, i.e.
-/// evaluate the *flat unary query* the program computes (Section 3.1).
-///
-/// # Errors
-/// Any evaluation error (unsafe program, resource limits, …).
-pub fn run_unary_query(
-    program: &Program,
-    input: &Instance,
-    output: RelName,
-) -> Result<BTreeSet<Path>, EvalError> {
-    let result = Engine::new().run(program, input)?;
-    Ok(result.unary_paths(output))
-}
-
-/// Run `program` on `input` and read off a nullary (boolean) output relation.
-///
-/// # Errors
-/// Any evaluation error (unsafe program, resource limits, …).
-pub fn run_boolean_query(
-    program: &Program,
-    input: &Instance,
-    output: RelName,
-) -> Result<bool, EvalError> {
-    let result = Engine::new().run(program, input)?;
-    Ok(result.nullary_true(output))
-}
-
-#[cfg(test)]
-#[allow(clippy::unwrap_used)]
-mod tests {
-    use super::*;
-    use seqdl_core::{rel, repeat_path};
-    use seqdl_syntax::parse_program;
-
-    #[test]
-    fn unary_and_boolean_helpers() {
-        let program = parse_program("S($x) <- R($x), a·$x = $x·a.").unwrap();
-        let input = Instance::unary(rel("R"), [repeat_path("a", 2)]);
-        let paths = run_unary_query(&program, &input, rel("S")).unwrap();
-        assert_eq!(paths.len(), 1);
-
-        let boolean = parse_program("A <- R($x), a·$x = $x·a.").unwrap();
-        assert!(run_boolean_query(&boolean, &input, rel("A")).unwrap());
-        let empty = Instance::unary(rel("R"), []);
-        assert!(!run_boolean_query(&boolean, &empty, rel("A")).unwrap());
-    }
-}

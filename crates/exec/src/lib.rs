@@ -1,11 +1,11 @@
-//! # seqdl-exec — the worker pool behind the fixpoint driver
+//! # seqdl-exec — the one way to evaluate a program
 //!
-//! `seqdl-engine`'s [`Driver`] evaluates a lowered program in rounds of
-//! independent jobs: per dependency level, one round for the level's merge
-//! section, then lock-step semi-naive rounds for its recursive loops, each
-//! delta window split into shard jobs.  The driver hands every round to a
-//! `round` closure.  [`Engine::run`] fires the jobs in place; this crate's
-//! [`Executor`] supplies the other closures:
+//! [`Executor`] is the entry point of evaluation.  It prepares and lowers a
+//! program, then runs `seqdl-engine`'s [`Driver`], which evaluates the
+//! lowered program in rounds of independent jobs: per dependency level, one
+//! round for the level's merge section, then lock-step semi-naive rounds for
+//! its recursive loops, each delta window split into shard jobs.  The driver
+//! hands every round to a `round` closure, and this crate supplies two:
 //!
 //! * `--threads 1` fires the jobs in place, each under `catch_unwind`;
 //! * `--threads N` fans them out over a fixed pool of `N − 1` workers built
@@ -16,8 +16,9 @@
 //! produce derived facts into private buffers; the driver merges those
 //! buffers between rounds in deterministic job order, so the output instance
 //! is independent of the thread count.  A panicking job poisons the run, the
-//! surviving workers drain, and under [`RecoveryPolicy::Sequential`] the
-//! driver re-runs the failed stratum inline.
+//! surviving jobs drain, and the driver re-runs the failed stratum once in
+//! place; a panic that recurs there ends the run with
+//! [`EvalError::WorkerPanic`].
 //!
 //! ```
 //! use seqdl_core::{rel, Fact, path_of, Instance};
@@ -41,57 +42,78 @@
 #![warn(clippy::unwrap_used)]
 
 use parking_lot::Mutex;
-use seqdl_core::{Fact, Instance};
+use seqdl_core::{CancelToken, Fact, Instance, Path, RelName};
 use seqdl_engine::drive::{read, DELTA_SHARD};
 use seqdl_engine::{
-    prepare_run, Driver, Engine, EvalError, EvalStats, FireStats, Job, JobOutcome,
+    prepare_run, Driver, EvalError, EvalLimits, EvalStats, FireStats, Job, JobOutcome,
     ResourceGovernor, ShardPolicy,
 };
 use seqdl_syntax::Program;
+use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, PoisonError, RwLock};
 use std::thread;
 use std::time::Duration;
 
 /// Deterministic fault injection for the robustness test suite: arm a global
-/// countdown and the Kth worker job fired through [`run_job`] panics inside
-/// the `catch_unwind` region, exercising the poison → drain → recovery path.
+/// countdown and the Kth job fired through [`run_job`] panics inside the
+/// `catch_unwind` region, exercising the poison → drain → retry path.
 /// Compiled only under the `fail-inject` feature; release builds carry no
 /// trace of it.
 #[cfg(feature = "fail-inject")]
 pub mod fail {
-    use std::sync::atomic::{AtomicIsize, Ordering};
+    use std::sync::atomic::{AtomicBool, AtomicIsize, Ordering};
 
     /// `-1` means disarmed; `k ≥ 0` means "panic on the job firing that
-    /// decrements this to below zero" — i.e. the (k+1)-th firing after arming.
+    /// finds this at zero" — i.e. the (k+1)-th firing after arming.
     static COUNTDOWN: AtomicIsize = AtomicIsize::new(-1);
 
-    /// Arm the injector: the `k`-th subsequent worker-job firing panics
+    /// Whether the countdown stays at zero after firing, so every later
+    /// firing panics too.
+    static REPEATING: AtomicBool = AtomicBool::new(false);
+
+    fn set(k: usize, repeating: bool) {
+        REPEATING.store(repeating, Ordering::SeqCst);
+        COUNTDOWN.store(isize::try_from(k).unwrap_or(isize::MAX), Ordering::SeqCst);
+    }
+
+    /// Arm the injector: the `k`-th subsequent job firing panics, once
     /// (`k = 0` panics on the very next one).
     pub fn arm(k: usize) {
-        COUNTDOWN.store(isize::try_from(k).unwrap_or(isize::MAX), Ordering::SeqCst);
+        set(k, false);
+    }
+
+    /// Arm the injector so that the `k`-th subsequent job firing and every
+    /// firing after it panic, until [`disarm`] — a fault the stratum retry
+    /// cannot get past.
+    pub fn arm_repeating(k: usize) {
+        set(k, true);
     }
 
     /// Disarm the injector without firing.
     pub fn disarm() {
         COUNTDOWN.store(-1, Ordering::SeqCst);
+        REPEATING.store(false, Ordering::SeqCst);
     }
 
-    /// Still waiting to fire?  `false` once the armed panic has happened (or
+    /// Still waiting to fire?  `false` once a one-shot panic has happened (or
     /// the injector was never armed) — tests assert this to prove the fault
-    /// was actually injected.
+    /// was actually injected.  A repeating injector stays armed.
     pub fn armed() -> bool {
         COUNTDOWN.load(Ordering::SeqCst) >= 0
     }
 
-    /// Called by every worker-job firing; panics exactly once per [`arm`].
+    /// Called by every job firing; panics once per [`arm`], and on every
+    /// firing from the chosen one on after [`arm_repeating`].
     pub fn maybe_panic() {
-        let chosen = COUNTDOWN
-            .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |v| {
-                (v >= 0).then(|| v - 1)
-            })
-            .map_or(false, |prev| prev == 0);
-        if chosen {
+        let repeating = REPEATING.load(Ordering::SeqCst);
+        let (Ok(prev) | Err(prev)) =
+            COUNTDOWN.fetch_update(Ordering::SeqCst, Ordering::SeqCst, |v| match v {
+                1.. => Some(v - 1),
+                0 if !repeating => Some(-1),
+                _ => None,
+            });
+        if prev == 0 {
             panic!("fail-inject: injected worker panic");
         }
     }
@@ -100,8 +122,8 @@ pub mod fail {
 /// Shared panic-poison flag for one executor run.  The first panicking job
 /// sets it; every job drawn afterwards sees it and drains as an empty success,
 /// so the round's merge (which processes outcomes in job order) surfaces
-/// exactly one [`EvalError::WorkerPanic`].  A successful sequential recovery
-/// clears the flag so the strata that follow run in parallel again.  This is
+/// exactly one [`EvalError::WorkerPanic`].  The stratum retry clears the flag
+/// before it re-runs, so the retried jobs evaluate again.  This is
 /// deliberately *not* the user-facing [`seqdl_core::CancelToken`]: poisoning
 /// is an internal executor condition that a retry may absolve, while a
 /// cancelled user token must stay cancelled.
@@ -203,32 +225,31 @@ fn worker(
     }
 }
 
-/// What the executor does when a worker job panics mid-stratum.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum RecoveryPolicy {
-    /// Surface the [`EvalError::WorkerPanic`] immediately.
-    Fail,
-    /// Re-run the affected stratum once through the driver's inline round
-    /// before giving up (the default).  The retry starts from the partially
-    /// grown — but always consistent — instance; stratum rules are monotone
-    /// over it, so the retried fixpoint lands on exactly the instance an
-    /// undisturbed run computes.
-    #[default]
-    Sequential,
+/// The in-place round: fire every job on the calling thread, in order, each
+/// through [`run_job`].  `--threads 1` runs every round this way, and so
+/// does the stratum retry after a worker panic.
+fn run_in_place(
+    jobs: Vec<Job<'_>>,
+    instance: &RwLock<Instance>,
+    governor: &ResourceGovernor,
+    poison: &Poison,
+) -> Vec<JobOutcome> {
+    let guard = read(instance);
+    jobs.into_iter()
+        .map(|job| run_job(job, &guard, governor, poison))
+        .collect()
 }
 
-/// The worker-pool front end of the fixpoint driver.
-///
-/// Configured like [`Engine`] (it embeds one for limits, cancellation, and
-/// the merge/limit bookkeeping) plus a thread count.  `threads == 1` evaluates
-/// in-line with no pool at all; `threads == 0` uses the machine's available
-/// parallelism.
+/// The evaluator: resource limits, an optional cancel token, a thread count,
+/// and a shard size in front of the one fixpoint driver.  `threads == 1`
+/// evaluates in place with no pool at all; `threads == 0` uses the machine's
+/// available parallelism.
 #[derive(Clone, Debug)]
 pub struct Executor {
-    engine: Engine,
+    limits: EvalLimits,
+    cancel: Option<CancelToken>,
     threads: usize,
     shard_size: usize,
-    recovery: RecoveryPolicy,
 }
 
 impl Default for Executor {
@@ -238,31 +259,29 @@ impl Default for Executor {
 }
 
 impl Executor {
-    /// An executor over a default [`Engine`], single-threaded.
+    /// An executor with default limits, single-threaded.
     pub fn new() -> Executor {
         Executor {
-            engine: Engine::new(),
+            limits: EvalLimits::default(),
+            cancel: None,
             threads: 1,
             shard_size: DELTA_SHARD,
-            recovery: RecoveryPolicy::default(),
         }
     }
 
-    /// Use the given engine (limits and cancel token).
-    pub fn with_engine(mut self, engine: Engine) -> Executor {
-        self.engine = engine;
+    /// Override the resource limits.
+    pub fn with_limits(mut self, limits: EvalLimits) -> Executor {
+        self.limits = limits;
         self
     }
 
-    /// Set the [`RecoveryPolicy`] applied when a worker job panics.
-    pub fn with_recovery(mut self, recovery: RecoveryPolicy) -> Executor {
-        self.recovery = recovery;
+    /// Attach a [`CancelToken`] polled at every governor checkpoint.
+    /// Cancelling the token (from any thread, or a signal handler via
+    /// [`CancelToken::linked_to`]) makes the run return
+    /// [`EvalError::Cancelled`] with the statistics accumulated so far.
+    pub fn with_cancel_token(mut self, token: CancelToken) -> Executor {
+        self.cancel = Some(token);
         self
-    }
-
-    /// The configured panic-recovery policy.
-    pub fn recovery(&self) -> RecoveryPolicy {
-        self.recovery
     }
 
     /// Set the base number of delta tuples per shard (minimum 1; default 128).
@@ -291,10 +310,10 @@ impl Executor {
         ShardPolicy::new(self.shard_size, self.effective_threads())
     }
 
-    /// Set the number of compute threads.  `1` runs in-line (no pool); `N > 1`
-    /// spawns `N − 1` pool workers with the driver thread executing one job
-    /// per round itself, so exactly `N` threads compute; `0` means "use all
-    /// available parallelism".
+    /// Set the number of compute threads.  `1` runs in place (no pool);
+    /// `N > 1` spawns `N − 1` pool workers with the driver thread executing
+    /// one job per round itself, so exactly `N` threads compute; `0` means
+    /// "use all available parallelism".
     pub fn with_threads(mut self, threads: usize) -> Executor {
         self.threads = threads;
         self
@@ -309,10 +328,12 @@ impl Executor {
         }
     }
 
-    /// Evaluate `program` on `input`, returning the final instance.
+    /// Evaluate `program` on `input`, returning the final instance (input
+    /// relations plus all IDB relations).
     ///
     /// # Errors
-    /// Ill-formed programs and exceeded resource limits, as for [`Engine::run`].
+    /// Ill-formed programs, exceeded resource limits, cancellation, and a
+    /// worker panic that recurs when its stratum is retried.
     pub fn run(&self, program: &Program, input: &Instance) -> Result<Instance, EvalError> {
         self.run_with_stats(program, input).map(|(i, _)| i)
     }
@@ -321,7 +342,7 @@ impl Executor {
     /// (including the per-stratum breakdown).
     ///
     /// # Errors
-    /// Ill-formed programs and exceeded resource limits.
+    /// As for [`Executor::run`].
     pub fn run_with_stats(
         &self,
         program: &Program,
@@ -331,12 +352,13 @@ impl Executor {
     }
 
     /// Evaluate `program` on `input` with extra `seeds` injected before the
-    /// first stratum — demand-driven (magic-set) query evaluation; see
-    /// [`Engine::run_seeded`].
+    /// first stratum — the entry point of demand-driven (magic-set) query
+    /// evaluation, where the goal's bound arguments become facts of the magic
+    /// predicates.  Seeds may populate relations that are IDB in `program`
+    /// (which plain inputs must not), since they are demand, not data.
     ///
     /// # Errors
-    /// Ill-formed programs, seed arity mismatches, and exceeded resource
-    /// limits.
+    /// As for [`Executor::run`], plus seed arity mismatches.
     pub fn run_seeded(
         &self,
         program: &Program,
@@ -351,8 +373,7 @@ impl Executor {
     /// statistics.
     ///
     /// # Errors
-    /// Ill-formed programs, seed arity mismatches, and exceeded resource
-    /// limits.
+    /// As for [`Executor::run_seeded`].
     pub fn run_with_stats_seeded(
         &self,
         program: &Program,
@@ -366,43 +387,35 @@ impl Executor {
         // baseline is sampled here, and every checkpoint (stratum boundaries,
         // fixpoint rounds, amortised in-job instruction checks) polls the same
         // governor from every thread.
-        let governor =
-            ResourceGovernor::for_run(&self.engine.limits(), self.engine.cancel_token().cloned());
+        let governor = ResourceGovernor::for_run(&self.limits, self.cancel.clone());
         let poison = Poison::default();
         let driver = Driver {
-            engine: &self.engine,
+            limits: self.limits,
             governor: &governor,
             shard: self.shard_policy(),
             program: &lowered,
             instance: &lock,
         };
+        let in_place = |jobs: Vec<Job<'_>>| run_in_place(jobs, &lock, &governor, &poison);
         // A worker panic fails its stratum with `WorkerPanic` after the poison
         // flag drained the other jobs.  The instance is consistent (merges are
         // atomic under the write lock) and stratum rules are monotone over it,
-        // so re-running the stratum inline reaches exactly the fixpoint an
-        // undisturbed run computes.
+        // so re-running the stratum in place reaches exactly the fixpoint an
+        // undisturbed run computes.  The flag is cleared first, or every
+        // retried job would drain too; a panic that recurs on the retry is
+        // contained again and ends the run.
         let recover = |si: usize, err: EvalError, stats: &mut EvalStats| match err {
-            EvalError::WorkerPanic { .. } if self.recovery == RecoveryPolicy::Sequential => {
+            EvalError::WorkerPanic { .. } => {
                 let _recovery_span = seqdl_trace::span(|| format!("recover stratum {si}"));
-                driver.stratum(si, stats, &mut driver.inline_round())?;
-                // Recovery succeeded: later strata run in parallel again.
                 poison.reset();
-                Ok(())
+                let mut retry = in_place;
+                driver.stratum(si, stats, &mut retry)
             }
             e => Err(e),
         };
         let mut stats = EvalStats::default();
         let outcome = if threads <= 1 {
-            driver.run(
-                &mut stats,
-                |jobs| {
-                    let guard = read(&lock);
-                    jobs.into_iter()
-                        .map(|job| run_job(job, &guard, &governor, &poison))
-                        .collect()
-                },
-                recover,
-            )
+            driver.run(&mut stats, in_place, recover)
         } else {
             let (job_tx, job_rx) = mpsc::channel::<Job<'_>>();
             let job_queue = Mutex::new(job_rx);
@@ -481,12 +494,36 @@ impl Executor {
     }
 }
 
+/// Run `program` on `input` and read off the unary output relation `output`,
+/// i.e. evaluate the *flat unary query* the program computes (Section 3.1).
+///
+/// # Errors
+/// Any evaluation error (unsafe program, resource limits, …).
+pub fn run_unary_query(
+    program: &Program,
+    input: &Instance,
+    output: RelName,
+) -> Result<BTreeSet<Path>, EvalError> {
+    Ok(Executor::new().run(program, input)?.unary_paths(output))
+}
+
+/// Run `program` on `input` and read off a nullary (boolean) output relation.
+///
+/// # Errors
+/// Any evaluation error (unsafe program, resource limits, …).
+pub fn run_boolean_query(
+    program: &Program,
+    input: &Instance,
+    output: RelName,
+) -> Result<bool, EvalError> {
+    Ok(Executor::new().run(program, input)?.nullary_true(output))
+}
+
 #[cfg(test)]
 #[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
-    use seqdl_core::{path_of, rel};
-    use seqdl_engine::EvalLimits;
+    use seqdl_core::{path_of, rel, repeat_path};
     use seqdl_syntax::parse_program;
 
     fn graph_instance(edges: &[(&str, &str)]) -> Instance {
@@ -510,10 +547,13 @@ mod tests {
         for stratum in &stats.strata {
             assert_eq!(stratum.iterations, 1, "single pass per stratum: {stats:?}");
         }
-        // The engine runs the same driver inline: the same rounds and firings.
-        let (_, engine_stats) = Engine::new().run_with_stats(&program, &input).unwrap();
-        assert_eq!(engine_stats.iterations, stats.iterations);
-        assert_eq!(engine_stats.rule_firings, stats.rule_firings);
+        // The pool runs the same driver: the same rounds and firings.
+        let (_, pooled) = Executor::new()
+            .with_threads(4)
+            .run_with_stats(&program, &input)
+            .unwrap();
+        assert_eq!(pooled.iterations, stats.iterations);
+        assert_eq!(pooled.rule_firings, stats.rule_firings);
     }
 
     #[test]
@@ -527,25 +567,44 @@ mod tests {
         assert_eq!(stats.rule_firings, 3, "each rule fired exactly once");
     }
 
+    /// The output at one thread, checked equal at two and four threads.
+    fn assert_thread_counts_agree(program: &Program, input: &Instance) -> Instance {
+        let one = Executor::new().run(program, input).unwrap();
+        for threads in [2usize, 4] {
+            let many = Executor::new()
+                .with_threads(threads)
+                .run(program, input)
+                .unwrap();
+            assert_eq!(one, many, "threads = {threads}");
+        }
+        one
+    }
+
     #[test]
-    fn executor_matches_engine_on_recursive_programs() {
+    fn thread_counts_agree_on_recursive_programs() {
         let program = parse_program(
             "T(@x·@y) <- R(@x·@y).\nT(@x·@z) <- T(@x·@y), R(@y·@z).\nS($p) <- T($p).",
         )
         .unwrap();
         let input = graph_instance(&[("a", "b"), ("b", "c"), ("c", "d"), ("d", "a"), ("b", "e")]);
-        let sequential = Engine::new().run(&program, &input).unwrap();
-        for threads in [1usize, 2, 4] {
-            let parallel = Executor::new()
-                .with_threads(threads)
-                .run(&program, &input)
-                .unwrap();
-            assert_eq!(sequential, parallel, "threads = {threads}");
-        }
+        assert_thread_counts_agree(&program, &input);
     }
 
     #[test]
-    fn executor_matches_engine_on_mutual_recursion_and_negation() {
+    fn semi_naive_closure_on_a_cycle_is_the_least_fixpoint() {
+        let program = parse_program(
+            "T(@x·@y) <- R(@x·@y).\nT(@x·@z) <- T(@x·@y), R(@y·@z).\nS($p) <- T($p).",
+        )
+        .unwrap();
+        let input = graph_instance(&[("a", "b"), ("b", "c"), ("c", "d"), ("d", "a"), ("b", "e")]);
+        let output = Executor::new().run(&program, &input).unwrap();
+        // The least fixpoint: a, b, c and d lie on one cycle and each reach
+        // all five nodes; e reaches none.
+        assert_eq!(output.unary_paths(rel("S")).len(), 5 + 4 + 4 + 4 + 3);
+    }
+
+    #[test]
+    fn thread_counts_agree_on_mutual_recursion_and_negation() {
         let program = parse_program(
             "P($x) <- R($x·a).\nP($x) <- Q($x·b).\nQ($x) <- P($x·a).\nQ($x) <- R($x).\n---\n\
              S($x) <- Q($x), !P($x).",
@@ -559,14 +618,7 @@ mod tests {
                 path_of(&["a", "b", "a", "a"]),
             ],
         );
-        let sequential = Engine::new().run(&program, &input).unwrap();
-        for threads in [1usize, 2, 4] {
-            let parallel = Executor::new()
-                .with_threads(threads)
-                .run(&program, &input)
-                .unwrap();
-            assert_eq!(sequential, parallel, "threads = {threads}");
-        }
+        assert_thread_counts_agree(&program, &input);
     }
 
     #[test]
@@ -599,13 +651,13 @@ mod tests {
         input
             .insert_fact(Fact::new(rel("S"), vec![path_of(&["x", "y"])]))
             .unwrap();
-        let sequential = Engine::new().run(&program, &input).unwrap();
+        let one = assert_thread_counts_agree(&program, &input);
         for threads in [1usize, 2, 4] {
-            let (parallel, stats) = Executor::new()
+            let (out, stats) = Executor::new()
                 .with_threads(threads)
                 .run_with_stats(&program, &input)
                 .unwrap();
-            assert_eq!(sequential, parallel, "threads = {threads}");
+            assert_eq!(one, out, "threads = {threads}");
             assert_eq!(stats.strata[0].iterations, 6, "lock-step rounds: {stats:?}");
         }
     }
@@ -613,15 +665,15 @@ mod tests {
     #[test]
     fn diverging_programs_hit_the_iteration_limit() {
         let program = parse_program("T(a).\nT(a·$x) <- T($x).").unwrap();
-        let tight = Engine::new().with_limits(EvalLimits {
+        let tight = EvalLimits {
             max_iterations: 20,
             max_facts: 100_000,
             max_path_len: 100_000,
             ..EvalLimits::default()
-        });
+        };
         for threads in [1usize, 4] {
             let err = Executor::new()
-                .with_engine(tight.clone())
+                .with_limits(tight)
                 .with_threads(threads)
                 .run(&program, &Instance::new())
                 .unwrap_err();
@@ -681,7 +733,7 @@ mod tests {
             .map(|i| path_of(&[&format!("n{i}"), "x", "y"]))
             .collect();
         let input = Instance::unary(rel("R"), paths);
-        let sequential = Engine::new().run(&program, &input).unwrap();
+        let sequential = Executor::new().run(&program, &input).unwrap();
         for (threads, shard) in [(1usize, 1usize), (2, 7), (4, 1000)] {
             let exec = Executor::new().with_threads(threads).with_shard_size(shard);
             assert_eq!(exec.shard_size(), shard.max(1));
@@ -705,10 +757,10 @@ mod tests {
         let t = out.unary_paths(rel("T"));
         assert!(t.contains(&path_of(&["a", "b"])));
         assert!(t.contains(&path_of(&["b"])));
-        let engine_out = Engine::new()
+        let in_place = Executor::new()
             .run_seeded(&program, &Instance::new(), &seeds)
             .unwrap();
-        assert_eq!(engine_out, out);
+        assert_eq!(in_place, out);
     }
 
     #[test]
@@ -721,13 +773,47 @@ mod tests {
             .map(|i| path_of(&[&format!("n{i}"), "x"]))
             .collect();
         let input = Instance::unary(rel("R"), paths);
-        let sequential = Engine::new().run(&program, &input).unwrap();
-        for threads in [1usize, 4] {
-            let parallel = Executor::new()
-                .with_threads(threads)
-                .run(&program, &input)
-                .unwrap();
-            assert_eq!(sequential, parallel, "threads = {threads}");
-        }
+        assert_thread_counts_agree(&program, &input);
+    }
+
+    #[test]
+    fn stats_report_iterations_and_facts() {
+        let program = parse_program("S($x) <- R($x).").unwrap();
+        let input = Instance::unary(rel("R"), [path_of(&["a"]), path_of(&["b"])]);
+        let (_, stats) = Executor::new().run_with_stats(&program, &input).unwrap();
+        assert_eq!(stats.derived_facts, 2);
+        assert!(stats.iterations >= 1);
+        assert_eq!(stats.rule_firings, 2);
+    }
+
+    #[test]
+    fn empty_idb_relations_are_declared_in_the_output() {
+        let program = parse_program("S($x) <- R($x), a·$x = $x·a.").unwrap();
+        let input = Instance::unary(rel("R"), [path_of(&["b"])]);
+        let out = Executor::new().run(&program, &input).unwrap();
+        assert!(out.relation(rel("S")).is_some());
+        assert!(out.unary_paths(rel("S")).is_empty());
+    }
+
+    #[test]
+    fn unsafe_programs_are_rejected_before_evaluation() {
+        let program = parse_program("S($y) <- R($x).").unwrap();
+        assert!(matches!(
+            Executor::new().run(&program, &Instance::new()),
+            Err(EvalError::IllFormed(_))
+        ));
+    }
+
+    #[test]
+    fn unary_and_boolean_helpers() {
+        let program = parse_program("S($x) <- R($x), a·$x = $x·a.").unwrap();
+        let input = Instance::unary(rel("R"), [repeat_path("a", 2)]);
+        let paths = run_unary_query(&program, &input, rel("S")).unwrap();
+        assert_eq!(paths.len(), 1);
+
+        let boolean = parse_program("A <- R($x), a·$x = $x·a.").unwrap();
+        assert!(run_boolean_query(&boolean, &input, rel("A")).unwrap());
+        let empty = Instance::unary(rel("R"), []);
+        assert!(!run_boolean_query(&boolean, &empty, rel("A")).unwrap());
     }
 }

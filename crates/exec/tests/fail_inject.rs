@@ -1,16 +1,16 @@
 //! Differential fault-injection tests for panic containment and recovery.
 //!
 //! Compiled only with `--features fail-inject`: the injector arms a global
-//! countdown and the chosen worker job panics inside the executor's
-//! `catch_unwind` region.  The tests prove the full robustness story — the
-//! panic poisons the run, surviving workers drain, and under
-//! [`RecoveryPolicy::Sequential`] the driver re-runs the stratum inline and
-//! still produces an output identical to an uninjected run.
+//! countdown and the chosen job panics inside the executor's `catch_unwind`
+//! region.  The tests prove the full robustness story — the panic poisons
+//! the run, surviving jobs drain, the driver re-runs the stratum in place and
+//! still produces an output identical to an uninjected run; and a panic that
+//! recurs on that retry surfaces as `WorkerPanic` instead of unwinding.
 #![cfg(feature = "fail-inject")]
 
 use seqdl_core::{path_of, rel, Fact, Instance};
-use seqdl_engine::{Engine, EvalError};
-use seqdl_exec::{fail, Executor, RecoveryPolicy};
+use seqdl_engine::EvalError;
+use seqdl_exec::{fail, Executor};
 use seqdl_syntax::parse_program;
 
 fn reachability_program() -> seqdl_syntax::Program {
@@ -42,18 +42,16 @@ fn graph_instance() -> Instance {
 fn injected_worker_panics_recover_or_surface() {
     let program = reachability_program();
     let input = graph_instance();
-    let reference = Engine::new().run(&program, &input).unwrap();
+    let reference = Executor::new().run(&program, &input).unwrap();
 
-    // Sequential recovery: the injected panic poisons the run, the stratum
-    // retries single-threaded, and the final instance is identical to the
-    // uninjected reference — at every thread count and at two different
-    // injection points.
+    // Recovery: the injected panic poisons the run, the stratum retries in
+    // place, and the final instance is identical to the uninjected reference
+    // — at every thread count and at two different injection points.
     for threads in [1usize, 2, 4] {
         for k in [0usize, 2] {
             fail::arm(k);
             let out = Executor::new()
                 .with_threads(threads)
-                .with_recovery(RecoveryPolicy::Sequential)
                 .run(&program, &input)
                 .unwrap_or_else(|e| panic!("threads={threads}, k={k}: recovery failed with {e}"));
             assert!(
@@ -64,19 +62,16 @@ fn injected_worker_panics_recover_or_surface() {
         }
     }
 
-    // RecoveryPolicy::Fail surfaces the contained panic as WorkerPanic with
-    // the offending rule's rendering and the panic payload.
+    // A panic that recurs on the retry is contained again: the run returns
+    // WorkerPanic with the offending rule's rendering and the panic payload
+    // instead of unwinding.
     for threads in [1usize, 4] {
-        fail::arm(0);
+        fail::arm_repeating(0);
         let err = Executor::new()
             .with_threads(threads)
-            .with_recovery(RecoveryPolicy::Fail)
             .run(&program, &input)
             .unwrap_err();
-        assert!(
-            !fail::armed(),
-            "threads={threads}: the fault was never injected"
-        );
+        fail::disarm();
         match &err {
             EvalError::WorkerPanic { rule, detail } => {
                 assert!(!rule.is_empty(), "rule rendering missing: {err}");

@@ -147,7 +147,7 @@ pub fn rewrite_into(
 mod tests {
     use super::*;
     use seqdl_core::{path_of, rel, repeat_path, Instance};
-    use seqdl_engine::run_unary_query;
+    use seqdl_exec::run_unary_query;
     use seqdl_syntax::parse_program;
 
     fn frag(s: &str) -> Fragment {

@@ -168,7 +168,7 @@ mod tests {
     use super::*;
     use crate::fragment::Fragment;
     use seqdl_core::{path_of, rel, repeat_path, Instance};
-    use seqdl_engine::{run_unary_query, Engine};
+    use seqdl_exec::{run_unary_query, Executor};
     use seqdl_syntax::analysis::check_safety;
 
     fn frag(s: &str) -> Fragment {
@@ -250,7 +250,7 @@ mod tests {
                 .unwrap();
         }
         let w = reachability();
-        assert!(Engine::new()
+        assert!(Executor::new()
             .run(&w.program, &yes)
             .unwrap()
             .nullary_true(w.output));
@@ -259,7 +259,7 @@ mod tests {
             no.insert_fact(seqdl_core::Fact::new(rel("R"), vec![path_of(&[x, y])]))
                 .unwrap();
         }
-        assert!(!Engine::new()
+        assert!(!Executor::new()
             .run(&w.program, &no)
             .unwrap()
             .nullary_true(w.output));

@@ -172,7 +172,7 @@ mod tests {
     use super::*;
     use crate::parser::parse_regex;
     use seqdl_core::{path_of, rel, repeat_path, Instance, Path};
-    use seqdl_engine::run_unary_query;
+    use seqdl_exec::run_unary_query;
     use seqdl_syntax::{
         analysis::{check_safety, check_stratification},
         FeatureSet,

@@ -92,7 +92,7 @@ pub fn eliminate_arity(program: &Program) -> Result<Program, RewriteError> {
 mod tests {
     use super::*;
     use seqdl_core::{path_of, rel, repeat_path, Instance, Path};
-    use seqdl_engine::run_unary_query;
+    use seqdl_exec::run_unary_query;
     use seqdl_syntax::{parse_expr, parse_program, FeatureSet};
     use std::collections::BTreeSet;
 

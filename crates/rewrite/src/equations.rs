@@ -282,7 +282,7 @@ fn negated_relations(program: &Program) -> BTreeSet<RelName> {
 mod tests {
     use super::*;
     use seqdl_core::{path_of, rel, repeat_path, Instance, Path};
-    use seqdl_engine::{run_boolean_query, run_unary_query};
+    use seqdl_exec::{run_boolean_query, run_unary_query};
     use seqdl_syntax::{analysis::check_stratification, parse_program, FeatureSet};
     use std::collections::BTreeSet;
 

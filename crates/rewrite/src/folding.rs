@@ -131,7 +131,7 @@ pub fn calls_intermediate(program: &Program, output: RelName) -> bool {
 mod tests {
     use super::*;
     use seqdl_core::{path_of, rel, repeat_path, Instance, Path};
-    use seqdl_engine::run_unary_query;
+    use seqdl_exec::run_unary_query;
     use seqdl_syntax::parse_program;
     use std::collections::BTreeSet;
 

@@ -15,8 +15,8 @@
 //!    plus the body prefix before the subgoal (in the body planner's order)
 //!    implies a magic fact for that subgoal's bound first values;
 //! 4. the goal's own bound first values become **seed facts** for the goal
-//!    relation's magic predicate; the caller injects them with the engine's or
-//!    executor's `run_seeded` entry points and reads answers from
+//!    relation's magic predicate; the caller injects them with
+//!    `Executor::run_seeded` and reads answers from
 //!    [`MagicProgram::answer`], filtered through [`goal_matches`].
 //!
 //! Negation is handled conservatively: a relation read under negation must be
@@ -44,7 +44,7 @@ pub struct MagicProgram {
     /// The rewritten (adorned + magic) program.
     pub program: Program,
     /// Seed facts for the goal's magic predicate — the goal's bound first
-    /// values.  Inject with `Engine::run_seeded` / `Executor::run_seeded`.
+    /// values.  Inject with `Executor::run_seeded`.
     pub seeds: Vec<Fact>,
     /// The relation holding the goal's candidate answers (the goal relation's
     /// adorned copy).  Filter its tuples through [`goal_matches`].
@@ -414,7 +414,7 @@ pub fn magic(program: &Program, goal: &Predicate) -> Result<MagicProgram, Rewrit
 mod tests {
     use super::*;
     use seqdl_core::{path_of, rel};
-    use seqdl_engine::Engine;
+    use seqdl_exec::Executor;
     use seqdl_syntax::parse_program;
 
     fn graph(edges: &[(&str, &str)]) -> Instance {
@@ -462,8 +462,8 @@ mod tests {
         let goal = parse_goal("T(a·$y)").unwrap();
         let mp = magic(&program, &goal).unwrap();
 
-        let engine = Engine::new();
-        let full = engine.run(&program, &input).unwrap();
+        let executor = Executor::new();
+        let full = executor.run(&program, &input).unwrap();
         let expected: BTreeSet<Tuple> = full
             .relation(rel("T"))
             .unwrap()
@@ -471,7 +471,7 @@ mod tests {
             .filter(|t| goal_matches(&goal, t))
             .cloned()
             .collect();
-        let demanded = engine.run_seeded(&mp.program, &input, &mp.seeds).unwrap();
+        let demanded = executor.run_seeded(&mp.program, &input, &mp.seeds).unwrap();
         assert_eq!(mp.answers(&demanded), expected);
         assert_eq!(expected.len(), 3, "a reaches b, c, d");
         // Demand really restricts: the x/y cycle is never derived.
@@ -488,7 +488,7 @@ mod tests {
         let input = graph(&[("a", "b"), ("b", "c")]);
         let goal = parse_goal("T(a·c)").unwrap();
         let mp = magic(&program, &goal).unwrap();
-        let out = Engine::new()
+        let out = Executor::new()
             .run_seeded(&mp.program, &input, &mp.seeds)
             .unwrap();
         let answers = mp.answers(&out);
@@ -505,7 +505,7 @@ mod tests {
         assert!(mp.seeds.is_empty());
         assert_eq!(mp.program.rule_count(), 1);
         let input = Instance::unary(rel("R"), [path_of(&["a"]), path_of(&["b"])]);
-        let out = Engine::new()
+        let out = Executor::new()
             .run_seeded(&mp.program, &input, &mp.seeds)
             .unwrap();
         assert_eq!(mp.answers(&out).len(), 2);
@@ -528,7 +528,7 @@ mod tests {
         input
             .insert_fact(Fact::new(rel("G"), vec![path_of(&["b"])]))
             .unwrap();
-        let full = Engine::new().run(&program, &input).unwrap();
+        let full = Executor::new().run(&program, &input).unwrap();
         let expected: BTreeSet<Tuple> = full
             .relation(rel("S"))
             .unwrap()
@@ -536,7 +536,7 @@ mod tests {
             .filter(|t| goal_matches(&goal, t))
             .cloned()
             .collect();
-        let out = Engine::new()
+        let out = Executor::new()
             .run_seeded(&mp.program, &input, &mp.seeds)
             .unwrap();
         assert_eq!(mp.answers(&out), expected);
@@ -570,7 +570,7 @@ mod tests {
                 .insert_fact(Fact::new(rel("G"), vec![path_of(&[g])]))
                 .unwrap();
         }
-        let full = Engine::new().run(&program, &input).unwrap();
+        let full = Executor::new().run(&program, &input).unwrap();
         let expected: BTreeSet<Tuple> = full
             .relation(rel("S"))
             .unwrap()
@@ -578,7 +578,7 @@ mod tests {
             .filter(|t| goal_matches(&goal, t))
             .cloned()
             .collect();
-        let out = Engine::new()
+        let out = Executor::new()
             .run_seeded(&mp.program, &input, &mp.seeds)
             .unwrap();
         assert_eq!(mp.answers(&out), expected);
@@ -596,7 +596,7 @@ mod tests {
         assert_eq!(mp.answer, rel("V"));
         assert!(mp.seeds.is_empty());
         let input = Instance::unary(rel("R"), [path_of(&["a", "b"]), path_of(&["c"])]);
-        let full = Engine::new().run(&program, &input).unwrap();
+        let full = Executor::new().run(&program, &input).unwrap();
         let expected: BTreeSet<Tuple> = full
             .relation(rel("V"))
             .unwrap()
@@ -604,7 +604,7 @@ mod tests {
             .filter(|t| goal_matches(&goal, t))
             .cloned()
             .collect();
-        let out = Engine::new()
+        let out = Executor::new()
             .run_seeded(&mp.program, &input, &mp.seeds)
             .unwrap();
         assert_eq!(mp.answers(&out), expected);
@@ -622,7 +622,7 @@ mod tests {
             vec![Path::singleton(Value::packed(path_of(&["a", "b"])))]
         );
         let input = Instance::unary(rel("R"), [path_of(&["c"])]);
-        let out = Engine::new()
+        let out = Executor::new()
             .run_seeded(&mp.program, &input, &mp.seeds)
             .unwrap();
         assert_eq!(mp.answers(&out).len(), 1);

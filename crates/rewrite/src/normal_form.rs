@@ -435,7 +435,7 @@ fn normalise_rule(rule: &Rule) -> Vec<Rule> {
 mod tests {
     use super::*;
     use seqdl_core::{path_of, rel, Fact, Instance, Path};
-    use seqdl_engine::run_unary_query;
+    use seqdl_exec::run_unary_query;
     use seqdl_syntax::{parse_program, parse_rule};
     use std::collections::BTreeSet;
 
@@ -586,9 +586,9 @@ mod tests {
                 vec![path_of(&["z", "x", "c"]), path_of(&["d"])],
             ))
             .unwrap();
-        let engine = seqdl_engine::Engine::new();
-        let a = engine.run(&program, &input).unwrap();
-        let b = engine.run(&normal, &input).unwrap();
+        let executor = seqdl_exec::Executor::new();
+        let a = executor.run(&program, &input).unwrap();
+        let b = executor.run(&normal, &input).unwrap();
         assert_eq!(
             a.relation(rel("T")).map(|r| r.tuples()),
             b.relation(rel("T")).map(|r| r.tuples())

@@ -745,7 +745,7 @@ pub fn undoubling_program(from: RelName, to: RelName) -> Program {
 mod tests {
     use super::*;
     use seqdl_core::{path_of, rel, repeat_path, Fact, Instance, Path};
-    use seqdl_engine::{run_boolean_query, run_unary_query};
+    use seqdl_exec::{run_boolean_query, run_unary_query};
     use seqdl_syntax::{parse_expr, parse_rule};
 
     // -- packing structures --------------------------------------------------
@@ -1000,7 +1000,7 @@ mod tests {
         let undoubling = undoubling_program(rel("Rd"), rel("Rback"));
         let paths = [path_of(&["k1", "k2", "k3"]), path_of(&["a"]), Path::empty()];
         let input = Instance::unary(rel("R"), paths);
-        let doubled = seqdl_engine::Engine::new().run(&doubling, &input).unwrap();
+        let doubled = seqdl_exec::Executor::new().run(&doubling, &input).unwrap();
         let doubled_paths = doubled.unary_paths(rel("Rd"));
         assert_eq!(
             doubled_paths,
@@ -1008,7 +1008,7 @@ mod tests {
         );
         // Feed the doubled relation into the undoubling program.
         let input2 = Instance::unary(rel("Rd"), doubled_paths);
-        let undoubled = seqdl_engine::Engine::new()
+        let undoubled = seqdl_exec::Executor::new()
             .run(&undoubling, &input2)
             .unwrap();
         assert_eq!(
@@ -1031,7 +1031,7 @@ mod tests {
     fn repeated_a_inputs_work_through_doubling() {
         let doubling = doubling_program(rel("R"), rel("Rd"));
         let input = Instance::unary(rel("R"), [repeat_path("a", 4)]);
-        let out = seqdl_engine::Engine::new().run(&doubling, &input).unwrap();
+        let out = seqdl_exec::Executor::new().run(&doubling, &input).unwrap();
         assert!(out.unary_paths(rel("Rd")).contains(&repeat_path("a", 8)));
     }
 }

@@ -38,7 +38,7 @@ fn main() {
         compiled.program
     );
 
-    let result = Engine::new()
+    let result = Executor::new()
         .run(&compiled.program, &docs)
         .expect("terminates");
     println!("matching documents:");
@@ -60,7 +60,7 @@ fn main() {
     // "Contains" queries wrap the pattern in wildcards: who is ever mentioned after
     // the word `to`?
     let contains = compile_contains(&parse_regex("to bob").unwrap(), &options);
-    let result = Engine::new()
+    let result = Executor::new()
         .run(&contains.program, &docs)
         .expect("terminates");
     println!("\ndocuments mentioning `to bob`:");

@@ -13,7 +13,7 @@ fn main() {
     // Reachability a ->* b on a random digraph.
     let reach = witnesses::reachability();
     let graph = Workloads::new(5).digraph_instance(12, 30);
-    let result = Engine::new()
+    let result = Executor::new()
         .run(&reach.program, &graph)
         .expect("evaluation succeeds");
     println!(
@@ -42,7 +42,7 @@ fn main() {
             path_of(&["v2", "v5", "v4"]),
         ],
     );
-    let result = Engine::new()
+    let result = Executor::new()
         .run(&common, &paths)
         .expect("evaluation succeeds");
     println!("\nstored paths:\n{paths}\n");

@@ -16,7 +16,7 @@ fn main() {
     let sales = Workloads::new(7).sales_instance(3, 2);
     println!("Sales (grouped by item):\n{sales}\n");
 
-    let result = Engine::new()
+    let result = Executor::new()
         .run(&regroup, &sales)
         .expect("evaluation succeeds");
     println!("ByYear (grouped by year):");
@@ -45,7 +45,7 @@ fn main() {
             same.insert_fact(Fact::new(rel(r), vec![p])).unwrap();
         }
     }
-    let result = Engine::new()
+    let result = Executor::new()
         .run(&deep_equal, &same)
         .expect("evaluation succeeds");
     println!(
@@ -58,7 +58,7 @@ fn main() {
     different
         .insert_fact(Fact::new(rel("A"), vec![path_of(&["item9", "2030", "1"])]))
         .unwrap();
-    let result = Engine::new()
+    let result = Executor::new()
         .run(&deep_equal, &different)
         .expect("evaluation succeeds");
     println!(

@@ -48,7 +48,7 @@ fn main() {
             .unwrap();
     }
 
-    let result = Engine::new()
+    let result = Executor::new()
         .run(&witness.program, &input)
         .expect("evaluation succeeds");
     println!("accepted strings (ending in b):");
@@ -59,7 +59,7 @@ fn main() {
 
     // The same program drives a randomly generated NFA workload.
     let random = Workloads::new(99).nfa_instance(4, 2, 10, 12);
-    let result = Engine::new()
+    let result = Executor::new()
         .run(&witness.program, &random)
         .expect("evaluation succeeds");
     println!(

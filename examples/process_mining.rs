@@ -37,7 +37,7 @@ fn main() {
     ))
     .unwrap();
 
-    let result = Engine::new()
+    let result = Executor::new()
         .run(&program, &log)
         .expect("evaluation succeeds");
     println!("compliant traces:");

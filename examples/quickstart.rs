@@ -21,7 +21,7 @@ fn main() {
     );
     println!("input instance:\n{input}\n");
 
-    let output = Engine::new()
+    let output = Executor::new()
         .run(&program, &input)
         .expect("evaluation succeeds");
     println!("output relation S:");
@@ -33,7 +33,7 @@ fn main() {
     // same answer.
     let no_equations =
         parse_program("T(a·$x, $x) <- R($x).\nS($x) <- T($x·a, $x).").expect("program parses");
-    let output2 = Engine::new()
+    let output2 = Executor::new()
         .run(&no_equations, &input)
         .expect("evaluation succeeds");
     assert_eq!(output.unary_paths(rel("S")), output2.unary_paths(rel("S")));

@@ -27,7 +27,7 @@ fn main() {
     assert!(!guaranteed_terminating(&diverging));
 
     // 3. At runtime, the engine's limits turn divergence into a clean error.
-    let limited = Engine::new().with_limits(EvalLimits {
+    let limited = Executor::new().with_limits(EvalLimits {
         max_iterations: 100,
         max_facts: 10_000,
         max_path_len: 128,

@@ -53,7 +53,7 @@ fn main() {
          Title(@t) <- Book(book·<title·<@t·$rest>>·$more).",
     )
     .expect("query parses");
-    let output = Engine::new().run(&query, &input).expect("terminates");
+    let output = Executor::new().run(&query, &input).expect("terminates");
     println!("book titles:");
     for title in output.unary_paths(rel("Title")) {
         println!("  {title}");

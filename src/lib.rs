@@ -12,7 +12,10 @@
 //! * [`analysis`] — the lint framework behind `seqdl check` (stable lint codes,
 //!   dead-code and divergence diagnostics);
 //! * [`unify`] — associative unification for path expressions (extended pig-pug);
-//! * [`engine`] — bottom-up evaluation with stratified negation;
+//! * [`engine`] — the planner, RAM lowering, and fixpoint driver behind
+//!   bottom-up evaluation with stratified negation;
+//! * [`exec`] — [`exec::Executor`], the one way to evaluate a program (in
+//!   place at one thread, over a worker pool at more);
 //! * [`rewrite`] — the paper's feature-elimination transformations;
 //! * [`algebra`] — the sequence relational algebra of Section 7;
 //! * [`fragments`] — features, fragments, the Theorem 6.1 classification, Figure 1;
@@ -31,7 +34,7 @@
 //! // Example 3.1 of the paper: the paths from R that consist exclusively of a's.
 //! let program = parse_program("S($x) <- R($x), a·$x = $x·a.").unwrap();
 //! let input = Instance::unary(rel("R"), [repeat_path("a", 4), path_of(&["a", "b"])]);
-//! let output = Engine::new().run(&program, &input).unwrap();
+//! let output = Executor::new().run(&program, &input).unwrap();
 //! assert_eq!(output.unary_paths(rel("S")).len(), 1);
 //! ```
 
@@ -56,8 +59,8 @@ pub use seqdl_wgen as wgen;
 /// The most commonly used items, for glob import.
 pub mod prelude {
     pub use seqdl_core::{atom, path_of, rel, repeat_path, Fact, Instance, Path, RelName, Value};
-    pub use seqdl_engine::{run_boolean_query, run_unary_query, Engine, EvalLimits};
-    pub use seqdl_exec::Executor;
+    pub use seqdl_engine::EvalLimits;
+    pub use seqdl_exec::{run_boolean_query, run_unary_query, Executor};
     pub use seqdl_fragments::{subsumed_by, Feature, Fragment, HasseDiagram};
     pub use seqdl_io::{
         load_instance, load_program, parse_instance, save_instance, write_instance,

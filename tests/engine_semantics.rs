@@ -43,7 +43,7 @@ fn naive_and_semi_naive_agree_on_all_witnesses() {
             .insert_fact(Fact::new(rel("B"), vec![p("a")]))
             .unwrap();
 
-        let semi = Engine::new()
+        let semi = Executor::new()
             .run(&witness.program, &input)
             .unwrap_or_else(|e| panic!("{}: semi-naive failed: {e}", witness.name));
         let naive = reference::evaluate(&witness.program, &input);
@@ -102,7 +102,7 @@ fn stratified_negation_is_applied_stratum_by_stratum() {
     )
     .unwrap();
     let input = Instance::unary(rel("E"), [p("a·b"), p("b·c"), p("d·e")]);
-    let out = Engine::new().run(&program, &input).unwrap();
+    let out = Executor::new().run(&program, &input).unwrap();
     let unreach = out.unary_paths(rel("Unreach"));
     assert_eq!(unreach, [p("d"), p("e")].into_iter().collect());
     let reach = out.unary_paths(rel("Reach"));
@@ -126,7 +126,7 @@ fn unstratified_negation_is_rejected() {
     // P negated in the same stratum in which it is defined.
     let program = parse_program("P($x) <- R($x), !Q($x).\nQ($x) <- R($x), !P($x).").unwrap();
     let input = Instance::unary(rel("R"), [p("a")]);
-    let result = Engine::new().run(&program, &input);
+    let result = Executor::new().run(&program, &input);
     assert!(matches!(result, Err(EvalError::IllFormed(_))));
 }
 
@@ -136,7 +136,7 @@ fn unsafe_rules_are_rejected() {
     let program = parse_program("S($x·$y) <- R($x).").unwrap();
     let input = Instance::unary(rel("R"), [p("a")]);
     assert!(matches!(
-        Engine::new().run(&program, &input),
+        Executor::new().run(&program, &input),
         Err(EvalError::IllFormed(_))
     ));
 }
@@ -230,7 +230,7 @@ fn fact_limit_stops_blowing_up_programs() {
         max_path_len: 10_000,
         ..EvalLimits::default()
     };
-    let result = Engine::new().with_limits(limits).run(&program, &input);
+    let result = Executor::new().with_limits(limits).run(&program, &input);
     assert!(matches!(result, Err(EvalError::LimitExceeded { .. })));
 }
 
@@ -243,7 +243,7 @@ fn path_length_limit_stops_growing_programs() {
         max_path_len: 32,
         ..EvalLimits::default()
     };
-    let result = Engine::new()
+    let result = Executor::new()
         .with_limits(limits)
         .run(&program, &Instance::new());
     assert!(matches!(result, Err(EvalError::LimitExceeded { .. })));
@@ -254,8 +254,8 @@ fn stats_reflect_the_amount_of_work_done() {
     let w = witnesses::reachability();
     let small = Workloads::new(1).digraph_instance(6, 10);
     let large = Workloads::new(1).digraph_instance(40, 160);
-    let (_, small_stats) = Engine::new().run_with_stats(&w.program, &small).unwrap();
-    let (_, large_stats) = Engine::new().run_with_stats(&w.program, &large).unwrap();
+    let (_, small_stats) = Executor::new().run_with_stats(&w.program, &small).unwrap();
+    let (_, large_stats) = Executor::new().run_with_stats(&w.program, &large).unwrap();
     assert!(large_stats.derived_facts >= small_stats.derived_facts);
     assert!(large_stats.rule_firings >= small_stats.rule_firings);
     assert!(small_stats.iterations >= 1);
@@ -275,7 +275,7 @@ fn outputs_of_flat_queries_on_flat_instances_are_flat() {
     input
         .insert_fact(Fact::new(rel("S"), vec![p("a·b")]))
         .unwrap();
-    let out = Engine::new().run(&w.program, &input).unwrap();
+    let out = Executor::new().run(&w.program, &input).unwrap();
     // The packed intermediate relation T is not flat, but the input and the nullary
     // output are; projecting the result to the output schema yields a flat instance.
     let mut schema = Schema::new();

@@ -28,12 +28,12 @@ fn unlimited() -> EvalLimits {
 #[test]
 fn deadline_cancels_a_diverging_run_promptly() {
     let deadline = Duration::from_millis(50);
-    let engine = Engine::new().with_limits(EvalLimits {
+    let executor = Executor::new().with_limits(EvalLimits {
         deadline: Some(deadline),
         ..unlimited()
     });
     let started = Instant::now();
-    let result = engine.run_with_stats(&diverging_program(), &Instance::new());
+    let result = executor.run_with_stats(&diverging_program(), &Instance::new());
     let elapsed = started.elapsed();
 
     match result {
@@ -69,13 +69,12 @@ fn deadline_on_reachability_bench_terminates_within_bound() {
     let program = parse_program("T(@x·@y) <- R(@x·@y).\nT(@x·@z) <- T(@x·@y), R(@y·@z).").unwrap();
     let input = Workloads::new(17).digraph_instance(128, 512);
     let deadline = Duration::from_millis(50);
-    let engine = Engine::new().with_limits(EvalLimits {
-        deadline: Some(deadline),
-        ..unlimited()
-    });
     let started = Instant::now();
     let result = Executor::new()
-        .with_engine(engine)
+        .with_limits(EvalLimits {
+            deadline: Some(deadline),
+            ..unlimited()
+        })
         .with_threads(4)
         .run_with_stats(&program, &input);
     let elapsed = started.elapsed();
@@ -105,11 +104,9 @@ fn countdown_cancellation_works_through_the_executor() {
     for threads in [1usize, 4] {
         let token = CancelToken::new();
         token.cancel_after(5);
-        let engine = Engine::new()
-            .with_limits(unlimited())
-            .with_cancel_token(token);
         let result = Executor::new()
-            .with_engine(engine)
+            .with_limits(unlimited())
+            .with_cancel_token(token)
             .with_threads(threads)
             .run_with_stats(&diverging_program(), &Instance::new());
         match result {
@@ -128,11 +125,11 @@ fn countdown_cancellation_works_through_the_executor() {
 fn store_byte_budget_surfaces_limit_exceeded() {
     // The diverging program interns an ever-longer path each round; a small
     // byte budget must stop it with the StoreBytes limit, not a deadline.
-    let engine = Engine::new().with_limits(EvalLimits {
+    let executor = Executor::new().with_limits(EvalLimits {
         max_store_bytes: Some(4 * 1024),
         ..unlimited()
     });
-    let result = engine.run(&diverging_program(), &Instance::new());
+    let result = executor.run(&diverging_program(), &Instance::new());
     match result {
         Err(EvalError::LimitExceeded { what, limit }) => {
             assert_eq!(what, LimitKind::StoreBytes);

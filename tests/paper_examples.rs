@@ -47,7 +47,7 @@ fn example_2_1_nfa_acceptance() {
             .unwrap();
     }
 
-    let output = Engine::new()
+    let output = Executor::new()
         .run(&witness.program, &input)
         .expect("terminates");
     let accepted = output.unary_paths(witness.output);
@@ -75,7 +75,7 @@ fn example_2_2_three_occurrences() {
         .unwrap();
     yes.insert_fact(Fact::new(rel("S"), vec![ab_path("a·b")]))
         .unwrap();
-    let out = Engine::new()
+    let out = Executor::new()
         .run(&witness.program, &yes)
         .expect("terminates");
     assert!(out.nullary_true(witness.output), "three occurrences exist");
@@ -88,7 +88,7 @@ fn example_2_2_three_occurrences() {
         .unwrap();
     no.insert_fact(Fact::new(rel("S"), vec![ab_path("a·b")]))
         .unwrap();
-    let out = Engine::new()
+    let out = Executor::new()
         .run(&witness.program, &no)
         .expect("terminates");
     assert!(!out.nullary_true(witness.output), "only two occurrences");
@@ -105,8 +105,8 @@ fn example_2_3_nonterminating_program_hits_a_limit() {
         max_path_len: 64,
         ..EvalLimits::default()
     };
-    let engine = Engine::new().with_limits(limits);
-    let err = engine
+    let executor = Executor::new().with_limits(limits);
+    let err = executor
         .run(&program, &Instance::new())
         .expect_err("must not terminate normally");
     match err {

@@ -55,7 +55,7 @@ proptest! {
         let token = CancelToken::new();
         token.cancel_after(countdown);
         let cancelled = Executor::new()
-            .with_engine(Engine::new().with_cancel_token(token))
+            .with_cancel_token(token)
             .with_threads(threads)
             .run_with_stats(&program, &input);
         match cancelled {

@@ -71,7 +71,7 @@ fn strip_dead_preserves_the_output_on_random_programs() {
         let stripped = strip_dead_with_edb(&program, &outputs, Some(&nonempty_relations(&input)));
 
         let expected = reference::evaluate(&program, &input);
-        let pruned = Engine::new()
+        let pruned = Executor::new()
             .run(&stripped.program, &input)
             .unwrap_or_else(|e| panic!("salt {salt}: stripped failed: {e}\n{}", stripped.program));
         assert_eq!(
@@ -147,8 +147,8 @@ fn injected_defects_do_not_change_the_output_and_strip_dead_removes_them() {
         let output = output_relation(&clean);
         let outputs: BTreeSet<RelName> = [output].into_iter().collect();
         let input = edb_instance(salt ^ 0x77);
-        let a = Engine::new().run(&clean, &input).unwrap();
-        let b = Engine::new().run(&seeded, &input).unwrap();
+        let a = Executor::new().run(&clean, &input).unwrap();
+        let b = Executor::new().run(&seeded, &input).unwrap();
         assert_eq!(
             tuples_of(&a, output),
             tuples_of(&b, output),

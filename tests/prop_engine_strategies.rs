@@ -35,7 +35,7 @@ proptest! {
         input.declare_relation(rel("R0"), 1);
         input.declare_relation(rel("R1"), 1);
 
-        let semi = Engine::new()
+        let semi = Executor::new()
             .run(&program, &input)
             .unwrap_or_else(|e| panic!("semi-naive failed: {e}\n{program}"));
 

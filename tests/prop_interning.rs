@@ -13,13 +13,13 @@
 //! 3. **Pipeline differential** — the interned pipeline computes the same
 //!    models as the reference evaluator (`tests/reference`, the §2.2
 //!    semantics written down directly) on random wgen programs, through the
-//!    sequential `Engine` *and* the `Executor` at 1 and 4 threads.
+//!    `Executor` at 1 and 4 threads.
 
 mod reference;
 
 use proptest::prelude::*;
 use seqdl_core::{rel, Fact, Instance, Path, PathId, Value, TRIE_DEPTH};
-use seqdl_engine::{Engine, EvalLimits};
+use seqdl_engine::EvalLimits;
 use seqdl_exec::Executor;
 use seqdl_wgen::{ProgramConfig, ProgramGenerator, Workloads};
 
@@ -189,8 +189,7 @@ proptest! {
 
     /// The whole interned pipeline — tries, joint indexes, bucket-side
     /// matching, emit memo — is output-identical to the reference evaluator
-    /// on random programs, for the Engine and for the Executor at 1 and 4
-    /// threads.
+    /// on random programs, for the Executor at 1 and 4 threads.
     #[test]
     fn interned_pipeline_is_output_identical(
         seed in 0u64..(1u64 << 32),
@@ -210,17 +209,15 @@ proptest! {
 
         // A run that finishes within the limits has a finite model, so the
         // reference terminates on it too; a run that hits a limit is skipped.
-        if let Ok(semi) = Engine::new().with_limits(eval_limits()).run(&program, &input) {
+        if let Ok(one) = Executor::new().with_limits(eval_limits()).run(&program, &input) {
             let reference = reference::evaluate(&program, &input);
-            prop_assert_eq!(&reference, &semi, "engine diverged from the reference");
-            for threads in [1usize, 4] {
-                let parallel = Executor::new()
-                    .with_engine(Engine::new().with_limits(eval_limits()))
-                    .with_threads(threads)
-                    .run(&program, &input)
-                    .expect("executor agrees on termination");
-                prop_assert_eq!(&reference, &parallel, "executor at {} threads diverged", threads);
-            }
+            prop_assert_eq!(&reference, &one, "one thread diverged from the reference");
+            let four = Executor::new()
+                .with_limits(eval_limits())
+                .with_threads(4)
+                .run(&program, &input)
+                .expect("four threads agree on termination");
+            prop_assert_eq!(&reference, &four, "four threads diverged from the reference");
         }
     }
 }

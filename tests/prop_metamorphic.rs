@@ -22,7 +22,7 @@ fn flat_input(seed: u64) -> Instance {
 }
 
 fn run(program: &Program, input: &Instance) -> Instance {
-    Engine::new()
+    Executor::new()
         .run(program, input)
         .unwrap_or_else(|e| panic!("engine failed: {e}\n{program}"))
 }

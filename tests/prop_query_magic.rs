@@ -2,9 +2,9 @@
 //! evaluation: for random safe, stratified programs and random goal binding
 //! patterns, evaluating the magic rewrite seeded with the goal's demand must
 //! yield exactly the answers of a full run filtered by the goal — at one and
-//! four executor threads, and under the sequential engine.  The full run and
-//! the goal filter come from the test-only reference evaluator and its own
-//! matcher, so the expected answers share no code with the engine.
+//! four executor threads.  The full run and the goal filter come from the
+//! test-only reference evaluator and its own matcher, so the expected answers
+//! share no code with the engine.
 //!
 //! This guards the whole query pipeline: goal adornment, the sideways
 //! information passing over rule bodies, guard insertion, magic demand rules,
@@ -70,17 +70,6 @@ proptest! {
 
         let mp = magic(&program, &goal)
             .unwrap_or_else(|e| panic!("magic failed for goal {goal}: {e}\n{program}"));
-        let engine_out = Engine::new()
-            .run_seeded(&mp.program, &input, &mp.seeds)
-            .unwrap_or_else(|e| panic!("seeded engine run failed: {e}\n{}", mp.program));
-        prop_assert_eq!(
-            mp.answers(&engine_out),
-            expected.clone(),
-            "engine: goal {} on\n{}\nrewritten:\n{}",
-            &goal,
-            &program,
-            &mp.program
-        );
         for threads in [1usize, 4] {
             let out = Executor::new()
                 .with_threads(threads)
@@ -104,7 +93,7 @@ proptest! {
         let seeded: BTreeSet<RelName> = mp.seeds.iter().map(|f| f.relation).collect();
         let answer_set: BTreeSet<RelName> = [mp.answer].into_iter().collect();
         let stripped = strip_dead_seeded(&mp.program, &answer_set, &seeded);
-        let stripped_out = Engine::new()
+        let stripped_out = Executor::new()
             .run_seeded(&stripped.program, &input, &mp.seeds)
             .unwrap_or_else(|e| panic!("stripped seeded run failed: {e}\n{}", stripped.program));
         prop_assert_eq!(

@@ -2,8 +2,8 @@
 //! planned rules to the flat instruction IR and running them on the shared
 //! interpreter must derive exactly what the reference evaluator
 //! (`tests/reference`) derives — on random safe, stratified programs with
-//! recursion and negation, through `Engine` and the executor at one and four
-//! threads, and through the demand-driven (magic-set) query path.
+//! recursion and negation, through the executor at one and four threads, and
+//! through the demand-driven (magic-set) query path.
 //!
 //! This guards the whole lowering: bound-set propagation, probe/equation
 //! fusion, terminal probe+emit fusion, static-rule hoisting, and the
@@ -44,11 +44,6 @@ proptest! {
         input.declare_relation(rel("R1"), 1);
 
         let expected = reference::evaluate(&program, &input);
-        let ram = Engine::new()
-            .run(&program, &input)
-            .unwrap_or_else(|e| panic!("RAM run failed: {e}\n{program}"));
-        prop_assert_eq!(&expected, &ram, "engine vs reference on\n{}", &program);
-
         for threads in [1usize, 4] {
             let out = Executor::new()
                 .with_threads(threads)
@@ -76,17 +71,6 @@ proptest! {
             .unwrap_or_else(|e| panic!("magic failed for goal {goal}: {e}\n{program}"));
         let expected_answers =
             mp.answers(&reference::evaluate_seeded(&mp.program, &input, &mp.seeds));
-        let ram_answers = Engine::new()
-            .run_seeded(&mp.program, &input, &mp.seeds)
-            .map(|out| mp.answers(&out))
-            .unwrap_or_else(|e| panic!("RAM seeded run failed: {e}\n{}", mp.program));
-        prop_assert_eq!(
-            &expected_answers,
-            &ram_answers,
-            "magic engine vs reference: goal {} on\n{}",
-            &goal,
-            &mp.program
-        );
         for threads in [1usize, 4] {
             let out = Executor::new()
                 .with_threads(threads)

@@ -1,6 +1,10 @@
 //! Property-based tests for the paper's transformations: the Lemma 4.1 pairing
 //! encoding, packing structures, doubling/undoubling, and differential equivalence
-//! of the feature-elimination rewrites on random instances.
+//! of the feature-elimination rewrites on random instances: the original
+//! program through the reference evaluator (`tests/reference`), the rewritten
+//! one through the `Executor`.
+
+mod reference;
 
 use proptest::prelude::*;
 use sequence_datalog::fragments::witnesses;
@@ -135,7 +139,7 @@ proptest! {
     fn doubling_then_undoubling_restores_every_path(paths in prop::collection::vec(flat_path(6), 0..6)) {
         let input = Instance::unary(rel("R"), paths);
         let doubling = doubling_program(rel("R"), rel("D"));
-        let doubled = Engine::new().run(&doubling, &input).unwrap();
+        let doubled = Executor::new().run(&doubling, &input).unwrap();
         // Doubling matches the Path::doubled helper.
         let expected: std::collections::BTreeSet<Path> =
             input.unary_paths(rel("R")).iter().map(Path::doubled).collect();
@@ -143,7 +147,7 @@ proptest! {
 
         let undoubling = undoubling_program(rel("D"), rel("U"));
         let mid = Instance::unary(rel("D"), doubled.unary_paths(rel("D")));
-        let restored = Engine::new().run(&undoubling, &mid).unwrap();
+        let restored = Executor::new().run(&undoubling, &mid).unwrap();
         prop_assert_eq!(restored.unary_paths(rel("U")), input.unary_paths(rel("R")));
     }
 }
@@ -160,7 +164,7 @@ proptest! {
         let w = witnesses::reversal_with_arity();
         let rewritten = eliminate_arity(&w.program).unwrap();
         let input = Instance::unary(rel("R"), paths);
-        let a = run_unary_query(&w.program, &input, w.output).unwrap();
+        let a = reference::evaluate(&w.program, &input).unary_paths(w.output);
         let b = run_unary_query(&rewritten, &input, w.output).unwrap();
         prop_assert_eq!(&a, &b);
         // And the query really is reversal.
@@ -174,7 +178,7 @@ proptest! {
         let w = witnesses::only_as_equation();
         let rewritten = eliminate_equations(&w.program).unwrap();
         let input = Instance::unary(rel("R"), paths);
-        let a = run_unary_query(&w.program, &input, w.output).unwrap();
+        let a = reference::evaluate(&w.program, &input).unary_paths(w.output);
         let b = run_unary_query(&rewritten, &input, w.output).unwrap();
         prop_assert_eq!(&a, &b);
         // And the query really is "only a's".
@@ -191,7 +195,7 @@ proptest! {
         let w = witnesses::only_as_intermediate();
         let folded = fold_intermediate_predicates(&w.program, w.output).unwrap();
         let input = Instance::unary(rel("R"), paths);
-        let a = run_unary_query(&w.program, &input, w.output).unwrap();
+        let a = reference::evaluate(&w.program, &input).unary_paths(w.output);
         let b = run_unary_query(&folded, &input, w.output).unwrap();
         prop_assert_eq!(a, b);
     }
@@ -203,7 +207,7 @@ proptest! {
         let w = witnesses::mirrored_distinct_pairs();
         let rewritten = eliminate_equations(&w.program).unwrap();
         let input = Instance::unary(rel("R"), paths);
-        let a = run_unary_query(&w.program, &input, w.output).unwrap();
+        let a = reference::evaluate(&w.program, &input).unary_paths(w.output);
         let b = run_unary_query(&rewritten, &input, w.output).unwrap();
         prop_assert_eq!(a, b);
     }

@@ -1,8 +1,7 @@
 //! wgen-driven differential property test for the tracing layer: recording a
 //! run (spans + counters) must be invisible to evaluation — the traced run
 //! derives exactly the same instance and the same core statistics as the
-//! untraced run, through the sequential engine and the parallel executor at
-//! one and four threads.  The recorded spans themselves must be well-formed:
+//! untraced run, through the executor at one and four threads.  The recorded spans themselves must be well-formed:
 //! every begin has a matching end on its thread, per-thread timestamps are
 //! monotone, and nesting follows the run → stratum → level → round →
 //! rule/merge hierarchy.
@@ -128,26 +127,7 @@ proptest! {
         input.declare_relation(rel("R0"), 1);
         input.declare_relation(rel("R1"), 1);
 
-        // Sequential engine: traced ≡ untraced.
-        let (plain_out, plain_stats) = Engine::new()
-            .run_with_stats(&program, &input)
-            .unwrap_or_else(|e| panic!("untraced engine run failed: {e}\n{program}"));
-        let session = trace::start();
-        let traced = Engine::new().run_with_stats(&program, &input);
-        let events = session.finish();
-        let (traced_out, traced_stats) =
-            traced.unwrap_or_else(|e| panic!("traced engine run failed: {e}\n{program}"));
-        prop_assert_eq!(&plain_out, &traced_out, "engine outputs differ on\n{}", &program);
-        prop_assert_eq!(
-            normalized(&plain_stats),
-            normalized(&traced_stats),
-            "engine stats differ on\n{}",
-            &program
-        );
-        prop_assert!(!events.is_empty(), "a traced run records events");
-        check_well_formed(&events);
-
-        // Parallel executor at one and four threads: traced ≡ untraced.
+        // The executor at one and four threads: traced ≡ untraced.
         for threads in [1usize, 4] {
             let (plain_out, plain_stats) = Executor::new()
                 .with_threads(threads)
@@ -174,6 +154,7 @@ proptest! {
                 threads,
                 &program
             );
+            prop_assert!(!events.is_empty(), "a traced run records events");
             check_well_formed(&events);
         }
     }
@@ -234,7 +215,7 @@ fn sessions_are_bounded_and_counters_are_recorded() {
     let program = parse_program("S($x) <- R($x).").unwrap();
     let input = Instance::unary(rel("R"), [path_of(&["a"]), path_of(&["b"])]);
     let session = trace::start();
-    Engine::new().run(&program, &input).expect("runs");
+    Executor::new().run(&program, &input).expect("runs");
     let events = session.finish();
     check_well_formed(&events);
     assert!(

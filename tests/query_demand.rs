@@ -21,8 +21,8 @@ fn single_source_query_fires_strictly_fewer_rules_than_the_full_run() {
     let goal = parse_goal("T(a·$y)").unwrap();
     let input = Workloads::new(17).digraph_instance(16, 48);
 
-    let engine = Engine::new();
-    let (full, full_stats) = engine.run_with_stats(&program, &input).unwrap();
+    let executor = Executor::new();
+    let (full, full_stats) = executor.run_with_stats(&program, &input).unwrap();
     let expected: BTreeSet<Tuple> = full
         .relation(rel("T"))
         .unwrap()
@@ -57,8 +57,8 @@ fn single_source_query_fires_strictly_fewer_rules_than_the_full_run() {
 fn point_queries_and_empty_demands_behave() {
     let program = reachability_program();
     let input = Workloads::new(17).digraph_instance(12, 30);
-    let engine = Engine::new();
-    let full = engine.run(&program, &input).unwrap();
+    let executor = Executor::new();
+    let full = executor.run(&program, &input).unwrap();
 
     for goal_text in ["T(a·b)", "T(b·$y)", "T(zzz·$y)", "T($p)"] {
         let goal = parse_goal(goal_text).unwrap();
@@ -70,7 +70,7 @@ fn point_queries_and_empty_demands_behave() {
             .cloned()
             .collect();
         let mp = magic(&program, &goal).unwrap();
-        let out = engine.run_seeded(&mp.program, &input, &mp.seeds).unwrap();
+        let out = executor.run_seeded(&mp.program, &input, &mp.seeds).unwrap();
         assert_eq!(mp.answers(&out), expected, "goal {goal_text}");
     }
 }

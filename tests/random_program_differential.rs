@@ -1,7 +1,8 @@
 //! Differential testing over *randomly generated* nonrecursive programs: the
-//! engine against the naive reference evaluator, the equation-elimination
-//! rewrite, the Lemma 7.2 normal form, the Theorem 7.1 algebra translation, and
-//! the termination analysis must all agree with direct evaluation.
+//! executor, the equation-elimination rewrite, the Lemma 7.2 normal form, and
+//! the Theorem 7.1 algebra translation must all agree with the naive reference
+//! evaluator (`tests/reference`) on the original program, and the termination
+//! analysis must certify every program.
 
 mod reference;
 
@@ -48,7 +49,7 @@ fn naive_and_semi_naive_agree_on_random_programs() {
     for salt in 0..25u64 {
         let program = generator.random_nonrecursive_program(salt, &ProgramConfig::default());
         let input = edb_instance(salt);
-        let semi = Engine::new()
+        let semi = Executor::new()
             .run(&program, &input)
             .unwrap_or_else(|e| panic!("salt {salt}: semi-naive failed: {e}\n{program}"));
         let naive = reference::evaluate(&program, &input);
@@ -56,7 +57,7 @@ fn naive_and_semi_naive_agree_on_random_programs() {
             assert_eq!(
                 tuples_of(&naive, relation),
                 tuples_of(&semi, relation),
-                "salt {salt}: engine disagrees with the reference on {relation}\n{program}"
+                "salt {salt}: executor disagrees with the reference on {relation}\n{program}"
             );
         }
     }
@@ -84,8 +85,8 @@ fn equation_elimination_preserves_random_programs() {
         );
         let output = output_relation(&program);
         let input = edb_instance(salt ^ 0x55);
-        let a = Engine::new().run(&program, &input).unwrap();
-        let b = Engine::new().run(&rewritten, &input).unwrap();
+        let a = reference::evaluate(&program, &input);
+        let b = Executor::new().run(&rewritten, &input).unwrap();
         assert_eq!(
             tuples_of(&a, output),
             tuples_of(&b, output),
@@ -109,8 +110,8 @@ fn normal_form_preserves_random_equation_free_programs() {
             .unwrap_or_else(|e| panic!("salt {salt}: normalization failed: {e}\n{program}"));
         let output = output_relation(&program);
         let input = edb_instance(salt ^ 0xAA);
-        let a = Engine::new().run(&program, &input).unwrap();
-        let b = Engine::new().run(&normal, &input).unwrap();
+        let a = reference::evaluate(&program, &input);
+        let b = Executor::new().run(&normal, &input).unwrap();
         assert_eq!(
             tuples_of(&a, output),
             tuples_of(&b, output),
@@ -140,10 +141,7 @@ fn algebra_translation_agrees_on_random_equation_free_programs() {
         };
         translated += 1;
         let input = edb_instance(salt ^ 0x33);
-        let datalog: BTreeSet<Tuple> = {
-            let result = Engine::new().run(&program, &input).unwrap();
-            tuples_of(&result, output)
-        };
+        let datalog = tuples_of(&reference::evaluate(&program, &input), output);
         let algebra: BTreeSet<Tuple> = eval(&expr, &input)
             .unwrap_or_else(|e| panic!("salt {salt}: algebra evaluation failed: {e}\n{program}"))
             .into_iter()

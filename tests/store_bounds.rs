@@ -15,7 +15,7 @@
 
 mod reference;
 
-use sequence_datalog::engine::Engine;
+use sequence_datalog::exec::Executor;
 use sequence_datalog::prelude::{parse_program, rel, repeat_path, Instance};
 
 #[test]
@@ -27,7 +27,7 @@ fn rejected_prefix_cuts_do_not_grow_the_store() {
 
     let before = sequence_datalog::core::store_stats();
     // The RAM interpreter enumerates the adversarial cuts.
-    let out = Engine::new().run(&program, &input).unwrap();
+    let out = Executor::new().run(&program, &input).unwrap();
     let after = sequence_datalog::core::store_stats();
 
     // No fact matches (there is no `b`), so nothing should be emitted...
@@ -65,7 +65,7 @@ fn emitted_facts_still_intern_their_cuts() {
     values.extend(["a"; 3]);
     // a^6 · b · a^3: $x = a^3, $y = a^3 is the unique solution.
     let input = Instance::unary(rel("R"), [sequence_datalog::prelude::path_of(&values)]);
-    let out = Engine::new().run(&program, &input).unwrap();
+    let out = Executor::new().run(&program, &input).unwrap();
     assert_eq!(out, reference::evaluate(&program, &input));
     let a = out.unary_paths(rel("A"));
     assert_eq!(a.len(), 1);
