@@ -1836,6 +1836,32 @@ mod tests {
     }
 
     #[test]
+    fn analyze_show_ram_pins_the_existential_cuts_of_the_log_policy() {
+        // HasPay's `pay` split binds only dead variables and feeds the emit
+        // directly, so it stops at its first extension and the emit cuts back
+        // to the `order` split; Viol's head is bound by the Log probe, so its
+        // emit cuts straight back there; Compliant has nothing to cut.
+        let program = write_program(
+            "show-ram-cut.sdl",
+            include_str!("../../../examples/programs/order_then_pay.sdl"),
+        );
+        let output = cmd_analyze(&flags(&["--program", &program, "--show-ram"])).unwrap();
+        for line in [
+            "      00  probe   Log($t), det\n",
+            "      01  solve   $t = $p·order·$s\n",
+            "      02  solve   $s = $u·pay·$v, once\n",
+            "      03  emit    HasPay($s)  ; cut to 01\n",
+            "      02  filter  !HasPay($s)\n",
+            "      03  emit    Viol($t)  ; cut to 00\n",
+            "      02  emit    Compliant($t)\n",
+        ] {
+            assert!(output.contains(line), "missing {line:?} in:\n{output}");
+        }
+        assert_eq!(output.matches(", once").count(), 1, "{output}");
+        assert_eq!(output.matches("; cut to").count(), 2, "{output}");
+    }
+
+    #[test]
     fn run_stats_surface_instruction_counters() {
         let program = write_program("ram-stats.sdl", "S($x) <- R($x).");
         let instance = write_instance_file(

@@ -8,6 +8,13 @@
 //! entry and backtracks by truncating to it — no recursion frames, no
 //! continuation closures, no interior-mutability error channel.
 //!
+//! After every emit the trail is cut to [`RuleProc::emit_keep`] choice points
+//! (the existential cut): the choice points past it bind no head variable,
+//! so their remaining solutions could only re-derive the fact just emitted.
+//! A fused terminal probe past the cut leaves its candidate loop after its
+//! first emit, and a `Solve` past the cut right before the emit stops its
+//! solver at the first extension.
+//!
 //! Candidate enumeration picks the smallest index list through
 //! `choose_candidates`, clamps it to the delta window with
 //! `partition_point`, walks trie buckets bucket-side where the plan allows,
@@ -257,21 +264,21 @@ impl<'r> Frame<'r> {
     }
 
     /// (Re-)initialise this frame for an equation, buffering every binding
-    /// extension up front.  `None` means neither side was fully bound — an
-    /// unsafe rule.
-    fn enter_solve(&mut self, eq: &Equation, nu: &mut Valuation) -> Option<()> {
+    /// extension up front — only the first with `once`.  `None` means
+    /// neither side was fully bound — an unsafe rule.
+    fn enter_solve(&mut self, eq: &Equation, nu: &mut Valuation, once: bool) -> Option<()> {
         self.depth = nu.len();
         self.cands = Cands::Empty;
         self.cursor = 0;
         self.mode = Mode::Equation;
-        solve_equation(eq, nu, &mut self.refill())
+        solve_equation(eq, nu, &mut self.refill(once))
     }
 
     /// Empty the extension buffer and return the sink that refills it: the
     /// bindings each extension adds past the entry depth become one buffered
-    /// entry, replayed in order by [`Frame::next`].  The sink never stops the
-    /// walk.
-    fn refill(&mut self) -> impl FnMut(&mut Valuation) -> bool + '_ {
+    /// entry, replayed in order by [`Frame::next`].  The sink stops the walk
+    /// after the first extension iff `once`.
+    fn refill(&mut self, once: bool) -> impl FnMut(&mut Valuation) -> bool + '_ {
         self.ext.clear();
         self.bounds.clear();
         self.bounds.push(0);
@@ -280,7 +287,7 @@ impl<'r> Frame<'r> {
         move |nu| {
             ext.extend_from_slice(nu.bindings_since(depth));
             bounds.push(ext.len());
-            false
+            once
         }
     }
 
@@ -366,7 +373,12 @@ impl<'r> Frame<'r> {
                     // always attaches the planned predicate.
                     let planned = planned.expect("general mode only on probe frames");
                     let tuples = self.tuples;
-                    match_predicate_sink(&planned.pred, &tuples[cand.id()], nu, &mut self.refill());
+                    match_predicate_sink(
+                        &planned.pred,
+                        &tuples[cand.id()],
+                        nu,
+                        &mut self.refill(false),
+                    );
                     // Loop: the buffered-extension branch replays them.
                 }
                 (Mode::Equation, _)
@@ -629,7 +641,11 @@ pub fn fire_proc(
                 if *fused_emit {
                     // The fused terminal loop: candidates emit straight from
                     // the frame, with no per-candidate dispatch or trail work.
+                    // Past the cut it binds no head variable, so its first
+                    // emit is its only distinct one: leave the loop there and
+                    // cut the trail as [`Inst::Emit`] does.
                     stats.fused_probes += 1;
+                    let once = trail_len >= proc.emit_keep;
                     // Prefilling the head row costs one pass over the head
                     // terms per loop entry; with only a candidate or two it
                     // is cheaper to ground the head per emit.
@@ -658,15 +674,16 @@ pub fn fire_proc(
                                 }
                             }
                         }
-                        let entries = match &frames[pc].cands {
-                            Cands::Entries(entries) => *entries,
-                            _ => &[],
-                        };
                         match frames[pc].mode {
                             // Bucket-side bind feeding exactly the one hole:
                             // emit straight from the trie entries, no
                             // valuation traffic at all.
                             Mode::BucketBind(n, v) if holes.len() == 1 && holes[0].1 == v => {
+                                debug_assert!(!once, "the probe binds the head hole");
+                                let entries = match &frames[pc].cands {
+                                    Cands::Entries(entries) => *entries,
+                                    _ => &[],
+                                };
                                 let pos = holes[0].0;
                                 for e in entries {
                                     if e.len == n + 1 {
@@ -685,31 +702,6 @@ pub fn fire_proc(
                                             );
                                         }
                                     }
-                                }
-                            }
-                            // Bucket-side length check with a fully ground
-                            // head: every match fires the same row, so count
-                            // them and run the memo once.
-                            Mode::BucketLen(n) if holes.is_empty() => {
-                                let k = entries.iter().filter(|e| e.len == n).count();
-                                if k > 0 {
-                                    stats.instructions += k;
-                                    stats.firings += k - 1;
-                                    // The k-1 collapsed duplicates never probe
-                                    // the memo; count them as memo hits so the
-                                    // fused path's counters match the general
-                                    // loop's firings − distinct-emissions split.
-                                    stats.emit_memo_hits += k - 1;
-                                    emit_segs(
-                                        rule,
-                                        head_relation,
-                                        term_counts,
-                                        memo,
-                                        &seg_scratch,
-                                        &mut tuple_scratch,
-                                        out,
-                                        &mut stats,
-                                    );
                                 }
                             }
                             _ => {
@@ -734,6 +726,10 @@ pub fn fire_proc(
                                         out,
                                         &mut stats,
                                     );
+                                    if once {
+                                        trail_len = proc.emit_keep;
+                                        break;
+                                    }
                                 }
                             }
                         }
@@ -751,6 +747,10 @@ pub fn fire_proc(
                                 out,
                                 &mut stats,
                             )?;
+                            if once {
+                                trail_len = proc.emit_keep;
+                                break;
+                            }
                         }
                     }
                 } else if frames[pc].next(Some(planned), &mut nu) {
@@ -765,7 +765,11 @@ pub fn fire_proc(
                     PlannedLiteral::SolveEquation(eq) => eq,
                     _ => return Err(plan_invariant(*step, "a positive equation")),
                 };
-                if frames[pc].enter_solve(eq, &mut nu).is_none() {
+                // Past the cut and right before the emit, the first
+                // extension is the only one whose emit can be new.
+                let once =
+                    trail_len >= proc.emit_keep && matches!(code.get(pc + 1), Some(Inst::Emit));
+                if frames[pc].enter_solve(eq, &mut nu, once).is_none() {
                     return Err(unplannable(rule));
                 }
                 if frames[pc].next(None, &mut nu) {
@@ -787,6 +791,7 @@ pub fn fire_proc(
                     out,
                     &mut stats,
                 )?;
+                trail_len = trail_len.min(proc.emit_keep);
             }
         }
         // Backtrack: resume the most recent active choice point, popping

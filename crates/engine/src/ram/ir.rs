@@ -4,8 +4,10 @@
 //! its [`BodyPlan`]: choice points ([`Inst::Probe`], [`Inst::Solve`]) push a
 //! frame the interpreter backtracks through, deterministic guards
 //! ([`Inst::Filter`]) just pass or fail, and [`Inst::Emit`] grounds the head
-//! through the emit memo.  A [`Program`] arranges the procedures of each
-//! stratum into per-level statements: a merge section that runs exactly once
+//! through the emit memo, then cuts the trail back to
+//! [`RuleProc::emit_keep`] choice points.  A [`Program`] arranges the
+//! procedures of each stratum into per-level statements: a merge section
+//! that runs exactly once
 //! (non-recursive components plus static rules of recursive components,
 //! hoisted out of the fixpoint) and one loop per recursive component.  That
 //! statement list is what executes: [`crate::drive::Driver`] walks it level
@@ -27,7 +29,9 @@ pub enum Inst {
     /// plan position `step` (through the trie/joint indexes when possible),
     /// binding its variables per candidate.  With `fused_emit` the probe is
     /// the last body step and the lowering fused the following [`Inst::Emit`]
-    /// into its candidate loop.
+    /// into its candidate loop; a fused probe past the cut (it binds no head
+    /// variable first, see [`RuleProc::emit_keep`]) leaves that loop after
+    /// its first emit.
     Probe {
         /// Plan position of the predicate.
         step: usize,
@@ -35,7 +39,8 @@ pub enum Inst {
         fused_emit: bool,
     },
     /// Choice point: solve the positive equation at plan position `step`,
-    /// enumerating its binding extensions.
+    /// enumerating its binding extensions.  Past the cut and directly before
+    /// [`Inst::Emit`], the solver stops at the first extension.
     Solve {
         /// Plan position of the equation.
         step: usize,
@@ -44,6 +49,9 @@ pub enum Inst {
     Filter(FilterOp),
     /// Ground the head under the current valuation, deduplicate through the
     /// [`EmitMemo`](crate::eval::EmitMemo), and append genuinely new facts.
+    /// Then cut: backtracking resumes at the last of the first
+    /// [`RuleProc::emit_keep`] choice points, since every later one binds
+    /// only variables the head does not read.
     Emit,
 }
 
@@ -77,7 +85,8 @@ pub enum FilterOp {
 }
 
 /// One rule lowered to a RAM procedure: the owned rule and plan plus the
-/// instruction sequence and the precomputed delta-variant expansion.
+/// instruction sequence, the precomputed delta-variant expansion, and the
+/// existential cut ([`RuleProc::emit_keep`]).
 #[derive(Clone, Debug)]
 pub struct RuleProc {
     /// The source rule (owned; procedures outlive the borrow of the program).
@@ -87,6 +96,15 @@ pub struct RuleProc {
     /// The instruction sequence.  Always non-empty; ends in [`Inst::Emit`]
     /// unless the final probe carries `fused_emit`.
     pub code: Vec<Inst>,
+    /// The existential cut: the number of leading choice points ([`Inst::Probe`]
+    /// and [`Inst::Solve`], in code order) up to and including the last one
+    /// that first binds a head variable — 0 when the head is ground before
+    /// any choice point.  Once the head is emitted, every further solution of
+    /// the later choice points only re-derives the same head fact, so the
+    /// interpreter truncates its trail to this length after each emit.  Only
+    /// duplicate head valuations are pruned, so the new facts a pass derives,
+    /// and their order, are unchanged.
+    pub emit_keep: usize,
     /// Per plan step: the probe is *deterministic* under the binding state
     /// the plan guarantees there — each candidate tuple admits at most one
     /// extension, so the interpreter binds in place instead of buffering and
@@ -187,15 +205,27 @@ impl RuleProc {
                 } else if self.det[*step] {
                     write!(f, ", det")?;
                 }
+                if *fused_emit && self.once_at(pc) {
+                    write!(f, ", once")?;
+                }
                 if self.delta_positions.contains(step) {
                     write!(f, "  [delta]")?;
                 }
+                if *fused_emit {
+                    self.fmt_cut(f, pc)?;
+                }
                 writeln!(f)
             }
-            Inst::Solve { step } => match &self.plan.steps[*step] {
-                PlannedLiteral::SolveEquation(eq) => writeln!(f, "solve   {eq}"),
-                other => writeln!(f, "solve <invalid step {other:?}>"),
-            },
+            Inst::Solve { step } => {
+                match &self.plan.steps[*step] {
+                    PlannedLiteral::SolveEquation(eq) => write!(f, "solve   {eq}")?,
+                    other => write!(f, "solve <invalid step {other:?}>")?,
+                }
+                if matches!(self.code.get(pc + 1), Some(Inst::Emit)) && self.once_at(pc) {
+                    write!(f, ", once")?;
+                }
+                writeln!(f)
+            }
             Inst::Filter(op) => match op {
                 FilterOp::FusedProbe { step } => match &self.plan.steps[*step] {
                     PlannedLiteral::MatchPredicate(p) => {
@@ -218,7 +248,48 @@ impl RuleProc {
                     other => writeln!(f, "filter <invalid step {other:?}>"),
                 },
             },
-            Inst::Emit => writeln!(f, "emit    {}", self.rule.head),
+            Inst::Emit => {
+                write!(f, "emit    {}", self.rule.head)?;
+                self.fmt_cut(f, pc)?;
+                writeln!(f)
+            }
+        }
+    }
+
+    /// The code positions of the choice points, in order.
+    fn choice_pcs(&self) -> impl Iterator<Item = usize> + '_ {
+        self.code
+            .iter()
+            .enumerate()
+            .filter(|(_, i)| matches!(i, Inst::Probe { .. } | Inst::Solve { .. }))
+            .map(|(pc, _)| pc)
+    }
+
+    /// The number of choice points before code position `pc` — the trail
+    /// length whenever the interpreter reaches `pc`.
+    fn choice_points_before(&self, pc: usize) -> usize {
+        self.choice_pcs().take_while(|&c| c < pc).count()
+    }
+
+    /// Is the choice point at `pc` past the cut (it binds no head variable
+    /// first)?
+    fn once_at(&self, pc: usize) -> bool {
+        self.choice_points_before(pc) >= self.emit_keep
+    }
+
+    /// Append `; cut to NN` when the emit at `pc` backtracks past choice
+    /// points: `NN` is the code position of the last kept choice point, or
+    /// `end` when none is kept.
+    fn fmt_cut(&self, f: &mut fmt::Formatter<'_>, pc: usize) -> fmt::Result {
+        if self.emit_keep >= self.choice_points_before(pc) {
+            return Ok(());
+        }
+        match self.emit_keep.checked_sub(1) {
+            Some(last) => {
+                let kept = self.choice_pcs().nth(last).unwrap_or_default();
+                write!(f, "  ; cut to {kept:02}")
+            }
+            None => write!(f, "  ; cut to end"),
         }
     }
 }

@@ -1,7 +1,7 @@
 //! Lowering planned rules to RAM procedures and whole programs.
 //!
-//! Three fusions happen here, all decided statically from the planner's
-//! bound-set propagation:
+//! Three fusions and one cut happen here, all decided statically from the
+//! planner's bound-set propagation:
 //!
 //! * a positive predicate whose variables are all bound by earlier steps
 //!   collapses to a [`FilterOp::FusedProbe`] existence check — except at a
@@ -11,7 +11,12 @@
 //!   [`FilterOp::EqHolds`] comparison (no valuation clone);
 //! * a terminal probe absorbs the following [`Inst::Emit`] into its candidate
 //!   loop (`fused_emit`), so the hot innermost join level runs without any
-//!   per-candidate instruction dispatch.
+//!   per-candidate instruction dispatch;
+//! * the existential cut ([`RuleProc::emit_keep`]): the choice points after
+//!   the last one that first binds a head variable can only re-derive an
+//!   emitted head fact, so after an emit the interpreter backtracks straight
+//!   past them (a fused terminal probe or a `Solve` right before the emit
+//!   stops at its first extension).
 //!
 //! Whole-program lowering additionally computes each stratum's statement
 //! structure from the precedence graph's condensation: non-recursive
@@ -43,6 +48,20 @@ pub fn lower_rule(rule: &Rule, plan: BodyPlan, recursive_over: &BTreeSet<RelName
     // membership tests — no per-step tree clones.
     let mut bound: Vec<Var> = Vec::new();
     let mut walk: Vec<Var> = Vec::new();
+    let head_vars = rule.head.vars();
+    let mut choice_points = 0usize;
+    let mut emit_keep = 0usize;
+    // Count a choice point binding `vars`; it is kept by the cut if it binds
+    // a head variable first.
+    let mut choice = |vars: &[Var], bound: &[Var]| {
+        choice_points += 1;
+        if vars
+            .iter()
+            .any(|v| head_vars.contains(v) && !bound.contains(v))
+        {
+            emit_keep = choice_points;
+        }
+    };
     for (ix, step) in plan.steps.iter().enumerate() {
         match step {
             PlannedLiteral::MatchPredicate(p) => {
@@ -64,6 +83,7 @@ pub fn lower_rule(rule: &Rule, plan: BodyPlan, recursive_over: &BTreeSet<RelName
                         step: ix,
                         fused_emit: false,
                     });
+                    choice(&vars, &bound);
                     bound.extend(vars);
                 }
             }
@@ -73,6 +93,7 @@ pub fn lower_rule(rule: &Rule, plan: BodyPlan, recursive_over: &BTreeSet<RelName
                     code.push(Inst::Filter(FilterOp::EqHolds { step: ix }));
                 } else {
                     code.push(Inst::Solve { step: ix });
+                    choice(&vars, &bound);
                     bound.extend(vars);
                 }
             }
@@ -98,6 +119,7 @@ pub fn lower_rule(rule: &Rule, plan: BodyPlan, recursive_over: &BTreeSet<RelName
         rule: rule.clone(),
         plan,
         code,
+        emit_keep,
         det,
         choose_cacheable,
         hoisted: delta_positions.is_empty(),
@@ -385,6 +407,28 @@ mod tests {
             assert_eq!(stratum.levels[0].merge, vec![0]);
             assert!(stratum.levels[0].loops.is_empty());
         }
+    }
+
+    #[test]
+    fn emit_keep_counts_choice_points_through_the_last_head_binder() {
+        let keep = |source: &str, stratum: usize| {
+            let program = parse_program(source).unwrap();
+            lower_stratum(&program.strata[stratum]).unwrap().procs[0].emit_keep
+        };
+        let policy = "HasPay($s) <- Log($t), $t = $p·order·$s, $s = $u·pay·$v.\n---\n\
+                      Viol($t) <- Log($t), $t = $p·order·$s, !HasPay($s).\n---\n\
+                      Compliant($t) <- Log($t), !Viol($t).";
+        // The Log probe binds only `$t`; the order split first binds `$s`;
+        // the pay split binds only the dead `$u`, `$v`.
+        assert_eq!(keep(policy, 0), 2);
+        // `$t` is the head: the order split after the Log probe is dead.
+        assert_eq!(keep(policy, 1), 1);
+        assert_eq!(keep(policy, 2), 1);
+        // A nullary head is ground before any choice point.
+        assert_eq!(keep("S <- T(@x·@y).", 0), 0);
+        // Both reachability probes bind a head variable: nothing is cut.
+        let reach = lower_first("T(@x·@y) <- R(@x·@y).\nT(@x·@z) <- T(@x·@y), R(@y·@z).");
+        assert_eq!(reach.procs[1].emit_keep, 2);
     }
 
     #[test]

@@ -16,6 +16,7 @@ const PROGRAMS: &[&str] = &[
     include_str!("../examples/programs/lints_showcase.sdl"),
     include_str!("../examples/programs/nfa_even.sdl"),
     include_str!("../examples/programs/only_as.sdl"),
+    include_str!("../examples/programs/order_then_pay.sdl"),
     include_str!("../examples/programs/reachability.sdl"),
     include_str!("../examples/programs/squaring.sdl"),
     include_str!("../examples/programs/stratified_difference.sdl"),

@@ -8,7 +8,8 @@
 //! This guards the whole lowering: bound-set propagation, probe/equation
 //! fusion, terminal probe+emit fusion, static-rule hoisting, and the
 //! interpreter's frame machine (candidate selection, delta-window clamping,
-//! bucket-side fast path, buffered extension replay, backtracking).
+//! bucket-side fast path, buffered extension replay, backtracking), and the
+//! existential cut after each emit.
 
 mod reference;
 
@@ -16,7 +17,10 @@ use proptest::prelude::*;
 use sequence_datalog::exec::Executor;
 use sequence_datalog::prelude::*;
 use sequence_datalog::rewrite::magic;
+use sequence_datalog::syntax::analysis::check_safety;
+use sequence_datalog::syntax::{Atom, Predicate};
 use sequence_datalog::wgen::{ProgramConfig, ProgramGenerator, Workloads};
+use std::collections::BTreeSet;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
@@ -86,6 +90,155 @@ proptest! {
                 &mp.program
             );
         }
+    }
+}
+
+/// Project the IDB relations of `program`: argument `j` of the `i`-th IDB
+/// relation survives iff bit `(2i + j) mod 64` of `mask` is set (wgen
+/// relations have arity at most 2), so a relation may
+/// lose every argument and turn nullary.  The projection applies to every
+/// occurrence of a relation, heads and bodies alike.  Dropping a positive
+/// body argument can leave a rule unsafe; then only the relations no body
+/// reads are projected, which only ever drops head arguments.  Either way
+/// the rule bodies keep variables the heads no longer read — dead trailing
+/// choice points for the existential cut.
+fn project_idb(program: &Program, mask: u64) -> Program {
+    let idb: Vec<RelName> = program.idb_relations().into_iter().collect();
+    let read: BTreeSet<RelName> = program
+        .rules()
+        .flat_map(|r| &r.body)
+        .filter_map(|l| match &l.atom {
+            Atom::Pred(p) => Some(p.relation),
+            Atom::Eq(_) => None,
+        })
+        .collect();
+    let project = |eligible: &dyn Fn(RelName) -> bool| {
+        let cut = |p: &mut Predicate| {
+            let Some(i) = idb.iter().position(|r| *r == p.relation) else {
+                return;
+            };
+            if eligible(p.relation) {
+                let mut j = 0;
+                p.args.retain(|_| {
+                    j += 1;
+                    (mask >> ((2 * i + j - 1) % 64)) & 1 == 1
+                });
+            }
+        };
+        let mut out = program.clone();
+        for rule in out.strata.iter_mut().flat_map(|s| &mut s.rules) {
+            cut(&mut rule.head);
+            for literal in &mut rule.body {
+                if let Atom::Pred(p) = &mut literal.atom {
+                    cut(p);
+                }
+            }
+        }
+        out
+    };
+    let everywhere = project(&|_| true);
+    if check_safety(&everywhere).is_ok() {
+        everywhere
+    } else {
+        project(&|r| !read.contains(&r))
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// The existential cut prunes only duplicate head valuations: with heads
+    /// projected so that most rules end in choice points binding variables
+    /// the head never reads, the executor still derives exactly what the
+    /// reference evaluator derives, at one and four threads.
+    #[test]
+    fn projected_heads_equal_the_reference(
+        seed in 0u64..(1u64 << 32),
+        salt in 0u64..(1u64 << 32),
+        mask in any::<u64>(),
+        allow_negation in any::<bool>(),
+    ) {
+        let config = ProgramConfig {
+            allow_equations: true,
+            allow_negation,
+            allow_arity: true,
+            allow_recursion: true,
+            ..ProgramConfig::default()
+        };
+        let program = project_idb(&ProgramGenerator::new(seed).random_program(salt, &config), mask);
+        let mut input = Workloads::new(seed ^ salt).random_flat_instance(2, 3, 4, 2);
+        input.declare_relation(rel("R0"), 1);
+        input.declare_relation(rel("R1"), 1);
+
+        let expected = reference::evaluate(&program, &input);
+        for threads in [1usize, 4] {
+            let out = Executor::new()
+                .with_threads(threads)
+                .run(&program, &input)
+                .unwrap_or_else(|e| panic!("RAM executor run failed: {e}\n{program}"));
+            prop_assert_eq!(
+                &expected,
+                &out,
+                "executor (threads = {}) vs reference on\n{}",
+                threads,
+                &program
+            );
+        }
+    }
+}
+
+/// The existential cut on the order-then-pay policy: `HasPay` fires once per
+/// `order` position whose suffix holds a `pay` (its `pay` split stops at the
+/// first match), and `Viol` once per violating trace (its first violating
+/// `order` split ends the trace).  Both counts come from a plain scan of the
+/// log; the answers come from the reference evaluator.
+#[test]
+fn existential_cuts_fire_once_per_head_binding() {
+    let program = parse_program(include_str!("../examples/programs/order_then_pay.sdl")).unwrap();
+    let traces: [&[&str]; 9] = [
+        &[],
+        &["order", "pay"],
+        &["order", "pay", "pay", "ship"],
+        &["pay", "order", "order", "pay", "pay"],
+        &["order", "ship", "pay", "order"],
+        &["login", "order", "order"],
+        &["order", "pay", "order", "pay"],
+        &["ship", "order", "pay", "order", "pay"],
+        &["order"],
+    ];
+    let input = Instance::unary(rel("Log"), traces.iter().map(|t| path_of(t)));
+    let (mut has_pay, mut viol) = (0usize, 0usize);
+    for trace in &traces {
+        let mut violating = false;
+        for (i, event) in trace.iter().enumerate() {
+            if *event == "order" {
+                if trace[i + 1..].contains(&"pay") {
+                    has_pay += 1;
+                } else {
+                    violating = true;
+                }
+            }
+        }
+        viol += usize::from(violating);
+    }
+    assert_eq!((has_pay, viol), (9, 3), "the scan itself");
+    let expected = reference::evaluate(&program, &input);
+    for threads in [1usize, 4] {
+        let (out, stats) = Executor::new()
+            .with_threads(threads)
+            .run_with_stats(&program, &input)
+            .unwrap();
+        assert_eq!(expected, out, "threads = {threads}");
+        let firings = |head: &str| -> usize {
+            stats
+                .rules
+                .iter()
+                .filter(|r| r.rule.starts_with(head))
+                .map(|r| r.firings)
+                .sum()
+        };
+        assert_eq!(firings("HasPay("), has_pay, "threads = {threads}");
+        assert_eq!(firings("Viol("), viol, "threads = {threads}");
     }
 }
 
