@@ -1836,6 +1836,28 @@ mod tests {
     }
 
     #[test]
+    fn analyze_show_ram_tags_only_prefixed_unary_probes_bucket() {
+        // Bucket-side matching walks a trie bucket, so it needs a resolved
+        // prefix value and one trailing variable to bind: `S(@x)` and the
+        // delta `M(@x)` have no prefix, and the delta `M(@y)` is fully bound.
+        // All three are det; only `E(@x·@y)` with `@x` bound is bucket-side.
+        let program = write_program(
+            "show-ram-bucket.sdl",
+            "M(@x) <- S(@x).\nM(@y) <- M(@x), E(@x·@y), M(@y).",
+        );
+        let output = cmd_analyze(&flags(&["--program", &program, "--show-ram"])).unwrap();
+        for line in [
+            "      00  probe+emit S(@x) -> M(@x), det\n",
+            "      00  probe   M(@x), det  [delta]\n",
+            "      01  probe   E(@x·@y)  ; via col0[1], bucket\n",
+            "      02  probe+emit M(@y) -> M(@y)  ; via col0[1], det, once  [delta]\n",
+        ] {
+            assert!(output.contains(line), "missing {line:?} in:\n{output}");
+        }
+        assert_eq!(output.matches(", bucket").count(), 1, "{output}");
+    }
+
+    #[test]
     fn analyze_show_ram_pins_the_existential_cuts_of_the_log_policy() {
         // HasPay's `pay` split binds only dead variables and feeds the emit
         // directly, so it stops at its first extension and the emit cuts back

@@ -225,7 +225,7 @@ fn joint_tuple_key(cols: &[usize], tuple: &[Path]) -> Option<u64> {
 }
 
 /// The joint key of a probe with one known first value per column.
-pub fn joint_probe_key(firsts: &[Value]) -> u64 {
+fn joint_probe_key(firsts: &[Value]) -> u64 {
     let mut h = FxHasher::default();
     for v in firsts {
         hash_first_value(&mut h, v);

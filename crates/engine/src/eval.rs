@@ -253,8 +253,8 @@ pub struct FireStats {
     pub instructions: usize,
     /// Executions of fused instructions.
     pub fused_probes: usize,
-    /// Firings deduplicated by the emit memo (segment-identity probe hits,
-    /// plus duplicates a fused bucket-count loop collapsed without probing).
+    /// Firings deduplicated by the emit memo: each is one segment-identity
+    /// probe hit for a head row this job already emitted.
     pub emit_memo_hits: usize,
 }
 

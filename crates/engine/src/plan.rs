@@ -120,12 +120,12 @@ pub struct PlannedPredicate {
     pub joint_cols: Option<Vec<usize>>,
     /// Bucket-side matching eligibility: the predicate is unary, its column
     /// holds only constants and atomic variables, and those terms are all
-    /// prefix sources except at most one trailing unbound atomic variable.
-    /// `Some(None)` — the prefix covers the whole pattern (match = length
-    /// check); `Some(Some(v))` — one trailing variable, bound from the bucket
-    /// entry's next-value.  Candidates from the column trie then finish
-    /// matching without touching the tuple store.
-    pub extend: Option<Option<Var>>,
+    /// prefix sources — at least one — except one trailing unbound atomic
+    /// variable `v`.  Candidates from a column trie that consumed the whole
+    /// prefix then finish matching without touching the tuple store: the
+    /// entry's length checks the shape and its next value binds `v`.  A
+    /// pattern the prefix covers entirely is left to the deterministic pass.
+    pub extend: Option<Var>,
 }
 
 fn column_probes(pred: &Predicate, bound_before: &BTreeSet<Var>) -> Vec<ColumnProbe> {
@@ -166,34 +166,28 @@ fn column_probes(pred: &Predicate, bound_before: &BTreeSet<Var>) -> Vec<ColumnPr
 }
 
 /// See [`PlannedPredicate::extend`]: eligibility of the bucket-side matcher.
-fn extend_probe(pred: &Predicate, probes: &[ColumnProbe]) -> Option<Option<Var>> {
+/// Trie buckets are reached through at least one resolved prefix value, so a
+/// column with no prefix source never qualifies.
+fn extend_probe(pred: &Predicate, probes: &[ColumnProbe]) -> Option<Var> {
     if pred.args.len() != 1 {
         return None;
     }
     let terms = pred.args[0].terms();
     let sources = probes[0].sources.len();
-    if terms.is_empty() || sources > seqdl_core::TRIE_DEPTH {
+    if sources == 0 || sources > seqdl_core::TRIE_DEPTH || sources + 1 != terms.len() {
         return None;
     }
     let flat_column = terms.iter().all(|t| {
         matches!(t, Term::Const(_)) || matches!(t, Term::Var(v) if v.kind == VarKind::Atom)
     });
-    if !flat_column {
-        return None;
+    // The one non-source term can only be an unbound atomic variable
+    // (constants and bound variables are always sources), and its first
+    // occurrence (an earlier unbound occurrence would have stopped the source
+    // walk sooner).
+    match terms.last() {
+        Some(Term::Var(v)) if flat_column => Some(*v),
+        _ => None,
     }
-    if sources == terms.len() {
-        return Some(None);
-    }
-    if sources + 1 == terms.len() {
-        // The one non-source term can only be an unbound atomic variable
-        // (constants and bound variables are always sources), and its first
-        // occurrence (an earlier unbound occurrence would have stopped the
-        // source walk sooner).
-        if let Some(Term::Var(v)) = terms.last() {
-            return Some(Some(*v));
-        }
-    }
-    None
 }
 
 fn plan_predicate(pred: &Predicate, bound_before: &BTreeSet<Var>) -> PlannedPredicate {

@@ -16,28 +16,25 @@
 //! solver at the first extension.
 //!
 //! Candidate enumeration picks the smallest index list through
-//! `choose_candidates`, clamps it to the delta window with
-//! `partition_point`, walks trie buckets bucket-side where the plan allows,
-//! and otherwise matches tuples with the deterministic pass (probes the
-//! lowering proved admit at most one extension) or the backtracking walk,
-//! whose extensions a frame buffers and replays — equations included.  The
-//! differential property tests pin its output to the test-only reference
+//! `choose_candidates` on every probe entry, clamps it to the delta window
+//! with `partition_point`, and finishes each candidate one of three ways:
+//! bucket-side (a trie entry's length and next value bind one trailing
+//! atomic variable without touching the tuple store), the deterministic pass
+//! (probes the lowering proved admit at most one extension), or the
+//! backtracking walk, whose extensions a frame buffers and replays —
+//! equations included.  A fused terminal probe emits from its candidate loop,
+//! prefilling a template head row when the head has no packed terms.  The
+//! differential property tests pin the output to the test-only reference
 //! evaluator, which has a matcher of its own.
 
 use crate::error::EvalError;
-use crate::eval::{
-    choose_candidates, CandList, Chosen, DeltaWindow, EmitKey, EmitMemo, FireStats, DUMMY_VALUE,
-    MAX_JOINT_COLS,
-};
+use crate::eval::{choose_candidates, CandList, DeltaWindow, EmitKey, EmitMemo, FireStats};
 use crate::matching::{
     equation_holds, ground_tuple, match_predicate_det, match_predicate_sink, solve_equation,
 };
-use crate::plan::{PlannedLiteral, PlannedPredicate, PrefixSource};
+use crate::plan::{PlannedLiteral, PlannedPredicate};
 use crate::ram::ir::{FilterOp, Inst, RuleProc};
-use seqdl_core::{
-    joint_probe_key, Fact, FxMap, Instance, Path, PathId, Relation, Segment, TrieEntry, Tuple,
-    Value,
-};
+use seqdl_core::{Fact, Instance, Path, PathId, Relation, Segment, TrieEntry, Tuple, Value};
 use seqdl_syntax::{Binding, Equation, Rule, Term, Valuation, Var};
 
 /// The candidate source of one probe frame.
@@ -58,8 +55,6 @@ enum Mode {
     /// Deterministic predicate (proved by the lowering): at most one
     /// extension per tuple, bound in place — no buffering, no replay.
     Det,
-    /// Bucket-side, prefix covers the pattern: entry length `n` decides.
-    BucketLen(u32),
     /// Bucket-side with one trailing unbound atomic variable: entry length
     /// `n + 1` plus the entry's next-value decide and bind.
     BucketBind(u32, Var),
@@ -82,14 +77,6 @@ struct Frame<'r> {
     ext: Vec<(Var, Binding)>,
     bounds: Vec<usize>,
     next_ext: usize,
-    /// Probe entries so far, counted towards [`CHOOSE_CACHE_WARMUP`].
-    entered: u32,
-    /// Memoised index choices for key-pure probes (see
-    /// [`RuleProc::choose_cacheable`]): hash of the bound atomic-variable
-    /// values → (verified key values, chosen list).  Valid for the whole
-    /// fire call — the relation borrow is frozen — and never cleared between
-    /// probe entries.
-    choose_memo: FxMap<u64, ([Value; MAX_JOINT_COLS], Chosen<'r>)>,
 }
 
 /// A candidate pulled from a frame (by value, so matching can mutate the
@@ -119,23 +106,18 @@ impl<'r> Frame<'r> {
             ext: Vec::new(),
             bounds: Vec::new(),
             next_ext: 0,
-            entered: 0,
-            choose_memo: FxMap::default(),
         }
     }
 
     /// (Re-)initialise this frame for a probe of `planned` over `relation`,
-    /// choosing the index, clamping to the window, and deciding bucket-side
-    /// eligibility.
-    #[allow(clippy::too_many_arguments)]
+    /// choosing the index, clamping to `window` (the delta window when it
+    /// restricts this step), and deciding bucket-side eligibility.
     fn enter_probe(
         &mut self,
         planned: &PlannedPredicate,
         relation: Option<&'r Relation>,
         window: Option<DeltaWindow>,
-        step: usize,
         det: bool,
-        cacheable: bool,
         nu: &Valuation,
         stats: &mut FireStats,
     ) {
@@ -149,85 +131,22 @@ impl<'r> Frame<'r> {
             self.cands = Cands::Empty;
             return;
         };
+        let len = relation.len();
         let (first_id, last_id) = match window {
-            Some(w) if w.pos == step => (w.lo.min(relation.len()), w.hi.min(relation.len())),
-            _ => (0, relation.len()),
+            Some(w) => (w.lo.min(len), w.hi.min(len)),
+            None => (0, len),
         };
         self.tuples = relation.as_slice();
-        // Key-pure probes replay the same index choice for the same tuple of
-        // bound atomic-variable values (the lowering proved nothing else
-        // about the valuation can change it), so repeated entries skip
-        // `choose_candidates` — the hot case is an inner join probed
-        // thousands of times over a handful of distinct keys.  The stored
-        // key values are compared on hit, so a hash collision falls back to
-        // a fresh choice.  The two size gates keep cheap probes off the memo
-        // entirely: over a small relation the index choice is a shallow trie
-        // lookup that a memo hit can't beat, and a probe entered a handful
-        // of times can't recoup the map's allocation and hashing.
-        let mut memo_slot = None;
-        self.entered = self.entered.saturating_add(1);
-        if cacheable && relation.len() >= CHOOSE_CACHE_MIN_REL && self.entered > CHOOSE_CACHE_WARMUP
-        {
-            let mut keys = [DUMMY_VALUE; MAX_JOINT_COLS];
-            let mut n = 0usize;
-            let mut resolved = true;
-            'key: for probe in &planned.probes {
-                for source in &probe.sources {
-                    if let PrefixSource::AtomVar(v) = source {
-                        match nu.get(*v) {
-                            Some(Binding::Atom(a)) => {
-                                keys[n] = Value::Atom(*a);
-                                n += 1;
-                            }
-                            _ => {
-                                resolved = false;
-                                break 'key;
-                            }
-                        }
-                    }
-                }
-            }
-            if resolved {
-                let key = joint_probe_key(&keys[..n]);
-                if let Some((seen, chosen)) = self.choose_memo.get(&key) {
-                    if seen[..n] == keys[..n] {
-                        stats.index_probes += 1;
-                        let chosen = *chosen;
-                        self.apply_chosen(chosen, planned, first_id, last_id, relation.len());
-                        return;
-                    }
-                }
-                memo_slot = Some((key, keys));
-            }
-        }
-        match choose_candidates(relation, planned, nu) {
-            Some(chosen) => {
-                stats.index_probes += 1;
-                if let Some((key, firsts)) = memo_slot {
-                    self.choose_memo.insert(key, (firsts, chosen));
-                }
-                self.apply_chosen(chosen, planned, first_id, last_id, relation.len());
-            }
-            None => {
-                stats.scans += 1;
-                self.cursor = first_id;
-                self.cands = Cands::Scan(last_id);
-            }
-        }
-    }
-
-    /// Clamp a chosen candidate list to the `[first_id, last_id)` window
-    /// and install it, deciding bucket-side eligibility.  The full-range case (no window on this
-    /// step) skips the `partition_point` searches outright.
-    fn apply_chosen(
-        &mut self,
-        chosen: Chosen<'r>,
-        planned: &PlannedPredicate,
-        first_id: usize,
-        last_id: usize,
-        rel_len: usize,
-    ) {
-        let full = first_id == 0 && last_id == rel_len;
+        let Some(chosen) = choose_candidates(relation, planned, nu) else {
+            stats.scans += 1;
+            self.cursor = first_id;
+            self.cands = Cands::Scan(last_id);
+            return;
+        };
+        stats.index_probes += 1;
+        // The full-range case (no window on this step) skips the
+        // `partition_point` searches outright.
+        let full = first_id == 0 && last_id == len;
         match chosen.list {
             CandList::Entries(entries) => {
                 let (lo, hi) = if full {
@@ -238,14 +157,9 @@ impl<'r> Frame<'r> {
                         entries.partition_point(|e| (e.id as usize) < last_id),
                     )
                 };
-                let bucket_side = planned
-                    .extend
-                    .filter(|_| chosen.trie_col == Some((0, planned.probes[0].sources.len())));
-                let n = planned.probes[0].sources.len() as u32;
-                match bucket_side {
-                    Some(None) => self.mode = Mode::BucketLen(n),
-                    Some(Some(v)) => self.mode = Mode::BucketBind(n, v),
-                    None => {}
+                let n = planned.probes[0].sources.len();
+                if let Some(v) = planned.extend.filter(|_| chosen.trie_col == Some((0, n))) {
+                    self.mode = Mode::BucketBind(n as u32, v);
                 }
                 self.cands = Cands::Entries(&entries[lo..hi]);
             }
@@ -346,11 +260,6 @@ impl<'r> Frame<'r> {
             };
             let mode = self.mode;
             match (mode, cand) {
-                (Mode::BucketLen(n), Cand::Entry(e)) => {
-                    if e.len == n {
-                        return true;
-                    }
-                }
                 (Mode::BucketBind(n, v), Cand::Entry(e)) => {
                     if e.len == n + 1 {
                         if let Some(b) = e.next_atom() {
@@ -381,29 +290,13 @@ impl<'r> Frame<'r> {
                     );
                     // Loop: the buffered-extension branch replays them.
                 }
-                (Mode::Equation, _)
-                | (Mode::BucketLen(_), Cand::Id(_))
-                | (Mode::BucketBind(..), Cand::Id(_)) => {
-                    unreachable!("bucket modes only arise from trie-entry candidate lists")
+                (Mode::Equation, _) | (Mode::BucketBind(..), Cand::Id(_)) => {
+                    unreachable!("bucket mode only arises from trie-entry candidate lists")
                 }
             }
         }
     }
 }
-
-/// Rule bodies at most this long run entirely on stack-allocated working
-/// storage; longer ones fall back to heap vectors.
-const MAX_INLINE_STEPS: usize = 8;
-
-/// Probe entries a frame must see within one fire call before the choose
-/// memo activates: below this, the index choices saved can't recoup the
-/// memo's allocation and per-entry key hashing.
-const CHOOSE_CACHE_WARMUP: u32 = 16;
-
-/// Minimum probed-relation size for the choose memo: against a smaller
-/// relation, `choose_candidates` is a shallow trie lookup about as cheap as
-/// the memo hit itself.
-const CHOOSE_CACHE_MIN_REL: usize = 128;
 
 fn unplannable(rule: &Rule) -> EvalError {
     EvalError::Unplannable {
@@ -527,46 +420,21 @@ pub fn fire_proc(
         .filter(|r| r.arity() == head.args.len());
     let term_counts = &proc.term_counts;
     let code = &proc.code;
-    // All per-call working storage lives on the stack for typical rule sizes
-    // (the heap fallback only triggers on very long bodies): a fire call on an
-    // empty delta window must cost setup, not mallocs.
-    let step_relation = |s: &PlannedLiteral| match s {
-        PlannedLiteral::MatchPredicate(p) => instance
-            .relation(p.pred.relation)
-            .filter(|r| r.arity() == p.pred.args.len()),
-        _ => None,
-    };
-    let steps = &proc.plan.steps;
-    let mut rel_buf: [Option<&Relation>; MAX_INLINE_STEPS] = [None; MAX_INLINE_STEPS];
-    let mut rel_vec: Vec<Option<&Relation>> = Vec::new();
-    let step_relations: &[Option<&Relation>] = if steps.len() <= MAX_INLINE_STEPS {
-        for (slot, s) in rel_buf.iter_mut().zip(steps) {
-            *slot = step_relation(s);
-        }
-        &rel_buf[..steps.len()]
-    } else {
-        rel_vec.extend(steps.iter().map(step_relation));
-        &rel_vec
-    };
-    let mut frame_buf: [Frame<'_>; MAX_INLINE_STEPS];
-    let mut frame_vec: Vec<Frame<'_>>;
-    let frames: &mut [Frame<'_>] = if code.len() <= MAX_INLINE_STEPS {
-        frame_buf = std::array::from_fn(|_| Frame::new());
-        &mut frame_buf[..code.len()]
-    } else {
-        frame_vec = code.iter().map(|_| Frame::new()).collect();
-        &mut frame_vec
-    };
+    let step_relations: Vec<Option<&Relation>> = proc
+        .plan
+        .steps
+        .iter()
+        .map(|s| match s {
+            PlannedLiteral::MatchPredicate(p) => instance
+                .relation(p.pred.relation)
+                .filter(|r| r.arity() == p.pred.args.len()),
+            _ => None,
+        })
+        .collect();
+    let mut frames: Vec<Frame<'_>> = code.iter().map(|_| Frame::new()).collect();
     // The trail holds each choice point at most once, so `code.len()` bounds
     // its depth.
-    let mut trail_buf = [0usize; MAX_INLINE_STEPS];
-    let mut trail_vec: Vec<usize> = Vec::new();
-    let trail: &mut [usize] = if code.len() <= MAX_INLINE_STEPS {
-        &mut trail_buf
-    } else {
-        trail_vec.resize(code.len(), 0);
-        &mut trail_vec
-    };
+    let mut trail = vec![0usize; code.len()];
     let mut trail_len = 0usize;
     let mut stats = FireStats::default();
     let mut nu = Valuation::new();
@@ -631,10 +499,8 @@ pub fn fire_proc(
                 frames[pc].enter_probe(
                     planned,
                     step_relations[*step],
-                    window,
-                    *step,
+                    window.filter(|w| w.pos == *step),
                     proc.det[*step],
-                    proc.choose_cacheable[*step],
                     &nu,
                     &mut stats,
                 );

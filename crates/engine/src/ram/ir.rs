@@ -5,14 +5,17 @@
 //! frame the interpreter backtracks through, deterministic guards
 //! ([`Inst::Filter`]) just pass or fail, and [`Inst::Emit`] grounds the head
 //! through the emit memo, then cuts the trail back to
-//! [`RuleProc::emit_keep`] choice points.  A [`Program`] arranges the
-//! procedures of each stratum into per-level statements: a merge section
-//! that runs exactly once
-//! (non-recursive components plus static rules of recursive components,
-//! hoisted out of the fixpoint) and one loop per recursive component.  That
-//! statement list is what executes: [`crate::drive::Driver`] walks it level
-//! by level, one round for each merge section and lock-step semi-naive
-//! rounds for each level's loops.
+//! [`RuleProc::emit_keep`] choice points.  Besides the code, a procedure
+//! carries what the lowering proved about it: the per-step
+//! [`RuleProc::det`] verdict and whether the head is
+//! [`RuleProc::templatable`] for the fused emit loop.  A [`Program`]
+//! arranges the procedures of each stratum into per-level statements: a
+//! merge section that runs exactly once (non-recursive components plus
+//! static rules of recursive components, hoisted out of the fixpoint) and
+//! one loop per recursive component.  That statement list is what
+//! executes: [`crate::drive::Driver`] walks it level by level, one round for
+//! each merge section and lock-step semi-naive rounds for each level's
+//! loops.
 
 use crate::plan::{BodyPlan, PlannedLiteral};
 use seqdl_core::RelName;
@@ -22,7 +25,8 @@ use std::fmt;
 
 /// One instruction of a lowered rule procedure.  `step` indexes into the
 /// procedure's [`BodyPlan::steps`]; the plan's per-step metadata (column
-/// probes, bucket-side eligibility) is reused at execution time.
+/// probes, joint columns, bucket-side eligibility) is reused at execution
+/// time.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Inst {
     /// Choice point: enumerate the candidates of the positive predicate at
@@ -111,12 +115,6 @@ pub struct RuleProc {
     /// replaying enumerated extensions (see
     /// [`match_predicate_det`](crate::matching::match_predicate_det)).
     pub det: Vec<bool>,
-    /// Per plan step: the probe's index selection is a pure function of its
-    /// bound atomic variables' values — no column's prefix sources include a
-    /// bound *path* variable, so constants and packed terms fix the rest of
-    /// every prefix statically — and the interpreter memoises
-    /// `choose_candidates` per key tuple within one fire call.
-    pub choose_cacheable: Vec<bool>,
     /// Plan positions that draw from a fixpoint-driving relation — the
     /// precomputed [`DeltaWindow`](crate::eval::DeltaWindow) variant
     /// expansion: one windowed variant fires per position per semi-naive

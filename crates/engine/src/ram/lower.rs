@@ -1,7 +1,7 @@
 //! Lowering planned rules to RAM procedures and whole programs.
 //!
-//! Three fusions and one cut happen here, all decided statically from the
-//! planner's bound-set propagation:
+//! Three fusions, one cut and one per-probe verdict are decided here, all
+//! statically from the planner's bound-set propagation:
 //!
 //! * a positive predicate whose variables are all bound by earlier steps
 //!   collapses to a [`FilterOp::FusedProbe`] existence check — except at a
@@ -16,7 +16,10 @@
 //!   the last one that first binds a head variable can only re-derive an
 //!   emitted head fact, so after an emit the interpreter backtracks straight
 //!   past them (a fused terminal probe or a `Solve` right before the emit
-//!   stops at its first extension).
+//!   stops at its first extension);
+//! * the det verdict ([`probe_is_det`]): a probe whose every tuple admits at
+//!   most one extension under the bound set is matched in place by
+//!   [`match_predicate_det`](crate::matching::match_predicate_det).
 //!
 //! Whole-program lowering additionally computes each stratum's statement
 //! structure from the precedence graph's condensation: non-recursive
@@ -26,13 +29,12 @@
 //! fixpoint loop per recursive component.
 
 use crate::error::EvalError;
-use crate::eval::MAX_JOINT_COLS;
-use crate::plan::{plan_rule, BodyPlan, PlannedLiteral, PlannedPredicate, PrefixSource};
+use crate::plan::{plan_rule, BodyPlan, PlannedLiteral};
 use crate::ram::ir::{
     FilterOp, Inst, LevelProgram, LoopProgram, Program, RuleProc, StratumProgram,
 };
 use seqdl_core::RelName;
-use seqdl_syntax::{PrecedenceGraph, Rule, Stratum, Term, Var, VarKind};
+use seqdl_syntax::{PrecedenceGraph, Predicate, Rule, Stratum, Term, Var, VarKind};
 use std::collections::BTreeSet;
 
 /// Lower one planned rule to a RAM procedure.  `recursive_over` names the
@@ -43,11 +45,9 @@ pub fn lower_rule(rule: &Rule, plan: BodyPlan, recursive_over: &BTreeSet<RelName
     let delta_positions = plan.delta_positions(recursive_over);
     let mut code = Vec::with_capacity(plan.steps.len() + 1);
     let mut det = vec![false; plan.steps.len()];
-    let mut choose_cacheable = vec![false; plan.steps.len()];
     // Rules are short, so the bound-variable set is a flat vector with linear
     // membership tests — no per-step tree clones.
     let mut bound: Vec<Var> = Vec::new();
-    let mut walk: Vec<Var> = Vec::new();
     let head_vars = rule.head.vars();
     let mut choice_points = 0usize;
     let mut emit_keep = 0usize;
@@ -70,15 +70,7 @@ pub fn lower_rule(rule: &Rule, plan: BodyPlan, recursive_over: &BTreeSet<RelName
                 if fully_bound && !delta_positions.contains(&ix) {
                     code.push(Inst::Filter(FilterOp::FusedProbe { step: ix }));
                 } else {
-                    det[ix] = {
-                        walk.clear();
-                        walk.extend_from_slice(&bound);
-                        p.pred
-                            .args
-                            .iter()
-                            .all(|arg| det_terms(arg.terms(), &mut walk))
-                    };
-                    choose_cacheable[ix] = choose_is_key_pure(p);
+                    det[ix] = probe_is_det(&p.pred, &bound);
                     code.push(Inst::Probe {
                         step: ix,
                         fused_emit: false,
@@ -121,35 +113,23 @@ pub fn lower_rule(rule: &Rule, plan: BodyPlan, recursive_over: &BTreeSet<RelName
         code,
         emit_keep,
         det,
-        choose_cacheable,
         hoisted: delta_positions.is_empty(),
         delta_positions,
     }
 }
 
-/// Is [`choose_candidates`](crate::eval::choose_candidates) for this
-/// predicate a pure function of its bound atomic variables' values?  That
-/// holds when no column's prefix sources include a bound *path* variable —
-/// a path binding contributes a run of segments the trie descent follows, so
-/// no fixed-size key captures it — while constants and ground packed terms
-/// are static and each atomic variable contributes exactly one key value.
-/// The interpreter then memoises the index choice per key tuple within one
-/// fire call: candidate list, trie provenance, and bucket-side eligibility
-/// all replay unchanged.  This covers joint-indexed probes and plain
-/// single-column probes alike; a fully static prefix caches under the empty
-/// key and hits on every re-entry.
-fn choose_is_key_pure(planned: &PlannedPredicate) -> bool {
-    let mut key_vars = 0usize;
-    for probe in &planned.probes {
-        for source in &probe.sources {
-            match source {
-                PrefixSource::PathVar(_) => return false,
-                PrefixSource::AtomVar(_) => key_vars += 1,
-                PrefixSource::Const(_) | PrefixSource::Packed(_) => {}
-            }
-        }
-    }
-    key_vars <= MAX_JOINT_COLS
+/// The lowering's det verdict: is a probe of `pred`, entered with exactly
+/// the variables `bound` bound, *deterministic* — does every tuple admit at
+/// most one extension?  It holds iff a left-to-right walk of each argument
+/// (later arguments seeing the variables earlier ones bind) never faces a
+/// choice point.  [`lower_rule`] tags such probes for
+/// [`match_predicate_det`](crate::matching::match_predicate_det), which binds
+/// in place instead of buffering the extensions.
+pub fn probe_is_det(pred: &Predicate, bound: &[Var]) -> bool {
+    let mut walk = bound.to_vec();
+    pred.args
+        .iter()
+        .all(|arg| det_terms(arg.terms(), &mut walk))
 }
 
 /// Would a left-to-right walk of `terms` under the bound set `bound` ever

@@ -18,4 +18,4 @@ pub mod lower;
 
 pub use interp::fire_proc;
 pub use ir::{FilterOp, Inst, LevelProgram, LoopProgram, Program, RuleProc, StratumProgram};
-pub use lower::{lower, lower_rule, lower_stratum};
+pub use lower::{lower, lower_rule, lower_stratum, probe_is_det};

@@ -1,6 +1,8 @@
-//! Matcher-level differential property: the engine's backtracking walk
-//! (`match_predicate_sink`, `predicate_matches` and `solve_equation`) against
-//! the reference evaluator's own generate-and-test matcher.
+//! Matcher-level differential properties: the engine's backtracking walk
+//! (`match_predicate_sink`, `predicate_matches` and `solve_equation`) and its
+//! deterministic pass (`match_predicate_det`, wherever the lowering's det
+//! verdict `ram::probe_is_det` admits it) against the reference evaluator's
+//! own generate-and-test matcher.
 //!
 //! Predicates, tuples and partial valuations are random.  Patterns mix
 //! constants, repeated atomic and path variables, packed terms and `eps`
@@ -12,7 +14,10 @@ mod reference;
 
 use proptest::prelude::*;
 use sequence_datalog::core::{atom, rel, Path, Value};
-use sequence_datalog::engine::matching::{match_predicate_sink, predicate_matches, solve_equation};
+use sequence_datalog::engine::matching::{
+    match_predicate_det, match_predicate_sink, predicate_matches, solve_equation,
+};
+use sequence_datalog::engine::ram::probe_is_det;
 use sequence_datalog::syntax::{Binding, Equation, PathExpr, Predicate, Term, Valuation, Var};
 
 /// A small deterministic generator (SplitMix64) seeded by the case.
@@ -162,6 +167,31 @@ proptest! {
             &tuple,
             &nu
         );
+
+        // Wherever the lowering's det verdict admits the pre-bound
+        // variables, the reference never finds two extensions, and the det
+        // pass binds exactly the one it finds or, failing, restores `nu`.
+        let bound: Vec<Var> = nu.iter().map(|(v, _)| v).collect();
+        if probe_is_det(&pred, &bound) {
+            prop_assert!(expected.len() <= 1, "{} against {:?} under {}", &pred, &tuple, &nu);
+            let mut scratch = nu.clone();
+            prop_assert_eq!(
+                match_predicate_det(&pred, &tuple, &mut scratch),
+                !expected.is_empty(),
+                "{} against {:?} under {}",
+                &pred,
+                &tuple,
+                &nu
+            );
+            prop_assert_eq!(
+                canon(&scratch),
+                canon(expected.first().unwrap_or(&nu)),
+                "{} against {:?} under {}",
+                &pred,
+                &tuple,
+                &nu
+            );
+        }
 
         // An equation whose ground side is often the grounding of the open
         // side, so that it has solutions; a valuation that grounds neither

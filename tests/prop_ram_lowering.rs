@@ -8,8 +8,8 @@
 //! This guards the whole lowering: bound-set propagation, probe/equation
 //! fusion, terminal probe+emit fusion, static-rule hoisting, and the
 //! interpreter's frame machine (candidate selection, delta-window clamping,
-//! bucket-side fast path, buffered extension replay, backtracking), and the
-//! existential cut after each emit.
+//! bucket-side fast path, det pass, buffered extension replay,
+//! backtracking), and the existential cut after each emit.
 
 mod reference;
 
@@ -268,24 +268,55 @@ fn hoisted_static_rules_fire_one_pass() {
 }
 
 /// RAM runs at 1, 2, and 4 threads produce identical instances on the §5.1.1
-/// reachability program, and match the reference evaluator exactly.
+/// reachability program, and match the reference evaluator exactly.  The
+/// second and third programs end in a fully bound unary probe at a delta
+/// position, `M(@y)`, which the det pass matches (pinned in its listing
+/// line); the third also derives new `M` facts, so the windowed probe sees
+/// fresh delta tuples.
 #[test]
 fn reachability_identical_across_thread_counts() {
-    let program =
-        parse_program("T(@x·@y) <- R(@x·@y).\nT(@x·@z) <- T(@x·@y), R(@y·@z).\nS <- T(a·b).")
-            .unwrap();
-    let mut input = Instance::new();
-    for (x, y) in [("a", "c"), ("c", "b"), ("b", "d"), ("d", "a"), ("c", "e")] {
+    let edges = |relation: &str| {
+        let mut input = Instance::new();
+        for (x, y) in [("a", "c"), ("c", "b"), ("b", "d"), ("d", "a"), ("c", "e")] {
+            input
+                .insert_fact(Fact::new(rel(relation), vec![path_of(&[x, y])]))
+                .unwrap();
+        }
         input
-            .insert_fact(Fact::new(rel("R"), vec![path_of(&[x, y])]))
+    };
+    let mut sourced = edges("E");
+    for source in ["c", "f"] {
+        sourced
+            .insert_fact(Fact::new(rel("S"), vec![path_of(&[source])]))
             .unwrap();
     }
-    let expected = reference::evaluate(&program, &input);
-    for threads in [1usize, 2, 4] {
-        let out = Executor::new()
-            .with_threads(threads)
-            .run(&program, &input)
-            .unwrap();
-        assert_eq!(expected, out, "threads = {threads}");
+    let fully_bound_delta = "M(@x) <- S(@x).\nM(@y) <- M(@x), E(@x·@y), M(@y).";
+    for (source, input) in [
+        (
+            "T(@x·@y) <- R(@x·@y).\nT(@x·@z) <- T(@x·@y), R(@y·@z).\nS <- T(a·b).".to_string(),
+            edges("R"),
+        ),
+        (fully_bound_delta.to_string(), sourced.clone()),
+        (
+            format!("{fully_bound_delta}\nM(@y) <- M(@x), E(@x·@y)."),
+            sourced,
+        ),
+    ] {
+        let program = parse_program(&source).unwrap();
+        if source.starts_with("M(") {
+            let listing = sequence_datalog::engine::ram::lower(&program)
+                .unwrap()
+                .to_string();
+            let line = "      02  probe+emit M(@y) -> M(@y)  ; via col0[1], det, once  [delta]\n";
+            assert!(listing.contains(line), "missing {line:?} in:\n{listing}");
+        }
+        let expected = reference::evaluate(&program, &input);
+        for threads in [1usize, 2, 4] {
+            let out = Executor::new()
+                .with_threads(threads)
+                .run(&program, &input)
+                .unwrap();
+            assert_eq!(expected, out, "threads = {threads} on\n{program}");
+        }
     }
 }
