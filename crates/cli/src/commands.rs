@@ -397,10 +397,9 @@ fn write_stats(report: &mut String, executor: &Executor, stats: &seqdl_engine::E
         stats.rule_firings
     )
     .expect("write to string");
-    // Attribute index effectiveness: predicate steps answered by an index
-    // probe (prefix trie, ε/packed bucket, or joint index) vs. relation
-    // scans.  For `query`, this is what shows a demand-driven win coming
-    // from probing, not merely from fewer firings.
+    // Attribute index effectiveness: predicate steps answered by a column's
+    // first-value index vs. relation scans.  For `query`, this is what shows
+    // a demand-driven win coming from probing, not merely from fewer firings.
     writeln!(
         report,
         "index probes: {}, relation scans: {}, instructions executed: {}, fused probes: {}",
@@ -1855,6 +1854,20 @@ mod tests {
             assert!(output.contains(line), "missing {line:?} in:\n{output}");
         }
         assert_eq!(output.matches(", bucket").count(), 1, "{output}");
+        // A column known only to be `ε`, or only to start with some packed
+        // value, has no first value to probe with and is not listed.
+        let program = write_program(
+            "show-ram-no-first-value.sdl",
+            "Z($w) <- E($w, eps).\nY($x) <- S($x), Q(<$y>·$x).",
+        );
+        let output = cmd_analyze(&flags(&["--program", &program, "--show-ram"])).unwrap();
+        for line in [
+            "      00  probe+emit E($w, eps) -> Z($w), det\n",
+            "      01  probe+emit Q(<$y>·$x) -> Y($x), det, once\n",
+        ] {
+            assert!(output.contains(line), "missing {line:?} in:\n{output}");
+        }
+        assert!(!output.contains("; via"), "{output}");
     }
 
     #[test]

@@ -26,12 +26,6 @@ fn hash_tuple(tuple: &[Path]) -> u64 {
     h.finish()
 }
 
-/// How many leading values of a column path the per-column [`PrefixTrie`]
-/// indexes.  Probes with longer statically-known prefixes stop here and let
-/// full matching filter the (already small) candidate set.
-pub const TRIE_DEPTH: usize = 4;
-
-const NO_IDS: &[u32] = &[];
 const NO_ENTRIES: &[TrieEntry] = &[];
 
 /// A dedup bucket: tuple ids sharing one tuple hash.  Hash collisions are
@@ -59,10 +53,10 @@ impl IdBucket {
     }
 }
 
-/// One candidate in a trie bucket: the tuple id plus enough metadata — the
-/// column path's total length and the value *after* the node's prefix — for
-/// the evaluator to finish matching flat single-column patterns from the
-/// bucket alone, sequentially, without dereferencing the tuple store at all.
+/// One candidate in a column bucket: the tuple id plus enough metadata — the
+/// column path's total length and the value *after* the first — for the
+/// evaluator to finish matching flat single-column patterns from the bucket
+/// alone, sequentially, without dereferencing the tuple store at all.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct TrieEntry {
     /// The tuple id (ascending within a bucket).
@@ -78,8 +72,8 @@ const NEXT_ATOM: u8 = 1;
 const NEXT_PACKED: u8 = 2;
 
 impl TrieEntry {
-    fn new(id: u32, values: &[Value], depth: usize) -> TrieEntry {
-        let (next_tag, next_val) = match values.get(depth) {
+    fn new(id: u32, values: &[Value]) -> TrieEntry {
+        let (next_tag, next_val) = match values.get(1) {
             None => (NEXT_NONE, 0),
             Some(Value::Atom(a)) => (NEXT_ATOM, a.symbol().index()),
             Some(Value::Packed(p)) => (NEXT_PACKED, p.id().index()),
@@ -92,157 +86,40 @@ impl TrieEntry {
         }
     }
 
-    /// The atom right after the bucket's prefix, if the path continues with
-    /// an atomic value there.
+    /// The atom right after the column's first value, if the path continues
+    /// with an atomic value there.
     pub fn next_atom(&self) -> Option<AtomId> {
         (self.next_tag == NEXT_ATOM)
             .then(|| AtomId::from_symbol(crate::interner::Symbol::from_index(self.next_val)))
     }
 }
 
+/// The index of one column: tuples keyed by the *first value* of the
+/// column's path.  Values are interned ids, so a probe is one hash lookup on
+/// an eight-byte key, and packed values key on their exact interned
+/// identity.  Columns that are `ε` have no first value and are not indexed.
 #[derive(Clone, Debug, Default)]
-struct TrieNode {
-    /// Candidates whose column path starts with this node's value prefix,
-    /// ascending by id (insertion order only ever appends).
-    entries: Vec<TrieEntry>,
-    children: FxMap<Value, TrieNode>,
+pub struct ColumnIndex {
+    buckets: FxMap<Value, Vec<TrieEntry>>,
 }
 
-/// A per-column index over the leading values of the column's path, to a
-/// per-column *registered depth* (default 1 — a plain first-value index; the
-/// planner deepens columns its plans can probe further, up to
-/// [`TRIE_DEPTH`]).  Because values are interned ids, each trie edge is an
-/// O(1) hash hop on an eight-byte key — including packed values, which used
-/// to share one undiscriminated bucket and now key on their exact interned
-/// identity.
-#[derive(Clone, Debug)]
-pub struct PrefixTrie {
-    /// How many leading values this trie indexes (1..=TRIE_DEPTH).
-    depth: usize,
-    /// Ids of tuples whose column is the empty path `ε`.
-    empty: Vec<u32>,
-    /// Ids of tuples whose column's *first* value is packed (any packed
-    /// value) — serves probes that only know "starts with some packed value".
-    packed_first: Vec<u32>,
-    root: FxMap<Value, TrieNode>,
-}
-
-impl Default for PrefixTrie {
-    fn default() -> PrefixTrie {
-        PrefixTrie::new(1)
-    }
-}
-
-impl PrefixTrie {
-    fn new(depth: usize) -> PrefixTrie {
-        PrefixTrie {
-            depth: depth.clamp(1, TRIE_DEPTH),
-            empty: Vec::new(),
-            packed_first: Vec::new(),
-            root: FxMap::default(),
-        }
-    }
-
-    /// The number of leading values this trie indexes.
-    pub fn depth(&self) -> usize {
-        self.depth
-    }
-
+impl ColumnIndex {
     fn insert(&mut self, path: &Path, id: u32) {
         let values = path.values();
-        let Some(first) = values.first() else {
-            self.empty.push(id);
-            return;
-        };
-        if first.is_packed() {
-            self.packed_first.push(id);
-        }
-        let mut node = self.root.entry(*first).or_default();
-        node.entries.push(TrieEntry::new(id, values, 1));
-        for (d, v) in values[1..].iter().take(self.depth - 1).enumerate() {
-            node = node.children.entry(*v).or_default();
-            node.entries.push(TrieEntry::new(id, values, d + 2));
+        if let Some(first) = values.first() {
+            self.buckets
+                .entry(*first)
+                .or_default()
+                .push(TrieEntry::new(id, values));
         }
     }
 
     /// The candidates (ascending by id) whose column path starts with
-    /// `prefix` (which must be nonempty; values beyond the trie's registered
-    /// depth are ignored, so the result is a superset of the exact answer
-    /// that full matching filters).  Each [`TrieEntry`] carries the path
-    /// length and the value following the reached prefix, so flat
-    /// single-column patterns finish matching on the bucket alone.
-    pub fn probe(&self, prefix: &[Value]) -> &[TrieEntry] {
-        let mut walk = prefix.iter().take(self.depth);
-        let Some(first) = walk.next() else {
-            return NO_ENTRIES;
-        };
-        let Some(mut node) = self.root.get(first) else {
-            return NO_ENTRIES;
-        };
-        for v in walk {
-            match node.children.get(v) {
-                Some(child) => node = child,
-                None => return NO_ENTRIES,
-            }
-        }
-        &node.entries
-    }
-
-    /// The ids of tuples whose column is exactly `ε`.
-    pub fn probe_empty(&self) -> &[u32] {
-        &self.empty
-    }
-
-    /// The ids of tuples whose column's first value is packed.
-    pub fn probe_packed_first(&self) -> &[u32] {
-        &self.packed_first
-    }
-}
-
-/// A planner-selected multi-column index: tuples keyed by the joint hash of
-/// the *first values* of a fixed set of columns.  Registered by the evaluator
-/// for the column sets its plans can actually probe (all listed columns have
-/// a statically-known first value), then maintained incrementally on insert.
-///
-/// Buckets key on a hash, not the values themselves; collisions only enlarge
-/// the candidate set, which full matching filters anyway.
-#[derive(Clone, Debug)]
-struct JointIndex {
-    cols: Vec<usize>,
-    map: FxMap<u64, Vec<u32>>,
-}
-
-/// The joint key of one tuple under a column set, or `None` if some listed
-/// column is `ε` (such tuples can never match a joint probe, whose columns
-/// all start with a known value, so they are simply not indexed).
-fn joint_tuple_key(cols: &[usize], tuple: &[Path]) -> Option<u64> {
-    let mut h = FxHasher::default();
-    for &c in cols {
-        let first = tuple.get(c).and_then(|p| p.values().first())?;
-        hash_first_value(&mut h, first);
-    }
-    Some(h.finish())
-}
-
-/// The joint key of a probe with one known first value per column.
-fn joint_probe_key(firsts: &[Value]) -> u64 {
-    let mut h = FxHasher::default();
-    for v in firsts {
-        hash_first_value(&mut h, v);
-    }
-    h.finish()
-}
-
-fn hash_first_value(h: &mut FxHasher, v: &Value) {
-    match v {
-        Value::Atom(a) => {
-            h.write_u8(1);
-            h.write_u32(a.symbol().index());
-        }
-        Value::Packed(p) => {
-            h.write_u8(2);
-            h.write_u32(p.id().index());
-        }
+    /// `first`.  Each [`TrieEntry`] carries the path length and the value
+    /// after `first`, so flat single-column patterns finish matching on the
+    /// bucket alone.
+    pub fn probe(&self, first: &Value) -> &[TrieEntry] {
+        self.buckets.get(first).map_or(NO_ENTRIES, Vec::as_slice)
     }
 }
 
@@ -344,10 +221,9 @@ impl Schema {
 /// [`Relation::len`] as a watermark and later read "everything inserted since" as
 /// the borrowed slice [`Relation::slice_from`] — the shape semi-naive Datalog
 /// evaluation needs for delta views without copying tuples.  Deduplication goes
-/// through a hash map of interned-id hashes, every column keeps a [`PrefixTrie`]
-/// over its first [`TRIE_DEPTH`] values, and evaluator-registered
-/// [multi-column join indexes](Relation::ensure_joint_index) serve probes that
-/// know the first value of several columns at once.
+/// through a hash map of interned-id hashes, and every maintained column keeps
+/// one [`ColumnIndex`] from the first value of its path to the tuples that
+/// start with it ([`Relation::probe_first`]).
 #[derive(Clone, Debug)]
 pub struct Relation {
     arity: usize,
@@ -355,16 +231,16 @@ pub struct Relation {
     tuples: Vec<Tuple>,
     /// Tuple hash → ids with that hash (dedup without storing tuples twice).
     dedup: FxMap<u64, IdBucket>,
-    /// One prefix trie per column.
-    columns: Vec<PrefixTrie>,
-    /// Bitmask of maintained column tries (bit `c` = column `c`; columns
-    /// ≥ 64 are always maintained).  A cleared bit means the column's trie
+    /// One index per column, created by the first insert: a tuple brings one
+    /// path per column, so the indexes never outgrow the stored data, however
+    /// large the declared arity.
+    columns: Vec<ColumnIndex>,
+    /// Bitmask of maintained column indexes (bit `c` = column `c`; columns
+    /// ≥ 64 are always maintained).  A cleared bit means the column's index
     /// is empty and skipped on insert — the evaluator clears bits for
     /// columns no plan of the running program can ever probe, so derived
     /// relations stop paying per-insert indexing for answers nobody asks.
     active_columns: u64,
-    /// Registered multi-column indexes (typically zero or a handful).
-    joint: Vec<JointIndex>,
 }
 
 impl Relation {
@@ -374,32 +250,30 @@ impl Relation {
             arity,
             tuples: Vec::new(),
             dedup: FxMap::default(),
-            columns: (0..arity).map(|_| PrefixTrie::default()).collect(),
+            columns: Vec::new(),
             active_columns: !0,
-            joint: Vec::new(),
         }
     }
 
-    /// Is the trie of `column` maintained (and therefore trustworthy)?
+    /// Is the index of `column` maintained (and therefore trustworthy)?
     /// Columns beyond the mask's width are always maintained.
     pub fn column_active(&self, column: usize) -> bool {
         column >= u64::BITS as usize || self.active_columns & (1u64 << column) != 0
     }
 
-    /// Restrict maintained column tries to the set in `keep` (bit `c` =
-    /// column `c`).  Newly-deactivated columns drop their trie (inserts stop
+    /// Restrict maintained column indexes to the set in `keep` (bit `c` =
+    /// column `c`).  Newly-deactivated columns drop their index (inserts stop
     /// indexing them); newly-reactivated columns rebuild theirs from the
-    /// stored tuples at the previously registered depth, so the index is
-    /// immediately current again.
+    /// stored tuples, so the index is immediately current again.
     pub fn set_active_columns(&mut self, keep: u64) {
         for column in 0..self.columns.len().min(u64::BITS as usize) {
             let bit = 1u64 << column;
             let was = self.active_columns & bit != 0;
             let now = keep & bit != 0;
             if was && !now {
-                self.columns[column] = PrefixTrie::new(self.columns[column].depth);
+                self.columns[column] = ColumnIndex::default();
             } else if now && !was {
-                let mut rebuilt = PrefixTrie::new(self.columns[column].depth);
+                let mut rebuilt = ColumnIndex::default();
                 for (id, tuple) in self.tuples.iter().enumerate() {
                     rebuilt.insert(&tuple[column], id as u32);
                 }
@@ -451,14 +325,12 @@ impl Relation {
                 slot.insert(IdBucket::One(id));
             }
         }
+        if self.columns.is_empty() {
+            self.columns.resize_with(self.arity, ColumnIndex::default);
+        }
         for (column, path) in tuple.iter().enumerate() {
             if self.column_active(column) {
                 self.columns[column].insert(path, id);
-            }
-        }
-        for index in &mut self.joint {
-            if let Some(key) = joint_tuple_key(&index.cols, &tuple) {
-                index.map.entry(key).or_default().push(id);
             }
         }
         self.tuples.push(tuple);
@@ -493,98 +365,20 @@ impl Relation {
         &self.tuples[start.min(self.tuples.len())..]
     }
 
-    /// The column trie of `column`, if in range and maintained; deactivated
-    /// columns report `None` so callers fall back to scanning.
-    pub fn column_index(&self, column: usize) -> Option<&PrefixTrie> {
+    /// The index of `column`, if in range, maintained and built (the first
+    /// insert builds them).
+    fn column_index(&self, column: usize) -> Option<&ColumnIndex> {
         self.column_active(column)
             .then(|| self.columns.get(column))
             .flatten()
     }
 
     /// The candidates (ascending by id) whose `column`-th path starts with
-    /// the given nonempty value prefix.  Out-of-range columns yield the empty
-    /// slice; prefixes longer than the column's registered depth probe on
-    /// their indexed prefix (a superset that full matching filters).
-    pub fn probe_prefix(&self, column: usize, prefix: &[Value]) -> &[TrieEntry] {
+    /// `first`.  Out-of-range and deactivated columns, and a relation with
+    /// no tuples yet, yield the empty slice.
+    pub fn probe_first(&self, column: usize, first: &Value) -> &[TrieEntry] {
         self.column_index(column)
-            .map_or(NO_ENTRIES, |trie| trie.probe(prefix))
-    }
-
-    /// The ids of tuples whose `column`-th path is exactly `ε`.
-    pub fn probe_empty(&self, column: usize) -> &[u32] {
-        self.column_index(column)
-            .map_or(NO_IDS, PrefixTrie::probe_empty)
-    }
-
-    /// The ids of tuples whose `column`-th path starts with a packed value.
-    pub fn probe_packed_first(&self, column: usize) -> &[u32] {
-        self.column_index(column)
-            .map_or(NO_IDS, PrefixTrie::probe_packed_first)
-    }
-
-    /// Deepen the prefix trie of `column` to index `depth` leading values
-    /// (clamped to [`TRIE_DEPTH`]; never shallowed).  The trie is rebuilt from
-    /// the stored tuples, so registering before a fixpoint is cheap and later
-    /// inserts index at the new depth.
-    pub fn ensure_column_depth(&mut self, column: usize, depth: usize) {
-        let depth = depth.clamp(1, TRIE_DEPTH);
-        if !self.column_active(column) {
-            return;
-        }
-        let Some(trie) = self.columns.get_mut(column) else {
-            return;
-        };
-        if depth <= trie.depth {
-            return;
-        }
-        let mut rebuilt = PrefixTrie::new(depth);
-        for (id, tuple) in self.tuples.iter().enumerate() {
-            rebuilt.insert(&tuple[column], id as u32);
-        }
-        self.columns[column] = rebuilt;
-    }
-
-    /// Register (and backfill) a multi-column join index over `cols`, unless
-    /// one already exists.  Insertions maintain registered indexes
-    /// incrementally, so registering before a fixpoint makes every later
-    /// [`Relation::probe_joint`] current.
-    pub fn ensure_joint_index(&mut self, cols: &[usize]) {
-        if cols.len() < 2 || cols.iter().any(|&c| c >= self.arity) {
-            return;
-        }
-        if self.joint.iter().any(|j| j.cols == cols) {
-            return;
-        }
-        let mut index = JointIndex {
-            cols: cols.to_vec(),
-            map: FxMap::default(),
-        };
-        for (id, tuple) in self.tuples.iter().enumerate() {
-            if let Some(key) = joint_tuple_key(cols, tuple) {
-                index.map.entry(key).or_default().push(id as u32);
-            }
-        }
-        self.joint.push(index);
-    }
-
-    /// Is a joint index over exactly `cols` registered?
-    pub fn has_joint_index(&self, cols: &[usize]) -> bool {
-        self.joint.iter().any(|j| j.cols == cols)
-    }
-
-    /// The ids (ascending) of tuples whose columns `cols` start with the
-    /// corresponding `firsts` values, through a registered joint index.
-    /// Returns `None` when no index over `cols` is registered (callers fall
-    /// back to single-column probing); the id list is a hash-bucket superset
-    /// that full matching filters.
-    pub fn probe_joint(&self, cols: &[usize], firsts: &[Value]) -> Option<&[u32]> {
-        let index = self.joint.iter().find(|j| j.cols == cols)?;
-        Some(
-            index
-                .map
-                .get(&joint_probe_key(firsts))
-                .map_or(NO_IDS, Vec::as_slice),
-        )
+            .map_or(NO_ENTRIES, |index| index.probe(first))
     }
 
     /// All tuples, cloned into a vector in lexicographic order.
@@ -614,7 +408,7 @@ impl Eq for Relation {}
 /// set of facts (Section 2.3).
 ///
 /// Relations are held behind `Arc` with copy-on-write mutation: cloning an
-/// instance shares every relation's storage (tuples, dedup map, tries,
+/// instance shares every relation's storage (tuples, dedup map, column
 /// indexes), and a relation is deep-copied only the first time a *clone*
 /// writes to it.  Evaluation never writes to EDB relations — rule heads are
 /// IDB by definition — so preparing a working instance from an input is O(#
@@ -698,37 +492,12 @@ impl Instance {
         self.relations.get(&name).map(|arc| &**arc)
     }
 
-    /// Register a multi-column join index on `name` (no-op if the relation is
-    /// absent); see [`Relation::ensure_joint_index`].  Skips the
-    /// copy-on-write clone when the index already exists.
-    pub fn ensure_joint_index(&mut self, name: RelName, cols: &[usize]) {
-        if let Some(rel) = self.relations.get_mut(&name) {
-            if !rel.has_joint_index(cols) {
-                Arc::make_mut(rel).ensure_joint_index(cols);
-            }
-        }
-    }
-
-    /// Restrict the maintained column tries of relation `name` to the mask
+    /// Restrict the maintained column indexes of relation `name` to the mask
     /// `keep` (no-op when the relation is absent); see
     /// [`Relation::set_active_columns`].
     pub fn restrict_column_indexes(&mut self, name: RelName, keep: u64) {
         if let Some(rel) = self.relations.get_mut(&name) {
             Arc::make_mut(rel).set_active_columns(keep);
-        }
-    }
-
-    /// Deepen a column's prefix trie on `name` (no-op if the relation is
-    /// absent); see [`Relation::ensure_column_depth`].  Skips the
-    /// copy-on-write clone when the column is already deep enough.
-    pub fn ensure_column_depth(&mut self, name: RelName, column: usize, depth: usize) {
-        if let Some(rel) = self.relations.get_mut(&name) {
-            let current = rel
-                .column_index(column)
-                .map_or(usize::MAX, PrefixTrie::depth);
-            if current < depth.clamp(1, TRIE_DEPTH) {
-                Arc::make_mut(rel).ensure_column_depth(column, depth);
-            }
         }
     }
 
@@ -1115,9 +884,11 @@ mod tests {
     }
 
     #[test]
-    fn prefix_trie_probes_by_leading_values() {
+    fn column_index_probes_by_first_value() {
         let mut r = Relation::new(2);
-        r.ensure_column_depth(0, TRIE_DEPTH);
+        // Before the first insert no column index exists, and probes miss.
+        assert!(r.column_index(0).is_none());
+        assert!(r.probe_first(0, &av("a")).is_empty());
         r.insert(rel("T"), vec![path_of(&["a", "b", "c"]), Path::empty()])
             .unwrap();
         r.insert(rel("T"), vec![path_of(&["a", "b"]), path_of(&["c"])])
@@ -1132,108 +903,28 @@ mod tests {
             ],
         )
         .unwrap();
-        // One-value prefixes behave like the old first-value index.
-        assert_eq!(ids(r.probe_prefix(0, &[av("a")])), vec![0, 1, 2]);
-        assert_eq!(r.probe_empty(1), &[0]);
-        assert_eq!(ids(r.probe_prefix(1, &[av("c")])), vec![1, 2, 3]);
+        assert_eq!(ids(r.probe_first(0, &av("a"))), vec![0, 1, 2]);
+        assert_eq!(ids(r.probe_first(1, &av("c"))), vec![1, 2, 3]);
         // Entries carry the candidate's length and the value after the
-        // reached prefix, so flat patterns can finish matching bucket-side.
-        let bucket = r.probe_prefix(0, &[av("a")]);
+        // first, so flat patterns can finish matching bucket-side.
+        let bucket = r.probe_first(0, &av("a"));
         assert_eq!(bucket[0].len, 3);
         assert_eq!(bucket[0].next_atom(), Some(atom("b")));
         assert_eq!(bucket[2].len, 1);
         assert_eq!(bucket[2].next_atom(), None);
-        // Deeper prefixes discriminate further.
-        assert_eq!(ids(r.probe_prefix(0, &[av("a"), av("b")])), vec![0, 1]);
-        assert_eq!(
-            ids(r.probe_prefix(0, &[av("a"), av("b"), av("c")])),
-            vec![0]
-        );
-        // A probe deeper than any stored path finds nothing.
-        assert!(r
-            .probe_prefix(0, &[av("a"), av("b"), av("c"), av("d")])
-            .is_empty());
-        // Packed first values key on their exact identity, and the any-packed
-        // bucket serves probes that only know "starts packed".
+        // Packed first values key on their exact identity.
         let packed = Value::packed(path_of(&["z"]));
-        assert_eq!(ids(r.probe_prefix(0, &[packed])), vec![3]);
-        assert!(r
-            .probe_prefix(0, &[Value::packed(path_of(&["w"]))])
-            .is_empty());
-        assert_eq!(r.probe_packed_first(0), &[3]);
+        assert_eq!(ids(r.probe_first(0, &packed)), vec![3]);
+        assert!(r.probe_first(0, &Value::packed(path_of(&["w"]))).is_empty());
         // Misses and out-of-range columns yield empty sets.
-        assert!(r.probe_prefix(1, &[av("z")]).is_empty());
-        assert!(r.probe_prefix(9, &[av("a")]).is_empty());
-        assert!(r.probe_empty(9).is_empty());
-    }
-
-    #[test]
-    fn prefix_trie_caps_at_trie_depth() {
-        let mut r = Relation::new(1);
-        r.ensure_column_depth(0, 64);
-        assert_eq!(r.column_index(0).unwrap().depth(), TRIE_DEPTH);
-        r.insert(rel("R"), vec![repeat_path("a", 10)]).unwrap();
-        r.insert(rel("R"), vec![repeat_path("a", 2)]).unwrap();
-        // Probing deeper than TRIE_DEPTH truncates to the indexed prefix: the
-        // result is a superset (id 0 matches, id 1 is filtered by matching).
-        let deep: Vec<Value> = (0..8).map(|_| av("a")).collect();
-        assert_eq!(ids(r.probe_prefix(0, &deep)), vec![0]);
-        let shallow: Vec<Value> = (0..TRIE_DEPTH).map(|_| av("a")).collect();
-        assert_eq!(ids(r.probe_prefix(0, &shallow)), vec![0]);
-    }
-
-    #[test]
-    fn joint_index_probes_multiple_columns_at_once() {
-        let mut r = Relation::new(3);
-        for (q, a, q2) in [
-            ("q0", "a", "q0"),
-            ("q0", "b", "q1"),
-            ("q1", "a", "q0"),
-            ("q1", "b", "q1"),
-            ("q1", "b", "q2"),
-        ] {
-            r.insert(rel("D"), vec![path_of(&[q]), path_of(&[a]), path_of(&[q2])])
-                .unwrap();
-        }
-        // Unregistered: probe_joint reports no index.
-        assert!(r.probe_joint(&[0, 1], &[av("q1"), av("b")]).is_none());
-        r.ensure_joint_index(&[0, 1]);
-        assert_eq!(
-            r.probe_joint(&[0, 1], &[av("q1"), av("b")]).unwrap(),
-            &[3, 4]
-        );
-        assert_eq!(r.probe_joint(&[0, 1], &[av("q0"), av("a")]).unwrap(), &[0]);
-        assert!(r
-            .probe_joint(&[0, 1], &[av("q2"), av("a")])
-            .unwrap()
-            .is_empty());
-        // Registration is idempotent, and later inserts maintain the index.
-        r.ensure_joint_index(&[0, 1]);
-        r.insert(
-            rel("D"),
-            vec![path_of(&["q1"]), path_of(&["b"]), path_of(&["q3"])],
-        )
-        .unwrap();
-        assert_eq!(
-            r.probe_joint(&[0, 1], &[av("q1"), av("b")]).unwrap(),
-            &[3, 4, 5]
-        );
-        // Tuples with an ε column in the set are unreachable by joint probes
-        // and therefore not indexed.
-        r.insert(
-            rel("D"),
-            vec![Path::empty(), path_of(&["b"]), path_of(&["q0"])],
-        )
-        .unwrap();
-        assert_eq!(
-            r.probe_joint(&[0, 1], &[av("q1"), av("b")]).unwrap(),
-            &[3, 4, 5]
-        );
-        // Degenerate registrations (single column, out of range) are refused.
-        r.ensure_joint_index(&[0]);
-        r.ensure_joint_index(&[0, 9]);
-        assert!(r.probe_joint(&[0], &[av("q0")]).is_none());
-        assert!(r.probe_joint(&[0, 9], &[av("q0"), av("b")]).is_none());
+        assert!(r.probe_first(1, &av("z")).is_empty());
+        assert!(r.probe_first(9, &av("a")).is_empty());
+        // A deactivated column reports no index; reactivating rebuilds it.
+        r.set_active_columns(0b10);
+        assert!(r.column_index(0).is_none());
+        assert!(r.probe_first(0, &av("a")).is_empty());
+        r.set_active_columns(0b11);
+        assert_eq!(ids(r.probe_first(0, &av("a"))), vec![0, 1, 2]);
     }
 
     #[test]

@@ -15,8 +15,8 @@
 
 use crate::error::{EvalError, LimitKind};
 use crate::eval::{
-    prepare_idb_instance, register_plan_indexes, restrict_head_indexes, seed_instance, DeltaWindow,
-    EmitMemo, EvalLimits, EvalStats, FireStats, ResourceGovernor, StratumStats,
+    prepare_idb_instance, restrict_head_indexes, seed_instance, DeltaWindow, EmitMemo, EvalLimits,
+    EvalStats, FireStats, ResourceGovernor, StratumStats,
 };
 use crate::ram::{self, fire_proc, LoopProgram, RuleProc, StratumProgram};
 use seqdl_core::{Fact, Instance, RelName, Relation};
@@ -186,18 +186,13 @@ pub fn prepare_run(
     let mut instance = prepare_idb_instance(&info, input)?;
     seed_instance(&mut instance, seeds)?;
     let lowered = ram::lower(program)?;
-    let plans = || {
-        lowered
-            .strata
-            .iter()
-            .flat_map(|s| s.procs.iter().map(|p| &p.plan))
-    };
-    // Indexes are registered before the first round: jobs only read the
-    // instance, and inserts (all under the driver's write lock) maintain them.
-    register_plan_indexes(plans(), &mut instance);
-    // Derived relations keep only the column tries some plan can probe;
+    // Derived relations keep only the column indexes some plan can probe;
     // every other column stops paying per-insert indexing.
-    restrict_head_indexes(info.idb.iter().copied(), plans(), &mut instance);
+    let plans = lowered
+        .strata
+        .iter()
+        .flat_map(|s| s.procs.iter().map(|p| &p.plan));
+    restrict_head_indexes(info.idb.iter().copied(), plans, &mut instance);
     Ok((instance, lowered))
 }
 

@@ -58,9 +58,9 @@ pub mod stats_json;
 pub use drive::{prepare_run, Driver, Job, JobOutcome, ShardPolicy};
 pub use error::{EvalError, LimitKind};
 pub use eval::{
-    check_idb_input, prepare_idb_instance, register_plan_indexes, restrict_head_indexes,
-    seed_instance, DeltaWindow, EmitMemo, EvalLimits, EvalStats, FireStats, ResourceGovernor,
-    RuleStats, StratumStats, GOVERNOR_CHECK_INTERVAL,
+    check_idb_input, prepare_idb_instance, restrict_head_indexes, seed_instance, DeltaWindow,
+    EmitMemo, EvalLimits, EvalStats, FireStats, ResourceGovernor, RuleStats, StratumStats,
+    GOVERNOR_CHECK_INTERVAL,
 };
 pub use plan::{plan_rule, BodyPlan, ColumnProbe, PlannedLiteral, PlannedPredicate, PrefixSource};
 pub use ram::{fire_proc, RuleProc};

@@ -11,10 +11,10 @@
 //!
 //! Beyond ordering, the planner precomputes *how to probe* the storage layer
 //! for each positive predicate: per argument column, the sequence of leading
-//! values that is statically known at match time (the same information the
-//! adornment layer's sideways-information passing computes), and — when two or
-//! more columns have a guaranteed first value — the column set of a
-//! multi-column join-key index the relation should maintain.
+//! terms that is statically known at match time (the same information the
+//! adornment layer's sideways-information passing computes).  At match time
+//! the first value they resolve to keys the relation's one index per column,
+//! a first-value index ([`seqdl_core::ColumnIndex`]).
 
 use crate::error::EvalError;
 use seqdl_core::{AtomId, RelName, Value};
@@ -37,94 +37,40 @@ pub enum PrefixSource {
 }
 
 /// How the evaluator can probe one argument column of a predicate: the
-/// column's statically-known leading values, resolved against the valuation
-/// in hand when the predicate is matched and fed to the relation's per-column
-/// prefix trie ([`seqdl_core::PrefixTrie`]).
+/// column's statically-known leading terms, whose first resolved value keys
+/// the relation's first-value index ([`seqdl_core::ColumnIndex`]) when the
+/// predicate is matched.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ColumnProbe {
     /// The leading sources of the argument expression, up to (and excluding)
     /// the first term whose denotation is unknown at match time.  Empty means
     /// nothing about the column's prefix is known.
     pub sources: Vec<PrefixSource>,
-    /// The sources cover the *whole* argument expression.  With an empty
-    /// resolved prefix this pins the column to exactly `ε`.
-    pub exact: bool,
-    /// The argument starts with a packed term containing unbound variables:
-    /// no exact first value, but the column must start with *some* packed
-    /// value.
-    pub leading_packed_var: bool,
 }
 
 impl ColumnProbe {
     /// Can this column ever contribute an index probe?
     pub fn can_probe(&self) -> bool {
-        !self.sources.is_empty() || self.exact || self.leading_packed_var
-    }
-
-    /// Is the column's *first* value guaranteed resolvable at runtime?  (The
-    /// eligibility condition for membership in a joint index's column set:
-    /// path variables are excluded because their binding may be `ε`.)
-    pub fn first_value_guaranteed(&self) -> bool {
-        matches!(
-            self.sources.first(),
-            Some(PrefixSource::Const(_) | PrefixSource::Packed(_) | PrefixSource::AtomVar(_))
-        )
-    }
-
-    /// How many leading values the relation's column trie should index for
-    /// this probe to use its full statically-known prefix: zero when the
-    /// column never yields a prefix, [`seqdl_core::TRIE_DEPTH`] when a bound
-    /// path variable contributes an unbounded number of values, and the
-    /// source count when a bound *atomic* variable occurs among the sources.
-    ///
-    /// A prefix made of constants only stays at depth one: such a probe asks
-    /// the same question on every call (once per rule variant per round, not
-    /// once per candidate valuation), so the first-value bucket plus ordinary
-    /// match filtering answers it — while deeper indexing would tax every
-    /// insert of the relation for it.  Variable-bearing prefixes change per
-    /// candidate, which is where deep tries earn their insert cost.
-    pub fn wanted_depth(&self) -> usize {
-        if self.sources.is_empty() {
-            return 0;
-        }
-        if self
-            .sources
-            .iter()
-            .any(|s| matches!(s, PrefixSource::PathVar(_)))
-        {
-            return seqdl_core::TRIE_DEPTH;
-        }
-        if self
-            .sources
-            .iter()
-            .all(|s| matches!(s, PrefixSource::Const(_) | PrefixSource::Packed(_)))
-        {
-            return 1;
-        }
-        self.sources.len().min(seqdl_core::TRIE_DEPTH)
+        !self.sources.is_empty()
     }
 }
 
 /// A positive predicate step: the predicate plus one [`ColumnProbe`] per argument
-/// column, precomputed so matching can probe the relation's prefix tries — or a
-/// planner-selected multi-column join index — instead of scanning every tuple.
+/// column, precomputed so matching can probe the relation's column indexes
+/// instead of scanning every tuple.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct PlannedPredicate {
     /// The predicate to match.
     pub pred: Predicate,
     /// Per-column probe strategy (same length as `pred.args`).
     pub probes: Vec<ColumnProbe>,
-    /// Columns whose first value is guaranteed at runtime, when there are at
-    /// least two: the evaluator registers a joint index over exactly this set
-    /// on the predicate's relation and probes it with the resolved values.
-    pub joint_cols: Option<Vec<usize>>,
-    /// Bucket-side matching eligibility: the predicate is unary, its column
-    /// holds only constants and atomic variables, and those terms are all
-    /// prefix sources — at least one — except one trailing unbound atomic
-    /// variable `v`.  Candidates from a column trie that consumed the whole
-    /// prefix then finish matching without touching the tuple store: the
-    /// entry's length checks the shape and its next value binds `v`.  A
-    /// pattern the prefix covers entirely is left to the deterministic pass.
+    /// Bucket-side matching eligibility: the predicate is unary and its
+    /// column is exactly two atomic terms, a constant or bound atomic
+    /// variable (the one prefix source) followed by an unbound atomic
+    /// variable `v`.  Candidates from the column's first-value bucket then
+    /// finish matching without touching the tuple store: the entry's length
+    /// checks the shape and its next value binds `v`.  A pattern the prefix
+    /// covers entirely is left to the deterministic pass.
     pub extend: Option<Var>,
 }
 
@@ -133,76 +79,47 @@ fn column_probes(pred: &Predicate, bound_before: &BTreeSet<Var>) -> Vec<ColumnPr
         .iter()
         .map(|arg| {
             let mut sources = Vec::new();
-            let mut exact = true;
-            let mut leading_packed_var = false;
             for term in arg.terms() {
-                match term {
-                    Term::Const(a) => sources.push(PrefixSource::Const(*a)),
+                sources.push(match term {
+                    Term::Const(a) => PrefixSource::Const(*a),
                     Term::Packed(inner) => match inner.as_path() {
-                        Some(p) => sources.push(PrefixSource::Packed(Value::packed(p))),
-                        None => {
-                            leading_packed_var = sources.is_empty();
-                            exact = false;
-                            break;
-                        }
+                        Some(p) => PrefixSource::Packed(Value::packed(p)),
+                        None => break,
                     },
-                    Term::Var(v) if bound_before.contains(v) => sources.push(match v.kind {
+                    Term::Var(v) if bound_before.contains(v) => match v.kind {
                         VarKind::Atom => PrefixSource::AtomVar(*v),
                         VarKind::Path => PrefixSource::PathVar(*v),
-                    }),
-                    Term::Var(_) => {
-                        exact = false;
-                        break;
-                    }
-                }
+                    },
+                    Term::Var(_) => break,
+                });
             }
-            ColumnProbe {
-                sources,
-                exact,
-                leading_packed_var,
-            }
+            ColumnProbe { sources }
         })
         .collect()
 }
 
 /// See [`PlannedPredicate::extend`]: eligibility of the bucket-side matcher.
-/// Trie buckets are reached through at least one resolved prefix value, so a
-/// column with no prefix source never qualifies.
+/// The one prefix source is the first term, so the trailing variable is
+/// unbound (a bound one would be a second source).
 fn extend_probe(pred: &Predicate, probes: &[ColumnProbe]) -> Option<Var> {
-    if pred.args.len() != 1 {
+    if pred.args.len() != 1 || probes[0].sources.len() != 1 {
         return None;
     }
-    let terms = pred.args[0].terms();
-    let sources = probes[0].sources.len();
-    if sources == 0 || sources > seqdl_core::TRIE_DEPTH || sources + 1 != terms.len() {
-        return None;
-    }
-    let flat_column = terms.iter().all(|t| {
+    let atomic = |t: &Term| {
         matches!(t, Term::Const(_)) || matches!(t, Term::Var(v) if v.kind == VarKind::Atom)
-    });
-    // The one non-source term can only be an unbound atomic variable
-    // (constants and bound variables are always sources), and its first
-    // occurrence (an earlier unbound occurrence would have stopped the source
-    // walk sooner).
-    match terms.last() {
-        Some(Term::Var(v)) if flat_column => Some(*v),
+    };
+    match pred.args[0].terms() {
+        [first, Term::Var(v)] if atomic(first) && v.kind == VarKind::Atom => Some(*v),
         _ => None,
     }
 }
 
 fn plan_predicate(pred: &Predicate, bound_before: &BTreeSet<Var>) -> PlannedPredicate {
     let probes = column_probes(pred, bound_before);
-    let guaranteed: Vec<usize> = probes
-        .iter()
-        .enumerate()
-        .filter(|(_, p)| p.first_value_guaranteed())
-        .map(|(c, _)| c)
-        .collect();
     PlannedPredicate {
         extend: extend_probe(pred, &probes),
         pred: pred.clone(),
         probes,
-        joint_cols: (guaranteed.len() >= 2).then_some(guaranteed),
     }
 }
 
@@ -260,37 +177,6 @@ impl BodyPlan {
                 _ => None,
             })
             .collect()
-    }
-
-    /// The `(relation, column set)` pairs of every planner-selected joint
-    /// index in this plan — what the evaluator registers on the instance
-    /// before the fixpoint starts.
-    pub fn joint_index_requests(&self) -> impl Iterator<Item = (RelName, &[usize])> + '_ {
-        self.steps.iter().filter_map(|s| match s {
-            PlannedLiteral::MatchPredicate(p) => {
-                p.joint_cols.as_deref().map(|cols| (p.pred.relation, cols))
-            }
-            _ => None,
-        })
-    }
-
-    /// The `(relation, column, depth)` trie-deepening requests of this plan:
-    /// every column some probe wants indexed beyond the default first-value
-    /// depth.
-    pub fn column_depth_requests(&self) -> impl Iterator<Item = (RelName, usize, usize)> + '_ {
-        self.steps.iter().flat_map(|s| {
-            let planned = match s {
-                PlannedLiteral::MatchPredicate(p) => Some(p),
-                _ => None,
-            };
-            planned.into_iter().flat_map(|p| {
-                p.probes
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, probe)| probe.wanted_depth() >= 2)
-                    .map(move |(c, probe)| (p.pred.relation, c, probe.wanted_depth()))
-            })
-        })
     }
 }
 
@@ -444,9 +330,7 @@ mod tests {
             probes[1][0].sources,
             vec![PrefixSource::AtomVar(Var::atom("y"))]
         );
-        assert!(probes[1][0].first_value_guaranteed());
         // @z is unbound when R is matched, so the known prefix stops at @y.
-        assert!(!probes[1][0].exact);
     }
 
     #[test]
@@ -463,7 +347,6 @@ mod tests {
                 PrefixSource::Const(seqdl_core::atom("c")),
             ]
         );
-        assert!(!probes[1][0].exact, "trailing $rest is unknown");
     }
 
     #[test]
@@ -471,15 +354,14 @@ mod tests {
         let rule = parse_rule("S($p) <- R($p), T(a·$x, eps, <b·c>·d, <$y>·b, $p·e).").unwrap();
         let plan = plan_rule(&rule).unwrap();
         let p = &probes_of(&plan)[1];
-        // a·$x: constant prefix, inexact.
+        // a·$x: a constant prefix.
         assert_eq!(
             p[0].sources,
             vec![PrefixSource::Const(seqdl_core::atom("a"))]
         );
-        assert!(!p[0].exact);
-        // eps: no sources, exact — the column is pinned to ε.
-        assert!(p[1].sources.is_empty() && p[1].exact && p[1].can_probe());
-        // <b·c>·d: a ground packed value then a constant, fully exact.
+        // eps: no first value, so no probe.
+        assert!(p[1].sources.is_empty() && !p[1].can_probe());
+        // <b·c>·d: a ground packed value then a constant.
         assert_eq!(
             p[2].sources,
             vec![
@@ -487,11 +369,9 @@ mod tests {
                 PrefixSource::Const(seqdl_core::atom("d")),
             ]
         );
-        assert!(p[2].exact);
-        // <$y>·b: a packed term with variables leads — any-packed probe only.
-        assert!(p[3].sources.is_empty() && p[3].leading_packed_var);
-        assert!(!p[3].first_value_guaranteed());
-        // $p·e with $p bound: a path-variable source (not joint-eligible).
+        // <$y>·b: a packed term with variables leads — no probe.
+        assert!(p[3].sources.is_empty() && !p[3].can_probe());
+        // $p·e with $p bound: a path-variable source, then the constant.
         assert_eq!(
             p[4].sources,
             vec![
@@ -499,24 +379,23 @@ mod tests {
                 PrefixSource::Const(seqdl_core::atom("e")),
             ]
         );
-        assert!(!p[4].first_value_guaranteed());
     }
 
     #[test]
-    fn joint_columns_are_selected_when_two_first_values_are_guaranteed() {
-        // D(@q1, @a, @q2) matched after S bound @q1 and @a: columns 0 and 1
-        // have guaranteed first values, @q2 is free.
-        let rule = parse_rule("T(@q2) <- S(@q1·@a·$y), D(@q1, @a, @q2).").unwrap();
-        let plan = plan_rule(&rule).unwrap();
-        let planned = plan.predicate_at(1).unwrap();
-        assert_eq!(planned.joint_cols, Some(vec![0, 1]));
-        let requests: Vec<_> = plan.joint_index_requests().collect();
-        assert_eq!(requests, vec![(seqdl_core::rel("D"), &[0usize, 1][..])]);
-        // A single guaranteed column selects no joint index.
-        let rule = parse_rule("T(@x) <- S(@x), R(@x, $y).").unwrap();
-        let plan = plan_rule(&rule).unwrap();
-        assert_eq!(plan.predicate_at(1).unwrap().joint_cols, None);
-        assert_eq!(plan.joint_index_requests().count(), 0);
+    fn bucket_side_matching_needs_one_source_then_one_unbound_atom() {
+        let extend_of = |text: &str| {
+            let plan = plan_rule(&parse_rule(text).unwrap()).unwrap();
+            plan.predicate_at(1).unwrap().extend
+        };
+        assert_eq!(extend_of("T(@y) <- S(@x), R(@x·@y)."), Some(Var::atom("y")));
+        assert_eq!(extend_of("T(@y) <- S(@x), R(a·@y)."), Some(Var::atom("y")));
+        // Two sources, a path variable, a second column, or a longer tail:
+        // matched through the tuple store.
+        assert_eq!(extend_of("T(@y) <- S(@x), R(@x·a·@y)."), None);
+        assert_eq!(extend_of("T($y) <- S(@x), R(@x·$y)."), None);
+        assert_eq!(extend_of("T(@y) <- S(@x), R(@x·@y, a)."), None);
+        assert_eq!(extend_of("T(@y) <- S(@x), R(@x·@y·@z)."), None);
+        assert_eq!(extend_of("T(@y) <- S($x), R($x·@y)."), None);
     }
 
     #[test]

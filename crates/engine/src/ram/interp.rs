@@ -15,11 +15,11 @@
 //! first emit, and a `Solve` past the cut right before the emit stops its
 //! solver at the first extension.
 //!
-//! Candidate enumeration picks the smallest index list through
+//! Candidate enumeration picks the smallest first-value bucket through
 //! `choose_candidates` on every probe entry, clamps it to the delta window
 //! with `partition_point`, and finishes each candidate one of three ways:
-//! bucket-side (a trie entry's length and next value bind one trailing
-//! atomic variable without touching the tuple store), the deterministic pass
+//! bucket-side (an entry's length and next value bind one trailing atomic
+//! variable without touching the tuple store), the deterministic pass
 //! (probes the lowering proved admit at most one extension), or the
 //! backtracking walk, whose extensions a frame buffers and replays —
 //! equations included.  A fused terminal probe emits from its candidate loop,
@@ -28,7 +28,7 @@
 //! evaluator, which has a matcher of its own.
 
 use crate::error::EvalError;
-use crate::eval::{choose_candidates, CandList, DeltaWindow, EmitKey, EmitMemo, FireStats};
+use crate::eval::{choose_candidates, DeltaWindow, EmitKey, EmitMemo, FireStats};
 use crate::matching::{
     equation_holds, ground_tuple, match_predicate_det, match_predicate_sink, solve_equation,
 };
@@ -39,10 +39,8 @@ use seqdl_syntax::{Binding, Equation, Rule, Term, Valuation, Var};
 
 /// The candidate source of one probe frame.
 enum Cands<'r> {
-    /// Trie-bucket entries (carry length/next-value metadata).
+    /// First-value bucket entries (carry length/next-value metadata).
     Entries(&'r [TrieEntry]),
-    /// Bare tuple ids from the joint/ε/packed indexes.
-    Ids(&'r [u32]),
     /// Scan fallback: tuple ids `cursor..end`.
     Scan(usize),
     /// No relation (absent or arity mismatch) — or a non-probe frame.
@@ -56,8 +54,9 @@ enum Mode {
     /// extension per tuple, bound in place — no buffering, no replay.
     Det,
     /// Bucket-side with one trailing unbound atomic variable: entry length
-    /// `n + 1` plus the entry's next-value decide and bind.
-    BucketBind(u32, Var),
+    /// 2 (the bucket's first value plus one) and the entry's next value
+    /// decide and bind.
+    BucketBind(Var),
     /// General predicate: buffer the tuple's extension deltas and replay.
     General,
     /// Equation frame: extensions buffered on entry, no candidates.
@@ -137,7 +136,7 @@ impl<'r> Frame<'r> {
             None => (0, len),
         };
         self.tuples = relation.as_slice();
-        let Some(chosen) = choose_candidates(relation, planned, nu) else {
+        let Some(entries) = choose_candidates(relation, planned, nu) else {
             stats.scans += 1;
             self.cursor = first_id;
             self.cands = Cands::Scan(last_id);
@@ -146,35 +145,18 @@ impl<'r> Frame<'r> {
         stats.index_probes += 1;
         // The full-range case (no window on this step) skips the
         // `partition_point` searches outright.
-        let full = first_id == 0 && last_id == len;
-        match chosen.list {
-            CandList::Entries(entries) => {
-                let (lo, hi) = if full {
-                    (0, entries.len())
-                } else {
-                    (
-                        entries.partition_point(|e| (e.id as usize) < first_id),
-                        entries.partition_point(|e| (e.id as usize) < last_id),
-                    )
-                };
-                let n = planned.probes[0].sources.len();
-                if let Some(v) = planned.extend.filter(|_| chosen.trie_col == Some((0, n))) {
-                    self.mode = Mode::BucketBind(n as u32, v);
-                }
-                self.cands = Cands::Entries(&entries[lo..hi]);
-            }
-            CandList::Ids(ids) => {
-                let (lo, hi) = if full {
-                    (0, ids.len())
-                } else {
-                    (
-                        ids.partition_point(|&id| (id as usize) < first_id),
-                        ids.partition_point(|&id| (id as usize) < last_id),
-                    )
-                };
-                self.cands = Cands::Ids(&ids[lo..hi]);
-            }
+        let (lo, hi) = if first_id == 0 && last_id == len {
+            (0, entries.len())
+        } else {
+            (
+                entries.partition_point(|e| (e.id as usize) < first_id),
+                entries.partition_point(|e| (e.id as usize) < last_id),
+            )
+        };
+        if let Some(v) = planned.extend {
+            self.mode = Mode::BucketBind(v);
         }
+        self.cands = Cands::Entries(&entries[lo..hi]);
     }
 
     /// (Re-)initialise this frame for an equation, buffering every binding
@@ -209,7 +191,6 @@ impl<'r> Frame<'r> {
     fn cands_len(&self) -> usize {
         match self.cands {
             Cands::Entries(entries) => entries.len(),
-            Cands::Ids(ids) => ids.len(),
             Cands::Scan(end) => end.saturating_sub(self.cursor),
             Cands::Empty => 0,
         }
@@ -221,11 +202,6 @@ impl<'r> Frame<'r> {
                 let e = *entries.get(self.cursor)?;
                 self.cursor += 1;
                 Some(Cand::Entry(e))
-            }
-            Cands::Ids(ids) => {
-                let id = *ids.get(self.cursor)? as usize;
-                self.cursor += 1;
-                Some(Cand::Id(id))
             }
             Cands::Scan(end) => {
                 if self.cursor >= end {
@@ -260,8 +236,8 @@ impl<'r> Frame<'r> {
             };
             let mode = self.mode;
             match (mode, cand) {
-                (Mode::BucketBind(n, v), Cand::Entry(e)) => {
-                    if e.len == n + 1 {
+                (Mode::BucketBind(v), Cand::Entry(e)) => {
+                    if e.len == 2 {
                         if let Some(b) = e.next_atom() {
                             nu.bind_new(v, Binding::Atom(b));
                             return true;
@@ -291,7 +267,7 @@ impl<'r> Frame<'r> {
                     // Loop: the buffered-extension branch replays them.
                 }
                 (Mode::Equation, _) | (Mode::BucketBind(..), Cand::Id(_)) => {
-                    unreachable!("bucket mode only arises from trie-entry candidate lists")
+                    unreachable!("bucket mode only arises from first-value buckets")
                 }
             }
         }
@@ -542,9 +518,9 @@ pub fn fire_proc(
                         }
                         match frames[pc].mode {
                             // Bucket-side bind feeding exactly the one hole:
-                            // emit straight from the trie entries, no
+                            // emit straight from the bucket entries, no
                             // valuation traffic at all.
-                            Mode::BucketBind(n, v) if holes.len() == 1 && holes[0].1 == v => {
+                            Mode::BucketBind(v) if holes.len() == 1 && holes[0].1 == v => {
                                 debug_assert!(!once, "the probe binds the head hole");
                                 let entries = match &frames[pc].cands {
                                     Cands::Entries(entries) => *entries,
@@ -552,7 +528,7 @@ pub fn fire_proc(
                                 };
                                 let pos = holes[0].0;
                                 for e in entries {
-                                    if e.len == n + 1 {
+                                    if e.len == 2 {
                                         if let Some(b) = e.next_atom() {
                                             stats.instructions += 1;
                                             seg_scratch[pos] = Segment::Value(Value::Atom(b));

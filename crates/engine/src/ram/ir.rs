@@ -25,12 +25,12 @@ use std::fmt;
 
 /// One instruction of a lowered rule procedure.  `step` indexes into the
 /// procedure's [`BodyPlan::steps`]; the plan's per-step metadata (column
-/// probes, joint columns, bucket-side eligibility) is reused at execution
-/// time.
+/// probes, bucket-side eligibility) is reused at execution time.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Inst {
     /// Choice point: enumerate the candidates of the positive predicate at
-    /// plan position `step` (through the trie/joint indexes when possible),
+    /// plan position `step` (through a column's first-value index when
+    /// possible),
     /// binding its variables per candidate.  With `fused_emit` the probe is
     /// the last body step and the lowering fused the following [`Inst::Emit`]
     /// into its candidate loop; a fused probe past the cut (it binds no head

@@ -141,6 +141,26 @@ mod tests {
     }
 
     #[test]
+    fn a_huge_declared_arity_parses_and_evaluates() {
+        // Relations build their column indexes on the first insert, so an
+        // empty relation costs nothing per declared column.
+        let instance = parse_instance("@relation R/99999999999999.\nT(a).\n").unwrap();
+        assert_eq!(
+            instance.relation(rel("R")).map(|r| r.arity()),
+            Some(99_999_999_999_999)
+        );
+        let program = seqdl_syntax::parse_program("S(@x) <- T(@x).").unwrap();
+        let out = seqdl_exec::Executor::new()
+            .run(&program, &instance)
+            .unwrap();
+        assert_eq!(
+            out.unary_paths(rel("S")),
+            std::collections::BTreeSet::from([path_of(&["a"])])
+        );
+        assert!(out.relation(rel("R")).is_some_and(|r| r.is_empty()));
+    }
+
+    #[test]
     fn simple_unary_instances_round_trip() {
         let instance = Instance::unary(
             rel("R"),

@@ -9,12 +9,11 @@
 //! In classical Datalog an adorned column is *bound* (its whole value is known)
 //! or *free*.  Sequence Datalog arguments are path *expressions*, so a column is
 //! usually only partially known (`a·b·$x` fixes a prefix, not the path).  The
-//! storage layer indexes every column by a prefix trie over its leading values
-//! ([`seqdl_core::PrefixTrie`]), rooted at the path's *first value*, so a
-//! guaranteed first value is the granularity that decides whether a column can
-//! be probed at all (the engine's planner then extends the same walk to the
-//! full statically-known prefix): here [`ColumnBinding::Bound`] means "the
-//! first value of the column's path is known when the predicate is matched".
+//! storage layer indexes every column by the path's *first value*
+//! ([`seqdl_core::ColumnIndex`]), so a guaranteed first value is the
+//! granularity that decides whether a column can be probed at all: here
+//! [`ColumnBinding::Bound`] means "the first value of the column's path is
+//! known when the predicate is matched".
 //! A column whose expression starts with a constant, a ground packed term, or
 //! an atomic variable bound by an earlier body step is `Bound`; everything
 //! else — including *bound path variables*, which may denote `ε` and hence

@@ -33,7 +33,8 @@ const INSTANCE: &str = "% an instance\n\
 const GOALS: &[&str] = &["Reach(a·b·$x)?", "T(@x·<$y·a>, eps).", "S?", "Q('a b'·$z)"];
 
 /// What the mutations insert: the characters the lexer treats specially, NUL,
-/// the largest Unicode scalar value, and a few multi-character tokens.
+/// the largest Unicode scalar value, a digit run that makes a declared arity
+/// huge, and a few multi-character tokens.
 const TOKENS: &[&str] = &[
     "·",
     "<",
@@ -56,6 +57,7 @@ const TOKENS: &[&str] = &[
     "eps",
     "?",
     "/",
+    "99999999999999",
     "\n",
 ];
 

@@ -320,3 +320,56 @@ fn reachability_identical_across_thread_counts() {
         }
     }
 }
+
+/// Probe shapes with no single resolved first value per column still match
+/// the reference at 1 and 4 threads, through a column bucket or a scan: the
+/// NFA witness's `D(@q1, @a, @q2)` with two bound columns, `Even($w, eps)`,
+/// a leading packed variable `R(<$x>·$y)`, and a bound path-variable prefix
+/// `R($u·$v)` whose binding has zero, one or two values.
+#[test]
+fn probes_without_a_single_first_value_match_the_reference() {
+    let cases = [
+        (
+            "S(@q·$x, eps) <- R($x), N(@q).\n\
+             S(@q2·$y, $z·@a) <- S(@q1·@a·$y, $z), D(@q1, @a, @q2).\n\
+             A($x) <- S(@q, $x), F(@q).",
+            "N(q0).\nF(q2).\nD(q0, a, q0).\nD(q0, b, q0).\nD(q0, a, q1).\nD(q1, a, q1).\n\
+             D(q1, b, q2).\nD(q2, a, q2).\nD(q2, b, q2).\n\
+             R(eps).\nR(a).\nR(a·b).\nR(b·a·b).\nR(a·a·b·a).\nR(b·b).",
+            "A",
+        ),
+        (
+            include_str!("../examples/programs/nfa_even.sdl"),
+            "Input(eps).\nInput(a).\nInput(a·a).\nInput(a·a·a).\nInput(a·a·a·a).\nInput(a·b).",
+            "Match",
+        ),
+        (
+            "P($x, $y) <- R(<$x>·$y).",
+            "R(<a·b>·c).\nR(<eps>).\nR(<a>·<b>).\nR(c·<a>).\nR(eps).",
+            "P",
+        ),
+        (
+            "U($u, $v) <- S($u), R($u·$v).",
+            "S(eps).\nS(a).\nS(a·b).\nR(a·b·c).\nR(a·b).\nR(a).\nR(b·a).\nR(eps).",
+            "U",
+        ),
+    ];
+    for (source, facts, output) in cases {
+        let program = parse_program(source).unwrap();
+        let input = sequence_datalog::io::parse_instance(facts).unwrap();
+        let expected = reference::evaluate(&program, &input);
+        assert!(
+            expected
+                .relation(rel(output))
+                .is_some_and(|r| !r.is_empty()),
+            "the reference derives some {output} on\n{program}"
+        );
+        for threads in [1usize, 4] {
+            let out = Executor::new()
+                .with_threads(threads)
+                .run(&program, &input)
+                .unwrap();
+            assert_eq!(expected, out, "threads = {threads} on\n{program}");
+        }
+    }
+}
