@@ -7,7 +7,7 @@ fn bench(c: &mut Criterion) {
         group.bench_with_input(
             BenchmarkId::new("semi_naive", format!("{states}x{len}")),
             &(states, words, len),
-            |b, &(s, w, l)| b.iter(|| seqdl_bench::nfa_run(s, w, l)),
+            |b, &(s, w, l)| b.iter(|| seqdl_bench::nfa_run(s, w, l, 1)),
         );
     }
     group.finish();

@@ -14,7 +14,7 @@ fn bench_reachability(c: &mut Criterion) {
         group.bench_with_input(
             BenchmarkId::new(&format!("exec_t{threads}"), nodes),
             &threads,
-            |b, &t| b.iter(|| seqdl_bench::reachability_result(nodes, edges, t)),
+            |b, &t| b.iter(|| seqdl_bench::reachability_run(nodes, edges, t)),
         );
     }
     group.finish();
@@ -27,7 +27,7 @@ fn bench_nfa(c: &mut Criterion) {
         group.bench_with_input(
             BenchmarkId::new(&format!("exec_t{threads}"), format!("{states}x{len}")),
             &threads,
-            |b, &t| b.iter(|| seqdl_bench::nfa_result(states, words, len, t)),
+            |b, &t| b.iter(|| seqdl_bench::nfa_run(states, words, len, t)),
         );
     }
     group.finish();

@@ -8,7 +8,7 @@ fn bench_reachability(c: &mut Criterion) {
         group.bench_with_input(
             BenchmarkId::new("semi_naive", nodes),
             &(nodes, edges),
-            |b, &(n, e)| b.iter(|| seqdl_bench::reachability_run(n, e)),
+            |b, &(n, e)| b.iter(|| seqdl_bench::reachability_run(n, e, 1)),
         );
     }
     group.finish();
@@ -20,7 +20,7 @@ fn bench_nfa(c: &mut Criterion) {
         group.bench_with_input(
             BenchmarkId::new("semi_naive", format!("{states}x{len}")),
             &(states, words, len),
-            |b, &(s, w, l)| b.iter(|| seqdl_bench::nfa_run(s, w, l)),
+            |b, &(s, w, l)| b.iter(|| seqdl_bench::nfa_run(s, w, l, 1)),
         );
     }
     group.finish();

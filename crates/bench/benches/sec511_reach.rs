@@ -7,7 +7,7 @@ fn bench(c: &mut Criterion) {
         group.bench_with_input(
             BenchmarkId::new("semi_naive", nodes),
             &(nodes, edges),
-            |b, &(n, e)| b.iter(|| seqdl_bench::reachability_run(n, e)),
+            |b, &(n, e)| b.iter(|| seqdl_bench::reachability_run(n, e, 1)),
         );
     }
     group.finish();

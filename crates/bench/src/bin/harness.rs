@@ -1,138 +1,74 @@
 //! Textual reproduction of every figure of the paper plus the derived experiment
 //! tables (ablations, engine scaling, demand-driven queries).
 //!
-//! Usage: `cargo run -p seqdl-bench --bin harness [--release] [--threads N] [--mem-stats]
-//! [--stats-format text|json] [--profile] [--trace-out trace.json] [section…]`
+//! Usage: `cargo run -p seqdl-bench --bin harness [--release] [--threads N] [section…]`
 //! where `section` is any of `fig1 fig2 fig3 arity equations packing folding
-//! linearity reachability nfa query algebra regex termination`; with no arguments every section is printed.
-//! `--threads N` sets the worker-pool size of the stratified executor columns in
-//! the reachability and NFA sections (default 1; 0 = all cores).
-//! `--mem-stats` appends memory-footprint columns (result facts, distinct
-//! interned paths, approximate store KiB) to the reachability and NFA rows and
-//! a peak-RSS footer per section; store numbers are cumulative per process.
-//! `--stats-format json` appends the machine-readable evaluation-statistics
-//! document (the `seqdl --stats-format json` schema) for the largest workload
-//! of the reachability, NFA, and query sections; `--profile` appends the
-//! per-rule hot-rules table for the same runs; `--trace-out FILE` records the
-//! reachability section's largest executor run as Chrome trace-event JSON
-//! (open at <https://ui.perfetto.dev>).
+//! linearity reachability nfa query regex termination algebra`; with no
+//! sections every section is printed.  `--threads N` sets the worker-pool size
+//! of the executor runs in the reachability, NFA and query sections (default 1;
+//! 0 = all cores; at most [`seqdl_exec::MAX_THREADS`]).  Any other argument
+//! exits with status 2 and the usage line.  Sections assert what the paper
+//! predicts: answers independent of the thread count, demanded answers equal
+//! to full-run-then-filter, and a compiled regex equivalent to its NFA.
+//! Timings are indicative only; the performance record is perfbench.
 
 use seqdl_bench as drivers;
 use std::time::Instant;
 
-/// The observability add-ons requested for the reachability/NFA/query
-/// sections.
-struct Observability {
-    json: bool,
-    profile: bool,
-    trace_out: Option<String>,
-}
+/// Every section, in the order the harness prints them.
+const SECTIONS: [&str; 14] = [
+    "fig1",
+    "fig2",
+    "fig3",
+    "arity",
+    "equations",
+    "packing",
+    "folding",
+    "linearity",
+    "reachability",
+    "nfa",
+    "query",
+    "regex",
+    "termination",
+    "algebra",
+];
 
-impl Observability {
-    fn active(&self) -> bool {
-        self.json || self.profile || self.trace_out.is_some()
-    }
-
-    /// Print the requested per-run add-ons for one labeled workload.
-    fn emit(&self, label: &str, stats: &seqdl_engine::EvalStats) {
-        if self.profile {
-            println!("per-rule profile ({label}, hottest first):");
-            let mut order: Vec<&seqdl_engine::RuleStats> = stats.rules.iter().collect();
-            order.sort_by(|a, b| {
-                b.wall
-                    .cmp(&a.wall)
-                    .then_with(|| (a.stratum, a.rule_ix).cmp(&(b.stratum, b.rule_ix)))
-            });
-            for r in order {
-                println!(
-                    "  s{}r{}: {} firing(s), {} fact(s), {:?}, {} probe(s), {} scan(s) — {}",
-                    r.stratum,
-                    r.rule_ix,
-                    r.firings,
-                    r.derived_facts,
-                    r.wall,
-                    r.index_probes,
-                    r.scans,
-                    r.rule
-                );
+/// Parse `[--threads N] [section…]` into the thread count and the requested
+/// sections (empty = all).
+fn parse_args(args: impl IntoIterator<Item = String>) -> Result<(usize, Vec<String>), String> {
+    let mut args = args.into_iter();
+    let mut threads = 1;
+    let mut sections = Vec::new();
+    while let Some(arg) = args.next() {
+        if arg == "--threads" {
+            threads = args
+                .next()
+                .and_then(|v| v.parse::<usize>().ok())
+                .ok_or("--threads expects a number")?;
+            if threads > seqdl_exec::MAX_THREADS {
+                return Err(format!(
+                    "--threads must be at most {} (0 = all available cores), got {threads}",
+                    seqdl_exec::MAX_THREADS
+                ));
             }
-        }
-        if self.json {
-            println!("stats json ({label}):");
-            print!(
-                "{}",
-                seqdl_engine::stats_json(stats, &seqdl_core::store_stats(), None)
-            );
+        } else if SECTIONS.contains(&arg.as_str()) {
+            sections.push(arg);
+        } else {
+            return Err(format!("unknown argument `{arg}`"));
         }
     }
+    Ok((threads, sections))
 }
 
 fn main() {
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let threads = match args.iter().position(|a| a == "--threads") {
-        Some(i) => {
-            let value = args.get(i + 1).and_then(|v| v.parse::<usize>().ok());
-            let Some(value) = value else {
-                eprintln!("--threads expects a number");
-                std::process::exit(2);
-            };
-            args.drain(i..=i + 1);
-            value
-        }
-        None => 1,
-    };
-    let mem_stats = match args.iter().position(|a| a == "--mem-stats") {
-        Some(i) => {
-            args.remove(i);
-            true
-        }
-        None => false,
-    };
-    let json = match args.iter().position(|a| a == "--stats-format") {
-        Some(i) => {
-            let value = args.get(i + 1).cloned();
-            match value.as_deref() {
-                Some("json") => {
-                    args.drain(i..=i + 1);
-                    true
-                }
-                Some("text") => {
-                    args.drain(i..=i + 1);
-                    false
-                }
-                _ => {
-                    eprintln!("--stats-format expects `text` or `json`");
-                    std::process::exit(2);
-                }
-            }
-        }
-        None => false,
-    };
-    let profile = match args.iter().position(|a| a == "--profile") {
-        Some(i) => {
-            args.remove(i);
-            true
-        }
-        None => false,
-    };
-    let trace_out = match args.iter().position(|a| a == "--trace-out") {
-        Some(i) => {
-            let Some(value) = args.get(i + 1).cloned() else {
-                eprintln!("--trace-out expects a file path");
-                std::process::exit(2);
-            };
-            args.drain(i..=i + 1);
-            Some(value)
-        }
-        None => None,
-    };
-    let obs = Observability {
-        json,
-        profile,
-        trace_out,
-    };
-    let args = args;
-    let want = |name: &str| args.is_empty() || args.iter().any(|a| a == name);
+    let (threads, sections) = parse_args(std::env::args().skip(1)).unwrap_or_else(|message| {
+        eprintln!(
+            "harness: {message}\nusage: harness [--threads N] [section…]\nsections: {}",
+            SECTIONS.join(" ")
+        );
+        std::process::exit(2);
+    });
+    let want = |name: &str| sections.is_empty() || sections.iter().any(|s| s == name);
 
     if want("fig1") {
         section("FIG-1  Figure 1: Hasse diagram of fragment expressiveness");
@@ -249,13 +185,8 @@ fn main() {
 
     if want("reachability") {
         section("EXP-B  Section 5.1.1: graph reachability, exec(1) vs exec(N)");
-        let mem_cols = if mem_stats {
-            format!(" {:>9} {:>9} {:>10}", "facts", "paths", "store KiB")
-        } else {
-            String::new()
-        };
         println!(
-            "{:>8} {:>8} {:>12} {:>12}{mem_cols}",
+            "{:>8} {:>8} {:>12} {:>12}",
             "nodes",
             "edges",
             "exec(1)",
@@ -269,64 +200,26 @@ fn main() {
             (128, 1024),
         ] {
             let t1 = Instant::now();
-            let semi_result = drivers::reachability_result(nodes, edges, 1);
+            let semi = drivers::reachability_run(nodes, edges, 1);
             let t_semi = t1.elapsed();
-            let semi = drivers::reachability_answer(&semi_result);
             let t2 = Instant::now();
-            let parallel =
-                drivers::reachability_answer(&drivers::reachability_result(nodes, edges, threads));
+            let parallel = drivers::reachability_run(nodes, edges, threads);
             let t_exec = t2.elapsed();
             assert_eq!(
                 semi, parallel,
                 "the answer must not depend on the thread count"
             );
-            let mem_cols = if mem_stats {
-                let m = drivers::mem_snapshot(&semi_result);
-                format!(
-                    " {:>9} {:>9} {:>10}",
-                    m.facts,
-                    m.distinct_paths,
-                    m.store_bytes / 1024
-                )
-            } else {
-                String::new()
-            };
             println!(
-                "{nodes:>8} {edges:>8} {:>12?} {:>12?}{mem_cols}   (reachable: {semi})",
+                "{nodes:>8} {edges:>8} {:>12?} {:>12?}   (reachable: {semi})",
                 t_semi, t_exec
             );
-        }
-        if mem_stats {
-            println!("peak RSS: {} KiB", drivers::peak_rss_kib());
-        }
-        if obs.active() {
-            // One extra run of the largest workload with the add-ons applied:
-            // the trace session wraps exactly this run, so the exported spans
-            // show one executor schedule with real thread ids.
-            let trace = obs
-                .trace_out
-                .as_ref()
-                .map(|p| (p.clone(), seqdl_trace::start()));
-            let (_, stats) = drivers::reachability_exec_stats(128, 1024, threads);
-            if let Some((path, session)) = trace {
-                let events = session.finish();
-                std::fs::write(&path, seqdl_trace::chrome_trace_json(&events))
-                    .expect("write trace file");
-                println!("trace: {} event(s) written to {path}", events.len());
-            }
-            obs.emit(&format!("reachability 128x1024, exec({threads})"), &stats);
         }
     }
 
     if want("nfa") {
         section("EXP-NFA  Example 2.1: NFA acceptance, exec(1) vs exec(N)");
-        let mem_cols = if mem_stats {
-            format!(" {:>9} {:>9} {:>10}", "facts", "paths", "store KiB")
-        } else {
-            String::new()
-        };
         println!(
-            "{:>8} {:>8} {:>10} {:>12} {:>12}{mem_cols}",
+            "{:>8} {:>8} {:>10} {:>12} {:>12}",
             "states",
             "words",
             "word len",
@@ -341,35 +234,16 @@ fn main() {
             (16, 48, 64),
         ] {
             let t1 = Instant::now();
-            let semi_result = drivers::nfa_result(states, words, len, 1);
+            let b = drivers::nfa_run(states, words, len, 1);
             let t_semi = t1.elapsed();
-            let b = drivers::nfa_answer(&semi_result);
             let t2 = Instant::now();
-            let c = drivers::nfa_answer(&drivers::nfa_result(states, words, len, threads));
+            let c = drivers::nfa_run(states, words, len, threads);
             let t_exec = t2.elapsed();
             assert_eq!(b, c, "the answer must not depend on the thread count");
-            let mem_cols = if mem_stats {
-                let m = drivers::mem_snapshot(&semi_result);
-                format!(
-                    " {:>9} {:>9} {:>10}",
-                    m.facts,
-                    m.distinct_paths,
-                    m.store_bytes / 1024
-                )
-            } else {
-                String::new()
-            };
             println!(
-                "{states:>8} {words:>8} {len:>10} {:>12?} {:>12?}{mem_cols}   (accepted: {b})",
+                "{states:>8} {words:>8} {len:>10} {:>12?} {:>12?}   (accepted: {b})",
                 t_semi, t_exec
             );
-        }
-        if mem_stats {
-            println!("peak RSS: {} KiB", drivers::peak_rss_kib());
-        }
-        if obs.json || obs.profile {
-            let (_, stats) = drivers::nfa_exec_stats(16, 48, 64, threads);
-            obs.emit(&format!("nfa 16x64, exec({threads})"), &stats);
         }
     }
 
@@ -406,10 +280,6 @@ fn main() {
                 "{nodes:>8} {edges:>8} {t_full:>12?} {:>12} {t_demanded:>12?} {:>12} {:>9}",
                 full_stats.rule_firings, demanded_stats.rule_firings, full_answers
             );
-        }
-        if obs.json || obs.profile {
-            let (_, stats) = drivers::reachability_query_demanded(128, 1024, threads);
-            obs.emit(&format!("query demanded 128x1024, exec({threads})"), &stats);
         }
     }
 

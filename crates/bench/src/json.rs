@@ -1,10 +1,9 @@
 //! A minimal, self-contained JSON parser (the workspace vendors no serde).
 //!
-//! Shared by the schema tests for the recorded bench medians
-//! (`tests/bench_json_schema.rs` over `BENCH_engine.json`), for the
-//! `--stats-format json` evaluation-statistics document
-//! (`tests/stats_json_schema.rs`), and for the `--trace-out` Chrome
-//! trace-event export.  It parses exactly the JSON grammar — stricter than
+//! Shared by the schema tests for the `--stats-format json`
+//! evaluation-statistics document and the `--trace-out` Chrome trace-event
+//! export (`tests/stats_json_schema.rs`), and for the `seqdl check --format
+//! json` diagnostics (`tests/check_json_schema.rs`).  It parses exactly the JSON grammar — stricter than
 //! `f64::from_str` on numbers — and rejects duplicate object keys, so the
 //! hand-rolled writers in `seqdl-engine` and `seqdl-trace` are validated
 //! against an independent reader.

@@ -263,101 +263,26 @@ pub fn nonrecursive_output_length(n: usize) -> usize {
 // EXP-B / EXP-NFA: engine scaling
 // ---------------------------------------------------------------------------
 
-/// Run graph reachability (Section 5.1.1) on a random digraph; returns whether
-/// `b` is reachable from `a`.
-pub fn reachability_run(nodes: usize, edges: usize) -> bool {
-    reachability_answer(&reachability_result(nodes, edges, 1))
+/// Run graph reachability (Section 5.1.1) on a random digraph with `threads`
+/// compute threads; returns whether `b` is reachable from `a`.
+pub fn reachability_run(nodes: usize, edges: usize, threads: usize) -> bool {
+    reachability_exec_stats(nodes, edges, threads).0
 }
 
-/// Run the Example 2.1 NFA-acceptance program on a random NFA instance; returns the
-/// number of accepted words.
-pub fn nfa_run(states: usize, words: usize, word_len: usize) -> usize {
-    nfa_answer(&nfa_result(states, words, word_len, 1))
-}
-
-/// A memory-footprint snapshot for the harness's `--mem-stats` columns: the
-/// result instance's fact count plus the global hash-consed path store's
-/// size.  Store numbers are cumulative for the process (the store is global
-/// and append-only), so within one harness invocation each row reports the
-/// footprint *after* that workload ran.
-#[derive(Clone, Copy, Debug)]
-pub struct MemStats {
-    /// Facts in the result instance (input + derived).
-    pub facts: usize,
-    /// Distinct interned paths in the global store.
-    pub distinct_paths: usize,
-    /// Approximate bytes held by the store (owned values + table overhead).
-    pub store_bytes: usize,
-    /// Peak resident set size of the process in KiB (`VmHWM`; 0 if unknown).
-    pub peak_rss_kib: usize,
-}
-
-/// Snapshot [`MemStats`] for a result instance.
-pub fn mem_snapshot(result: &seqdl_core::Instance) -> MemStats {
-    let store = seqdl_core::store_stats();
-    MemStats {
-        facts: result.fact_count(),
-        distinct_paths: store.distinct_paths,
-        store_bytes: store.total_bytes(),
-        peak_rss_kib: peak_rss_kib(),
-    }
-}
-
-/// `VmHWM` from `/proc/self/status`, in KiB (0 when unavailable).
-pub fn peak_rss_kib() -> usize {
-    std::fs::read_to_string("/proc/self/status")
-        .ok()
-        .and_then(|status| {
-            status.lines().find_map(|l| {
-                l.strip_prefix("VmHWM:")
-                    .and_then(|rest| rest.split_whitespace().next()?.parse().ok())
-            })
-        })
-        .unwrap_or(0)
-}
-
-/// The full result instance of the §5.1.1 reachability workload evaluated
-/// with `threads` compute threads — the computation [`reachability_run`]
-/// times at one thread, kept so `--mem-stats` rows snapshot the instance the
-/// timed run produced instead of re-running.
-pub fn reachability_result(nodes: usize, edges: usize, threads: usize) -> seqdl_core::Instance {
-    let w = witnesses::reachability();
-    let input = Workloads::new(17).digraph_instance(nodes, edges);
-    bench_executor(threads)
-        .run(&w.program, &input)
-        .expect("terminates")
-}
-
-/// The §5.1.1 answer read off a result instance.
-pub fn reachability_answer(result: &seqdl_core::Instance) -> bool {
-    result.nullary_true(witnesses::reachability().output)
-}
-
-/// The full result instance of the Example 2.1 NFA workload evaluated with
-/// `threads` compute threads; see [`reachability_result`].
-pub fn nfa_result(
-    states: usize,
-    words: usize,
-    word_len: usize,
-    threads: usize,
-) -> seqdl_core::Instance {
+/// Run the Example 2.1 NFA-acceptance program on a random NFA instance with
+/// `threads` compute threads; returns the number of accepted words.
+pub fn nfa_run(states: usize, words: usize, word_len: usize, threads: usize) -> usize {
     let w = witnesses::nfa_acceptance();
     let input = Workloads::new(23).nfa_instance(states, 2, words, word_len);
     bench_executor(threads)
         .run(&w.program, &input)
         .expect("terminates")
-}
-
-/// The NFA acceptance count read off a result instance.
-pub fn nfa_answer(result: &seqdl_core::Instance) -> usize {
-    result
-        .unary_paths_iter(witnesses::nfa_acceptance().output)
+        .unary_paths_iter(w.output)
         .count()
 }
 
-/// [`reachability_run`] at `threads` compute threads, returning the run's
-/// statistics alongside the answer — the observability hook behind the
-/// harness's `--stats-format json`, `--profile`, and `--trace-out` modes.
+/// [`reachability_run`], returning the run's statistics alongside the
+/// answer (the input of the stats-JSON and trace schema tests).
 pub fn reachability_exec_stats(
     nodes: usize,
     edges: usize,
@@ -369,22 +294,6 @@ pub fn reachability_exec_stats(
         .run_with_stats(&w.program, &input)
         .expect("terminates");
     (out.nullary_true(w.output), stats)
-}
-
-/// [`nfa_run`] at `threads` compute threads, returning the run's statistics
-/// alongside the accepted-word count.
-pub fn nfa_exec_stats(
-    states: usize,
-    words: usize,
-    word_len: usize,
-    threads: usize,
-) -> (usize, seqdl_engine::EvalStats) {
-    let w = witnesses::nfa_acceptance();
-    let input = Workloads::new(23).nfa_instance(states, 2, words, word_len);
-    let (out, stats) = bench_executor(threads)
-        .run_with_stats(&w.program, &input)
-        .expect("terminates");
-    (out.unary_paths_iter(w.output).count(), stats)
 }
 
 // ---------------------------------------------------------------------------

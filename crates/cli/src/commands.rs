@@ -5,7 +5,7 @@ use seqdl_algebra::datalog_to_algebra;
 use seqdl_analysis::{check_json, check_program, render_text, CheckOptions, Severity};
 use seqdl_core::{Instance, Path, RelName, Relation, Renderer};
 use seqdl_engine::EvalLimits;
-use seqdl_exec::Executor;
+use seqdl_exec::{Executor, MAX_THREADS};
 use seqdl_fragments::{rewrite_into, Feature, Fragment, HasseDiagram};
 use seqdl_io::{load_instance, load_program};
 use seqdl_regex::{compile_contains, compile_match, parse_regex, CompileOptions};
@@ -220,11 +220,6 @@ fn parse_bytes(value: &str) -> Result<usize, CliError> {
             ))
         })
 }
-
-/// The largest `--threads` value accepted.  It is checked before any thread
-/// starts, so a mistyped count is an error message rather than a failed
-/// spawn deep inside the worker pool.
-const MAX_THREADS: usize = 256;
 
 /// The executor configured by the flags: limits and the Ctrl-C token plus
 /// `--threads N` (1 = in place, 0 = all available cores, at most
@@ -723,6 +718,11 @@ fn cmd_query(flags: &Flags) -> Result<String, CliError> {
     let instance = load_instance_flag(flags)?;
     let goal = parse_goal(flags.require("goal")?).map_err(command_error)?;
     let executor = executor_from_flags(flags)?;
+    let format = stats_format(flags)?;
+    // Checked against the whole program, so whichever goal is asked (an EDB
+    // goal, or one whose magic rewrite drops the offending rules) rejects
+    // the same inputs as `run`.
+    check_idb_schema(&program, &instance).map_err(|e| eval_error_report(&executor, &e, format))?;
 
     let mut report = String::new();
     // The tuples of `relation` the goal matches, printed sorted under the
@@ -774,7 +774,6 @@ fn cmd_query(flags: &Flags) -> Result<String, CliError> {
         &program,
         &check_options([goal.relation], Some(&instance)),
     ));
-    let format = stats_format(flags)?;
     check_idb_schema(&mp.program, &instance)
         .map_err(|e| eval_error_report(&executor, &e, format))?;
     // Prune magic rules that cannot reach the answer relation before

@@ -171,12 +171,13 @@ fn write(instance: &RwLock<Instance>) -> RwLockWriteGuard<'_, Instance> {
 }
 
 /// Analyse, prepare, and lower a run once: the working instance (input plus
-/// declared IDB relations plus demand `seeds`) with every planner-selected
-/// index registered, and the lowered program whose plans chose them.
+/// declared IDB relations plus demand `seeds`), with the IDB column indexes
+/// no plan can probe switched off, and the lowered program.
 ///
 /// # Errors
-/// Ill-formed programs, IDB relations in the input, seed arity mismatches,
-/// and unplannable rules.
+/// Ill-formed programs, IDB relations in the input, input relations at
+/// another arity than the program's, seed arity mismatches, and unplannable
+/// rules.
 pub fn prepare_run(
     program: &Program,
     input: &Instance,

@@ -38,8 +38,9 @@ pub enum EvalError {
         /// What failed.
         detail: String,
     },
-    /// The data model rejected a derived fact (e.g. an arity mismatch between a rule
-    /// head and the relation it populates).
+    /// The data model rejected a fact or relation: an arity mismatch between a
+    /// rule head, a demand seed, or an input relation and the arity the
+    /// program gives that relation.
     Data(CoreError),
     /// A resource limit was exceeded; the program most likely does not terminate on
     /// this instance (cf. Example 2.3 of the paper).
@@ -114,7 +115,7 @@ impl fmt::Display for EvalError {
             EvalError::Internal { detail } => {
                 write!(f, "internal evaluation error: {detail}")
             }
-            EvalError::Data(e) => write!(f, "derived fact rejected: {e}"),
+            EvalError::Data(e) => write!(f, "fact rejected: {e}"),
             EvalError::LimitExceeded { what, limit } => {
                 write!(f, "evaluation exceeded the limit of {limit} {what}")
             }

@@ -5,7 +5,7 @@
 
 use crate::error::{EvalError, LimitKind};
 use crate::plan::{BodyPlan, ColumnProbe, PlannedLiteral, PlannedPredicate, PrefixSource};
-use seqdl_core::{CancelToken, Fact, Instance, RelName, Relation, TrieEntry, Value};
+use seqdl_core::{CancelToken, CoreError, Fact, Instance, RelName, Relation, TrieEntry, Value};
 use seqdl_syntax::{Binding, ProgramInfo, Valuation};
 use std::collections::{BTreeMap, BTreeSet};
 use std::time::{Duration, Instant};
@@ -344,12 +344,17 @@ pub fn seed_instance(instance: &mut Instance, seeds: &[Fact]) -> Result<(), Eval
 }
 
 /// Reject an input that populates an IDB relation of a program, or declares
-/// one at another arity.  The paper requires IDB relation names to lie
-/// outside the input schema Γ; a collision would otherwise surface as a
-/// confusing arity error later.  `arities` must cover every name in `idb`.
+/// any relation the program uses at another arity.  The paper requires IDB
+/// relation names to lie outside the input schema Γ, and every relation to
+/// have one arity; a mismatched input relation would otherwise read as
+/// absent, so a negation over it would silently hold.  `arities` must cover
+/// every name in `idb`.
 ///
 /// # Errors
-/// [`EvalError::IdbRelationInInput`] naming the first colliding relation.
+/// [`EvalError::IdbRelationInInput`] naming the first colliding IDB
+/// relation, else [`EvalError::Data`] with [`CoreError::ArityMismatch`]
+/// (`expected` is the program's arity, `found` the input's) for the first
+/// mismatched relation.
 pub fn check_idb_input(
     idb: &BTreeSet<RelName>,
     arities: &BTreeMap<RelName, usize>,
@@ -361,6 +366,17 @@ pub fn check_idb_input(
                 return Err(EvalError::IdbRelationInInput {
                     relation: rel.name().to_string(),
                 });
+            }
+        }
+    }
+    for (&relation, &expected) in arities {
+        if let Some(existing) = input.relation(relation) {
+            if existing.arity() != expected {
+                return Err(EvalError::Data(CoreError::ArityMismatch {
+                    relation,
+                    expected,
+                    found: existing.arity(),
+                }));
             }
         }
     }

@@ -3,8 +3,8 @@
 //! [`stats_json`] serializes an [`EvalStats`] (totals, per-stratum breakdown,
 //! per-rule profile), a [`seqdl_core::StoreStats`] snapshot, and the run's
 //! outcome as one JSON document — the stable contract behind
-//! `seqdl run|query --stats-format json` and the bench harness's JSON mode,
-//! so tooling consumes structured numbers instead of scraping `--stats` text.
+//! `seqdl run|query --stats-format json`, so tooling consumes structured
+//! numbers instead of scraping `--stats` text.
 //!
 //! The document is hand-rolled (no serde in this workspace); the schema is
 //! versioned through the top-level `"version"` field and validated by

@@ -240,6 +240,11 @@ fn run_in_place(
         .collect()
 }
 
+/// The largest thread count the front ends accept.  They check it before
+/// any thread starts, so a mistyped count is an error message rather than a
+/// failed spawn deep inside the worker pool.
+pub const MAX_THREADS: usize = 256;
+
 /// The evaluator: resource limits, an optional cancel token, a thread count,
 /// and a shard size in front of the one fixpoint driver.  `threads == 1`
 /// evaluates in place with no pool at all; `threads == 0` uses the machine's
@@ -523,7 +528,7 @@ pub fn run_boolean_query(
 #[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
-    use seqdl_core::{path_of, rel, repeat_path};
+    use seqdl_core::{path_of, rel, repeat_path, CoreError};
     use seqdl_syntax::parse_program;
 
     fn graph_instance(edges: &[(&str, &str)]) -> Instance {
@@ -689,6 +694,44 @@ mod tests {
             Executor::new().run(&program, &input),
             Err(EvalError::IdbRelationInInput { .. })
         ));
+    }
+
+    #[test]
+    fn input_relations_at_another_arity_are_rejected() {
+        // R is read at arity 1 but the input declares it at arity 2: read as
+        // absent, `!R(@x)` would hold and `U` would come out empty.
+        let program = parse_program("S(@x) <- T(@x), !R(@x).\nU(@x) <- R(@x).").unwrap();
+        let mut input = Instance::unary(rel("T"), [path_of(&["a"])]);
+        input
+            .insert_fact(Fact::new(rel("R"), vec![path_of(&["a"]), path_of(&["b"])]))
+            .unwrap();
+        let seeds = [Fact::new(rel("S"), vec![path_of(&["b"])])];
+        for threads in [1usize, 4] {
+            let exec = Executor::new().with_threads(threads);
+            for result in [
+                exec.run(&program, &input),
+                exec.run_seeded(&program, &input, &seeds),
+            ] {
+                match result {
+                    Err(EvalError::Data(CoreError::ArityMismatch {
+                        relation,
+                        expected: 1,
+                        found: 2,
+                    })) => assert_eq!(relation, rel("R")),
+                    other => {
+                        panic!("threads = {threads}: expected an arity mismatch, got {other:?}")
+                    }
+                }
+            }
+        }
+        // The same relation at the program's arity evaluates.
+        let mut input = Instance::unary(rel("T"), [path_of(&["a"])]);
+        input
+            .insert_fact(Fact::new(rel("R"), vec![path_of(&["b"])]))
+            .unwrap();
+        let out = Executor::new().run(&program, &input).unwrap();
+        assert_eq!(out.unary_paths(rel("S")).len(), 1);
+        assert_eq!(out.unary_paths(rel("U")).len(), 1);
     }
 
     #[test]
