@@ -524,7 +524,8 @@ fn check_options(
 
 /// `seqdl check`: run the full lint pipeline and report diagnostics.  Exits
 /// nonzero on errors, on `--deny warnings` with unexpected warnings present,
-/// and on `% expect:` codes that did not fire.
+/// on `% expect:` codes that did not fire, and on an `--instance` that `run`
+/// would reject (facts for an IDB relation, or a relation at another arity).
 fn cmd_check(flags: &Flags) -> Result<String, CliError> {
     let path = flags.require("program")?.to_string();
     let program = load_program(&path).map_err(command_error)?;
@@ -563,6 +564,10 @@ fn cmd_check(flags: &Flags) -> Result<String, CliError> {
     let mut failures: Vec<String> = Vec::new();
     if report.has_errors() {
         failures.push(format!("{} error(s)", report.count(Severity::Error)));
+    }
+    // The instance is rejected as `run` and `query` would reject it.
+    if let Some(Err(error)) = instance.as_ref().map(|i| check_idb_schema(&program, i)) {
+        failures.push(error.to_string());
     }
     for code in &expected {
         if !fired.contains(code.as_str()) {

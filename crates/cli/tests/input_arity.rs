@@ -1,6 +1,7 @@
 //! An instance that declares a relation at another arity than the program
 //! reads it is rejected by `seqdl run` and `seqdl query`, whichever output or
-//! goal is asked for: read as absent, `!R(@x)` would silently hold.
+//! goal is asked for: read as absent, `!R(@x)` would silently hold.  `seqdl
+//! check --instance` rejects it with the same message.
 
 use std::process::Command;
 
@@ -45,6 +46,39 @@ fn run_and_query_reject_an_input_relation_at_another_arity() {
                 "{tail:?}: stdout {:?}",
                 output.stdout
             );
+            assert!(
+                stderr.contains("arity mismatch for relation R: expected 1, found 2"),
+                "{tail:?}: {stderr}"
+            );
+        }
+    }
+}
+
+#[test]
+fn check_rejects_an_input_relation_at_another_arity() {
+    let program = temp_file("check-p.sdl", PROGRAM);
+    let instance = temp_file("check-db.sdi", INSTANCE);
+    let check = |tail: &[&str]| {
+        Command::new(env!("CARGO_BIN_EXE_seqdl"))
+            .args(["check", "--program", &program])
+            .args(tail)
+            .output()
+            .expect("spawn seqdl")
+    };
+    for output in ["S", "U", "V"] {
+        assert!(check(&["--output", output]).status.success(), "{output}");
+        for format in ["text", "json"] {
+            let tail = [
+                "--output",
+                output,
+                "--instance",
+                &instance,
+                "--format",
+                format,
+            ];
+            let result = check(&tail);
+            let stderr = String::from_utf8_lossy(&result.stderr);
+            assert!(!result.status.success(), "{tail:?}: exit 0");
             assert!(
                 stderr.contains("arity mismatch for relation R: expected 1, found 2"),
                 "{tail:?}: {stderr}"

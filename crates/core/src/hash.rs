@@ -17,9 +17,12 @@
 //! low 26 bits and put all such keys in one home bucket.  The `hash_spread`
 //! test of this crate checks the invariant.
 //!
-//! Strings are poor keys for this hasher: `str` hashing ends with a constant
-//! `0xff` word, so the low bits depend on little more than the first byte of
-//! the last eight-byte chunk.  Key maps by interned ids instead.
+//! Strings are poor keys for this hasher alone: `str` hashing ends with a
+//! constant `0xff` word, so the low bits depend on little more than the first
+//! byte of the last eight-byte chunk (`n0`…`n11999` cover 64 low-14-bit
+//! patterns).  Key maps by interned ids where possible.  The interner's
+//! name map is keyed by strings: it uses `FxStrHasher`, which finishes with a
+//! xor-shift-multiply step that folds the high bits into the low ones.
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hash, Hasher};
@@ -70,6 +73,24 @@ impl Hasher for FxHasher {
 
     fn write_usize(&mut self, v: usize) {
         self.mix(v as u64);
+    }
+}
+
+/// [`FxHasher`] over a string's bytes, finished with a 64-bit xor-shift-multiply
+/// step so that the low bits of the hash depend on every byte.
+#[derive(Clone, Default)]
+pub(crate) struct FxStrHasher(FxHasher);
+
+impl Hasher for FxStrHasher {
+    fn finish(&self) -> u64 {
+        let mut h = self.0.finish();
+        h ^= h >> 33;
+        h = h.wrapping_mul(0xff51_afd7_ed55_8ccd);
+        h ^ (h >> 33)
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        self.0.write(bytes);
     }
 }
 

@@ -10,10 +10,17 @@
 //! The interner is global (guarded by a `parking_lot::RwLock`) because values flow
 //! freely between programs, instances, and engines in this workspace; threading an
 //! interner handle through every API would add noise without adding safety.
+//!
+//! Each name is stored once, as a leaked `&'static str` that serves both as
+//! the index's entry and as the key of the name → index map, and lives for
+//! the rest of the process like the symbol itself.  The map hashes names with
+//! the crate's finalised string hasher (see [`crate::hash`]).
 
+use crate::hash::FxStrHasher;
 use parking_lot::RwLock;
 use std::collections::HashMap;
 use std::fmt;
+use std::hash::BuildHasherDefault;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 
@@ -26,9 +33,13 @@ use std::sync::OnceLock;
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Symbol(u32);
 
+type NameMap = HashMap<&'static str, u32, BuildHasherDefault<FxStrHasher>>;
+
 struct InternerInner {
-    names: Vec<String>,
-    by_name: HashMap<String, u32>,
+    /// Index → name.
+    names: Vec<&'static str>,
+    /// Name → index; its keys are the same leaked strings as `names`.
+    by_name: NameMap,
 }
 
 fn interner() -> &'static RwLock<InternerInner> {
@@ -36,7 +47,7 @@ fn interner() -> &'static RwLock<InternerInner> {
     INTERNER.get_or_init(|| {
         RwLock::new(InternerInner {
             names: Vec::new(),
-            by_name: HashMap::new(),
+            by_name: NameMap::default(),
         })
     })
 }
@@ -55,20 +66,25 @@ impl Symbol {
             return Symbol(ix);
         }
         let ix = u32::try_from(guard.names.len()).expect("interner overflow");
-        guard.names.push(name.to_owned());
-        guard.by_name.insert(name.to_owned(), ix);
+        let name: &'static str = Box::leak(name.into());
+        guard.names.push(name);
+        guard.by_name.insert(name, ix);
         Symbol(ix)
+    }
+
+    /// The interned string itself.
+    fn text(self) -> &'static str {
+        interner().read().names[self.0 as usize]
     }
 
     /// The string this symbol was interned from.
     pub fn name(self) -> String {
-        interner().read().names[self.0 as usize].clone()
+        self.text().to_owned()
     }
 
     /// Run `f` on the interned string without cloning it.
     pub fn with_name<R>(self, f: impl FnOnce(&str) -> R) -> R {
-        let guard = interner().read();
-        f(&guard.names[self.0 as usize])
+        f(self.text())
     }
 
     /// The raw index of this symbol (useful for dense tables).
@@ -91,7 +107,7 @@ impl Symbol {
         loop {
             let n = COUNTER.fetch_add(1, Ordering::Relaxed);
             let candidate = format!("{prefix}{n}");
-            let already = interner().read().by_name.contains_key(&candidate);
+            let already = interner().read().by_name.contains_key(candidate.as_str());
             if !already {
                 return Symbol::intern(&candidate);
             }
@@ -184,6 +200,7 @@ symbol_newtype!(
 mod tests {
     use super::*;
     use std::collections::HashSet;
+    use std::hash::BuildHasher;
 
     #[test]
     fn interning_is_idempotent_and_injective() {
@@ -235,6 +252,17 @@ mod tests {
         // Interned later => larger index.
         assert!(a.index() < b.index());
         assert!(a < b);
+    }
+
+    #[test]
+    fn name_hashes_spread_over_the_low_bits() {
+        // The std `HashMap` picks a home bucket from a hash's low bits; plain
+        // Fx puts these 12,000 names in 64 low-14-bit patterns.
+        let build = BuildHasherDefault::<FxStrHasher>::default();
+        let buckets: HashSet<u64> = (0..12_000)
+            .map(|i| build.hash_one(format!("n{i}").as_str()) & 0x3fff)
+            .collect();
+        assert!(buckets.len() >= 7_500, "{} buckets", buckets.len());
     }
 
     #[test]

@@ -58,8 +58,9 @@ struct AtomCache {
     text: String,
 }
 
-impl AtomText for AtomCache {
-    fn write_atom<W: Write>(&mut self, out: &mut W, atom: AtomId) -> fmt::Result {
+impl AtomCache {
+    /// The printed text of `atom`, cached on first use.
+    fn text(&mut self, atom: AtomId) -> &str {
         let ix = atom.symbol().index() as usize;
         if ix >= self.spans.len() {
             self.spans.resize(ix + 1, (0, 0));
@@ -68,11 +69,32 @@ impl AtomText for AtomCache {
             let offset = |text: &String| u32::try_from(text.len()).expect("atom texts under 4 GiB");
             let start = offset(&self.text);
             atom.symbol()
-                .with_name(|name| write_atom_name(&mut self.text, name))?;
+                .with_name(|name| write_atom_name(&mut self.text, name))
+                .expect("writing to a String cannot fail");
             self.spans[ix] = (start, offset(&self.text));
         }
         let (start, end) = self.spans[ix];
-        out.write_str(&self.text[start as usize..end as usize])
+        &self.text[start as usize..end as usize]
+    }
+
+    /// The length in bytes of the text `write_path` prints for `values`.
+    fn path_len(&mut self, values: &[Value]) -> usize {
+        if values.is_empty() {
+            return "eps".len();
+        }
+        let separators = "·".len() * (values.len() - 1);
+        values.iter().fold(separators, |len, value| {
+            len + match *value {
+                Value::Atom(a) => self.text(a).len(),
+                Value::Packed(p) => "<>".len() + self.path_len(p.values()),
+            }
+        })
+    }
+}
+
+impl AtomText for AtomCache {
+    fn write_atom<W: Write>(&mut self, out: &mut W, atom: AtomId) -> fmt::Result {
+        out.write_str(self.text(atom))
     }
 }
 
@@ -190,6 +212,16 @@ impl Renderer {
             "rows of one relation share an arity"
         );
         let name = relation.name();
+        // Reserve the exact size of the rows, so that a large report is not
+        // built by doubling.
+        let mut row_len = "  ".len() + name.len() + "\n".len();
+        if arity > 0 {
+            row_len += "()".len() + ", ".len() * (arity - 1);
+        }
+        let paths_len: usize = columns.iter().map(|c| self.atoms.path_len(c)).sum();
+        let rows_len = count * row_len + paths_len;
+        out.reserve(rows_len);
+        let end = out.len() + rows_len;
         let mut write_row = |row: &[&'static [Value]]| {
             out.push_str("  ");
             self.write_fact(out, &name, row.iter().copied());
@@ -211,6 +243,7 @@ impl Renderer {
                 sorted.into_iter().for_each(write_row);
             }
         }
+        debug_assert_eq!(out.len(), end, "the reserved size is exact");
     }
 }
 
@@ -247,6 +280,25 @@ mod tests {
         }
         assert_eq!(cached, format!("{path}{path}"));
         assert_eq!(path.to_string(), "'eps'·<a·'it\\'s'>");
+    }
+
+    #[test]
+    fn path_lengths_match_the_printed_text() {
+        let inner = path_of(&["a", "it's", "ε"]);
+        let paths = [
+            Path::empty(),
+            path_of(&["render_len"]),
+            Path::from_values([Value::packed(Path::empty())]),
+            Path::from_values([Value::atom("eps"), Value::packed(inner), Value::atom("b")]),
+        ];
+        let mut cache = AtomCache::default();
+        for path in paths {
+            assert_eq!(
+                cache.path_len(path.values()),
+                path.to_string().len(),
+                "{path}"
+            );
+        }
     }
 
     #[test]

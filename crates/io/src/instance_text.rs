@@ -1,7 +1,7 @@
 //! The textual instance format: ground facts, one per line.
 
 use seqdl_core::{Fact, Instance, RelName, Renderer};
-use seqdl_syntax::parse_rule;
+use seqdl_syntax::{parse_rule, FactReader};
 use std::fmt::{self, Write as _};
 use std::ops::Range;
 
@@ -63,11 +63,17 @@ pub fn write_instance(instance: &Instance) -> String {
 /// lines are ignored.  `@relation R/2.` declares a relation.  Every other line must
 /// be a single ground fact terminated by `.`.
 ///
+/// Each fact line is read by a [`FactReader`], which interns its paths with
+/// no tokens or syntax tree.  A line the reader declines goes through the
+/// rule parser instead, which accepts the rare spellings the reader leaves
+/// out (such as `R(a) <- .`) and words every error.
+///
 /// # Errors
 /// Reports the first offending line: syntax errors, non-ground facts, facts with a
 /// body, or arity clashes.
 pub fn parse_instance(text: &str) -> Result<Instance, InstanceParseError> {
     let mut instance = Instance::new();
+    let mut reader = FactReader::new();
     for (index, raw_line) in text.lines().enumerate() {
         let line_number = index + 1;
         let line = raw_line.trim();
@@ -83,10 +89,13 @@ pub fn parse_instance(text: &str) -> Result<Instance, InstanceParseError> {
             instance.declare_relation(RelName::new(&name), arity);
             continue;
         }
-        let fact = parse_fact_line(line).map_err(|message| InstanceParseError {
-            line: line_number,
-            message,
-        })?;
+        let fact = match reader.read(line) {
+            Some(fact) => fact,
+            None => parse_fact_line(line).map_err(|message| InstanceParseError {
+                line: line_number,
+                message,
+            })?,
+        };
         instance.insert_fact(fact).map_err(|e| InstanceParseError {
             line: line_number,
             message: e.to_string(),

@@ -45,7 +45,7 @@ pub use analysis::{
 };
 pub use ast::{Atom, Equation, Literal, Predicate, Program, Rule, Stratum};
 pub use error::SyntaxError;
-pub use parser::{parse_expr, parse_program, parse_rule};
+pub use parser::{parse_expr, parse_program, parse_rule, FactReader};
 pub use term::{PathExpr, Term, Var, VarKind};
 pub use valuation::{Binding, Valuation};
 

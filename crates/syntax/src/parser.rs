@@ -6,14 +6,16 @@
 //! implementations of the AST (see the `parse_print_roundtrip` tests).
 //!
 //! The lexer walks the input by byte offset and its tokens borrow names from the
-//! input, so lexing allocates only the token vector.  Instance files are parsed
-//! one fact line at a time through [`parse_rule`], which makes this the loader's
-//! per-fact cost.
+//! input, so lexing allocates only the token vector.  Instance files take a
+//! shorter route: a [`FactReader`] scans each ground fact line straight into
+//! interned paths, with no tokens or syntax tree, and only a line it does not
+//! accept goes through [`parse_rule`] (which then reports the error, or reads
+//! a rare spelling such as `R(a) <- .`).
 
 use crate::ast::{Atom, Equation, Literal, Predicate, Program, Rule, Stratum};
 use crate::error::SyntaxError;
 use crate::term::{PathExpr, Term, Var};
-use seqdl_core::{AtomId, RelName};
+use seqdl_core::{AtomId, Fact, Path, RelName, Value};
 use std::borrow::Cow;
 
 /// Parse a complete program (one or more strata separated by `---` lines).
@@ -74,6 +76,12 @@ fn is_ident_char(c: char) -> bool {
     c.is_ascii_alphanumeric() || c == '_'
 }
 
+/// Can `c` start a term?  A `.` immediately followed by such a character is
+/// concatenation; any other `.` ends a rule.
+fn starts_term(c: char) -> bool {
+    is_ident_char(c) || matches!(c, '@' | '$' | '<' | '\'' | '⟨')
+}
+
 /// The byte length of the identifier at the start of `text` (identifier
 /// characters are ASCII, so bytes and characters coincide).
 fn ident_len(text: &str) -> usize {
@@ -115,6 +123,9 @@ fn quoted_atom(text: &str) -> Option<(Cow<'_, str>, usize)> {
     None
 }
 
+/// The characters the lexer skips between tokens.
+const SPACE: [char; 4] = [' ', '\t', '\r', '\n'];
+
 /// Split `input` into tokens, walking it by byte offset.
 fn lex(input: &str) -> Result<Vec<Spanned<'_>>, SyntaxError> {
     // Sized for about one token per two bytes, so a fact line never regrows.
@@ -125,7 +136,7 @@ fn lex(input: &str) -> Result<Vec<Spanned<'_>>, SyntaxError> {
         let width = c.len_utf8();
         let rest = &input[i + width..];
         let (tok, len) = match c {
-            ' ' | '\t' | '\r' | '\n' => {
+            c if SPACE.contains(&c) => {
                 i += 1;
                 continue;
             }
@@ -153,9 +164,7 @@ fn lex(input: &str) -> Result<Vec<Spanned<'_>>, SyntaxError> {
             '.' => {
                 // A dot immediately followed by something that can start a term is
                 // concatenation; otherwise it ends a rule.
-                let is_concat = rest.chars().next().is_some_and(|n| {
-                    is_ident_char(n) || n == '@' || n == '$' || n == '<' || n == '\'' || n == '⟨'
-                });
+                let is_concat = rest.chars().next().is_some_and(starts_term);
                 (if is_concat { Tok::Concat } else { Tok::RuleEnd }, width)
             }
             '=' => (Tok::Eq, width),
@@ -207,6 +216,115 @@ fn lex(input: &str) -> Result<Vec<Spanned<'_>>, SyntaxError> {
         i += len;
     }
     Ok(out)
+}
+
+/// Reads ground fact lines, such as `R(a·<b·'it\'s'>, eps).`, straight into
+/// interned paths: no token vector and no syntax tree.  The grammar is the
+/// ground part of the rule grammar: bare and quoted atoms, `eps`/`ε`,
+/// `<…>`/`⟨…⟩` packing, `·`/`*`/`.` concatenation, spaces between tokens, a
+/// trailing `%`/`#`/`//` comment, and the nullary `R.` and `R().`.
+///
+/// [`FactReader::read`] accepts a line only where [`parse_rule`] reads it as
+/// a bodiless ground rule, and then returns the same fact.  It declines
+/// everything else, well-formed or not (`R(a) <- .`, `R(a ∧ b).`, `R($x).`),
+/// so that the caller can hand the line to the rule parser for its reading or
+/// its error.  A declined line may already have interned a prefix of its
+/// atoms and paths.
+#[derive(Debug, Default)]
+pub struct FactReader {
+    /// The values of the paths being read, the innermost packed one last;
+    /// reused from line to line.
+    values: Vec<Value>,
+}
+
+impl FactReader {
+    /// A reader with an empty value buffer.
+    pub fn new() -> FactReader {
+        FactReader::default()
+    }
+
+    /// Read `line` as one ground fact, or `None` if the line is not one in
+    /// the grammar above.
+    pub fn read(&mut self, line: &str) -> Option<Fact> {
+        self.values.clear();
+        let mut cur = line.trim_start_matches(SPACE);
+        let name = &cur[..ident_len(cur)];
+        if name.is_empty() || name == "eps" {
+            return None;
+        }
+        let relation = RelName::new(name);
+        cur = cur[name.len()..].trim_start_matches(SPACE);
+        let mut tuple = Vec::new();
+        if let Some(rest) = cur.strip_prefix('(') {
+            cur = rest.trim_start_matches(SPACE);
+            if !cur.starts_with(')') {
+                loop {
+                    tuple.push(self.expr(&mut cur)?);
+                    let Some(rest) = cur.strip_prefix(',') else {
+                        break;
+                    };
+                    cur = rest.trim_start_matches(SPACE);
+                }
+            }
+            cur = cur.strip_prefix(')')?;
+        }
+        let rest = cur
+            .trim_start_matches(SPACE)
+            .strip_prefix('.')?
+            .trim_start_matches(SPACE);
+        let ends = rest.is_empty() || rest.starts_with(['%', '#']) || rest.starts_with("//");
+        ends.then(|| Fact::new(relation, tuple))
+    }
+
+    /// Read a nonempty `·`-separated run of items at the start of `cur` and
+    /// intern it; `cur` is left after the spaces that follow it.
+    fn expr(&mut self, cur: &mut &str) -> Option<Path> {
+        let start = self.values.len();
+        loop {
+            self.item(cur)?;
+            *cur = cur.trim_start_matches(SPACE);
+            let concat = cur
+                .strip_prefix(['·', '*'])
+                .or_else(|| cur.strip_prefix('.').filter(|r| r.starts_with(starts_term)));
+            match concat {
+                Some(rest) => *cur = rest.trim_start_matches(SPACE),
+                None => break,
+            }
+        }
+        let path = Path::from_slice(&self.values[start..]);
+        self.values.truncate(start);
+        Some(path)
+    }
+
+    /// Read one item at the start of `cur` — an atom, `eps`, or a packed
+    /// path — pushing its value, if any, onto `values`.
+    fn item(&mut self, cur: &mut &str) -> Option<()> {
+        let len = ident_len(cur);
+        if len > 0 {
+            let name = &cur[..len];
+            if name != "eps" {
+                self.values.push(Value::Atom(AtomId::new(name)));
+            }
+            *cur = &cur[len..];
+        } else if let Some(rest) = cur.strip_prefix('\'') {
+            let (name, consumed) = quoted_atom(rest)?;
+            self.values.push(Value::Atom(AtomId::new(&name)));
+            *cur = &rest[consumed..];
+        } else if let Some(rest) = cur.strip_prefix('ε') {
+            *cur = rest;
+        } else {
+            let rest = cur.strip_prefix(['<', '⟨'])?;
+            *cur = rest.trim_start_matches(SPACE);
+            let inner = if cur.starts_with(['>', '⟩']) {
+                Path::empty()
+            } else {
+                self.expr(cur)?
+            };
+            *cur = cur.strip_prefix(['>', '⟩'])?;
+            self.values.push(Value::Packed(inner));
+        }
+        Some(())
+    }
 }
 
 struct Parser<'a> {

@@ -5,12 +5,15 @@
 //! The inputs are the example programs, an instance and a few goals, each
 //! mutated by inserting, deleting, replacing and duplicating the characters
 //! the grammars give meaning to, plus random byte strings decoded as lossy
-//! UTF-8.  Every input goes through all three parsers.
+//! UTF-8.  Every input goes through all three parsers.  Mutated fact lines of
+//! `seqdl-wgen` instances also go through `parse_instance` one line at a
+//! time, so that every line reaches its ground-fact reader.
 
 use proptest::prelude::*;
 use sequence_datalog::io::parse_instance;
 use sequence_datalog::prelude::*;
 use sequence_datalog::rewrite::parse_goal;
+use sequence_datalog::wgen::Workloads;
 
 const PROGRAMS: &[&str] = &[
     include_str!("../examples/programs/lints_showcase.sdl"),
@@ -37,12 +40,17 @@ const GOALS: &[&str] = &["Reach(a·b·$x)?", "T(@x·<$y·a>, eps).", "S?", "Q('a
 /// huge, and a few multi-character tokens.
 const TOKENS: &[&str] = &[
     "·",
+    "*",
+    "ε",
     "<",
     ">",
+    "⟨",
+    "⟩",
     "$",
     "@",
     "'",
     "\\",
+    "\\'",
     "\0",
     "\u{10FFFF}",
     "(",
@@ -122,6 +130,20 @@ proptest! {
         edits in prop::collection::vec(any::<u64>(), 1..8),
     ) {
         parse_all(&mutated(GOALS[goal], &edits));
+    }
+
+    #[test]
+    fn mutated_wgen_facts_never_panic_the_instance_parser(
+        seed in 0u64..64,
+        edits in prop::collection::vec(any::<u64>(), 1..24),
+    ) {
+        let w = Workloads::new(seed);
+        let text = write_instance(&w.digraph_instance(8, 12)) + &write_instance(&w.event_log(4, 6));
+        let text = mutated(&text, &edits);
+        parse_all(&text);
+        for line in text.lines() {
+            let _ = parse_instance(line);
+        }
     }
 
     #[test]
