@@ -23,7 +23,7 @@ pub fn eval(expr: &AlgebraExpr, instance: &Instance) -> Result<BTreeSet<Tuple>, 
                         found: rel.arity(),
                     });
                 }
-                Ok(rel.iter().cloned().collect())
+                Ok(rel.iter().map(<[Path]>::to_vec).collect())
             }
         },
         AlgebraExpr::Constant { tuples, .. } => Ok(tuples.iter().cloned().collect()),

@@ -445,7 +445,7 @@ mod tests {
                 .run(&program, &instance)
                 .unwrap()
                 .relation(rel(target))
-                .map(|r| r.iter().cloned().collect())
+                .map(|r| r.iter().map(<[Path]>::to_vec).collect())
                 .unwrap_or_default();
             let algebra = eval(&expr, &instance).unwrap();
             assert_eq!(datalog, algebra, "mismatch for `{src}` on {instance}");
@@ -510,7 +510,7 @@ mod tests {
                 .run(&program, &inst)
                 .unwrap()
                 .relation(rel("Out"))
-                .map(|r| r.iter().cloned().collect())
+                .map(|r| r.iter().map(<[Path]>::to_vec).collect())
                 .unwrap_or_default();
             assert_eq!(expected, got, "mismatch for {expr}");
         }

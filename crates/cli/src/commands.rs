@@ -670,11 +670,7 @@ fn cmd_run(flags: &Flags) -> Result<String, CliError> {
         }
         Some(relation) => {
             writeln!(report, "{output}: {} fact(s)", relation.len()).expect("write to string");
-            Renderer::new().write_sorted_rows(
-                &mut report,
-                output,
-                relation.iter().map(Vec::as_slice),
-            );
+            Renderer::new().write_sorted_rows(&mut report, output, relation.iter());
         }
     }
     match format {
@@ -736,8 +732,7 @@ fn cmd_query(flags: &Flags) -> Result<String, CliError> {
         let answers: Vec<&[Path]> = relation
             .into_iter()
             .flat_map(Relation::iter)
-            .filter(|t| goal_matches(&goal, t))
-            .map(Vec::as_slice)
+            .filter(|row| goal_matches(&goal, row))
             .collect();
         writeln!(report, "{}: {} answer(s)", goal, answers.len()).expect("write to string");
         Renderer::new().write_sorted_rows(report, goal.relation, answers);
@@ -1840,7 +1835,7 @@ mod tests {
 
     #[test]
     fn analyze_show_ram_tags_only_prefixed_unary_probes_bucket() {
-        // Bucket-side matching walks a trie bucket, so it needs a resolved
+        // Bucket-side matching walks a first-value bucket, so it needs a resolved
         // prefix value and one trailing variable to bind: `S(@x)` and the
         // delta `M(@x)` have no prefix, and the delta `M(@y)` is fully bound.
         // All three are det; only `E(@x·@y)` with `@x` bound is bucket-side.

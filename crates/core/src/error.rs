@@ -3,7 +3,8 @@
 use crate::interner::RelName;
 use std::fmt;
 
-/// Errors raised by the core data model (arity mismatches and schema violations).
+/// Errors raised by the core data model (arity mismatches, schema violations and
+/// full relations).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CoreError {
     /// A fact was inserted with a number of components different from the relation's
@@ -21,6 +22,14 @@ pub enum CoreError {
         /// The undeclared relation.
         relation: RelName,
     },
+    /// A row was inserted into a relation that already holds as many rows as
+    /// its `u32` row ids can number.
+    TooManyTuples {
+        /// The full relation.
+        relation: RelName,
+        /// The most rows a relation holds.
+        limit: usize,
+    },
 }
 
 impl fmt::Display for CoreError {
@@ -36,6 +45,12 @@ impl fmt::Display for CoreError {
             ),
             CoreError::UnknownRelation { relation } => {
                 write!(f, "relation {relation} is not declared in the schema")
+            }
+            CoreError::TooManyTuples { relation, limit } => {
+                write!(
+                    f,
+                    "relation {relation} is full: it holds at most {limit} tuples"
+                )
             }
         }
     }
@@ -61,5 +76,13 @@ mod tests {
         );
         let e = CoreError::UnknownRelation { relation: rel("Q") };
         assert!(e.to_string().contains("Q"));
+        let e = CoreError::TooManyTuples {
+            relation: rel("R"),
+            limit: 7,
+        };
+        assert_eq!(
+            e.to_string(),
+            "relation R is full: it holds at most 7 tuples"
+        );
     }
 }

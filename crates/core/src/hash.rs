@@ -1,7 +1,7 @@
 //! The workspace's hash function: a fast multiply-xor hasher (FxHash-style).
 //!
-//! Used for every hash map on the hot path — relation dedup maps, prefix-trie
-//! nodes, and the hash-consing table of the [`crate::store`] module.  It is
+//! Used for every hash map on the hot path — relation dedup maps, first-value
+//! column buckets, and the hash-consing table of the [`crate::store`] module.  It is
 //! deterministic across runs (unlike `RandomState`) and much cheaper than
 //! SipHash for the short interned-id sequences that make up paths and tuples:
 //! hashing a tuple is one `write_*` call per length prefix and per interned id.

@@ -3,7 +3,9 @@
 //! An *instance* `I` of a schema `Γ` assigns to each relation name a finite n-ary
 //! relation on paths.  Equivalently (Section 2.3) an instance is a finite set of
 //! *facts* `R(p1, …, pn)`.  Both views are exposed here: [`Instance`] stores
-//! relations keyed by name and iterates as facts.
+//! relations keyed by name and iterates as facts.  Paths are interned, so a
+//! row is `n` four-byte path ids, and a [`Relation`] keeps its rows back to
+//! back in one [`Rows`] arena; [`Fact`] is the owned value of a single fact.
 
 use crate::error::CoreError;
 use crate::hash::{FxHasher, FxMap};
@@ -16,40 +18,111 @@ use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
-/// A tuple of paths — one row of an n-ary relation.  With paths interned,
-/// this is a vector of `u32` ids: four bytes per column.
+/// A tuple of paths — one row of an n-ary relation, owned.  With paths
+/// interned, this is a vector of `u32` ids: four bytes per column.  Stored
+/// relations keep their rows flat in [`Rows`] instead; a `Tuple` is the
+/// owned value of a single [`Fact`].
 pub type Tuple = Vec<Path>;
 
-fn hash_tuple(tuple: &[Path]) -> u64 {
+fn hash_row(row: &[Path]) -> u64 {
     let mut h = FxHasher::default();
-    tuple.hash(&mut h);
-    h.finish()
+    row.hash(&mut h);
+    // This crate's unit tests keep two bits of the hash, so distinct rows
+    // collide and every dedup path walks a chain of older ids.
+    if cfg!(test) {
+        h.finish() & 0b11
+    } else {
+        h.finish()
+    }
 }
 
-const NO_ENTRIES: &[TrieEntry] = &[];
+/// The end of a row-id chain, and so the one id a relation never hands out.
+const NO_ID: u32 = u32::MAX;
 
-/// A dedup bucket: tuple ids sharing one tuple hash.  Hash collisions are
-/// rare, so the single-id case is stored inline — no heap allocation per
-/// distinct fact.
+/// The id the next row of `relation` gets when it already holds `len` rows.
+/// Ids are `u32`s below [`NO_ID`], so a relation holds at most `u32::MAX`
+/// rows.
+fn next_row_id(relation: RelName, len: usize) -> Result<u32, CoreError> {
+    u32::try_from(len)
+        .ok()
+        .filter(|&id| id != NO_ID)
+        .ok_or(CoreError::TooManyTuples {
+            relation,
+            limit: NO_ID as usize,
+        })
+}
+
+const NO_ENTRIES: &[BucketEntry] = &[];
+
+/// Fixed-arity rows of paths, stored back to back in one row-major arena:
+/// row `i` is the `arity` paths starting at `i · arity`, so a stored row
+/// costs its paths and nothing more.  The row count is kept on its own,
+/// because nullary rows take no paths.
+///
+/// A [`Relation`] keeps its rows here, and each evaluation job collects the
+/// rows it derives for its one head relation in a `Rows` of its own.
 #[derive(Clone, Debug)]
-enum IdBucket {
-    One(u32),
-    Many(Vec<u32>),
+pub struct Rows {
+    arity: usize,
+    len: usize,
+    paths: Vec<Path>,
 }
 
-impl IdBucket {
-    fn iter(&self) -> impl Iterator<Item = u32> + '_ {
-        match self {
-            IdBucket::One(id) => std::slice::from_ref(id).iter().copied(),
-            IdBucket::Many(ids) => ids.as_slice().iter().copied(),
+impl Rows {
+    /// No rows, of the given arity.
+    pub const fn new(arity: usize) -> Rows {
+        Rows {
+            arity,
+            len: 0,
+            paths: Vec::new(),
         }
     }
 
-    fn push(&mut self, id: u32) {
-        match self {
-            IdBucket::One(a) => *self = IdBucket::Many(vec![*a, id]),
-            IdBucket::Many(ids) => ids.push(id),
-        }
+    /// The number of paths in each row.
+    pub fn arity(&self) -> usize {
+        self.arity
+    }
+
+    /// The number of rows.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Are there no rows?
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Append a row.
+    ///
+    /// # Panics
+    /// Panics if the row's length is not the arity.
+    pub fn push(&mut self, row: &[Path]) {
+        assert_eq!(row.len(), self.arity, "a row has one path per column");
+        self.paths.extend_from_slice(row);
+        self.len += 1;
+    }
+
+    /// Row `i` (in push order).
+    ///
+    /// # Panics
+    /// Panics if `i` is out of range (for arity ≥ 1).
+    pub fn row(&self, i: usize) -> &[Path] {
+        debug_assert!(i < self.len, "row {i} of {}", self.len);
+        &self.paths[i * self.arity..(i + 1) * self.arity]
+    }
+
+    /// The rows in push order.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = &[Path]> + '_ {
+        self.slice_from(0)
+    }
+
+    /// The rows from index `start` on (none if `start` is past the end).
+    /// With `start` taken from an earlier [`Rows::len`], these are the rows
+    /// pushed since.
+    pub fn slice_from(&self, start: usize) -> impl ExactSizeIterator<Item = &[Path]> + '_ {
+        let arity = self.arity;
+        (start.min(self.len)..self.len).map(move |i| &self.paths[i * arity..(i + 1) * arity])
     }
 }
 
@@ -58,7 +131,7 @@ impl IdBucket {
 /// evaluator to finish matching flat single-column patterns from the bucket
 /// alone, sequentially, without dereferencing the tuple store at all.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct TrieEntry {
+pub struct BucketEntry {
     /// The tuple id (ascending within a bucket).
     pub id: u32,
     /// Total length of the column's path.
@@ -71,14 +144,14 @@ const NEXT_NONE: u8 = 0;
 const NEXT_ATOM: u8 = 1;
 const NEXT_PACKED: u8 = 2;
 
-impl TrieEntry {
-    fn new(id: u32, values: &[Value]) -> TrieEntry {
+impl BucketEntry {
+    fn new(id: u32, values: &[Value]) -> BucketEntry {
         let (next_tag, next_val) = match values.get(1) {
             None => (NEXT_NONE, 0),
             Some(Value::Atom(a)) => (NEXT_ATOM, a.symbol().index()),
             Some(Value::Packed(p)) => (NEXT_PACKED, p.id().index()),
         };
-        TrieEntry {
+        BucketEntry {
             id,
             len: u32::try_from(values.len()).expect("path longer than u32::MAX"),
             next_val,
@@ -100,7 +173,7 @@ impl TrieEntry {
 /// identity.  Columns that are `ε` have no first value and are not indexed.
 #[derive(Clone, Debug, Default)]
 pub struct ColumnIndex {
-    buckets: FxMap<Value, Vec<TrieEntry>>,
+    buckets: FxMap<Value, Vec<BucketEntry>>,
 }
 
 impl ColumnIndex {
@@ -110,15 +183,15 @@ impl ColumnIndex {
             self.buckets
                 .entry(*first)
                 .or_default()
-                .push(TrieEntry::new(id, values));
+                .push(BucketEntry::new(id, values));
         }
     }
 
     /// The candidates (ascending by id) whose column path starts with
-    /// `first`.  Each [`TrieEntry`] carries the path length and the value
+    /// `first`.  Each [`BucketEntry`] carries the path length and the value
     /// after `first`, so flat single-column patterns finish matching on the
     /// bucket alone.
-    pub fn probe(&self, first: &Value) -> &[TrieEntry] {
+    pub fn probe(&self, first: &Value) -> &[BucketEntry] {
         self.buckets.get(first).map_or(NO_ENTRIES, Vec::as_slice)
     }
 }
@@ -216,22 +289,25 @@ impl Schema {
 
 /// A finite n-ary relation on paths.
 ///
-/// Storage is *insertion-ordered*: tuples live in a `Vec` and a tuple's position in
-/// that vector is its stable *id*.  Because ids only grow, a consumer can remember
-/// [`Relation::len`] as a watermark and later read "everything inserted since" as
-/// the borrowed slice [`Relation::slice_from`] — the shape semi-naive Datalog
-/// evaluation needs for delta views without copying tuples.  Deduplication goes
-/// through a hash map of interned-id hashes, and every maintained column keeps
-/// one [`ColumnIndex`] from the first value of its path to the tuples that
-/// start with it ([`Relation::probe_first`]).
+/// Storage is *insertion-ordered*: the rows live back to back in one [`Rows`]
+/// arena, and a row's position there is its stable *id*.  Because ids only
+/// grow, a consumer can remember [`Relation::len`] as a watermark and later
+/// read "everything inserted since" through [`Relation::slice_from`] — the
+/// shape semi-naive Datalog evaluation needs for delta views without copying
+/// rows.  Deduplication is the consing shape of the path store: a row's hash
+/// maps to the newest id with that hash, and older ids with an equal hash
+/// chain through a per-id `next` array.  Every maintained column keeps one
+/// [`ColumnIndex`] from the first value of its path to the rows that start
+/// with it ([`Relation::probe_first`]).
 #[derive(Clone, Debug)]
 pub struct Relation {
-    arity: usize,
-    /// Tuples in insertion order; a tuple's index is its id.
-    tuples: Vec<Tuple>,
-    /// Tuple hash → ids with that hash (dedup without storing tuples twice).
-    dedup: FxMap<u64, IdBucket>,
-    /// One index per column, created by the first insert: a tuple brings one
+    /// The rows in insertion order; a row's index is its id.
+    rows: Rows,
+    /// Row hash → the newest id with that hash.
+    dedup: FxMap<u64, u32>,
+    /// Id → the next older id with the same row hash, or [`NO_ID`].
+    next: Vec<u32>,
+    /// One index per column, created by the first insert: a row brings one
     /// path per column, so the indexes never outgrow the stored data, however
     /// large the declared arity.
     columns: Vec<ColumnIndex>,
@@ -247,9 +323,9 @@ impl Relation {
     /// The empty relation of the given arity.
     pub fn new(arity: usize) -> Relation {
         Relation {
-            arity,
-            tuples: Vec::new(),
+            rows: Rows::new(arity),
             dedup: FxMap::default(),
+            next: Vec::new(),
             columns: Vec::new(),
             active_columns: !0,
         }
@@ -264,7 +340,7 @@ impl Relation {
     /// Restrict maintained column indexes to the set in `keep` (bit `c` =
     /// column `c`).  Newly-deactivated columns drop their index (inserts stop
     /// indexing them); newly-reactivated columns rebuild theirs from the
-    /// stored tuples, so the index is immediately current again.
+    /// stored rows, so the index is immediately current again.
     pub fn set_active_columns(&mut self, keep: u64) {
         for column in 0..self.columns.len().min(u64::BITS as usize) {
             let bit = 1u64 << column;
@@ -274,8 +350,8 @@ impl Relation {
                 self.columns[column] = ColumnIndex::default();
             } else if now && !was {
                 let mut rebuilt = ColumnIndex::default();
-                for (id, tuple) in self.tuples.iter().enumerate() {
-                    rebuilt.insert(&tuple[column], id as u32);
+                for (id, row) in self.rows.iter().enumerate() {
+                    rebuilt.insert(&row[column], id as u32);
                 }
                 self.columns[column] = rebuilt;
             }
@@ -285,84 +361,96 @@ impl Relation {
 
     /// The arity of the relation.
     pub fn arity(&self) -> usize {
-        self.arity
+        self.rows.arity()
     }
 
-    /// Number of tuples.
+    /// Number of rows.
     pub fn len(&self) -> usize {
-        self.tuples.len()
+        self.rows.len()
     }
 
     /// Is the relation empty?
     pub fn is_empty(&self) -> bool {
-        self.tuples.is_empty()
+        self.rows.is_empty()
     }
 
-    /// Insert a tuple; returns `true` if it was new.  `relation` is the name this
+    /// Insert a row; returns `true` if it was new.  `relation` is the name this
     /// relation is registered under, used only for error reporting.
     ///
     /// # Errors
-    /// Fails if the tuple's length differs from the relation's arity.
-    pub fn insert(&mut self, relation: RelName, tuple: Tuple) -> Result<bool, CoreError> {
-        if tuple.len() != self.arity {
+    /// Fails if the row's length differs from the relation's arity, or if the
+    /// relation already holds `u32::MAX` rows.
+    pub fn insert(&mut self, relation: RelName, row: &[Path]) -> Result<bool, CoreError> {
+        if row.len() != self.arity() {
             return Err(CoreError::ArityMismatch {
                 relation,
-                expected: self.arity,
-                found: tuple.len(),
+                expected: self.arity(),
+                found: row.len(),
             });
         }
-        let hash = hash_tuple(&tuple);
-        let id = u32::try_from(self.tuples.len()).expect("more than u32::MAX tuples");
-        let tuples = &self.tuples;
-        match self.dedup.entry(hash) {
-            std::collections::hash_map::Entry::Occupied(mut bucket) => {
-                if bucket.get().iter().any(|id| tuples[id as usize] == tuple) {
-                    return Ok(false);
+        let (rows, next) = (&self.rows, &mut self.next);
+        let id = match self.dedup.entry(hash_row(row)) {
+            std::collections::hash_map::Entry::Occupied(mut newest) => {
+                let mut older = *newest.get();
+                while older != NO_ID {
+                    if rows.row(older as usize) == row {
+                        return Ok(false);
+                    }
+                    older = next[older as usize];
                 }
-                bucket.get_mut().push(id);
+                let id = next_row_id(relation, rows.len())?;
+                next.push(newest.insert(id));
+                id
             }
             std::collections::hash_map::Entry::Vacant(slot) => {
-                slot.insert(IdBucket::One(id));
+                let id = next_row_id(relation, rows.len())?;
+                next.push(NO_ID);
+                *slot.insert(id)
             }
-        }
+        };
         if self.columns.is_empty() {
-            self.columns.resize_with(self.arity, ColumnIndex::default);
+            self.columns.resize_with(self.arity(), ColumnIndex::default);
         }
-        for (column, path) in tuple.iter().enumerate() {
+        for (column, path) in row.iter().enumerate() {
             if self.column_active(column) {
                 self.columns[column].insert(path, id);
             }
         }
-        self.tuples.push(tuple);
+        self.rows.push(row);
         Ok(true)
     }
 
-    /// Does the relation contain `tuple`?
-    pub fn contains(&self, tuple: &[Path]) -> bool {
-        if tuple.len() != self.arity {
+    /// Does the relation contain `row`?
+    pub fn contains(&self, row: &[Path]) -> bool {
+        if row.len() != self.arity() {
             return false;
         }
-        self.dedup
-            .get(&hash_tuple(tuple))
-            .is_some_and(|bucket| bucket.iter().any(|id| self.tuples[id as usize] == tuple))
+        let mut id = self.dedup.get(&hash_row(row)).copied().unwrap_or(NO_ID);
+        while id != NO_ID {
+            if self.rows.row(id as usize) == row {
+                return true;
+            }
+            id = self.next[id as usize];
+        }
+        false
     }
 
-    /// Iterate over the tuples in insertion order.
-    pub fn iter(&self) -> impl Iterator<Item = &Tuple> + '_ {
-        self.tuples.iter()
+    /// Iterate over the rows in insertion order.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = &[Path]> + '_ {
+        self.rows.iter()
     }
 
-    /// All tuples as a borrowed slice, in insertion order (a tuple's index is its
-    /// id).  This is the zero-copy way to read a relation.
-    pub fn as_slice(&self) -> &[Tuple] {
-        &self.tuples
+    /// All rows, borrowed, in insertion order (a row's index is its id).
+    /// This is the zero-copy way to read a relation.
+    pub fn rows(&self) -> &Rows {
+        &self.rows
     }
 
-    /// The tuples with id ≥ `start`, as a borrowed slice.  With `start` taken from
-    /// an earlier [`Relation::len`] call, this is the *delta view* "everything
-    /// inserted since" — no tuples are copied.
-    pub fn slice_from(&self, start: usize) -> &[Tuple] {
-        &self.tuples[start.min(self.tuples.len())..]
+    /// The rows with id ≥ `start`.  With `start` taken from an earlier
+    /// [`Relation::len`] call, this is the *delta view* "everything inserted
+    /// since" — no rows are copied.
+    pub fn slice_from(&self, start: usize) -> impl ExactSizeIterator<Item = &[Path]> + '_ {
+        self.rows.slice_from(start)
     }
 
     /// The index of `column`, if in range, maintained and built (the first
@@ -375,30 +463,30 @@ impl Relation {
 
     /// The candidates (ascending by id) whose `column`-th path starts with
     /// `first`.  Out-of-range and deactivated columns, and a relation with
-    /// no tuples yet, yield the empty slice.
-    pub fn probe_first(&self, column: usize, first: &Value) -> &[TrieEntry] {
+    /// no rows yet, yield the empty slice.
+    pub fn probe_first(&self, column: usize, first: &Value) -> &[BucketEntry] {
         self.column_index(column)
             .map_or(NO_ENTRIES, |index| index.probe(first))
     }
 
-    /// All tuples, cloned into a vector in lexicographic order.
+    /// All rows, copied into owned tuples in lexicographic order.
     ///
     /// This is a snapshot convenience for reporting and tests; hot paths should use
-    /// [`Relation::iter`] or [`Relation::as_slice`] instead, which do not clone.
+    /// [`Relation::iter`] or [`Relation::rows`] instead, which do not copy.
     pub fn tuples(&self) -> Vec<Tuple> {
-        let mut out = self.tuples.clone();
+        let mut out: Vec<Tuple> = self.iter().map(<[Path]>::to_vec).collect();
         out.sort();
         out
     }
 }
 
-/// Relations compare as *sets* of tuples: insertion order is storage detail, not
+/// Relations compare as *sets* of rows: insertion order is storage detail, not
 /// semantics.
 impl PartialEq for Relation {
     fn eq(&self, other: &Relation) -> bool {
-        self.arity == other.arity
-            && self.tuples.len() == other.tuples.len()
-            && self.tuples.iter().all(|t| other.contains(t))
+        self.arity() == other.arity()
+            && self.len() == other.len()
+            && self.iter().all(|row| other.contains(row))
     }
 }
 
@@ -408,7 +496,7 @@ impl Eq for Relation {}
 /// set of facts (Section 2.3).
 ///
 /// Relations are held behind `Arc` with copy-on-write mutation: cloning an
-/// instance shares every relation's storage (tuples, dedup map, column
+/// instance shares every relation's storage (row arena, dedup chain, column
 /// indexes), and a relation is deep-copied only the first time a *clone*
 /// writes to it.  Evaluation never writes to EDB relations — rule heads are
 /// IDB by definition — so preparing a working instance from an input is O(#
@@ -439,14 +527,12 @@ impl Instance {
     /// Convenience: a unary instance `{ R(p) | p ∈ paths }` over a single relation.
     pub fn unary(relation: RelName, paths: impl IntoIterator<Item = Path>) -> Instance {
         let mut inst = Instance::new();
+        // Registered even when `paths` is empty, with arity 1.
+        let rel = inst.relation_mut(relation, 1);
         for p in paths {
-            inst.insert_fact(Fact::new(relation, vec![p]))
-                .expect("unary facts cannot mismatch");
+            rel.insert(relation, &[p])
+                .expect("unary rows cannot mismatch");
         }
-        // Even when `paths` is empty, register the relation with arity 1.
-        inst.relations
-            .entry(relation)
-            .or_insert_with(|| Arc::new(Relation::new(1)));
         inst
     }
 
@@ -455,29 +541,33 @@ impl Instance {
     /// The relation's arity is fixed by the first fact inserted for it.
     ///
     /// # Errors
-    /// Fails on arity mismatch with previously inserted facts.
+    /// Fails on arity mismatch with previously inserted facts, and when the
+    /// relation is full.
     pub fn insert_fact(&mut self, fact: Fact) -> Result<bool, CoreError> {
-        Ok(self.insert_fact_new(fact)?.is_some())
+        self.insert_row(fact.relation, &fact.tuple)
     }
 
-    /// Insert a fact; if it was new, return a borrow of the stored tuple (its id is
-    /// the relation's new last index).  This is the single-lookup entry point the
-    /// fixpoint loop uses: the caller can inspect the freshly inserted tuple
-    /// without a second relation lookup and without having cloned it.
+    /// Insert the row `relation(row)` without an owned [`Fact`]; returns
+    /// `true` if it was new.  The relation's arity is fixed by the first row
+    /// inserted for it.
     ///
     /// # Errors
-    /// Fails on arity mismatch with previously inserted facts.
-    pub fn insert_fact_new(&mut self, fact: Fact) -> Result<Option<&Tuple>, CoreError> {
-        let arity = fact.arity();
-        let relation = fact.relation;
-        let rel = Arc::make_mut(
+    /// Fails on arity mismatch with previously inserted rows, and when the
+    /// relation is full.
+    pub fn insert_row(&mut self, relation: RelName, row: &[Path]) -> Result<bool, CoreError> {
+        self.relation_mut(relation, row.len()).insert(relation, row)
+    }
+
+    /// The relation assigned to `name`, for writing; an absent one is
+    /// created empty with the given arity (an existing one keeps its own).
+    /// A relation whose storage is shared with a clone of this instance is
+    /// copied first.
+    pub fn relation_mut(&mut self, name: RelName, arity: usize) -> &mut Relation {
+        Arc::make_mut(
             self.relations
-                .entry(relation)
+                .entry(name)
                 .or_insert_with(|| Arc::new(Relation::new(arity))),
-        );
-        Ok(rel
-            .insert(relation, fact.tuple)?
-            .then(|| rel.as_slice().last().expect("just inserted")))
+        )
     }
 
     /// Insert an empty relation of the given arity (or leave an existing one alone).
@@ -515,7 +605,7 @@ impl Instance {
     pub fn unary_paths_iter(&self, name: RelName) -> impl Iterator<Item = Path> + '_ {
         self.relation(name)
             .into_iter()
-            .flat_map(|r| r.iter().filter(|t| t.len() == 1).map(|t| t[0]))
+            .flat_map(|r| r.iter().filter(|row| row.len() == 1).map(|row| row[0]))
     }
 
     /// Does the instance contain the given fact?
@@ -543,21 +633,21 @@ impl Instance {
         self.relations.keys().copied()
     }
 
-    /// Iterate over all facts of the instance *without cloning*, in deterministic
-    /// order, as `(relation, tuple)` pairs.  This is the iterator the instance-wide
+    /// Iterate over all facts of the instance *without copying*, in deterministic
+    /// order, as `(relation, row)` pairs.  This is the iterator the instance-wide
     /// classification predicates and [`fmt::Display`] are built on.
-    pub fn facts_ref(&self) -> impl Iterator<Item = (RelName, &Tuple)> + '_ {
+    pub fn facts_ref(&self) -> impl Iterator<Item = (RelName, &[Path])> + '_ {
         self.relations
             .iter()
             .flat_map(|(name, rel)| rel.iter().map(move |t| (*name, t)))
     }
 
     /// Iterate over all facts of the instance, in deterministic order.  Each fact
-    /// owns a clone of its tuple; prefer [`Instance::facts_ref`] where a borrow
+    /// owns a copy of its row; prefer [`Instance::facts_ref`] where a borrow
     /// suffices.
     pub fn facts(&self) -> impl Iterator<Item = Fact> + '_ {
         self.facts_ref()
-            .map(|(name, tuple)| Fact::new(name, tuple.clone()))
+            .map(|(name, row)| Fact::new(name, row.to_vec()))
     }
 
     /// Total number of facts.
@@ -621,8 +711,8 @@ impl Instance {
     /// Fails if a relation appears in both with different arities.
     pub fn union(&self, other: &Instance) -> Result<Instance, CoreError> {
         let mut out = self.clone();
-        for (name, tuple) in other.facts_ref() {
-            out.insert_fact(Fact::new(name, tuple.clone()))?;
+        for (name, row) in other.facts_ref() {
+            out.insert_row(name, row)?;
         }
         // Preserve empty relations declared in `other`.
         for (name, rel) in &other.relations {
@@ -647,8 +737,8 @@ impl Instance {
             }
         }
         let mut out = BTreeSet::new();
-        for (_, tuple) in self.facts_ref() {
-            for path in tuple {
+        for (_, row) in self.facts_ref() {
+            for path in row {
                 for v in path.iter() {
                     collect(v, &mut out);
                 }
@@ -687,7 +777,7 @@ mod tests {
         Value::Atom(atom(name))
     }
 
-    fn ids(entries: &[TrieEntry]) -> Vec<u32> {
+    fn ids(entries: &[BucketEntry]) -> Vec<u32> {
         entries.iter().map(|e| e.id).collect()
     }
 
@@ -843,7 +933,7 @@ mod tests {
     fn relation_insert_reports_the_real_name_and_expected_arity() {
         let mut r = Relation::new(3);
         let err = r
-            .insert(rel("D"), vec![path_of(&["q"]), path_of(&["a"])])
+            .insert(rel("D"), &[path_of(&["q"]), path_of(&["a"])])
             .unwrap_err();
         assert_eq!(
             err,
@@ -858,29 +948,89 @@ mod tests {
     #[test]
     fn relation_storage_is_insertion_ordered_with_stable_ids() {
         let mut r = Relation::new(1);
-        r.insert(rel("R"), vec![path_of(&["b"])]).unwrap();
-        r.insert(rel("R"), vec![path_of(&["a"])]).unwrap();
-        assert!(!r.insert(rel("R"), vec![path_of(&["b"])]).unwrap());
+        r.insert(rel("R"), &[path_of(&["b"])]).unwrap();
+        r.insert(rel("R"), &[path_of(&["a"])]).unwrap();
+        assert!(!r.insert(rel("R"), &[path_of(&["b"])]).unwrap());
         // Insertion order is preserved; `tuples()` snapshots sort.
-        assert_eq!(r.as_slice()[0], vec![path_of(&["b"])]);
-        assert_eq!(r.as_slice()[1], vec![path_of(&["a"])]);
+        assert_eq!(r.rows().row(0), [path_of(&["b"])]);
+        assert_eq!(r.rows().row(1), [path_of(&["a"])]);
         assert_eq!(
             r.tuples(),
             vec![vec![path_of(&["a"])], vec![path_of(&["b"])]]
         );
-        // Watermark slices expose exactly the tuples inserted since.
+        // Watermark slices expose exactly the rows inserted since.
         let mark = r.len();
-        r.insert(rel("R"), vec![path_of(&["c"])]).unwrap();
-        assert_eq!(r.slice_from(mark), &[vec![path_of(&["c"])]]);
-        assert!(r.slice_from(17).is_empty());
+        r.insert(rel("R"), &[path_of(&["c"])]).unwrap();
+        assert_eq!(r.slice_from(mark).collect::<Vec<_>>(), [[path_of(&["c"])]]);
+        assert_eq!(r.slice_from(17).len(), 0);
         // Set semantics for equality, independent of insertion order.
         let mut other = Relation::new(1);
         for name in ["c", "b", "a"] {
-            other.insert(rel("R"), vec![path_of(&[name])]).unwrap();
+            other.insert(rel("R"), &[path_of(&[name])]).unwrap();
         }
         assert_eq!(r, other);
-        other.insert(rel("R"), vec![path_of(&["d"])]).unwrap();
+        other.insert(rel("R"), &[path_of(&["d"])]).unwrap();
         assert_ne!(r, other);
+    }
+
+    #[test]
+    fn rows_are_stored_back_to_back() {
+        let mut rows = Rows::new(2);
+        rows.push(&[path_of(&["a"]), path_of(&["b"])]);
+        rows.push(&[Path::empty(), path_of(&["c", "d"])]);
+        assert_eq!(rows.len(), 2);
+        assert_eq!(rows.row(1), [Path::empty(), path_of(&["c", "d"])]);
+        assert_eq!(rows.slice_from(1).collect::<Vec<_>>(), [rows.row(1)]);
+        // Nullary rows take no paths, so the count is kept on its own.
+        let mut nullary = Rows::new(0);
+        nullary.push(&[]);
+        nullary.push(&[]);
+        assert_eq!(nullary.len(), 2);
+        assert_eq!(nullary.iter().count(), 2);
+        assert!(nullary.iter().all(<[Path]>::is_empty));
+        assert_eq!(nullary.slice_from(1).len(), 1);
+    }
+
+    #[test]
+    fn colliding_rows_chain_through_older_ids() {
+        // Unit tests fold row hashes to two bits: 40 distinct rows share
+        // four chains, so every insert and lookup below walks one.
+        let mut r = Relation::new(2);
+        let row = |i: usize| [path_of(&[&format!("x{i}")]), repeat_path("a", i % 3)];
+        for i in 0..40 {
+            assert!(r.insert(rel("C"), &row(i)).unwrap(), "row {i}");
+        }
+        for i in 0..40 {
+            assert!(!r.insert(rel("C"), &row(i)).unwrap(), "row {i} again");
+            assert!(r.contains(&row(i)));
+            assert_eq!(r.rows().row(i), row(i));
+        }
+        assert!(!r.contains(&row(40)));
+        assert_eq!(r.len(), 40);
+    }
+
+    #[test]
+    fn nullary_relations_hold_at_most_one_row() {
+        let mut r = Relation::new(0);
+        assert!(!r.contains(&[]));
+        assert!(r.insert(rel("Flag"), &[]).unwrap());
+        assert!(!r.insert(rel("Flag"), &[]).unwrap());
+        assert_eq!(r.len(), 1);
+        assert!(r.contains(&[]));
+        assert_eq!(r.iter().collect::<Vec<_>>(), [&[] as &[Path]]);
+    }
+
+    #[test]
+    fn row_ids_stop_below_u32_max() {
+        let last = u32::MAX as usize - 1;
+        assert_eq!(next_row_id(rel("R"), 0), Ok(0));
+        assert_eq!(next_row_id(rel("R"), last), Ok(u32::MAX - 1));
+        let full = CoreError::TooManyTuples {
+            relation: rel("R"),
+            limit: u32::MAX as usize,
+        };
+        assert_eq!(next_row_id(rel("R"), last + 1), Err(full.clone()));
+        assert_eq!(next_row_id(rel("R"), usize::MAX), Err(full));
     }
 
     #[test]
@@ -889,15 +1039,15 @@ mod tests {
         // Before the first insert no column index exists, and probes miss.
         assert!(r.column_index(0).is_none());
         assert!(r.probe_first(0, &av("a")).is_empty());
-        r.insert(rel("T"), vec![path_of(&["a", "b", "c"]), Path::empty()])
+        r.insert(rel("T"), &[path_of(&["a", "b", "c"]), Path::empty()])
             .unwrap();
-        r.insert(rel("T"), vec![path_of(&["a", "b"]), path_of(&["c"])])
+        r.insert(rel("T"), &[path_of(&["a", "b"]), path_of(&["c"])])
             .unwrap();
-        r.insert(rel("T"), vec![path_of(&["a"]), path_of(&["c"])])
+        r.insert(rel("T"), &[path_of(&["a"]), path_of(&["c"])])
             .unwrap();
         r.insert(
             rel("T"),
-            vec![
+            &[
                 Path::singleton(Value::packed(path_of(&["z"]))),
                 path_of(&["c"]),
             ],
@@ -936,7 +1086,7 @@ mod tests {
         let owned: Vec<Fact> = inst.facts().collect();
         let borrowed: Vec<Fact> = inst
             .facts_ref()
-            .map(|(name, t)| Fact::new(name, t.clone()))
+            .map(|(name, row)| Fact::new(name, row.to_vec()))
             .collect();
         assert_eq!(owned, borrowed);
     }

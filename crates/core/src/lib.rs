@@ -37,7 +37,7 @@ pub mod value;
 pub use cancel::CancelToken;
 pub use error::CoreError;
 pub use hash::{fx_hash, FxHasher, FxMap};
-pub use instance::{ColumnIndex, Fact, Instance, Relation, Schema, TrieEntry, Tuple};
+pub use instance::{BucketEntry, ColumnIndex, Fact, Instance, Relation, Rows, Schema, Tuple};
 pub use interner::{AtomId, RelName, Symbol, VarSym};
 pub use path::{Path, PathView, Segment, Subpaths};
 pub use render::Renderer;

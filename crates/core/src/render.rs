@@ -3,8 +3,8 @@
 //! Every printed path goes through one routine, `write_path`: `eps` for the
 //! empty path, `·` between values, `<…>` around a packed value, and each atom
 //! bare when its name is a nonempty run of ASCII alphanumerics and `_` other
-//! than `eps`, single-quoted (with `'` written `\'`) otherwise, so the text
-//! re-parses.  The `Display` impls of [`Value`], [`Path`], [`crate::PathView`]
+//! than `eps`, single-quoted (with `'` written `\'` and `\` written `\\`)
+//! otherwise, so the text re-parses.  The `Display` impls of [`Value`], [`Path`], [`crate::PathView`]
 //! and [`crate::Fact`] look each atom up in the interner as they go.  A
 //! [`Renderer`] instead keeps a dense per-render cache of each atom's printed
 //! text, so printing a relation of many rows takes one interner lookup per
@@ -25,12 +25,15 @@ fn write_atom_name<W: Write>(out: &mut W, name: &str) -> fmt::Result {
         return out.write_str(name);
     }
     out.write_char('\'')?;
-    for (i, piece) in name.split('\'').enumerate() {
-        if i > 0 {
-            out.write_str("\\'")?;
+    let mut run_start = 0;
+    for (i, b) in name.bytes().enumerate() {
+        if b == b'\'' || b == b'\\' {
+            out.write_str(&name[run_start..i])?;
+            out.write_char('\\')?;
+            run_start = i;
         }
-        out.write_str(piece)?;
     }
+    out.write_str(&name[run_start..])?;
     out.write_char('\'')
 }
 
@@ -262,11 +265,23 @@ mod tests {
     #[test]
     fn atoms_are_bare_or_quoted() {
         let mut out = String::new();
-        for name in ["abc_9", "", "eps", "complete order", "it's", "a·b"] {
+        for name in [
+            "abc_9",
+            "",
+            "eps",
+            "complete order",
+            "it's",
+            "a·b",
+            "a\\",
+            "\\'",
+        ] {
             write_atom_name(&mut out, name).unwrap();
             out.push(' ');
         }
-        assert_eq!(out, "abc_9 '' 'eps' 'complete order' 'it\\'s' 'a·b' ");
+        assert_eq!(
+            out,
+            "abc_9 '' 'eps' 'complete order' 'it\\'s' 'a·b' 'a\\\\' '\\\\\\'' "
+        );
     }
 
     #[test]

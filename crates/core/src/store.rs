@@ -1,10 +1,11 @@
 //! Hash-consed path storage: every distinct path is stored exactly once.
 //!
-//! The evaluator moves paths constantly — tuples are vectors of paths, deltas
-//! are windows over tuples, valuations bind paths to variables — and before
-//! this module existed every one of those moves cloned a `Vec<Value>`.  The
-//! store replaces the owned vector with an interned identity: a [`PathId`] is
-//! a dense `u32` into a process-wide table of value slices, so
+//! The evaluator moves paths constantly — a relation row is a run of paths in
+//! its relation's flat arena, deltas are windows over rows, valuations bind
+//! paths to variables — and before this module existed every one of those
+//! moves cloned a `Vec<Value>`.  The store replaces the owned vector with an
+//! interned identity: a [`PathId`] is a dense `u32` into a process-wide table
+//! of value slices, so
 //!
 //! * equality of paths is equality of ids (O(1), no content walk),
 //! * hashing a path hashes one `u32` (consistent with equality because the

@@ -19,7 +19,7 @@ use crate::eval::{
     EvalStats, FireStats, ResourceGovernor, StratumStats,
 };
 use crate::ram::{self, fire_proc, LoopProgram, RuleProc, StratumProgram};
-use seqdl_core::{Fact, Instance, RelName, Relation};
+use seqdl_core::{Fact, Instance, RelName, Relation, Rows};
 use seqdl_syntax::{Program, ProgramInfo};
 use std::collections::BTreeMap;
 use std::sync::{PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
@@ -83,8 +83,8 @@ pub struct Job<'a> {
     pub window: Option<DeltaWindow>,
 }
 
-/// The result of one job: the derived facts and the firing-pass counters, or
-/// the first evaluation error the job hit.
+/// The result of one job: the rows it derived for its rule's head relation
+/// and the firing-pass counters, or the first evaluation error the job hit.
 #[derive(Debug)]
 pub struct JobOutcome {
     /// The job's id.
@@ -93,8 +93,8 @@ pub struct JobOutcome {
     pub rule_ix: usize,
     /// Wall-clock time the job's firing pass took.
     pub wall: Duration,
-    /// Derived facts and counters, or the job's error.
-    pub result: Result<(Vec<Fact>, FireStats), EvalError>,
+    /// Derived head rows and counters, or the job's error.
+    pub result: Result<(Rows, FireStats), EvalError>,
 }
 
 impl<'a> Job<'a> {
@@ -108,8 +108,8 @@ impl<'a> Job<'a> {
         &self,
         instance: &Instance,
         governor: &ResourceGovernor,
-    ) -> Result<(Vec<Fact>, FireStats), EvalError> {
-        let mut out = Vec::new();
+    ) -> Result<(Rows, FireStats), EvalError> {
+        let mut out = Rows::new(self.proc.rule.head.args.len());
         let mut memo = EmitMemo::new();
         fire_proc(
             self.proc,
@@ -127,7 +127,7 @@ impl<'a> Job<'a> {
     /// panics), plus the pass's trace counters.
     pub fn run(
         self,
-        fire: impl FnOnce(&Job<'a>) -> Result<(Vec<Fact>, FireStats), EvalError>,
+        fire: impl FnOnce(&Job<'a>) -> Result<(Rows, FireStats), EvalError>,
     ) -> JobOutcome {
         let _rule_span = seqdl_trace::span(|| {
             format!(
@@ -444,38 +444,43 @@ impl<'a> Driver<'a> {
         let mut guard = write(self.instance);
         for outcome in outcomes {
             let rule_ix = outcome.rule_ix;
-            let (mut facts, fire) = outcome.result?;
+            let (rows, fire) = outcome.result?;
+            let head = &stratum.procs[rule_ix].rule.head;
             stats.apply_rule_fire(
                 stratum_ix,
                 rule_ix,
                 || stratum.procs[rule_ix].rule.to_string(),
                 fire,
                 outcome.wall,
-                facts.len(),
+                rows.len(),
             );
-            self.absorb(&mut guard, &mut facts, stats)?;
+            self.absorb(&mut guard, head.relation, &rows, stats)?;
         }
         Ok(())
     }
 
-    /// Drain `new_facts` into `instance`, enforcing the fact-count and
-    /// path-length limits.  Each fact is *moved* into the store (no tuple
-    /// clone), duplicates cost one dedup-map lookup, and the path-length
-    /// limit is checked once per genuinely new head tuple — anything already
-    /// in the instance passed that check when it was first inserted.
+    /// Insert one job's derived `rows` into the relation `head`, enforcing
+    /// the fact-count and path-length limits.  The relation is looked up once
+    /// per job, duplicates cost one dedup-chain walk, and the path-length
+    /// limit is checked once per genuinely new row — anything already in the
+    /// instance passed that check when it was first inserted.
     fn absorb(
         &self,
         instance: &mut Instance,
-        new_facts: &mut Vec<Fact>,
+        head: RelName,
+        rows: &Rows,
         stats: &mut EvalStats,
     ) -> Result<(), EvalError> {
+        if rows.is_empty() {
+            return Ok(());
+        }
         let limits = &self.limits;
-        for fact in new_facts.drain(..) {
-            let Some(inserted_tuple) = instance.insert_fact_new(fact).map_err(EvalError::Data)?
-            else {
+        let relation = instance.relation_mut(head, rows.arity());
+        for row in rows.iter() {
+            if !relation.insert(head, row).map_err(EvalError::Data)? {
                 continue;
-            };
-            if inserted_tuple.iter().any(|p| p.len() > limits.max_path_len) {
+            }
+            if row.iter().any(|p| p.len() > limits.max_path_len) {
                 return Err(EvalError::LimitExceeded {
                     what: LimitKind::PathLength,
                     limit: limits.max_path_len,

@@ -5,7 +5,7 @@
 
 use crate::error::{EvalError, LimitKind};
 use crate::plan::{BodyPlan, ColumnProbe, PlannedLiteral, PlannedPredicate, PrefixSource};
-use seqdl_core::{CancelToken, CoreError, Fact, Instance, RelName, Relation, TrieEntry, Value};
+use seqdl_core::{BucketEntry, CancelToken, CoreError, Fact, Instance, RelName, Relation, Value};
 use seqdl_syntax::{Binding, ProgramInfo, Valuation};
 use std::collections::{BTreeMap, BTreeSet};
 use std::time::{Duration, Instant};
@@ -337,7 +337,7 @@ pub struct DeltaWindow {
 pub fn seed_instance(instance: &mut Instance, seeds: &[Fact]) -> Result<(), EvalError> {
     for seed in seeds {
         instance
-            .insert_fact(seed.clone())
+            .insert_row(seed.relation, &seed.tuple)
             .map_err(EvalError::Data)?;
     }
     Ok(())
@@ -500,13 +500,13 @@ pub(crate) fn choose_candidates<'r>(
     relation: &'r Relation,
     planned: &PlannedPredicate,
     nu: &Valuation,
-) -> Option<&'r [TrieEntry]> {
-    let mut best: Option<&'r [TrieEntry]> = None;
+) -> Option<&'r [BucketEntry]> {
+    let mut best: Option<&'r [BucketEntry]> = None;
     for (column, probe) in planned.probes.iter().enumerate() {
         if !probe.can_probe() || !relation.column_active(column) {
             continue;
         }
-        if best.is_some_and(<[TrieEntry]>::is_empty) {
+        if best.is_some_and(<[BucketEntry]>::is_empty) {
             break;
         }
         if let Some(first) = resolve_first(probe, nu) {

@@ -280,10 +280,15 @@ fn det_terms(
     values.is_empty()
 }
 
-/// Convenience for tests and callers: apply a valuation to a predicate to obtain the
-/// corresponding ground tuple, if the valuation is appropriate.
-pub fn ground_tuple(pred: &Predicate, valuation: &Valuation) -> Option<Vec<Path>> {
-    pred.args.iter().map(|a| valuation.apply(a)).collect()
+/// Apply a valuation to a predicate's arguments, writing the ground row into
+/// `row` (cleared first, so one buffer serves every check of a pass).
+/// `None` if the valuation leaves an argument unbound.
+pub fn ground_row(pred: &Predicate, valuation: &Valuation, row: &mut Vec<Path>) -> Option<()> {
+    row.clear();
+    for arg in &pred.args {
+        row.push(valuation.apply(arg)?);
+    }
+    Some(())
 }
 
 #[cfg(test)]
@@ -509,8 +514,10 @@ mod tests {
         let pred = Predicate::new(rel("R"), vec![expr("$x·a")]);
         let mut nu = Valuation::new();
         nu.bind_path(Var::path("x"), path_of(&["b"]));
-        assert_eq!(ground_tuple(&pred, &nu), Some(vec![path_of(&["b", "a"])]));
-        assert_eq!(ground_tuple(&pred, &Valuation::new()), None);
+        let mut row = vec![path_of(&["stale"])];
+        assert_eq!(ground_row(&pred, &nu, &mut row), Some(()));
+        assert_eq!(row, [path_of(&["b", "a"])]);
+        assert_eq!(ground_row(&pred, &Valuation::new(), &mut row), None);
 
         let tuples = [vec![path_of(&["b", "a"])], vec![path_of(&["c"])]];
         assert!(tuples.iter().any(|t| predicate_matches(&pred, t, &nu)));

@@ -30,17 +30,17 @@
 use crate::error::EvalError;
 use crate::eval::{choose_candidates, DeltaWindow, EmitKey, EmitMemo, FireStats};
 use crate::matching::{
-    equation_holds, ground_tuple, match_predicate_det, match_predicate_sink, solve_equation,
+    equation_holds, ground_row, match_predicate_det, match_predicate_sink, solve_equation,
 };
 use crate::plan::{PlannedLiteral, PlannedPredicate};
 use crate::ram::ir::{FilterOp, Inst, RuleProc};
-use seqdl_core::{Fact, Instance, Path, PathId, Relation, Segment, TrieEntry, Tuple, Value};
+use seqdl_core::{BucketEntry, Instance, Path, PathId, Relation, Rows, Segment, Value};
 use seqdl_syntax::{Binding, Equation, Rule, Term, Valuation, Var};
 
 /// The candidate source of one probe frame.
 enum Cands<'r> {
     /// First-value bucket entries (carry length/next-value metadata).
-    Entries(&'r [TrieEntry]),
+    Entries(&'r [BucketEntry]),
     /// Scan fallback: tuple ids `cursor..end`.
     Scan(usize),
     /// No relation (absent or arity mismatch) — or a non-probe frame.
@@ -63,6 +63,9 @@ enum Mode {
     Equation,
 }
 
+/// The rows of a frame with no relation to draw from.
+static NO_ROWS: Rows = Rows::new(0);
+
 /// One choice-point frame.
 struct Frame<'r> {
     /// Valuation depth on entry — the truncation target for backtracking.
@@ -70,7 +73,7 @@ struct Frame<'r> {
     cands: Cands<'r>,
     cursor: usize,
     mode: Mode,
-    tuples: &'r [Tuple],
+    rows: &'r Rows,
     /// Flattened binding deltas of the buffered extensions; extension `k`
     /// spans `ext[bounds[k]..bounds[k + 1]]`.
     ext: Vec<(Var, Binding)>,
@@ -81,7 +84,7 @@ struct Frame<'r> {
 /// A candidate pulled from a frame (by value, so matching can mutate the
 /// frame's buffers).
 enum Cand {
-    Entry(TrieEntry),
+    Entry(BucketEntry),
     Id(usize),
 }
 
@@ -101,7 +104,7 @@ impl<'r> Frame<'r> {
             cands: Cands::Empty,
             cursor: 0,
             mode: Mode::General,
-            tuples: &[],
+            rows: &NO_ROWS,
             ext: Vec::new(),
             bounds: Vec::new(),
             next_ext: 0,
@@ -135,7 +138,7 @@ impl<'r> Frame<'r> {
             Some(w) => (w.lo.min(len), w.hi.min(len)),
             None => (0, len),
         };
-        self.tuples = relation.as_slice();
+        self.rows = relation.rows();
         let Some(entries) = choose_candidates(relation, planned, nu) else {
             stats.scans += 1;
             self.cursor = first_id;
@@ -248,8 +251,7 @@ impl<'r> Frame<'r> {
                     // invariant: det-mode frames are only built by probe lowering, which
                     // always attaches the planned predicate.
                     let planned = planned.expect("det mode only on probe frames");
-                    let tuple = &self.tuples[cand.id()];
-                    if match_predicate_det(&planned.pred, tuple, nu) {
+                    if match_predicate_det(&planned.pred, self.rows.row(cand.id()), nu) {
                         return true;
                     }
                 }
@@ -257,10 +259,10 @@ impl<'r> Frame<'r> {
                     // invariant: general-mode frames are only built by probe lowering, which
                     // always attaches the planned predicate.
                     let planned = planned.expect("general mode only on probe frames");
-                    let tuples = self.tuples;
+                    let rows = self.rows;
                     match_predicate_sink(
                         &planned.pred,
-                        &tuples[cand.id()],
+                        rows.row(cand.id()),
                         nu,
                         &mut self.refill(false),
                     );
@@ -287,7 +289,7 @@ fn plan_invariant(step: usize, expected: &str) -> EvalError {
 }
 
 /// Ground the head under `nu`, deduplicate through the memo, and append
-/// genuinely new facts.
+/// genuinely new rows.
 #[allow(clippy::too_many_arguments)]
 fn emit_head(
     rule: &Rule,
@@ -296,8 +298,8 @@ fn emit_head(
     nu: &Valuation,
     memo: &mut EmitMemo,
     seg_scratch: &mut Vec<Segment>,
-    tuple_scratch: &mut Tuple,
-    out: &mut Vec<Fact>,
+    row_scratch: &mut Vec<Path>,
+    out: &mut Rows,
     stats: &mut FireStats,
 ) -> Result<(), EvalError> {
     let head = &rule.head;
@@ -308,12 +310,11 @@ fn emit_head(
         }
     }
     emit_segs(
-        rule,
         head_relation,
         term_counts,
         memo,
         seg_scratch,
-        tuple_scratch,
+        row_scratch,
         out,
         stats,
     );
@@ -321,18 +322,16 @@ fn emit_head(
 }
 
 /// The back half of [`emit_head`]: count the firing, deduplicate the built
-/// segment row through the memo, and append the fact if it is genuinely new.
-/// Shared with the templated fused-emit loops, which fill `seg_scratch` holes
-/// directly instead of re-walking the head expression.
-#[allow(clippy::too_many_arguments)]
+/// segment row through the memo, and append the head row to `out` if it is
+/// genuinely new.  Shared with the templated fused-emit loops, which fill
+/// `seg_scratch` holes directly instead of re-walking the head expression.
 fn emit_segs(
-    rule: &Rule,
     head_relation: Option<&Relation>,
     term_counts: &[usize],
     memo: &mut EmitMemo,
     seg_scratch: &[Segment],
-    tuple_scratch: &mut Tuple,
-    out: &mut Vec<Fact>,
+    row_scratch: &mut Vec<Path>,
+    out: &mut Rows,
     stats: &mut FireStats,
 ) {
     stats.firings += 1;
@@ -345,16 +344,16 @@ fn emit_segs(
             slot.insert(());
         }
     }
-    tuple_scratch.clear();
+    row_scratch.clear();
     let mut offset = 0usize;
     for &n in term_counts {
-        tuple_scratch.push(Path::from_segments(&seg_scratch[offset..offset + n]));
+        row_scratch.push(Path::from_segments(&seg_scratch[offset..offset + n]));
         offset += n;
     }
-    if head_relation.is_some_and(|r| r.contains(tuple_scratch)) {
+    if head_relation.is_some_and(|r| r.contains(row_scratch)) {
         return;
     }
-    out.push(Fact::new(rule.head.relation, tuple_scratch.clone()));
+    out.push(row_scratch);
 }
 
 fn predicate_of(proc: &RuleProc, step: usize) -> Result<&PlannedPredicate, EvalError> {
@@ -365,10 +364,10 @@ fn predicate_of(proc: &RuleProc, step: usize) -> Result<&PlannedPredicate, EvalE
 }
 
 /// Execute one lowered rule procedure against the instance, appending derived
-/// head facts to `out` and returning the pass's counters.  With a
-/// [`DeltaWindow`] the predicate at the window's plan position only draws
-/// tuples with ids inside it — the semi-naive restriction, shardable across
-/// jobs.  The call only reads `instance`, so jobs may run concurrently.
+/// head rows to `out` (rows of the head's arity) and returning the pass's
+/// counters.  With a [`DeltaWindow`] the predicate at the window's plan
+/// position only draws tuples with ids inside it — the semi-naive
+/// restriction, shardable across jobs.  The call only reads `instance`, so jobs may run concurrently.
 /// `memo` is the pass's [`EmitMemo`]: a fresh one is always correct, since it
 /// only short-circuits duplicate emissions.
 ///
@@ -386,7 +385,7 @@ pub fn fire_proc(
     instance: &Instance,
     window: Option<DeltaWindow>,
     memo: &mut EmitMemo,
-    out: &mut Vec<Fact>,
+    out: &mut Rows,
     governor: Option<&crate::eval::ResourceGovernor>,
 ) -> Result<FireStats, EvalError> {
     let rule = &proc.rule;
@@ -396,15 +395,22 @@ pub fn fire_proc(
         .filter(|r| r.arity() == head.args.len());
     let term_counts = &proc.term_counts;
     let code = &proc.code;
+    // Each predicate step's relation, resolved once per pass: positive steps
+    // probe it, negated steps check membership in it.  A relation of another
+    // arity holds no row the step could match.
     let step_relations: Vec<Option<&Relation>> = proc
         .plan
         .steps
         .iter()
-        .map(|s| match s {
-            PlannedLiteral::MatchPredicate(p) => instance
-                .relation(p.pred.relation)
-                .filter(|r| r.arity() == p.pred.args.len()),
-            _ => None,
+        .map(|s| {
+            let pred = match s {
+                PlannedLiteral::MatchPredicate(p) => &p.pred,
+                PlannedLiteral::CheckNegatedPredicate(pred) => pred,
+                _ => return None,
+            };
+            instance
+                .relation(pred.relation)
+                .filter(|r| r.arity() == pred.args.len())
         })
         .collect();
     let mut frames: Vec<Frame<'_>> = code.iter().map(|_| Frame::new()).collect();
@@ -415,7 +421,9 @@ pub fn fire_proc(
     let mut stats = FireStats::default();
     let mut nu = Valuation::new();
     let mut seg_scratch: Vec<Segment> = Vec::new();
-    let mut tuple_scratch: Tuple = Vec::new();
+    // The one scratch row of the pass: membership checks ground into it, and
+    // emits build the head row in it.
+    let mut row_scratch: Vec<Path> = Vec::new();
     let templatable = proc.templatable;
     let mut holes: Vec<(usize, Var)> = Vec::new();
 
@@ -436,10 +444,10 @@ pub fn fire_proc(
                         let planned = predicate_of(proc, *step)?;
                         stats.index_probes += 1;
                         stats.fused_probes += 1;
-                        let Some(tuple) = ground_tuple(&planned.pred, &nu) else {
+                        if ground_row(&planned.pred, &nu, &mut row_scratch).is_none() {
                             return Err(unplannable(rule));
-                        };
-                        step_relations[*step].is_some_and(|r| r.contains(&tuple))
+                        }
+                        step_relations[*step].is_some_and(|r| r.contains(&row_scratch))
                     }
                     FilterOp::EqHolds { step } => match &proc.plan.steps[*step] {
                         PlannedLiteral::SolveEquation(eq) => match equation_holds(eq, &nu) {
@@ -450,10 +458,10 @@ pub fn fire_proc(
                     },
                     FilterOp::NegPred { step } => match &proc.plan.steps[*step] {
                         PlannedLiteral::CheckNegatedPredicate(pred) => {
-                            let Some(tuple) = ground_tuple(pred, &nu) else {
+                            if ground_row(pred, &nu, &mut row_scratch).is_none() {
                                 return Err(unplannable(rule));
-                            };
-                            !instance.contains_fact(&Fact::new(pred.relation, tuple))
+                            }
+                            !step_relations[*step].is_some_and(|r| r.contains(&row_scratch))
                         }
                         _ => return Err(plan_invariant(*step, "a negated predicate")),
                     },
@@ -533,12 +541,11 @@ pub fn fire_proc(
                                             stats.instructions += 1;
                                             seg_scratch[pos] = Segment::Value(Value::Atom(b));
                                             emit_segs(
-                                                rule,
                                                 head_relation,
                                                 term_counts,
                                                 memo,
                                                 &seg_scratch,
-                                                &mut tuple_scratch,
+                                                &mut row_scratch,
                                                 out,
                                                 &mut stats,
                                             );
@@ -559,12 +566,11 @@ pub fn fire_proc(
                                         };
                                     }
                                     emit_segs(
-                                        rule,
                                         head_relation,
                                         term_counts,
                                         memo,
                                         &seg_scratch,
-                                        &mut tuple_scratch,
+                                        &mut row_scratch,
                                         out,
                                         &mut stats,
                                     );
@@ -585,7 +591,7 @@ pub fn fire_proc(
                                 &nu,
                                 memo,
                                 &mut seg_scratch,
-                                &mut tuple_scratch,
+                                &mut row_scratch,
                                 out,
                                 &mut stats,
                             )?;
@@ -629,7 +635,7 @@ pub fn fire_proc(
                     &nu,
                     memo,
                     &mut seg_scratch,
-                    &mut tuple_scratch,
+                    &mut row_scratch,
                     out,
                     &mut stats,
                 )?;

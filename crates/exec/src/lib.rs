@@ -42,7 +42,7 @@
 #![warn(clippy::unwrap_used)]
 
 use parking_lot::Mutex;
-use seqdl_core::{CancelToken, Fact, Instance, Path, RelName};
+use seqdl_core::{CancelToken, Fact, Instance, Path, RelName, Rows};
 use seqdl_engine::drive::{read, DELTA_SHARD};
 use seqdl_engine::{
     prepare_run, Driver, EvalError, EvalLimits, EvalStats, FireStats, Job, JobOutcome,
@@ -176,7 +176,10 @@ fn run_job(
             id: job.id,
             rule_ix: job.rule_ix,
             wall: Duration::ZERO,
-            result: Ok((Vec::new(), FireStats::default())),
+            result: Ok((
+                Rows::new(job.proc.rule.head.args.len()),
+                FireStats::default(),
+            )),
         };
     }
     job.run(|job| {

@@ -64,7 +64,8 @@ pub fn write_instance(instance: &Instance) -> String {
 /// be a single ground fact terminated by `.`.
 ///
 /// Each fact line is read by a [`FactReader`], which interns its paths with
-/// no tokens or syntax tree.  A line the reader declines goes through the
+/// no tokens or syntax tree, and its row is inserted by slice, so a fact
+/// allocates nothing of its own on the way into its relation.  A line the reader declines goes through the
 /// rule parser instead, which accepts the rare spellings the reader leaves
 /// out (such as `R(a) <- .`) and words every error.
 ///
@@ -89,14 +90,17 @@ pub fn parse_instance(text: &str) -> Result<Instance, InstanceParseError> {
             instance.declare_relation(RelName::new(&name), arity);
             continue;
         }
-        let fact = match reader.read(line) {
-            Some(fact) => fact,
-            None => parse_fact_line(line).map_err(|message| InstanceParseError {
-                line: line_number,
-                message,
-            })?,
+        let inserted = match reader.read(line) {
+            Some((relation, row)) => instance.insert_row(relation, row),
+            None => {
+                let fact = parse_fact_line(line).map_err(|message| InstanceParseError {
+                    line: line_number,
+                    message,
+                })?;
+                instance.insert_fact(fact)
+            }
         };
-        instance.insert_fact(fact).map_err(|e| InstanceParseError {
+        inserted.map_err(|e| InstanceParseError {
             line: line_number,
             message: e.to_string(),
         })?;
@@ -222,6 +226,19 @@ mod tests {
             back.unary_paths(rel("Log")),
             instance.unary_paths(rel("Log"))
         );
+    }
+
+    #[test]
+    fn backslashes_and_quotes_round_trip() {
+        let names = ["a\\", "\\", "a\\'b", "a\\\\b"];
+        let instance = Instance::unary(rel("Esc"), names.map(|name| path_of(&[name])));
+        let text = write_instance(&instance);
+        assert!(text.contains("Esc('a\\\\')."), "{text}");
+        assert_eq!(roundtrip(&instance), instance, "{text}");
+        // `\\` reads as one backslash; a lone backslash stays literal.
+        let read = parse_instance("R('a\\\\b').\nR('a\\b').\n").unwrap();
+        assert_eq!(read.unary_paths(rel("R")).len(), 1);
+        assert!(read.contains_fact(&Fact::new(rel("R"), vec![path_of(&["a\\b"])])));
     }
 
     #[test]

@@ -62,7 +62,7 @@ impl MagicProgram {
             .map(|rel| {
                 rel.iter()
                     .filter(|t| goal_matches(&self.goal, t))
-                    .cloned()
+                    .map(<[Path]>::to_vec)
                     .collect()
             })
             .unwrap_or_default()
@@ -469,7 +469,7 @@ mod tests {
             .unwrap()
             .iter()
             .filter(|t| goal_matches(&goal, t))
-            .cloned()
+            .map(<[Path]>::to_vec)
             .collect();
         let demanded = executor.run_seeded(&mp.program, &input, &mp.seeds).unwrap();
         assert_eq!(mp.answers(&demanded), expected);
@@ -534,7 +534,7 @@ mod tests {
             .unwrap()
             .iter()
             .filter(|t| goal_matches(&goal, t))
-            .cloned()
+            .map(<[Path]>::to_vec)
             .collect();
         let out = Executor::new()
             .run_seeded(&mp.program, &input, &mp.seeds)
@@ -576,7 +576,7 @@ mod tests {
             .unwrap()
             .iter()
             .filter(|t| goal_matches(&goal, t))
-            .cloned()
+            .map(<[Path]>::to_vec)
             .collect();
         let out = Executor::new()
             .run_seeded(&mp.program, &input, &mp.seeds)
@@ -602,7 +602,7 @@ mod tests {
             .unwrap()
             .iter()
             .filter(|t| goal_matches(&goal, t))
-            .cloned()
+            .map(<[Path]>::to_vec)
             .collect();
         let out = Executor::new()
             .run_seeded(&mp.program, &input, &mp.seeds)

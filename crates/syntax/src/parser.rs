@@ -15,7 +15,7 @@
 use crate::ast::{Atom, Equation, Literal, Predicate, Program, Rule, Stratum};
 use crate::error::SyntaxError;
 use crate::term::{PathExpr, Term, Var};
-use seqdl_core::{AtomId, Fact, Path, RelName, Value};
+use seqdl_core::{AtomId, Path, RelName, Value};
 use std::borrow::Cow;
 
 /// Parse a complete program (one or more strata separated by `---` lines).
@@ -44,7 +44,7 @@ pub fn parse_expr(input: &str) -> Result<PathExpr, SyntaxError> {
 }
 
 /// A token.  Names borrow from the input; only a quoted atom containing an
-/// escaped quote owns its (unescaped) text.
+/// escape owns its (unescaped) text.
 #[derive(Debug, PartialEq, Eq)]
 enum Tok<'a> {
     Ident(&'a str),
@@ -92,7 +92,8 @@ fn ident_len(text: &str) -> usize {
 
 /// The body of a quoted atom whose opening `'` precedes `text`, and the bytes
 /// consumed including the closing `'`; `None` if the quote is never closed.
-/// `\'` stands for a quote; any other backslash is literal.
+/// `\'` stands for a quote and `\\` for one backslash; any other backslash
+/// is literal.
 fn quoted_atom(text: &str) -> Option<(Cow<'_, str>, usize)> {
     let bytes = text.as_bytes();
     let mut unescaped: Option<String> = None;
@@ -100,10 +101,10 @@ fn quoted_atom(text: &str) -> Option<(Cow<'_, str>, usize)> {
     let mut i = 0;
     while i < bytes.len() {
         match bytes[i] {
-            b'\\' if bytes.get(i + 1) == Some(&b'\'') => {
+            b'\\' if matches!(bytes.get(i + 1), Some(b'\'' | b'\\')) => {
                 let owned = unescaped.get_or_insert_with(String::new);
                 owned.push_str(&text[run_start..i]);
-                owned.push('\'');
+                owned.push(char::from(bytes[i + 1]));
                 i += 2;
                 run_start = i;
             }
@@ -235,6 +236,8 @@ pub struct FactReader {
     /// The values of the paths being read, the innermost packed one last;
     /// reused from line to line.
     values: Vec<Value>,
+    /// The row of the last fact read; reused from line to line.
+    row: Vec<Path>,
 }
 
 impl FactReader {
@@ -243,10 +246,12 @@ impl FactReader {
         FactReader::default()
     }
 
-    /// Read `line` as one ground fact, or `None` if the line is not one in
-    /// the grammar above.
-    pub fn read(&mut self, line: &str) -> Option<Fact> {
+    /// Read `line` as one ground fact `relation(row)`, or `None` if the line
+    /// is not one in the grammar above.  The row borrows a buffer that the
+    /// next line reuses, so a fact is read with no row of its own.
+    pub fn read(&mut self, line: &str) -> Option<(RelName, &[Path])> {
         self.values.clear();
+        self.row.clear();
         let mut cur = line.trim_start_matches(SPACE);
         let name = &cur[..ident_len(cur)];
         if name.is_empty() || name == "eps" {
@@ -254,12 +259,12 @@ impl FactReader {
         }
         let relation = RelName::new(name);
         cur = cur[name.len()..].trim_start_matches(SPACE);
-        let mut tuple = Vec::new();
         if let Some(rest) = cur.strip_prefix('(') {
             cur = rest.trim_start_matches(SPACE);
             if !cur.starts_with(')') {
                 loop {
-                    tuple.push(self.expr(&mut cur)?);
+                    let path = self.expr(&mut cur)?;
+                    self.row.push(path);
                     let Some(rest) = cur.strip_prefix(',') else {
                         break;
                     };
@@ -273,7 +278,7 @@ impl FactReader {
             .strip_prefix('.')?
             .trim_start_matches(SPACE);
         let ends = rest.is_empty() || rest.starts_with(['%', '#']) || rest.starts_with("//");
-        ends.then(|| Fact::new(relation, tuple))
+        ends.then_some((relation, &self.row))
     }
 
     /// Read a nonempty `·`-separated run of items at the start of `cur` and
@@ -688,10 +693,13 @@ mod tests {
         let e = parse_expr("'complete order'·'receive payment'").unwrap();
         assert_eq!(e.len(), 2);
         assert_eq!(e.to_string(), "'complete order'·'receive payment'");
-        // `\'` is an escaped quote; any other backslash is literal.
-        let e = parse_expr("'it\\'s'·'a\\b'").unwrap();
+        // `\'` is an escaped quote and `\\` an escaped backslash; any other
+        // backslash is literal.
+        let e = parse_expr("'it\\'s'·'a\\b'·'a\\\\b'·'a\\\\'").unwrap();
         assert_eq!(e.terms()[0], Term::Const(AtomId::new("it's")));
         assert_eq!(e.terms()[1], Term::Const(AtomId::new("a\\b")));
+        assert_eq!(e.terms()[2], Term::Const(AtomId::new("a\\b")));
+        assert_eq!(e.terms()[3], Term::Const(AtomId::new("a\\")));
     }
 
     #[test]

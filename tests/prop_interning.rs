@@ -123,7 +123,7 @@ proptest! {
             let probed: Vec<Path> = relation
                 .probe_first(0, first)
                 .iter()
-                .map(|e| relation.as_slice()[e.id as usize][0])
+                .map(|e| relation.rows().row(e.id as usize)[0])
                 .collect();
             prop_assert_eq!(probed, scan_first(&instance, "R", first));
         }

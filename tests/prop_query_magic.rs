@@ -63,7 +63,7 @@ proptest! {
             .map(|r| {
                 r.iter()
                     .filter(|t| !reference::match_predicate(&goal, t, &Valuation::new()).is_empty())
-                    .cloned()
+                    .map(|row| row.to_vec())
                     .collect()
             })
             .unwrap_or_default();

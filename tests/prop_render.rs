@@ -42,7 +42,7 @@ mod oracle {
                 if bare {
                     name
                 } else {
-                    format!("'{}'", name.replace('\'', "\\'"))
+                    format!("'{}'", name.replace('\\', "\\\\").replace('\'', "\\'"))
                 }
             }
             Value::Packed(p) => format!("<{}>", path(p)),
@@ -61,8 +61,8 @@ mod oracle {
     }
 
     /// `seqdl run`'s rows of one relation.
-    pub fn run_rows(relation: RelName, tuples: &[Tuple]) -> String {
-        let mut rows: Vec<&Tuple> = tuples.iter().collect();
+    pub fn run_rows(relation: RelName, tuples: &[&[Path]]) -> String {
+        let mut rows: Vec<&[Path]> = tuples.to_vec();
         rows.sort();
         rows.iter()
             .map(|t| format!("  {relation}({})\n", args(t)))
@@ -162,9 +162,9 @@ fn random_instance(seed: u64) -> Instance {
     instance
 }
 
-fn rendered_rows(relation: RelName, tuples: &[Tuple]) -> String {
+fn rendered_rows(relation: RelName, tuples: &[&[Path]]) -> String {
     let mut out = String::new();
-    Renderer::new().write_sorted_rows(&mut out, relation, tuples.iter().map(Vec::as_slice));
+    Renderer::new().write_sorted_rows(&mut out, relation, tuples.iter().copied());
     out
 }
 
@@ -173,17 +173,17 @@ fn rendered_rows(relation: RelName, tuples: &[Tuple]) -> String {
 fn assert_renders_like_oracle(instance: &Instance) {
     for name in instance.relation_names() {
         let relation = instance.relation(name).expect("listed relation");
-        let tuples = relation.as_slice();
+        let tuples: Vec<&[Path]> = relation.iter().collect();
         if relation.arity() > 0 {
             assert_eq!(
-                rendered_rows(name, tuples),
-                oracle::run_rows(name, tuples),
+                rendered_rows(name, &tuples),
+                oracle::run_rows(name, &tuples),
                 "rows of {name}"
             );
         }
         for tuple in tuples {
             assert_eq!(
-                Fact::new(name, tuple.clone()).to_string(),
+                Fact::new(name, tuple.to_vec()).to_string(),
                 oracle::fact(name, tuple)
             );
             for path in tuple {
@@ -223,7 +223,7 @@ fn expected_answers(instance: &Instance, goal: &Predicate) -> BTreeSet<Tuple> {
         .map(|r| {
             r.iter()
                 .filter(|t| !reference::match_predicate(goal, t, &Valuation::new()).is_empty())
-                .cloned()
+                .map(|row| row.to_vec())
                 .collect()
         })
         .unwrap_or_default()
@@ -239,9 +239,7 @@ fn program_input(seed: u64) -> Instance {
     let extra = random_instance(seed);
     if let Some(render1) = extra.relation(rel("Render1")) {
         for tuple in render1.iter() {
-            input
-                .insert_fact(Fact::new(rel("R0"), tuple.clone()))
-                .expect("R0 is unary");
+            input.insert_row(rel("R0"), tuple).expect("R0 is unary");
         }
     }
     input
@@ -296,7 +294,7 @@ proptest! {
                 "{}: {} fact(s)\n{}",
                 head.relation,
                 relation.len(),
-                oracle::run_rows(head.relation, relation.as_slice())
+                oracle::run_rows(head.relation, &relation.iter().collect::<Vec<_>>())
             );
             prop_assert!(report.ends_with(&expected), "run report:\n{report}\nexpected tail:\n{expected}");
         }

@@ -28,7 +28,7 @@ fn single_source_query_fires_strictly_fewer_rules_than_the_full_run() {
         .unwrap()
         .iter()
         .filter(|t| goal_matches(&goal, t))
-        .cloned()
+        .map(|row| row.to_vec())
         .collect();
     assert!(!expected.is_empty(), "the workload must have answers");
 
@@ -67,7 +67,7 @@ fn point_queries_and_empty_demands_behave() {
             .unwrap()
             .iter()
             .filter(|t| goal_matches(&goal, t))
-            .cloned()
+            .map(|row| row.to_vec())
             .collect();
         let mp = magic(&program, &goal).unwrap();
         let out = executor.run_seeded(&mp.program, &input, &mp.seeds).unwrap();

@@ -95,7 +95,7 @@ fn valuations(body: &[Literal], instance: &Instance) -> Vec<Valuation> {
         };
         let tuples: Vec<_> = instance
             .relation(pred.relation)
-            .map(|r| r.iter().cloned().collect())
+            .map(|r| r.iter().map(|row| row.to_vec()).collect())
             .unwrap_or_default();
         frontier = frontier
             .iter()
