@@ -108,8 +108,13 @@ fn per_rule_profile_attributes_every_firing() {
             .get("rules")
             .and_then(Json::as_array)
             .expect("rules array");
+        let derived = doc
+            .get("totals")
+            .and_then(|t| t.get("derived_facts"))
+            .and_then(Json::as_number)
+            .expect("totals.derived_facts");
         assert!(!rules.is_empty(), "profiled rules at {threads} thread(s)");
-        let mut attributed = 0.0;
+        let (mut attributed, mut attributed_facts) = (0.0, 0.0);
         for r in rules {
             for key in [
                 "stratum",
@@ -135,10 +140,23 @@ fn per_rule_profile_attributes_every_firing() {
                 "rule text must render the rule"
             );
             attributed += r.get("firings").and_then(Json::as_number).unwrap_or(0.0);
+            attributed_facts += r
+                .get("derived_facts")
+                .and_then(Json::as_number)
+                .unwrap_or(0.0);
+            assert_eq!(
+                r.get("emit_memo_hits").and_then(Json::as_number),
+                Some(0.0),
+                "emit_memo_hits is retired"
+            );
         }
         assert_eq!(
             attributed, total,
             "per-rule firings must sum to the total at {threads} thread(s)"
+        );
+        assert_eq!(
+            attributed_facts, derived,
+            "per-rule facts must sum to the derived facts at {threads} thread(s)"
         );
     }
 }

@@ -449,7 +449,7 @@ fn write_profile(report: &mut String, stats: &seqdl_engine::EvalStats) {
     for r in &order {
         writeln!(
             report,
-            "  s{}r{}: {} firing(s), {} fact(s), {:?}, {} probe(s), {} scan(s), {} instruction(s), {} fused, {} memo hit(s) — {}",
+            "  s{}r{}: {} firing(s), {} fact(s), {:?}, {} probe(s), {} scan(s), {} instruction(s), {} fused — {}",
             r.stratum,
             r.rule_ix,
             r.firings,
@@ -459,7 +459,6 @@ fn write_profile(report: &mut String, stats: &seqdl_engine::EvalStats) {
             r.scans,
             r.instructions,
             r.fused_probes,
-            r.emit_memo_hits,
             r.rule
         )
         .expect("write to string");
@@ -1349,6 +1348,27 @@ mod tests {
             .sum();
         assert!(total > 0, "{output}");
         assert_eq!(profiled, total, "{output}");
+        // Per-rule facts are the rows each rule added at the merge, so they
+        // sum to the run's derived facts.
+        let derived: usize = output
+            .split("derived facts: ")
+            .nth(1)
+            .and_then(|rest| rest.split(',').next())
+            .and_then(|n| n.trim().parse().ok())
+            .expect("parse total derived facts");
+        let profiled_facts: usize = output
+            .lines()
+            .filter(|l| l.starts_with("  s") && !l.starts_with("  stratum"))
+            .map(|l| {
+                l.split(" firing(s), ")
+                    .nth(1)
+                    .and_then(|rest| rest.split(" fact(s)").next())
+                    .and_then(|n| n.trim().parse::<usize>().ok())
+                    .expect("parse per-rule facts")
+            })
+            .sum();
+        assert!(derived > 0, "{output}");
+        assert_eq!(profiled_facts, derived, "{output}");
         // Both rules of the recursive component are attributed by name.
         assert!(output.contains("T(@x·@y) <- R(@x·@y)."), "{output}");
         assert!(

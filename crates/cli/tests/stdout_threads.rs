@@ -71,6 +71,25 @@ fn run_and_query_stdout_is_identical_at_one_and_four_threads() {
 }
 
 #[test]
+fn a_row_one_job_derives_twice_prints_once() {
+    // Both facts ground the same head row in one job; the merge keeps one.
+    let program = temp_file("twice.sdl", "T(@x) <- R(@x·@y).\n");
+    let instance = temp_file("twice.sdi", "R(a·b).\nR(a·c).\n");
+    let stdout = same_at_every_thread_count(&[
+        "run",
+        "--program",
+        &program,
+        "--instance",
+        &instance,
+        "--output",
+        "T",
+    ]);
+    // The only other line is the lint warning on the unused `@y`.
+    assert!(stdout.contains("\nT: 1 fact(s)\n  T(a)\n"), "{stdout}");
+    assert_eq!(stdout.matches("T(a)").count(), 1, "{stdout}");
+}
+
+#[test]
 fn atoms_print_in_first_interned_order() {
     // Atoms compare by interner index, so a fresh process prints them in
     // the order the input first names them, not by name.

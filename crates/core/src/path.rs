@@ -237,8 +237,7 @@ impl Path {
 
 /// One segment of a composed path for [`Path::from_segments`]: a single value
 /// or a whole interned path.  Either way a segment is an interned identity,
-/// so the engine's emit memo can key a grounded rule head on its segments
-/// without touching the content.
+/// so a grounded rule head is a few words per term until it is interned.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum Segment {
     /// One value.

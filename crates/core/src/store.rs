@@ -15,10 +15,14 @@
 //!
 //! The table is append-only and global (like the string interner of
 //! [`crate::interner`], and for the same reason: values flow freely between
-//! programs, instances, and engines).  Entries are leaked `Box<[Value]>`
-//! allocations — the memory-density trade systems like Octopus make: storage
-//! is shared across identical content and lives for the process, with
-//! [`store_stats`] exposing the footprint so harnesses can report it.
+//! programs, instances, and engines).  Content lives in an arena of leaked
+//! fixed-size chunks: a new path is copied to the front of the current
+//! chunk's unused tail and cut off, so storing it allocates nothing until a
+//! chunk fills.  Only a path longer than an eighth of a chunk gets a leaked
+//! allocation of its own.  This is the memory-density trade systems like
+//! Octopus make: storage is shared across identical content and lives for the
+//! process, with [`store_stats`] exposing the footprint so harnesses can
+//! report it.
 //!
 //! **One consing table.**  Besides the id → content table, the store keeps a
 //! single content-keyed table: the content hash maps to the newest id with
@@ -38,12 +42,13 @@
 //!
 //! A new content is stored without a copy when the caller hands in a slice
 //! that already lives forever — a cut of a stored path aliases its parent's
-//! storage — and copied once otherwise.  Compositions are built in a reused
-//! thread-local buffer (`intern_built`), so a repeat composition allocates
-//! nothing.  Reads (`resolve`) go through the thread-local mirror of the
-//! append-only entry table, so resolving an id a thread has seen before is a
-//! plain bounds-checked array read with no atomics — the "shared read-only
-//! store" shape the multi-threaded executor wants.
+//! storage — and copied once into the arena otherwise.  Compositions are
+//! built in a reused thread-local buffer (`intern_built`), so a repeat
+//! composition allocates nothing.  Reads (`resolve`) go through the
+//! thread-local mirror of the append-only entry table, so resolving an id a
+//! thread has seen before is a plain bounds-checked array read with no
+//! atomics — the "shared read-only store" shape the multi-threaded executor
+//! wants.
 //!
 //! **Growth discipline.**  The matcher's backtracking prefix enumeration
 //! tries up to O(L²) distinct cuts of a length-L path probed by adjacent
@@ -58,6 +63,7 @@
 //! bound what remains.
 
 use crate::hash::{fx_hash, FxMap};
+use crate::path::Path;
 use crate::value::Value;
 use parking_lot::RwLock;
 use std::cell::RefCell;
@@ -80,6 +86,14 @@ impl PathId {
     }
 }
 
+/// Values per arena chunk (8 bytes each, so 32 KiB).
+const CHUNK_VALUES: usize = 4096;
+
+/// The longest content copied into the arena.  A longer one gets a leaked
+/// allocation of its own, so starting a fresh chunk never abandons more than
+/// an eighth of the old one.
+const ARENA_MAX_LEN: usize = CHUNK_VALUES / 8;
+
 struct StoreInner {
     /// Id → content; append-only, so prefixes of this table never change.
     entries: Vec<&'static [Value]>,
@@ -88,8 +102,30 @@ struct StoreInner {
     /// Id → the next older id with the same content hash.  Id 0 (`ε`, which
     /// is never hashed) ends a chain.
     next: Vec<u32>,
-    /// Bytes of leaked copies (stored cuts alias their parent and add nothing).
+    /// The unused tail of the current arena chunk: new content is copied to
+    /// its front and cut off.
+    tail: &'static mut [Value],
+    /// Bytes of copied content (stored cuts alias their parent and add nothing).
     owned_bytes: usize,
+}
+
+impl StoreInner {
+    /// A copy of `slice` that lives forever: cut from the arena's tail (a
+    /// fresh chunk when the tail is too short), or leaked on its own when
+    /// `slice` is longer than [`ARENA_MAX_LEN`].
+    fn copy(&mut self, slice: &[Value]) -> &'static [Value] {
+        self.owned_bytes += std::mem::size_of_val(slice);
+        if slice.len() > ARENA_MAX_LEN {
+            return Box::leak(slice.into());
+        }
+        if self.tail.len() < slice.len() {
+            self.tail = Box::leak(vec![Value::Packed(Path::empty()); CHUNK_VALUES].into());
+        }
+        let (stored, rest) = std::mem::take(&mut self.tail).split_at_mut(slice.len());
+        stored.copy_from_slice(slice);
+        self.tail = rest;
+        stored
+    }
 }
 
 fn store() -> &'static RwLock<StoreInner> {
@@ -99,6 +135,7 @@ fn store() -> &'static RwLock<StoreInner> {
             entries: vec![&[]],
             newest: FxMap::default(),
             next: vec![0],
+            tail: &mut [],
             owned_bytes: 0,
         })
     })
@@ -164,10 +201,7 @@ pub(crate) fn intern(slice: &[Value], stored: Option<&'static [Value]>) -> PathI
             id = g.next[id as usize];
         }
         if id == 0 {
-            let stored = stored.unwrap_or_else(|| {
-                g.owned_bytes += std::mem::size_of_val(slice);
-                Box::leak(slice.into())
-            });
+            let stored = stored.unwrap_or_else(|| g.copy(slice));
             id = u32::try_from(g.entries.len()).expect("path store overflow");
             g.entries.push(stored);
             g.next.push(g.newest.insert(hash, id).unwrap_or(0));
@@ -196,9 +230,9 @@ pub(crate) fn intern_built(fill: impl FnOnce(&mut Vec<Value>)) -> PathId {
 pub struct StoreStats {
     /// Number of distinct paths interned (including `ε`).
     pub distinct_paths: usize,
-    /// Bytes of leaked value storage owned by the store.  Shared sub-slices
-    /// (subpaths of stored paths) contribute nothing: they alias their
-    /// parent's storage.
+    /// Bytes of path content the store copied.  Shared sub-slices (subpaths
+    /// of stored paths) contribute nothing: they alias their parent's
+    /// storage.  The unfilled tail of the current arena chunk is not counted.
     pub owned_bytes: usize,
     /// Approximate bytes of table overhead: the entry table, the consing
     /// table's hash map and its per-id chain array.
@@ -261,6 +295,39 @@ mod tests {
         assert!(parent_range.contains(&sub_ptr));
         // And it is the same id as interning the content from scratch.
         assert_eq!(sub, path_of(&["s2", "s3"]));
+    }
+
+    #[test]
+    fn arena_chunks_keep_every_earlier_content() {
+        // Mixed lengths, more than three chunks' worth of values in all, plus
+        // contents past the arena cap that are leaked on their own.
+        let filler: Vec<Value> = (0..8)
+            .map(|j| Value::atom(&format!("arena_v{j}")))
+            .collect();
+        let mut contents: Vec<Vec<Value>> = (0..4 * CHUNK_VALUES / 3)
+            .map(|i| {
+                let mut values = vec![Value::atom(&format!("arena_k{i}"))];
+                values.extend(filler.iter().cycle().take(i % 5));
+                values
+            })
+            .collect();
+        for len in [ARENA_MAX_LEN + 1, CHUNK_VALUES + 3] {
+            contents.insert(700, filler.iter().copied().cycle().take(len).collect());
+        }
+        assert!(contents.iter().map(Vec::len).sum::<usize>() > 3 * CHUNK_VALUES);
+        let paths: Vec<Path> = contents.iter().map(|c| Path::from_slice(c)).collect();
+        for (path, content) in paths.iter().zip(&contents) {
+            assert_eq!(path.values(), content.as_slice());
+            assert_eq!(Path::from_slice(content), *path);
+        }
+        // A thread with an empty mirror resolves the same content.
+        std::thread::spawn(move || {
+            for (path, content) in paths.iter().zip(&contents) {
+                assert_eq!(path.values(), content.as_slice());
+            }
+        })
+        .join()
+        .unwrap();
     }
 
     #[test]

@@ -15,8 +15,8 @@
 
 use crate::error::{EvalError, LimitKind};
 use crate::eval::{
-    prepare_idb_instance, restrict_head_indexes, seed_instance, DeltaWindow, EmitMemo, EvalLimits,
-    EvalStats, FireStats, ResourceGovernor, StratumStats,
+    prepare_idb_instance, restrict_head_indexes, seed_instance, DeltaWindow, EvalLimits, EvalStats,
+    FireStats, ResourceGovernor, StratumStats,
 };
 use crate::ram::{self, fire_proc, LoopProgram, RuleProc, StratumProgram};
 use seqdl_core::{Fact, Instance, RelName, Relation, Rows};
@@ -98,9 +98,9 @@ pub struct JobOutcome {
 }
 
 impl<'a> Job<'a> {
-    /// Fire the job's procedure over `instance`.  Jobs are independent work
-    /// units, so each gets a fresh emit memo; it still collapses duplicate
-    /// derivations within the job's window.
+    /// Fire the job's procedure over `instance`, buffering the head rows it
+    /// derives that are not yet in the head relation.  A row the job derives
+    /// twice is buffered twice; the merge keeps one.
     ///
     /// # Errors
     /// Whatever [`fire_proc`] reports.
@@ -110,16 +110,8 @@ impl<'a> Job<'a> {
         governor: &ResourceGovernor,
     ) -> Result<(Rows, FireStats), EvalError> {
         let mut out = Rows::new(self.proc.rule.head.args.len());
-        let mut memo = EmitMemo::new();
-        fire_proc(
-            self.proc,
-            instance,
-            self.window,
-            &mut memo,
-            &mut out,
-            Some(governor),
-        )
-        .map(|fire| (out, fire))
+        fire_proc(self.proc, instance, self.window, &mut out, Some(governor))
+            .map(|fire| (out, fire))
     }
 
     /// Run the job as one profiled pass: a rule span and a wall clock around
@@ -446,15 +438,16 @@ impl<'a> Driver<'a> {
             let rule_ix = outcome.rule_ix;
             let (rows, fire) = outcome.result?;
             let head = &stratum.procs[rule_ix].rule.head;
+            let before = stats.derived_facts;
+            self.absorb(&mut guard, head.relation, &rows, stats)?;
             stats.apply_rule_fire(
                 stratum_ix,
                 rule_ix,
                 || stratum.procs[rule_ix].rule.to_string(),
                 fire,
                 outcome.wall,
-                rows.len(),
+                stats.derived_facts - before,
             );
-            self.absorb(&mut guard, head.relation, &rows, stats)?;
         }
         Ok(())
     }

@@ -163,9 +163,9 @@ pub struct EvalStats {
     /// predicate probes compiled to existence-check filters, and terminal
     /// probe+emit loops.
     pub fused_probes: usize,
-    /// Firings whose derived fact was recognised as a duplicate by the
-    /// per-job emit memo (one segment-identity probe instead of grounding
-    /// and re-deriving the head tuple).
+    /// Retired: always 0.  Duplicate firings are dropped by the path store's
+    /// consing and the head relation's dedup, which count nothing here.  The
+    /// field and its stats-JSON key stay so existing consumers still read it.
     pub emit_memo_hits: usize,
     /// High-water mark of shard jobs any single delta window fanned out into
     /// during the *current* stratum; the per-stratum breakdown consumes it
@@ -187,14 +187,13 @@ impl EvalStats {
         self.scans += fire.scans;
         self.instructions_executed += fire.instructions;
         self.fused_probes += fire.fused_probes;
-        self.emit_memo_hits += fire.emit_memo_hits;
     }
 
     /// Fold one rule-firing pass into both the run totals and the per-rule
     /// profile entry keyed by `(stratum, rule_ix)`.  `rule` renders the rule
     /// lazily — it is only invoked the first time the entry is created.
-    /// `derived` counts the facts the pass buffered (new at emit time; the
-    /// merge-time dedup across rules is not attributed back).
+    /// `derived` counts the facts the pass added to its head relation at the
+    /// merge.
     pub fn apply_rule_fire(
         &mut self,
         stratum: usize,
@@ -228,7 +227,6 @@ impl EvalStats {
         entry.scans += fire.scans;
         entry.instructions += fire.instructions;
         entry.fused_probes += fire.fused_probes;
-        entry.emit_memo_hits += fire.emit_memo_hits;
     }
 
     /// Record that one delta window fanned out into `shards` shard jobs; the
@@ -251,8 +249,7 @@ pub struct FireStats {
     pub instructions: usize,
     /// Executions of fused instructions.
     pub fused_probes: usize,
-    /// Firings deduplicated by the emit memo: each is one segment-identity
-    /// probe hit for a head row this job already emitted.
+    /// Retired: always 0 (see [`EvalStats::emit_memo_hits`]).
     pub emit_memo_hits: usize,
 }
 
@@ -268,8 +265,9 @@ pub struct RuleStats {
     pub rule: String,
     /// Head instantiations (counting duplicates).
     pub firings: usize,
-    /// Facts the rule's firing passes buffered (new at emit time; cross-rule
-    /// duplicates dropped later at the merge point are still counted here).
+    /// Facts the rule's firing passes added to its head relation.  Passes
+    /// merge in job order, so a fact several rules derive in one round counts
+    /// for the first of them.
     pub derived_facts: usize,
     /// Wall-clock time spent in the rule's firing passes.  Under the parallel
     /// executor passes overlap, so rule walls can sum past the stratum wall.
@@ -282,7 +280,7 @@ pub struct RuleStats {
     pub instructions: usize,
     /// Executions of fused instructions.
     pub fused_probes: usize,
-    /// Firings deduplicated by the emit memo.
+    /// Retired: always 0 (see [`EvalStats::emit_memo_hits`]).
     pub emit_memo_hits: usize,
 }
 
@@ -430,66 +428,6 @@ pub fn restrict_head_indexes<'a>(
     }
     for head in heads {
         instance.restrict_column_indexes(head, needed.get(&head).copied().unwrap_or(0));
-    }
-}
-
-/// An emit-deduplication memo, keyed by the *segment identity* of the
-/// grounded head: one interned id per head term (atom binding, path binding,
-/// or constant).  A firing whose segment tuple was seen before by this memo
-/// is a duplicate derivation — it is counted, but recognised in one hash
-/// probe without grounding any path and without touching the relation's
-/// dedup index.  The driver gives every job a fresh one.
-#[derive(Debug, Default)]
-pub struct EmitMemo {
-    pub(crate) seen: seqdl_core::FxMap<EmitKey, ()>,
-}
-
-impl EmitMemo {
-    /// An empty memo.
-    pub fn new() -> EmitMemo {
-        EmitMemo::default()
-    }
-}
-
-/// Heads of up to two terms (the overwhelmingly common case) pack the memo
-/// key into one `u128`; up to four terms use an inline array; longer heads
-/// spill to the heap.  Small keys keep the memo's working set dense — the
-/// per-duplicate probe is the hot memory access of a fixpoint.
-const EMIT_INLINE: usize = 4;
-
-#[derive(Clone, PartialEq, Eq, Hash, Debug)]
-pub(crate) enum EmitKey {
-    Packed(u128),
-    Inline(u8, [seqdl_core::Segment; EMIT_INLINE]),
-    Heap(Box<[seqdl_core::Segment]>),
-}
-
-/// A segment as a 40-bit code (8-bit tag + 32-bit id); two fit a `u128` with
-/// room to spare, and the tag for "no segment" is 0, so length is implicit.
-fn segment_code(seg: seqdl_core::Segment) -> u64 {
-    match seg {
-        seqdl_core::Segment::Value(Value::Atom(a)) => (1u64 << 32) | u64::from(a.symbol().index()),
-        seqdl_core::Segment::Value(Value::Packed(p)) => (2u64 << 32) | u64::from(p.id().index()),
-        seqdl_core::Segment::Path(p) => (3u64 << 32) | u64::from(p.index()),
-    }
-}
-
-impl EmitKey {
-    pub(crate) fn from_slice(segs: &[seqdl_core::Segment]) -> EmitKey {
-        match segs {
-            [] => EmitKey::Packed(0),
-            [a] => EmitKey::Packed(u128::from(segment_code(*a))),
-            [a, b] => {
-                EmitKey::Packed(u128::from(segment_code(*a)) | (u128::from(segment_code(*b)) << 40))
-            }
-            _ if segs.len() <= EMIT_INLINE => {
-                let mut inline =
-                    [seqdl_core::Segment::Path(seqdl_core::PathId::EMPTY); EMIT_INLINE];
-                inline[..segs.len()].copy_from_slice(segs);
-                EmitKey::Inline(segs.len() as u8, inline)
-            }
-            _ => EmitKey::Heap(segs.into()),
-        }
     }
 }
 

@@ -59,7 +59,7 @@ pub use drive::{prepare_run, Driver, Job, JobOutcome, ShardPolicy};
 pub use error::{EvalError, LimitKind};
 pub use eval::{
     check_idb_input, prepare_idb_instance, restrict_head_indexes, seed_instance, DeltaWindow,
-    EmitMemo, EvalLimits, EvalStats, FireStats, ResourceGovernor, RuleStats, StratumStats,
+    EvalLimits, EvalStats, FireStats, ResourceGovernor, RuleStats, StratumStats,
     GOVERNOR_CHECK_INTERVAL,
 };
 pub use plan::{plan_rule, BodyPlan, ColumnProbe, PlannedLiteral, PlannedPredicate, PrefixSource};

@@ -15,6 +15,11 @@
 //! first emit, and a `Solve` past the cut right before the emit stops its
 //! solver at the first extension.
 //!
+//! An emit makes two checks and keeps no table of its own: it interns the
+//! head row's paths, where a repeated path hits the thread's consing cache,
+//! and it skips the row if the head relation already holds it.  A row one
+//! job derives twice is buffered twice; the merge keeps the first copy.
+//!
 //! Candidate enumeration picks the smallest first-value bucket through
 //! `choose_candidates` on every probe entry, clamps it to the delta window
 //! with `partition_point`, and finishes each candidate one of three ways:
@@ -28,7 +33,7 @@
 //! evaluator, which has a matcher of its own.
 
 use crate::error::EvalError;
-use crate::eval::{choose_candidates, DeltaWindow, EmitKey, EmitMemo, FireStats};
+use crate::eval::{choose_candidates, DeltaWindow, FireStats};
 use crate::matching::{
     equation_holds, ground_row, match_predicate_det, match_predicate_sink, solve_equation,
 };
@@ -288,15 +293,14 @@ fn plan_invariant(step: usize, expected: &str) -> EvalError {
     }
 }
 
-/// Ground the head under `nu`, deduplicate through the memo, and append
-/// genuinely new rows.
+/// Ground the head under `nu` and append the row if the head relation does
+/// not hold it yet.
 #[allow(clippy::too_many_arguments)]
 fn emit_head(
     rule: &Rule,
     head_relation: Option<&Relation>,
     term_counts: &[usize],
     nu: &Valuation,
-    memo: &mut EmitMemo,
     seg_scratch: &mut Vec<Segment>,
     row_scratch: &mut Vec<Path>,
     out: &mut Rows,
@@ -312,7 +316,6 @@ fn emit_head(
     emit_segs(
         head_relation,
         term_counts,
-        memo,
         seg_scratch,
         row_scratch,
         out,
@@ -321,29 +324,22 @@ fn emit_head(
     Ok(())
 }
 
-/// The back half of [`emit_head`]: count the firing, deduplicate the built
-/// segment row through the memo, and append the head row to `out` if it is
-/// genuinely new.  Shared with the templated fused-emit loops, which fill
-/// `seg_scratch` holes directly instead of re-walking the head expression.
+/// The back half of [`emit_head`]: count the firing, intern the head row's
+/// paths from the built segments, and append the row to `out` unless the
+/// head relation already holds it.  A repeated path hits the thread's
+/// consing cache; a row this job already buffered is buffered again and
+/// dropped at the merge.  Shared with the templated fused-emit loops, which
+/// fill `seg_scratch` holes directly instead of re-walking the head
+/// expression.
 fn emit_segs(
     head_relation: Option<&Relation>,
     term_counts: &[usize],
-    memo: &mut EmitMemo,
     seg_scratch: &[Segment],
     row_scratch: &mut Vec<Path>,
     out: &mut Rows,
     stats: &mut FireStats,
 ) {
     stats.firings += 1;
-    match memo.seen.entry(EmitKey::from_slice(seg_scratch)) {
-        std::collections::hash_map::Entry::Occupied(_) => {
-            stats.emit_memo_hits += 1;
-            return;
-        }
-        std::collections::hash_map::Entry::Vacant(slot) => {
-            slot.insert(());
-        }
-    }
     row_scratch.clear();
     let mut offset = 0usize;
     for &n in term_counts {
@@ -367,9 +363,8 @@ fn predicate_of(proc: &RuleProc, step: usize) -> Result<&PlannedPredicate, EvalE
 /// head rows to `out` (rows of the head's arity) and returning the pass's
 /// counters.  With a [`DeltaWindow`] the predicate at the window's plan
 /// position only draws tuples with ids inside it — the semi-naive
-/// restriction, shardable across jobs.  The call only reads `instance`, so jobs may run concurrently.
-/// `memo` is the pass's [`EmitMemo`]: a fresh one is always correct, since it
-/// only short-circuits duplicate emissions.
+/// restriction, shardable across jobs.  The call only reads `instance`, so
+/// jobs may run concurrently.
 ///
 /// `governor`, when given, is polled once every
 /// [`crate::eval::GOVERNOR_CHECK_INTERVAL`] dispatched instructions — an
@@ -384,7 +379,6 @@ pub fn fire_proc(
     proc: &RuleProc,
     instance: &Instance,
     window: Option<DeltaWindow>,
-    memo: &mut EmitMemo,
     out: &mut Rows,
     governor: Option<&crate::eval::ResourceGovernor>,
 ) -> Result<FireStats, EvalError> {
@@ -543,7 +537,6 @@ pub fn fire_proc(
                                             emit_segs(
                                                 head_relation,
                                                 term_counts,
-                                                memo,
                                                 &seg_scratch,
                                                 &mut row_scratch,
                                                 out,
@@ -568,7 +561,6 @@ pub fn fire_proc(
                                     emit_segs(
                                         head_relation,
                                         term_counts,
-                                        memo,
                                         &seg_scratch,
                                         &mut row_scratch,
                                         out,
@@ -589,7 +581,6 @@ pub fn fire_proc(
                                 head_relation,
                                 term_counts,
                                 &nu,
-                                memo,
                                 &mut seg_scratch,
                                 &mut row_scratch,
                                 out,
@@ -633,7 +624,6 @@ pub fn fire_proc(
                     head_relation,
                     term_counts,
                     &nu,
-                    memo,
                     &mut seg_scratch,
                     &mut row_scratch,
                     out,

@@ -3,8 +3,8 @@
 //! A [`RuleProc`] is one rule compiled to a linear instruction sequence over
 //! its [`BodyPlan`]: choice points ([`Inst::Probe`], [`Inst::Solve`]) push a
 //! frame the interpreter backtracks through, deterministic guards
-//! ([`Inst::Filter`]) just pass or fail, and [`Inst::Emit`] grounds the head
-//! through the emit memo, then cuts the trail back to
+//! ([`Inst::Filter`]) just pass or fail, and [`Inst::Emit`] grounds the head,
+//! buffers it unless the head relation holds it, then cuts the trail back to
 //! [`RuleProc::emit_keep`] choice points.  Besides the code, a procedure
 //! carries what the lowering proved about it: the per-step
 //! [`RuleProc::det`] verdict and whether the head is
@@ -51,8 +51,8 @@ pub enum Inst {
     },
     /// Deterministic guard: pass or backtrack, never binds.
     Filter(FilterOp),
-    /// Ground the head under the current valuation, deduplicate through the
-    /// [`EmitMemo`](crate::eval::EmitMemo), and append genuinely new facts.
+    /// Ground the head under the current valuation and append it to the
+    /// job's buffer unless the head relation already holds it.
     /// Then cut: backtracking resumes at the last of the first
     /// [`RuleProc::emit_keep`] choice points, since every later one binds
     /// only variables the head does not read.

@@ -16,7 +16,7 @@
 //!   "outcome": {"status": "ok"},
 //!   "totals": {"iterations": 3, "derived_facts": 10, "rule_firings": 12,
 //!              "index_probes": 9, "scans": 2, "instructions_executed": 40,
-//!              "fused_probes": 5, "emit_memo_hits": 2},
+//!              "fused_probes": 5, "emit_memo_hits": 0},
 //!   "strata": [{"rules": 2, "iterations": 3, "derived_facts": 10,
 //!               "rule_firings": 12, "shards": 1, "wall_us": 120,
 //!               "wall_pct": 100.00}],
@@ -27,6 +27,9 @@
 //!   "store": {"distinct_paths": 40, "bytes": 4096}
 //! }
 //! ```
+//!
+//! `emit_memo_hits` is retired and always 0; the key stays so consumers of
+//! this version keep parsing.
 //!
 //! `outcome.status` is `"ok"`, `"cancelled"` (with `"reason"`), `"limit"`
 //! (with `"kind"` ∈ {`iterations`, `facts`, `path_length`, `store_bytes`} and

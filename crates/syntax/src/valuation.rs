@@ -253,10 +253,9 @@ impl Valuation {
 
     /// Append the segment sequence `expr` denotes under this valuation — one
     /// [`Segment`] per term, each the interned identity of what the term
-    /// denotes.  `None` if some variable is unbound.  Because the per-term
-    /// segment count is static, a rule head's full segment sequence is an
-    /// unambiguous identity for the derived tuple: the evaluator keys its
-    /// emit-dedup memo on it without grounding anything.
+    /// denotes.  `None` if some variable is unbound.  The per-term segment
+    /// count is static, so the evaluator splits a rule head's segment
+    /// sequence back into one path per argument.
     pub fn segments_into(&self, expr: &PathExpr, out: &mut Vec<Segment>) -> Option<()> {
         for term in expr.terms() {
             match term {

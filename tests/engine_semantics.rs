@@ -87,6 +87,35 @@ fn semi_naive_fires_each_reachability_valuation_exactly_once() {
     }
 }
 
+#[test]
+fn a_row_one_job_derives_twice_is_stored_once() {
+    // Both R facts fire the rule in the same job and ground the same new
+    // head row T(a): the job buffers it twice, and the merge keeps one.
+    let program = parse_program("T(@x) <- R(@x·@y).").unwrap();
+    let input = Instance::unary(rel("R"), [p("a·b"), p("a·c")]);
+    let mut outputs = Vec::new();
+    for threads in [1usize, 4] {
+        let (output, stats) = Executor::new()
+            .with_threads(threads)
+            .run_with_stats(&program, &input)
+            .unwrap();
+        assert_eq!(stats.rule_firings, 2, "threads = {threads}");
+        assert_eq!(stats.derived_facts, 1, "threads = {threads}");
+        assert_eq!(stats.emit_memo_hits, 0, "threads = {threads}");
+        assert_eq!(stats.rules.len(), 1, "threads = {threads}");
+        assert_eq!(stats.rules[0].firings, 2, "threads = {threads}");
+        assert_eq!(stats.rules[0].derived_facts, 1, "threads = {threads}");
+        assert_eq!(
+            output.unary_paths(rel("T")),
+            [p("a")].into_iter().collect(),
+            "threads = {threads}"
+        );
+        assert_eq!(output.relation(rel("T")).unwrap().len(), 1);
+        outputs.push(output);
+    }
+    assert_eq!(outputs[0], outputs[1]);
+}
+
 // ---------------------------------------------------------------------------
 // Stratified negation
 // ---------------------------------------------------------------------------

@@ -143,7 +143,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// The whole interned pipeline — column indexes, bucket-side
-    /// matching, emit memo — is output-identical to the reference evaluator
+    /// matching, the path store's arena — is output-identical to the reference evaluator
     /// on random programs, for the Executor at 1 and 4 threads.
     #[test]
     fn interned_pipeline_is_output_identical(

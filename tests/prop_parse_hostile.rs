@@ -7,13 +7,14 @@
 //! the grammars give meaning to, plus random byte strings decoded as lossy
 //! UTF-8.  Every input goes through all three parsers.  Mutated fact lines of
 //! `seqdl-wgen` instances also go through `parse_instance` one line at a
-//! time, so that every line reaches its ground-fact reader.
+//! time, so that every line reaches its ground-fact reader, and the printed
+//! text of random `seqdl-wgen` programs is mutated the same way.
 
 use proptest::prelude::*;
 use sequence_datalog::io::parse_instance;
 use sequence_datalog::prelude::*;
 use sequence_datalog::rewrite::parse_goal;
-use sequence_datalog::wgen::Workloads;
+use sequence_datalog::wgen::{ProgramConfig, ProgramGenerator, Workloads};
 
 const PROGRAMS: &[&str] = &[
     include_str!("../examples/programs/lints_showcase.sdl"),
@@ -144,6 +145,19 @@ proptest! {
         for line in text.lines() {
             let _ = parse_instance(line);
         }
+    }
+
+    #[test]
+    fn mutated_wgen_programs_never_panic_the_parsers(
+        seed in 0u64..64,
+        salt in any::<u64>(),
+        recursive in any::<bool>(),
+        edits in prop::collection::vec(any::<u64>(), 1..24),
+    ) {
+        let config = ProgramConfig { allow_recursion: recursive, ..ProgramConfig::default() };
+        let text = ProgramGenerator::new(seed).random_program(salt, &config).to_string();
+        prop_assert!(parse_program(&text).is_ok(), "unmutated program fails to parse:\n{}", text);
+        parse_all(&mutated(&text, &edits));
     }
 
     #[test]

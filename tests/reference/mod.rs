@@ -8,8 +8,8 @@
 //! predicates go in written order, each matched against every tuple of its
 //! relation with [`match_predicate`].  Positive equations (through
 //! [`solve_equation`]) and negated literals (as filters) apply as soon as
-//! their variables are bound.  There is no planner, no index, no emit memo,
-//! no delta watermark, and no RAM.
+//! their variables are bound.  There is no planner, no index, no delta
+//! watermark, and no RAM.
 //!
 //! The matcher is the reference's own and shares no code with the engine's:
 //! a generate-and-test split enumerator.  Each term of an expression tries
