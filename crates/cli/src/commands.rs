@@ -17,6 +17,7 @@ use seqdl_syntax::{parse_expr, Equation, PrecedenceGraph, Program};
 use seqdl_unify::{is_one_sided_nonlinear, solve, solve_allowing_empty, SolveOptions};
 use std::fmt;
 use std::fmt::Write as _;
+use std::io::Write as _;
 
 /// Errors surfaced to the user by the CLI.
 #[derive(Debug)]
@@ -93,10 +94,10 @@ pub fn help_text() -> String {
         "emits a versioned machine-readable document.  A program may annotate\n",
         "intentional findings with `% expect: SD-W101` comment lines — expected\n",
         "codes do not fail `--deny warnings`, and an expected code that does NOT\n",
-        "fire is an error.  `run` and `query` print the same warnings as a\n",
-        "pre-flight and prune rules that cannot contribute to the output before\n",
-        "evaluation (disable with `--no-strip-dead`; `--save` also disables the\n",
-        "pruning, since it must materialise every relation).\n",
+        "fire is an error.  `run` and `query` print the same warnings to stderr\n",
+        "as a pre-flight and prune rules that cannot contribute to the output\n",
+        "before evaluation (disable with `--no-strip-dead`; `--save` also\n",
+        "disables the pruning, since it must materialise every relation).\n",
         "\n",
         "Rules are compiled to a flat RAM-style instruction program\n",
         "(`seqdl analyze --show-ram` prints the listing).\n",
@@ -611,6 +612,13 @@ fn preflight_warnings(program: &Program, options: &CheckOptions) -> String {
     block
 }
 
+/// Print the pre-flight block to stderr, so stdout carries the answer alone.
+fn print_preflight_warnings(program: &Program, options: &CheckOptions) {
+    let block = preflight_warnings(program, options);
+    // The block is advisory: a stderr that cannot take it fails nothing.
+    let _ = std::io::stderr().write_all(block.as_bytes());
+}
+
 /// Reject instances that populate (or redeclare at another arity) a relation
 /// the given *pre-optimization* program defines as IDB.  The evaluator runs
 /// the same check, but against the program it is handed — after `strip_dead`
@@ -633,7 +641,7 @@ fn cmd_run(flags: &Flags) -> Result<String, CliError> {
     let format = stats_format(flags)?;
     check_idb_schema(&program, &instance).map_err(|e| eval_error_report(&executor, &e, format))?;
     let options = check_options([output], Some(&instance));
-    let preflight = preflight_warnings(&program, &options);
+    print_preflight_warnings(&program, &options);
     // Prune rules that cannot contribute to the requested output before
     // lowering to RAM.  `--save` materialises the full result, so it keeps
     // every rule; `--no-strip-dead` disables the rewrite explicitly.
@@ -650,7 +658,7 @@ fn cmd_run(flags: &Flags) -> Result<String, CliError> {
     let trace_note = trace.map(TraceCapture::write).transpose()?;
     let (result, stats) = run.map_err(|e| eval_error_report(&executor, &e, format))?;
 
-    let mut report = preflight;
+    let mut report = String::new();
     let relation = result.relation(output);
     match relation {
         None => {
@@ -769,10 +777,7 @@ fn cmd_query(flags: &Flags) -> Result<String, CliError> {
     }
 
     let mp = magic(&program, &goal).map_err(command_error)?;
-    report.push_str(&preflight_warnings(
-        &program,
-        &check_options([goal.relation], Some(&instance)),
-    ));
+    print_preflight_warnings(&program, &check_options([goal.relation], Some(&instance)));
     check_idb_schema(&mp.program, &instance)
         .map_err(|e| eval_error_report(&executor, &e, format))?;
     // Prune magic rules that cannot reach the answer relation before
@@ -2032,7 +2037,11 @@ mod tests {
             "--stats",
         ]))
         .unwrap();
-        assert!(output.contains("warning[SD-W101]"), "{output}");
+        // The dead rule's warning goes to stderr; stdout keeps the answer.
+        assert!(!output.contains("warning["), "{output}");
+        let options = check_options([rel("S")], Some(&load_instance(&instance).unwrap()));
+        let preflight = preflight_warnings(&load_program(&program).unwrap(), &options);
+        assert!(preflight.contains("warning[SD-W101]"), "{preflight}");
         assert!(
             output.contains("strip-dead: 1 of 2 rule(s) removed before lowering"),
             "{output}"
@@ -2066,10 +2075,10 @@ mod tests {
             instructions(&output),
             instructions(&unstripped)
         );
-        // Answers are identical either way.
+        // Answers (the header and the one row) are identical either way.
         assert_eq!(
-            output.lines().take(3).collect::<Vec<_>>(),
-            unstripped.lines().take(3).collect::<Vec<_>>()
+            output.lines().take(2).collect::<Vec<_>>(),
+            unstripped.lines().take(2).collect::<Vec<_>>()
         );
     }
 

@@ -16,27 +16,33 @@ fn temp_file(name: &str, contents: &str) -> String {
     path.display().to_string()
 }
 
-/// The stdout of a successful `seqdl` run.
-fn stdout_of(args: &[&str]) -> String {
+/// The stdout and stderr of a successful `seqdl` run.
+fn output_of(args: &[&str]) -> (String, String) {
     let output = Command::new(env!("CARGO_BIN_EXE_seqdl"))
         .args(args)
         .output()
         .expect("spawn seqdl");
-    assert!(
-        output.status.success(),
-        "seqdl {args:?} failed: {}",
-        String::from_utf8_lossy(&output.stderr)
-    );
-    String::from_utf8(output.stdout).expect("stdout is UTF-8")
+    let stderr = String::from_utf8(output.stderr).expect("stderr is UTF-8");
+    assert!(output.status.success(), "seqdl {args:?} failed: {stderr}");
+    (
+        String::from_utf8(output.stdout).expect("stdout is UTF-8"),
+        stderr,
+    )
+}
+
+/// Run `args` at one and four threads; both stdouts, and both stderrs, must
+/// be identical.  Returns that stdout and stderr.
+fn outputs_at_every_thread_count(args: &[&str]) -> (String, String) {
+    let one = output_of(&[args, &["--threads", "1"]].concat());
+    let four = output_of(&[args, &["--threads", "4"]].concat());
+    assert_eq!(one, four, "seqdl {args:?} at 1 and 4 threads");
+    one
 }
 
 /// Run `args` at one and four threads; both stdouts must be identical.
 /// Returns that stdout.
 fn same_at_every_thread_count(args: &[&str]) -> String {
-    let one = stdout_of(&[args, &["--threads", "1"]].concat());
-    let four = stdout_of(&[args, &["--threads", "4"]].concat());
-    assert_eq!(one, four, "seqdl {args:?} at 1 and 4 threads");
-    one
+    outputs_at_every_thread_count(args).0
 }
 
 #[test]
@@ -75,7 +81,7 @@ fn a_row_one_job_derives_twice_prints_once() {
     // Both facts ground the same head row in one job; the merge keeps one.
     let program = temp_file("twice.sdl", "T(@x) <- R(@x·@y).\n");
     let instance = temp_file("twice.sdi", "R(a·b).\nR(a·c).\n");
-    let stdout = same_at_every_thread_count(&[
+    let (stdout, stderr) = outputs_at_every_thread_count(&[
         "run",
         "--program",
         &program,
@@ -84,9 +90,27 @@ fn a_row_one_job_derives_twice_prints_once() {
         "--output",
         "T",
     ]);
-    // The only other line is the lint warning on the unused `@y`.
-    assert!(stdout.contains("\nT: 1 fact(s)\n  T(a)\n"), "{stdout}");
-    assert_eq!(stdout.matches("T(a)").count(), 1, "{stdout}");
+    assert_eq!(stdout, "T: 1 fact(s)\n  T(a)\n\n");
+    // The lint warning on the unused `@y` goes to stderr, not stdout.
+    assert!(stderr.starts_with("warning[SD-W201]"), "{stderr}");
+}
+
+#[test]
+fn query_prints_preflight_warnings_on_stderr() {
+    let program = temp_file("warn-query.sdl", "T(@x) <- R(@x·@y).\n");
+    let instance = temp_file("warn-query.sdi", "R(a·b).\nR(a·c).\n");
+    let (stdout, stderr) = outputs_at_every_thread_count(&[
+        "query",
+        "--program",
+        &program,
+        "--instance",
+        &instance,
+        "--goal",
+        "T(a)",
+    ]);
+    assert!(stdout.starts_with("T(a): "), "{stdout}");
+    assert!(!stdout.contains("warning["), "{stdout}");
+    assert!(stderr.starts_with("warning[SD-W201]"), "{stderr}");
 }
 
 #[test]

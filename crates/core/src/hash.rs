@@ -20,9 +20,10 @@
 //! Strings are poor keys for this hasher alone: `str` hashing ends with a
 //! constant `0xff` word, so the low bits depend on little more than the first
 //! byte of the last eight-byte chunk (`n0`…`n11999` cover 64 low-14-bit
-//! patterns).  Key maps by interned ids where possible.  The interner's
-//! name map is keyed by strings: it uses `FxStrHasher`, which finishes with a
-//! xor-shift-multiply step that folds the high bits into the low ones.
+//! patterns).  Key maps by interned ids where possible.  The interner finds
+//! names by their hash: it hashes them with `FxStrHasher`, which finishes
+//! with a xor-shift-multiply step that folds the high bits into the low
+//! ones, and keys its map by that `u64`.
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hash, Hasher};

@@ -167,24 +167,98 @@ impl BucketEntry {
     }
 }
 
+/// What an unfilled slot of a [`ColumnIndex`] slab holds; no probe ever
+/// returns it.
+const FREE_SLOT: BucketEntry = BucketEntry {
+    id: NO_ID,
+    len: 0,
+    next_val: 0,
+    next_tag: NEXT_NONE,
+};
+
+/// One first value's bucket in a [`ColumnIndex`] slab: its entries are
+/// `start..start + len`, and it owns the `cap` slots from `start`.
+#[derive(Clone, Copy, Debug)]
+struct Span {
+    start: u32,
+    len: u32,
+    cap: u32,
+}
+
+/// A slab position as a span field.
+fn slab_offset(at: usize) -> u32 {
+    u32::try_from(at).expect("column index slab beyond u32::MAX entries")
+}
+
 /// The index of one column: tuples keyed by the *first value* of the
 /// column's path.  Values are interned ids, so a probe is one hash lookup on
 /// an eight-byte key, and packed values key on their exact interned
 /// identity.  Columns that are `ε` have no first value and are not indexed.
+///
+/// Every bucket lives in one slab of entries shared by the column: a first
+/// value maps to its span of the slab.  An insert fills a free slot of
+/// its span; a full span at the slab's end grows in place, and any other
+/// full span moves to the end with twice the slots, leaving its old ones
+/// dead.  When dead slots outnumber live entries the slab is compacted.  So
+/// the index allocates when the slab or the span map doubles, never per
+/// first value.  Sorted input (every row of a first value in one run) fills
+/// the slab back to back and leaves no slot dead.
 #[derive(Clone, Debug, Default)]
 pub struct ColumnIndex {
-    buckets: FxMap<Value, Vec<BucketEntry>>,
+    spans: FxMap<Value, Span>,
+    entries: Vec<BucketEntry>,
+    /// Entries in spans: the rows indexed so far.
+    live: usize,
+    /// Slots that belonged to a span before it moved.
+    dead: usize,
 }
 
 impl ColumnIndex {
     fn insert(&mut self, path: &Path, id: u32) {
         let values = path.values();
-        if let Some(first) = values.first() {
-            self.buckets
-                .entry(*first)
-                .or_default()
-                .push(BucketEntry::new(id, values));
+        let Some(first) = values.first() else {
+            return;
+        };
+        let entry = BucketEntry::new(id, values);
+        let end = self.entries.len();
+        let span = self.spans.entry(*first).or_insert(Span {
+            start: slab_offset(end),
+            len: 0,
+            cap: 0,
+        });
+        let (start, len, cap) = (span.start as usize, span.len as usize, span.cap as usize);
+        if len < cap {
+            self.entries[start + len] = entry;
+        } else if start + cap == end {
+            self.entries.push(entry);
+            span.cap += 1;
+        } else {
+            self.entries.extend_from_within(start..start + len);
+            self.entries.push(entry);
+            self.entries.resize(end + 2 * cap, FREE_SLOT);
+            span.start = slab_offset(end);
+            span.cap = slab_offset(2 * cap);
+            self.dead += cap;
         }
+        span.len += 1;
+        self.live += 1;
+        if self.dead > self.live {
+            self.compact();
+        }
+    }
+
+    /// Rewrite the slab with the spans back to back and no free or dead
+    /// slots.
+    fn compact(&mut self) {
+        let mut entries = Vec::with_capacity(self.live);
+        for span in self.spans.values_mut() {
+            let start = span.start as usize;
+            span.start = slab_offset(entries.len());
+            span.cap = span.len;
+            entries.extend_from_slice(&self.entries[start..start + span.len as usize]);
+        }
+        self.entries = entries;
+        self.dead = 0;
     }
 
     /// The candidates (ascending by id) whose column path starts with
@@ -192,7 +266,10 @@ impl ColumnIndex {
     /// after `first`, so flat single-column patterns finish matching on the
     /// bucket alone.
     pub fn probe(&self, first: &Value) -> &[BucketEntry] {
-        self.buckets.get(first).map_or(NO_ENTRIES, Vec::as_slice)
+        self.spans.get(first).map_or(NO_ENTRIES, |span| {
+            let start = span.start as usize;
+            &self.entries[start..start + span.len as usize]
+        })
     }
 }
 
@@ -340,7 +417,8 @@ impl Relation {
     /// Restrict maintained column indexes to the set in `keep` (bit `c` =
     /// column `c`).  Newly-deactivated columns drop their index (inserts stop
     /// indexing them); newly-reactivated columns rebuild theirs from the
-    /// stored rows, so the index is immediately current again.
+    /// stored rows into a slab with no gaps, so the index is immediately
+    /// current again.
     pub fn set_active_columns(&mut self, keep: u64) {
         for column in 0..self.columns.len().min(u64::BITS as usize) {
             let bit = 1u64 << column;
@@ -353,6 +431,7 @@ impl Relation {
                 for (id, row) in self.rows.iter().enumerate() {
                     rebuilt.insert(&row[column], id as u32);
                 }
+                rebuilt.compact();
                 self.columns[column] = rebuilt;
             }
         }
@@ -1075,6 +1154,49 @@ mod tests {
         assert!(r.probe_first(0, &av("a")).is_empty());
         r.set_active_columns(0b11);
         assert_eq!(ids(r.probe_first(0, &av("a"))), vec![0, 1, 2]);
+    }
+
+    #[test]
+    fn round_robin_inserts_move_buckets_and_keep_dead_slots_below_live() {
+        // Rows cycle through the first values, so every bucket but the one at
+        // the slab's end fills up and moves, over and over.
+        let keys: Vec<Value> = (0..7).map(|k| av(&format!("rr{k}"))).collect();
+        let mut r = Relation::new(1);
+        let (mut moved, mut compacted, mut last_dead) = (false, false, 0);
+        for id in 0..500 {
+            let first = keys[id % keys.len()];
+            let row = [Path::from_values([first, av(&format!("rr_tail{id}"))])];
+            assert!(r.insert(rel("RR"), &row).unwrap());
+            let index = r.column_index(0).unwrap();
+            assert!(
+                index.dead <= index.live,
+                "{} dead, {} live",
+                index.dead,
+                index.live
+            );
+            assert_eq!(index.live, id + 1);
+            moved |= index.dead > last_dead;
+            compacted |= index.dead < last_dead;
+            last_dead = index.dead;
+            for (k, key) in keys.iter().enumerate() {
+                let want: Vec<u32> = (k..=id).step_by(keys.len()).map(|i| i as u32).collect();
+                assert_eq!(ids(r.probe_first(0, key)), want, "key {k} after row {id}");
+            }
+        }
+        assert!(moved && compacted, "moved {moved}, compacted {compacted}");
+        // Reactivating the column rebuilds the slab with no gaps.
+        r.set_active_columns(0);
+        r.set_active_columns(1);
+        let index = r.column_index(0).unwrap();
+        assert_eq!((index.entries.len(), index.dead), (500, 0));
+        for (k, key) in keys.iter().enumerate() {
+            let bucket = r.probe_first(0, key);
+            assert_eq!(
+                ids(bucket),
+                (k..500).step_by(7).map(|i| i as u32).collect::<Vec<_>>()
+            );
+            assert!(bucket.iter().all(|e| e.len == 2));
+        }
     }
 
     #[test]

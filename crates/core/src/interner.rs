@@ -11,16 +11,20 @@
 //! freely between programs, instances, and engines in this workspace; threading an
 //! interner handle through every API would add noise without adding safety.
 //!
-//! Each name is stored once, as a leaked `&'static str` that serves both as
-//! the index's entry and as the key of the name → index map, and lives for
-//! the rest of the process like the symbol itself.  The map hashes names with
-//! the crate's finalised string hasher (see [`crate::hash`]).
+//! Each name is stored once and lives for the rest of the process, like the
+//! symbol itself: a new name is copied to the front of the unused tail of a
+//! leaked fixed-size byte chunk and cut off, so interning it allocates
+//! nothing until a chunk fills.  Only a name longer than an eighth of a chunk
+//! is leaked on its own.  Names are found through the consing shape of the
+//! path store ([`crate::store`]): the name's hash, from the crate's finalised
+//! string hasher (see [`crate::hash`]), maps to the newest index with that
+//! hash, and older indexes with an equal hash chain through a per-index
+//! `next` array, each compared against its stored name.
 
-use crate::hash::FxStrHasher;
+use crate::hash::{FxMap, FxStrHasher};
 use parking_lot::RwLock;
-use std::collections::HashMap;
 use std::fmt;
-use std::hash::BuildHasherDefault;
+use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 
@@ -33,13 +37,84 @@ use std::sync::OnceLock;
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Symbol(u32);
 
-type NameMap = HashMap<&'static str, u32, BuildHasherDefault<FxStrHasher>>;
+/// Bytes per name-arena chunk: a page's worth, so the unfilled tail of the
+/// current chunk is never more than a page.
+const CHUNK_BYTES: usize = 4096;
+
+/// The longest name copied into the arena.  A longer one is leaked on its
+/// own, so starting a fresh chunk never abandons more than an eighth of the
+/// old one.
+const ARENA_MAX_LEN: usize = CHUNK_BYTES / 8;
+
+/// The end of a name chain: no symbol has this index.
+const NO_INDEX: u32 = u32::MAX;
+
+fn hash_name(name: &str) -> u64 {
+    let mut h = FxStrHasher::default();
+    name.hash(&mut h);
+    // This crate's unit tests keep three bits of the hash, so distinct names
+    // collide and every lookup walks a chain of older indexes.
+    if cfg!(test) {
+        h.finish() & 0b111
+    } else {
+        h.finish()
+    }
+}
 
 struct InternerInner {
     /// Index → name.
     names: Vec<&'static str>,
-    /// Name → index; its keys are the same leaked strings as `names`.
-    by_name: NameMap,
+    /// Name hash → the newest index whose name has that hash.
+    newest: FxMap<u64, u32>,
+    /// Index → the next older index with the same name hash, or [`NO_INDEX`].
+    next: Vec<u32>,
+    /// The unused tail of the current arena chunk: a new name is copied to
+    /// its front and cut off.
+    tail: &'static mut [u8],
+}
+
+impl InternerInner {
+    /// The index of `name`, whose hash is `hash`, if it was interned.
+    fn find(&self, name: &str, hash: u64) -> Option<u32> {
+        let mut ix = self.newest.get(&hash).copied().unwrap_or(NO_INDEX);
+        while ix != NO_INDEX {
+            if self.names[ix as usize] == name {
+                return Some(ix);
+            }
+            ix = self.next[ix as usize];
+        }
+        None
+    }
+
+    /// Store `name`, whose hash is `hash` and which is not interned yet, and
+    /// return its new index.
+    fn add(&mut self, name: &str, hash: u64) -> u32 {
+        let ix = u32::try_from(self.names.len())
+            .ok()
+            .filter(|&ix| ix != NO_INDEX)
+            .expect("interner overflow");
+        let stored = self.copy(name);
+        self.names.push(stored);
+        self.next
+            .push(self.newest.insert(hash, ix).unwrap_or(NO_INDEX));
+        ix
+    }
+
+    /// A copy of `name` that lives forever: cut from the arena's tail (a
+    /// fresh chunk when the tail is too short), or leaked on its own when
+    /// `name` is longer than [`ARENA_MAX_LEN`].
+    fn copy(&mut self, name: &str) -> &'static str {
+        if name.len() > ARENA_MAX_LEN {
+            return Box::leak(name.into());
+        }
+        if self.tail.len() < name.len() {
+            self.tail = Box::leak(vec![0; CHUNK_BYTES].into_boxed_slice());
+        }
+        let (stored, rest) = std::mem::take(&mut self.tail).split_at_mut(name.len());
+        stored.copy_from_slice(name.as_bytes());
+        self.tail = rest;
+        std::str::from_utf8(stored).expect("the bytes of a str")
+    }
 }
 
 fn interner() -> &'static RwLock<InternerInner> {
@@ -47,7 +122,9 @@ fn interner() -> &'static RwLock<InternerInner> {
     INTERNER.get_or_init(|| {
         RwLock::new(InternerInner {
             names: Vec::new(),
-            by_name: NameMap::default(),
+            newest: FxMap::default(),
+            next: Vec::new(),
+            tail: &mut [],
         })
     })
 }
@@ -55,20 +132,15 @@ fn interner() -> &'static RwLock<InternerInner> {
 impl Symbol {
     /// Intern `name`, returning its symbol.  Idempotent.
     pub fn intern(name: &str) -> Symbol {
-        {
-            let guard = interner().read();
-            if let Some(&ix) = guard.by_name.get(name) {
-                return Symbol(ix);
-            }
-        }
-        let mut guard = interner().write();
-        if let Some(&ix) = guard.by_name.get(name) {
+        let hash = hash_name(name);
+        if let Some(ix) = interner().read().find(name, hash) {
             return Symbol(ix);
         }
-        let ix = u32::try_from(guard.names.len()).expect("interner overflow");
-        let name: &'static str = Box::leak(name.into());
-        guard.names.push(name);
-        guard.by_name.insert(name, ix);
+        let mut guard = interner().write();
+        let ix = match guard.find(name, hash) {
+            Some(ix) => ix,
+            None => guard.add(name, hash),
+        };
         Symbol(ix)
     }
 
@@ -107,7 +179,8 @@ impl Symbol {
         loop {
             let n = COUNTER.fetch_add(1, Ordering::Relaxed);
             let candidate = format!("{prefix}{n}");
-            let already = interner().read().by_name.contains_key(candidate.as_str());
+            let hash = hash_name(&candidate);
+            let already = interner().read().find(&candidate, hash).is_some();
             if !already {
                 return Symbol::intern(&candidate);
             }
@@ -200,7 +273,7 @@ symbol_newtype!(
 mod tests {
     use super::*;
     use std::collections::HashSet;
-    use std::hash::BuildHasher;
+    use std::hash::{BuildHasher, BuildHasherDefault};
 
     #[test]
     fn interning_is_idempotent_and_injective() {
@@ -252,6 +325,42 @@ mod tests {
         // Interned later => larger index.
         assert!(a.index() < b.index());
         assert!(a < b);
+    }
+
+    #[test]
+    fn colliding_names_chain_through_older_indexes() {
+        // Unit tests fold name hashes to three bits: 200 new names share at
+        // most eight chains, so every lookup below walks one.
+        let names: Vec<String> = (0..200).map(|i| format!("chain_{i}")).collect();
+        let symbols: Vec<Symbol> = names.iter().map(|n| Symbol::intern(n)).collect();
+        let hashes: HashSet<u64> = names.iter().map(|n| hash_name(n)).collect();
+        assert!(hashes.len() <= 8);
+        for (name, &symbol) in names.iter().zip(&symbols) {
+            assert_eq!(Symbol::intern(name), symbol);
+            assert_eq!(symbol.name(), *name);
+        }
+        let distinct: HashSet<Symbol> = symbols.iter().copied().collect();
+        assert_eq!(distinct.len(), names.len());
+        let fresh = Symbol::fresh("chain_");
+        assert!(!symbols.contains(&fresh));
+    }
+
+    #[test]
+    fn arena_chunks_keep_every_earlier_name() {
+        // More than three chunks of short names, plus names past the arena
+        // cap that are leaked on their own.
+        let mut names: Vec<String> = (0..3 * CHUNK_BYTES / 8)
+            .map(|i| format!("arena_name_{i}"))
+            .collect();
+        for len in [ARENA_MAX_LEN + 1, CHUNK_BYTES + 3] {
+            names.insert(700, "é".repeat(len.div_ceil(2)));
+        }
+        assert!(names.iter().map(String::len).sum::<usize>() > 3 * CHUNK_BYTES);
+        let symbols: Vec<Symbol> = names.iter().map(|n| Symbol::intern(n)).collect();
+        for (name, &symbol) in names.iter().zip(&symbols) {
+            assert_eq!(symbol.name(), *name);
+            assert_eq!(Symbol::intern(name), symbol);
+        }
     }
 
     #[test]

@@ -238,6 +238,10 @@ pub struct FactReader {
     values: Vec<Value>,
     /// The row of the last fact read; reused from line to line.
     row: Vec<Path>,
+    /// The text and the interned name of the last relation read, so a run of
+    /// lines naming one relation interns its name once.
+    last_name: String,
+    last_relation: Option<RelName>,
 }
 
 impl FactReader {
@@ -257,7 +261,16 @@ impl FactReader {
         if name.is_empty() || name == "eps" {
             return None;
         }
-        let relation = RelName::new(name);
+        let relation = match self.last_relation {
+            Some(relation) if self.last_name == name => relation,
+            _ => {
+                let relation = RelName::new(name);
+                self.last_name.clear();
+                self.last_name.push_str(name);
+                self.last_relation = Some(relation);
+                relation
+            }
+        };
         cur = cur[name.len()..].trim_start_matches(SPACE);
         if let Some(rest) = cur.strip_prefix('(') {
             cur = rest.trim_start_matches(SPACE);

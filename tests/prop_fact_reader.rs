@@ -220,3 +220,35 @@ fn hand_written_lines_read_like_the_rule_parser() {
         assert!(!check_line(line), "the reader accepted {line:?}");
     }
 }
+
+#[test]
+fn one_reader_over_many_lines_reads_each_relation_name_afresh() {
+    // The reader keeps the last relation name; runs of one name, names that
+    // extend or cut the last one, and declined lines must not confuse it.
+    let mut reader = FactReader::new();
+    for line in [
+        "R(a).",
+        "R(b).",
+        "Rx(a).",
+        "R(a).",
+        "R.",
+        "R($x).",
+        "S(a).",
+        "SS(a, b).",
+        "S(b).",
+        "eps(a).",
+        "S(c).",
+        "R(c).",
+    ] {
+        let read = reader
+            .read(line)
+            .map(|(relation, row)| Fact::new(relation, row.to_vec()));
+        let fresh = FactReader::new()
+            .read(line)
+            .map(|(relation, row)| Fact::new(relation, row.to_vec()));
+        assert_eq!(read, fresh, "{line:?}");
+        if let Some(fact) = read {
+            assert_eq!(Ok(fact), by_rule(line), "{line:?}");
+        }
+    }
+}

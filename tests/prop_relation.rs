@@ -4,13 +4,18 @@
 //! inserts, must agree with the model on every reading the evaluator uses:
 //! `len`, `contains`, iteration order, `slice_from` at every watermark, the
 //! ids (and entry lengths) of every `probe_first` bucket, and set equality.
+//!
+//! A second model run draws rows over few or many first values in sorted,
+//! round-robin and shuffled orders, so buckets move to the end of their
+//! column's slab and the slab compacts; after every insert each bucket's ids
+//! must still be the model's.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sequence_datalog::core::Relation;
 use sequence_datalog::prelude::*;
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// A small pool of paths, so random rows repeat often: `ε`, flat paths
 /// sharing first values, and packed values.
@@ -150,10 +155,106 @@ fn run(seed: u64, arity: usize) {
     check(&relation, &model, active, &pool);
 }
 
+/// The orders `keyed_run` inserts its rows in.
+#[derive(Clone, Copy, Debug)]
+enum Order {
+    /// Every row of a first value in one run, as `write_instance` writes.
+    Sorted,
+    /// Cycling through the first values, one row each.
+    RoundRobin,
+    Shuffled,
+}
+
+/// Rows `k·j` and `j·k` over `keys` first values in column 0 and
+/// `per_key` in column 1, inserted in `order` with repeats and occasional
+/// index mask switches; after every step every bucket of both columns must
+/// hold the model's ids, ascending.
+fn keyed_run(seed: u64, keys: usize, per_key: usize, order: Order) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let key = |k: usize| Value::atom(&format!("key{k}"));
+    let val = |j: usize| Value::atom(&format!("val{j}"));
+    let mut pairs: Vec<(usize, usize)> = match order {
+        Order::Sorted => (0..keys)
+            .flat_map(|k| (0..per_key).map(move |j| (k, j)))
+            .collect(),
+        Order::RoundRobin | Order::Shuffled => (0..per_key)
+            .flat_map(|j| (0..keys).map(move |k| (k, j)))
+            .collect(),
+    };
+    if let Order::Shuffled = order {
+        for i in (1..pairs.len()).rev() {
+            pairs.swap(i, rng.gen_range(0..=i));
+        }
+    }
+    let mut relation = Relation::new(2);
+    let mut model = Model::default();
+    // (column, first value) → the model's ids, ascending.
+    let mut buckets: BTreeMap<(usize, Value), Vec<u32>> = BTreeMap::new();
+    let mut active = !0u64;
+    for &(k, j) in &pairs {
+        if rng.gen_bool(0.03) {
+            active = rng.gen_range(0..4u64);
+            relation.set_active_columns(active);
+        }
+        let row = [
+            Path::from_values([key(k), val(j)]),
+            Path::from_values([val(j), key(k)]),
+        ];
+        for _ in 0..rng.gen_range(1..=2usize) {
+            let new = relation.insert(rel("K"), &row).expect("arity");
+            if model.insert(&row) {
+                assert!(new, "insert {k}·{j}");
+                let id = (model.rows.len() - 1) as u32;
+                buckets.entry((0, key(k))).or_default().push(id);
+                buckets.entry((1, val(j))).or_default().push(id);
+            } else {
+                assert!(!new, "repeat {k}·{j}");
+            }
+        }
+        for ((column, first), ids) in &buckets {
+            let bucket = relation.probe_first(*column, first);
+            let got: Vec<u32> = bucket.iter().map(|e| e.id).collect();
+            let want: &[u32] = if active & (1 << column) != 0 {
+                ids
+            } else {
+                &[]
+            };
+            assert_eq!(got, want, "column {column}, first value {first}, {order:?}");
+            assert!(bucket.iter().all(|e| e.len == 2));
+        }
+    }
+    assert_eq!(relation.len(), keys * per_key);
+}
+
 proptest! {
     #[test]
     fn relations_agree_with_the_model(seed in any::<u64>(), arity in 0usize..=3) {
         run(seed, arity);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+    #[test]
+    fn buckets_keep_the_model_ids_in_every_insert_order(
+        seed in any::<u64>(),
+        many in any::<bool>(),
+        order in 0usize..3,
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let keys = if many { rng.gen_range(20..=60usize) } else { rng.gen_range(1..=4usize) };
+        let per_key = rng.gen_range(1..=8usize);
+        let order = [Order::Sorted, Order::RoundRobin, Order::Shuffled][order];
+        keyed_run(seed, keys, per_key, order);
+    }
+}
+
+#[test]
+fn every_insert_order_keeps_the_model_ids() {
+    for order in [Order::Sorted, Order::RoundRobin, Order::Shuffled] {
+        for (seed, keys, per_key) in [(1, 1, 30), (2, 3, 20), (3, 40, 6), (4, 100, 3)] {
+            keyed_run(seed, keys, per_key, order);
+        }
     }
 }
 
