@@ -8,9 +8,13 @@
 //! of the executor runs in the reachability, NFA and query sections (default 1;
 //! 0 = all cores; at most [`seqdl_exec::MAX_THREADS`]).  Any other argument
 //! exits with status 2 and the usage line.  Sections assert what the paper
-//! predicts: answers independent of the thread count, demanded answers equal
-//! to full-run-then-filter, and a compiled regex equivalent to its NFA.
-//! Timings are indicative only; the performance record is perfbench.
+//! predicts: Figure 1's 11 classes and Figure 2's 4 solutions, every rewritten
+//! program answering as its original, Example 4.14's 28 rules, squaring's n²
+//! output against the Lemma 5.1 bound, Datalog agreeing with the algebra,
+//! Example 2.3 left uncertified, answers independent of the thread count,
+//! demanded answers equal to full-run-then-filter, and a compiled regex
+//! equivalent to its NFA.  Timings are indicative only; the performance record
+//! is perfbench.
 
 use seqdl_bench as drivers;
 use std::time::Instant;
@@ -73,13 +77,15 @@ fn main() {
     if want("fig1") {
         section("FIG-1  Figure 1: Hasse diagram of fragment expressiveness");
         let diagram = drivers::figure1_diagram();
+        let full = drivers::figure1_class_count_full();
+        assert_eq!(diagram.classes.len(), 11, "Figure 1 has 11 classes");
+        assert_eq!(full, 11, "A and P add no class to Figure 1");
         println!(
             "equivalence classes over the 16 {{E,I,N,R}} fragments: {} (paper: 11)",
             diagram.classes.len()
         );
         println!(
-            "equivalence classes over all 64 fragments (A, P included): {} (paper: 11, since A and P are redundant)",
-            drivers::figure1_class_count_full()
+            "equivalence classes over all 64 fragments (A, P included): {full} (paper: 11, since A and P are redundant)"
         );
         println!("{}", diagram.render_text());
     }
@@ -88,6 +94,12 @@ fn main() {
         section("FIG-2  Figure 2: associative unification of  $x·<@y·$z>·@w = $u·$v·$u");
         let start = Instant::now();
         let solutions = drivers::figure2_solutions();
+        assert_eq!(solutions.solutions.len(), 4, "Figure 2 has 4 solutions");
+        assert_eq!(
+            solutions.tree.success_count(),
+            4,
+            "Figure 2 has 4 successful branches"
+        );
         println!(
             "search tree: {} nodes, {} successful branches (paper: 4), {} failure leaves  [{:?}]",
             solutions.tree.len(),
@@ -125,6 +137,7 @@ fn main() {
         println!("{:>8} {:>10} {:>10}", "max len", "original", "rewritten");
         for n in [4usize, 8, 16] {
             let (a, b) = drivers::arity_ablation(n);
+            assert_eq!(a, b, "arity elimination must keep the answers");
             println!("{n:>8} {a:>10} {b:>10}");
         }
     }
@@ -134,11 +147,16 @@ fn main() {
         println!("{:>6} {:>8} {:>8} {:>8}", "n", "{E}", "{A,I}", "{A,I,R}");
         for n in [4usize, 16, 64] {
             let sizes = drivers::equations_ablation(n);
+            assert!(
+                sizes.iter().all(|&size| size == sizes[0]),
+                "the three fragments must compute the same query"
+            );
             println!("{:>6} {:>8} {:>8} {:>8}", n, sizes[0], sizes[1], sizes[2]);
         }
         println!("\nnegated-equation elimination (Example 4.6), output sizes before/after:");
         for n in [2usize, 3, 4] {
             let (a, b) = drivers::equation_elimination_ablation(n);
+            assert_eq!(a, b, "equation elimination must keep the answers");
             println!("  n = {n}: {a} vs {b}");
         }
     }
@@ -147,6 +165,8 @@ fn main() {
         section("EXP-P  Lemma 4.13 / Example 4.14: packing elimination (Example 2.2)");
         for hay in [6usize, 10, 14] {
             let (rules, agree) = drivers::packing_ablation(hay);
+            assert_eq!(rules, 28, "Example 4.14 has 28 rules");
+            assert!(agree, "packing elimination must keep the answer");
             println!(
                 "haystack length {hay:>3}: rewritten program has {rules} rules (paper: 28); answers agree: {agree}"
             );
@@ -161,6 +181,7 @@ fn main() {
         );
         for (s, l) in [(4usize, 4usize), (8, 6), (16, 8)] {
             let (a, b) = drivers::folding_ablation(s, l);
+            assert_eq!(a, b, "folding must keep the answers");
             println!("{s:>8} {l:>8} {a:>10} {b:>10}");
         }
     }
@@ -173,13 +194,15 @@ fn main() {
         );
         let bound_program = seqdl_fragments::witnesses::only_as_equation().program;
         for n in [2usize, 4, 8, 16] {
-            println!(
-                "{:>4} {:>16} {:>20} {:>16}",
-                n,
-                drivers::squaring_output_length(n),
-                drivers::nonrecursive_output_length(n),
-                drivers::lemma51_bound(&bound_program, n)
+            let squaring = drivers::squaring_output_length(n);
+            let nonrecursive = drivers::nonrecursive_output_length(n);
+            let bound = drivers::lemma51_bound(&bound_program, n);
+            assert_eq!(squaring, n * n, "squaring outputs a^(n²)");
+            assert!(
+                nonrecursive <= bound,
+                "Lemma 5.1 bounds nonrecursive output"
             );
+            println!("{n:>4} {squaring:>16} {nonrecursive:>20} {bound:>16}");
         }
     }
 
@@ -308,6 +331,7 @@ fn main() {
     if want("termination") {
         section("EXP-T  Conservative termination analysis (Section 2.3 discussion)");
         let (certified, total) = drivers::termination_survey();
+        assert!(certified < total, "Example 2.3 must stay uncertified");
         println!(
             "certified {certified} of {total} programs (the witness programs terminate; Example 2.3 is refused)"
         );
@@ -325,6 +349,7 @@ fn main() {
         );
         for (nodes, edges) in [(6usize, 10usize), (10, 20), (14, 30)] {
             let (a, b) = drivers::algebra_roundtrip(nodes, edges);
+            assert_eq!(a, b, "Datalog and the algebra must agree");
             println!("{nodes:>8} {edges:>8} {a:>10} {b:>10}");
         }
     }

@@ -2,15 +2,14 @@
 //!
 //! Shared drivers for every figure of the paper and the derived experiments
 //! (ablations, engine scaling, demand-driven queries).  The `harness` binary
-//! prints each reproduction as text; the Criterion benches in `benches/` time
-//! the same drivers.
+//! prints each reproduction as text and asserts what the paper predicts.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
 pub mod json;
 
-use seqdl_core::{rel, repeat_path, Instance, Path, RelName};
+use seqdl_core::{rel, Instance, Path, RelName};
 use seqdl_engine::EvalLimits;
 use seqdl_fragments::witnesses;
 use seqdl_fragments::{equivalence_classes, Fragment, HasseDiagram};
@@ -387,11 +386,6 @@ pub fn normal_form_size() -> usize {
     to_normal_form(&w.program)
         .expect("nonrecursive, equation-free")
         .rule_count()
-}
-
-/// Convenience used by benches: the `a^n` squaring instance.
-pub fn squaring_instance(n: usize) -> Instance {
-    Instance::unary(rel("R"), [repeat_path("a", n)])
 }
 
 // ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 //! The harness accepts `--threads N` and section names only: anything else
 //! exits 2 with the list of sections instead of silently printing nothing.
+//! With no sections it runs every one, and each asserts what the paper predicts.
 
 use std::process::{Command, Output};
 
@@ -45,4 +46,11 @@ fn a_known_section_runs() {
     assert_eq!(output.status.code(), Some(0));
     let stdout = String::from_utf8_lossy(&output.stdout);
     assert!(stdout.contains("11 (paper: 11)"), "{stdout}");
+}
+
+#[test]
+fn every_section_holds_at_two_threads() {
+    let output = harness(&["--threads", "2"]);
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert_eq!(output.status.code(), Some(0), "{stderr}");
 }
