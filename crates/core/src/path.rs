@@ -56,6 +56,13 @@ impl Path {
         Path(store::intern(values, Some(values)))
     }
 
+    /// The stored path with content `values`, if the store holds one.
+    /// Interns nothing, so a check can ask whether a row could exist without
+    /// growing the store: `None` means no relation holds such a path.
+    pub fn find(values: &[Value]) -> Option<Path> {
+        store::find(values).map(Path)
+    }
+
     /// Build a flat path from atoms.
     pub fn from_atoms(atoms: impl IntoIterator<Item = AtomId>) -> Path {
         Path::from_values(atoms.into_iter().map(Value::Atom))
@@ -306,6 +313,16 @@ impl PathView {
     /// [`Path::subpath`]s, aliasing the parent's storage.
     pub fn to_path(&self) -> Path {
         self.parent.subpath(self.start as usize, self.end as usize)
+    }
+
+    /// The interned path with this view's content, if the store holds one —
+    /// [`PathView::to_path`] without the interning ([`Path::find`]).
+    /// Full-range and empty views answer in O(1), as there.
+    pub fn find(&self) -> Option<Path> {
+        if self.start == 0 && self.end as usize == self.parent.len() {
+            return Some(self.parent);
+        }
+        Path::find(self.values())
     }
 
     /// This view as a [`Segment`] for [`Path::from_segments`]; interns the

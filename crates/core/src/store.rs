@@ -48,7 +48,8 @@
 //! thread-local mirror of the append-only entry table, so resolving an id a
 //! thread has seen before is a plain bounds-checked array read with no
 //! atomics — the "shared read-only store" shape the multi-threaded executor
-//! wants.
+//! wants.  Its read-only twin, `find`, probes the same cache and chain for
+//! a content without ever adding it.
 //!
 //! **Growth discipline.**  The matcher's backtracking prefix enumeration
 //! tries up to O(L²) distinct cuts of a length-L path probed by adjacent
@@ -56,9 +57,14 @@
 //! Speculative cuts therefore stay *out* of the store: bindings hold
 //! unregistered `(parent, start, end)` views ([`crate::PathView`]) whose
 //! comparisons run over the shared value slice, and a cut is interned only
-//! when it survives to a fact emission or equation grounding
-//! ([`crate::PathView::to_path`]).  Store growth thus tracks the facts an
-//! evaluation *keeps*, not the matches it *tried*; `store_stats` (and the
+//! when it survives to a fact emission ([`crate::PathView::to_path`]).
+//! Checks intern nothing either: an equation whose ground side is one bound
+//! path variable is matched over that variable's view, an equality filter
+//! compares contents, and a membership check looks its row up with `find`
+//! ([`Path::find`]) — a content the store lacks is in no relation.  (A
+//! packed term still interns the path it packs: a packed value *is* an
+//! id.)  Store growth thus tracks the facts an evaluation *keeps*, not the
+//! matches it *tried* or the checks it *made*; `store_stats` (and the
 //! evaluator's `max_store_bytes` budget) exist so deployments can watch and
 //! bound what remains.
 
@@ -110,6 +116,16 @@ struct StoreInner {
 }
 
 impl StoreInner {
+    /// The id holding `slice`, whose content hash is `hash`, or 0 (`ε`,
+    /// never hashed) if the store holds no such content.
+    fn probe(&self, hash: u64, slice: &[Value]) -> u32 {
+        let mut id = self.newest.get(&hash).copied().unwrap_or(0);
+        while id != 0 && self.entries[id as usize] != slice {
+            id = self.next[id as usize];
+        }
+        id
+    }
+
     /// A copy of `slice` that lives forever: cut from the arena's tail (a
     /// fresh chunk when the tail is too short), or leaked on its own when
     /// `slice` is longer than [`ARENA_MAX_LEN`].
@@ -196,10 +212,7 @@ pub(crate) fn intern(slice: &[Value], stored: Option<&'static [Value]>) -> PathI
         }
         let mut guard = store().write();
         let g = &mut *guard;
-        let mut id = g.newest.get(&hash).copied().unwrap_or(0);
-        while id != 0 && g.entries[id as usize] != slice {
-            id = g.next[id as usize];
-        }
+        let mut id = g.probe(hash, slice);
         if id == 0 {
             let stored = stored.unwrap_or_else(|| g.copy(slice));
             id = u32::try_from(g.entries.len()).expect("path store overflow");
@@ -209,6 +222,30 @@ pub(crate) fn intern(slice: &[Value], stored: Option<&'static [Value]>) -> PathI
         drop(guard);
         m.cache.insert(hash, id);
         PathId(id)
+    })
+}
+
+/// The id of the stored path with content `slice`, interning nothing: the
+/// thread's consing cache first, then the chain probed under the read lock.
+/// `None` means no path has this content, so no relation can hold a row with
+/// it — which is all a membership check needs to know.
+pub(crate) fn find(slice: &[Value]) -> Option<PathId> {
+    if slice.is_empty() {
+        return Some(PathId::EMPTY);
+    }
+    let hash = fx_hash(slice);
+    MIRROR.with(|m| {
+        let mut m = m.borrow_mut();
+        if let Some(&id) = m.cache.get(&hash) {
+            if m.resolve(id as usize) == slice {
+                return Some(PathId(id));
+            }
+        }
+        let id = store().read().probe(hash, slice);
+        (id != 0).then(|| {
+            m.cache.insert(hash, id);
+            PathId(id)
+        })
     })
 }
 
@@ -328,6 +365,20 @@ mod tests {
         })
         .join()
         .unwrap();
+    }
+
+    #[test]
+    fn find_answers_without_interning() {
+        let content = [Value::atom("find_x"), Value::atom("find_y")];
+        assert_eq!(find(&content), None);
+        assert_eq!(find(&content), None, "a miss stores nothing");
+        assert_eq!(find(&[]), Some(PathId::EMPTY));
+        let stored = Path::from_slice(&content);
+        assert_eq!(find(&content), Some(stored.id()));
+        // A thread whose consing cache never saw the content finds it too.
+        std::thread::spawn(move || assert_eq!(find(&content), Some(stored.id())))
+            .join()
+            .unwrap();
     }
 
     #[test]

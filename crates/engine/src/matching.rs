@@ -11,9 +11,27 @@
 //! [`solve_equation`] for equations, and [`predicate_matches`] for existence
 //! checks.  One deterministic pass, [`match_predicate_det`], binds in place for
 //! probes the lowering proved admit at most one extension per tuple.
+//!
+//! The walk splits anchored: an unbound path variable followed by a term that
+//! fixes its first value (a constant, a bound atomic variable, a bound
+//! non-empty path variable) can only end right before an occurrence of that
+//! value, so one scan of the remaining values lists the splits worth trying.
+//! Only a next term that fixes nothing leaves every split to try.  Nothing the
+//! walk tries is interned: bindings are views of the matched path, an
+//! equation whose ground side is one bound path variable is matched over that
+//! variable's view where it lies (a composite ground side is interned once
+//! per solve), and the checks ([`equation_holds`], [`find_row`]) compare
+//! contents or look paths up without adding them.
 
 use seqdl_core::{Path, PathView, Value};
 use seqdl_syntax::{Binding, Equation, PathExpr, Predicate, Term, Valuation, VarKind};
+use std::cell::RefCell;
+
+thread_local! {
+    /// Reused content buffers of [`equation_holds`], one per side.
+    static EQ_SCRATCH: RefCell<(Vec<Value>, Vec<Value>)> =
+        const { RefCell::new((Vec::new(), Vec::new())) };
+}
 
 /// Hand every extension of `valuation` under which each argument of `pred`
 /// denotes the corresponding path of `tuple` to `sink`, until `sink` returns
@@ -61,11 +79,32 @@ fn match_args(
 }
 
 /// Does the (fully bound) equation hold under `valuation`?  Returns `None` if some
-/// variable of the equation is unbound.
+/// variable of the equation is unbound.  The sides are compared by content,
+/// so a check interns nothing (but what a packed term packs).
 pub fn equation_holds(eq: &Equation, valuation: &Valuation) -> Option<bool> {
-    let lhs = valuation.apply(&eq.lhs)?;
-    let rhs = valuation.apply(&eq.rhs)?;
-    Some(lhs == rhs)
+    EQ_SCRATCH.with(|scratch| {
+        let (lhs_buf, rhs_buf) = &mut *scratch.borrow_mut();
+        let lhs = side_values(&eq.lhs, valuation, lhs_buf)?;
+        let rhs = side_values(&eq.rhs, valuation, rhs_buf)?;
+        Some(lhs == rhs)
+    })
+}
+
+/// The values `expr` denotes under `valuation`: a lone bound path variable's
+/// own slice, anything else built into `buf`.
+fn side_values<'a>(
+    expr: &PathExpr,
+    valuation: &Valuation,
+    buf: &'a mut Vec<Value>,
+) -> Option<&'a [Value]> {
+    if let [Term::Var(v)] = expr.terms() {
+        if let Binding::Path(view) = valuation.get(*v)? {
+            return Some(view.values());
+        }
+    }
+    buf.clear();
+    valuation.values_into(expr, buf)?;
+    Some(buf)
 }
 
 /// Hand every extension of `valuation` satisfying `eq` to `sink`, until `sink`
@@ -83,20 +122,36 @@ pub fn solve_equation(
     } else {
         (&eq.rhs, &eq.lhs)
     };
+    // A ground side that is one bound path variable denotes its view: match
+    // over the view's parent at the view's offset instead of interning the cut.
+    if let [Term::Var(v)] = ground.terms() {
+        if let Some(&Binding::Path(view)) = valuation.get(*v) {
+            let (start, _) = view.range();
+            match_terms(
+                open.terms(),
+                view.parent(),
+                start,
+                view.values(),
+                valuation,
+                sink,
+            );
+            return Some(());
+        }
+    }
     let path = valuation.apply(ground)?;
     match_terms(open.terms(), path, 0, path.values(), valuation, sink);
     Some(())
 }
 
-/// Match a term sequence against the value suffix `parent.values()[base..]`
-/// (passed pre-sliced as `values`), calling `sink` at every complete match
-/// until it returns `true`; the result says whether it did.  Backtracks on
-/// `nu` in place: any binding added during the walk is removed again, so `nu`
-/// leaves in the state it entered.  Carrying the parent path's identity lets
-/// every path-variable binding be an unregistered [`PathView`] cut of it —
-/// a whole-suffix bind at `base == 0` reuses the parent's id outright, and an
-/// enumerated prefix touches the store only if it reaches an emission, where
-/// it is interned from the parent's own storage.
+/// Match a term sequence against `values`, the run of `parent`'s values that
+/// starts at `base`, calling `sink` at every complete match until it returns
+/// `true`; the result says whether it did.  Backtracks on `nu` in place: any
+/// binding added during the walk is removed again, so `nu` leaves in the
+/// state it entered.  Carrying the parent path's identity lets every
+/// path-variable binding be an unregistered [`PathView`] cut of it — a bind
+/// of the whole parent reuses its id outright, and any other cut touches the
+/// store only if it reaches an emission, where it is interned from the
+/// parent's own storage.
 fn match_terms(
     terms: &[Term],
     parent: Path,
@@ -162,10 +217,21 @@ fn match_terms(
                     found
                 }
                 None => {
-                    // Try every prefix (including the empty one), as
-                    // unregistered views: a speculative cut rejected by a
-                    // later term must not grow the global store.
-                    for split in 0..=values.len() {
+                    // Try the prefixes as unregistered views: a speculative
+                    // cut rejected by a later term must not grow the global
+                    // store.  When the next term fixes the value right after
+                    // the split, only the splits before an occurrence of it
+                    // can match; otherwise every prefix (including the empty
+                    // one) is tried.
+                    let anchor = first_value(&rest[0], nu);
+                    let mut split = 0;
+                    while split <= values.len() {
+                        if let Some(anchor) = anchor {
+                            match values[split..].iter().position(|x| *x == anchor) {
+                                Some(skip) => split += skip,
+                                None => break,
+                            }
+                        }
                         let prefix = PathView::cut(parent, base, base + split);
                         nu.bind_new(*v, Binding::Path(prefix));
                         let found =
@@ -174,12 +240,27 @@ fn match_terms(
                         if found {
                             return true;
                         }
+                        split += 1;
                     }
                     false
                 }
                 Some(Binding::Atom(_)) => unreachable!("valuation binding of the wrong kind"),
             },
         },
+    }
+}
+
+/// The value a match of `term` must begin with under `nu`, when the term
+/// fixes one: a constant, a bound atomic variable, or the first value of a
+/// bound non-empty path variable.  `None` for a term that fixes nothing.
+fn first_value(term: &Term, nu: &Valuation) -> Option<Value> {
+    match term {
+        Term::Const(a) => Some(Value::Atom(*a)),
+        Term::Var(v) => match nu.get(*v)? {
+            Binding::Atom(a) => Some(Value::Atom(*a)),
+            Binding::Path(bound) => bound.values().first().copied(),
+        },
+        Term::Packed(_) => None,
     }
 }
 
@@ -280,15 +361,27 @@ fn det_terms(
     values.is_empty()
 }
 
-/// Apply a valuation to a predicate's arguments, writing the ground row into
-/// `row` (cleared first, so one buffer serves every check of a pass).
-/// `None` if the valuation leaves an argument unbound.
-pub fn ground_row(pred: &Predicate, valuation: &Valuation, row: &mut Vec<Path>) -> Option<()> {
+/// Apply a valuation to a predicate's arguments for a membership check,
+/// writing the ground row into `row` (cleared first, so one buffer serves
+/// every check of a pass) and interning nothing ([`Valuation::find`]).
+/// `Some(false)` when some argument denotes a path the store does not hold,
+/// so that no relation holds the row; `None` if the valuation leaves an
+/// argument unbound.
+pub fn find_row(pred: &Predicate, valuation: &Valuation, row: &mut Vec<Path>) -> Option<bool> {
     row.clear();
-    for arg in &pred.args {
-        row.push(valuation.apply(arg)?);
+    for (i, arg) in pred.args.iter().enumerate() {
+        match valuation.find(arg)? {
+            Some(path) => row.push(path),
+            None => {
+                let rest = &pred.args[i + 1..];
+                return rest
+                    .iter()
+                    .all(|arg| valuation.is_appropriate_for(arg))
+                    .then_some(false);
+            }
+        }
     }
-    Some(())
+    Some(true)
 }
 
 #[cfg(test)]
@@ -515,9 +608,24 @@ mod tests {
         let mut nu = Valuation::new();
         nu.bind_path(Var::path("x"), path_of(&["b"]));
         let mut row = vec![path_of(&["stale"])];
-        assert_eq!(ground_row(&pred, &nu, &mut row), Some(()));
-        assert_eq!(row, [path_of(&["b", "a"])]);
-        assert_eq!(ground_row(&pred, &Valuation::new(), &mut row), None);
+        // A stored row is found as it is...
+        let stored = path_of(&["b", "a"]);
+        assert_eq!(find_row(&pred, &nu, &mut row), Some(true));
+        assert_eq!(row, [stored]);
+        assert_eq!(find_row(&pred, &Valuation::new(), &mut row), None);
+        // ...and one the store has never seen is reported absent, not interned.
+        let fresh = Predicate::new(rel("R"), vec![expr("$x·row_probe_never_interned")]);
+        assert_eq!(find_row(&fresh, &nu, &mut row), Some(false));
+        assert_eq!(
+            Path::find(&[Value::atom("b"), Value::atom("row_probe_never_interned")]),
+            None
+        );
+        // Unbound later arguments are still reported after a miss.
+        let wide = Predicate::new(
+            rel("R"),
+            vec![expr("$x·row_probe_never_interned"), expr("$u")],
+        );
+        assert_eq!(find_row(&wide, &nu, &mut row), None);
 
         let tuples = [vec![path_of(&["b", "a"])], vec![path_of(&["c"])]];
         assert!(tuples.iter().any(|t| predicate_matches(&pred, t, &nu)));

@@ -35,7 +35,7 @@
 use crate::error::EvalError;
 use crate::eval::{choose_candidates, DeltaWindow, FireStats};
 use crate::matching::{
-    equation_holds, ground_row, match_predicate_det, match_predicate_sink, solve_equation,
+    equation_holds, find_row, match_predicate_det, match_predicate_sink, solve_equation,
 };
 use crate::plan::{PlannedLiteral, PlannedPredicate};
 use crate::ram::ir::{FilterOp, Inst, RuleProc};
@@ -438,10 +438,14 @@ pub fn fire_proc(
                         let planned = predicate_of(proc, *step)?;
                         stats.index_probes += 1;
                         stats.fused_probes += 1;
-                        if ground_row(&planned.pred, &nu, &mut row_scratch).is_none() {
-                            return Err(unplannable(rule));
+                        match find_row(&planned.pred, &nu, &mut row_scratch) {
+                            Some(stored) => {
+                                stored
+                                    && step_relations[*step]
+                                        .is_some_and(|r| r.contains(&row_scratch))
+                            }
+                            None => return Err(unplannable(rule)),
                         }
-                        step_relations[*step].is_some_and(|r| r.contains(&row_scratch))
                     }
                     FilterOp::EqHolds { step } => match &proc.plan.steps[*step] {
                         PlannedLiteral::SolveEquation(eq) => match equation_holds(eq, &nu) {
@@ -452,10 +456,14 @@ pub fn fire_proc(
                     },
                     FilterOp::NegPred { step } => match &proc.plan.steps[*step] {
                         PlannedLiteral::CheckNegatedPredicate(pred) => {
-                            if ground_row(pred, &nu, &mut row_scratch).is_none() {
-                                return Err(unplannable(rule));
+                            match find_row(pred, &nu, &mut row_scratch) {
+                                Some(stored) => {
+                                    !(stored
+                                        && step_relations[*step]
+                                            .is_some_and(|r| r.contains(&row_scratch)))
+                                }
+                                None => return Err(unplannable(rule)),
                             }
-                            !step_relations[*step].is_some_and(|r| r.contains(&row_scratch))
                         }
                         _ => return Err(plan_invariant(*step, "a negated predicate")),
                     },

@@ -7,10 +7,10 @@ use std::cell::RefCell;
 use std::fmt;
 
 thread_local! {
-    /// Reusable grounding buffer for [`Valuation::apply`]; nested packed
-    /// subexpressions use their own vectors, so `segments_into` never
-    /// re-enters `apply` while the buffer is borrowed.
-    static APPLY_SCRATCH: RefCell<Vec<Segment>> = const { RefCell::new(Vec::new()) };
+    /// Reusable content buffer of [`Valuation::apply`] and
+    /// [`Valuation::find`].  It is taken out while in use, so a packed term,
+    /// grounded by a nested `apply`, builds in a vector of its own.
+    static VALUES_SCRATCH: RefCell<Vec<Value>> = const { RefCell::new(Vec::new()) };
 }
 
 /// What a variable is bound to: an atomic value (for `@x`) or a path (for `$x`).
@@ -217,8 +217,13 @@ impl Valuation {
     }
 
     /// Is this valuation appropriate for (defined on all variables of) `expr`?
+    /// Walks the terms in place: the solver asks this on every entry.
     pub fn is_appropriate_for(&self, expr: &PathExpr) -> bool {
-        expr.vars().iter().all(|v| self.contains(*v))
+        expr.terms().iter().all(|term| match term {
+            Term::Const(_) => true,
+            Term::Var(v) => self.contains(*v),
+            Term::Packed(inner) => self.is_appropriate_for(inner),
+        })
     }
 
     /// Apply the valuation to a path expression, producing the denoted path.
@@ -239,16 +244,56 @@ impl Valuation {
             }
             _ => {}
         }
-        // Ground the expression as a *segment sequence* — one entry per term,
-        // each the interned identity of what the term denotes — and intern it
-        // with `Path::from_segments`, which builds the content in a reused
-        // buffer: re-deriving an already known path allocates nothing.
-        APPLY_SCRATCH.with(|scratch| {
-            let mut segments = scratch.borrow_mut();
-            segments.clear();
-            self.segments_into(expr, &mut segments)?;
-            Some(Path::from_segments(&segments))
+        // Build the content in a reused buffer and intern it once: re-deriving
+        // an already known path allocates nothing, and a cut bound to a
+        // variable is copied from, never interned on its own.
+        self.with_values(expr, Path::from_slice)
+    }
+
+    /// The stored path `expr` denotes under this valuation, found without
+    /// interning it ([`Path::find`]): `Some(None)` when the store holds no
+    /// such path, so no relation holds it either, and `None` if some variable
+    /// is unbound.  Membership checks ground their rows through this.
+    pub fn find(&self, expr: &PathExpr) -> Option<Option<Path>> {
+        match expr.terms() {
+            [] => Some(Some(Path::empty())),
+            [Term::Var(v)] => match self.get(*v)? {
+                Binding::Atom(a) => Some(Path::find(&[Value::Atom(*a)])),
+                Binding::Path(p) => Some(p.find()),
+            },
+            _ => self.with_values(expr, Path::find),
+        }
+    }
+
+    /// Build the values `expr` denotes in this thread's reused buffer and
+    /// hand them to `finish`.  `None` if some variable is unbound.
+    fn with_values<T>(&self, expr: &PathExpr, finish: impl FnOnce(&[Value]) -> T) -> Option<T> {
+        VALUES_SCRATCH.with(|scratch| {
+            let mut values = scratch.take();
+            values.clear();
+            let out = self
+                .values_into(expr, &mut values)
+                .map(|()| finish(&values));
+            scratch.replace(values);
+            out
         })
+    }
+
+    /// Append the values of the path `expr` denotes under this valuation,
+    /// interning nothing but what a packed term packs.  `None` if some
+    /// variable is unbound.
+    pub fn values_into(&self, expr: &PathExpr, out: &mut Vec<Value>) -> Option<()> {
+        for term in expr.terms() {
+            match term {
+                Term::Const(a) => out.push(Value::Atom(*a)),
+                Term::Var(v) => match self.get(*v)? {
+                    Binding::Atom(a) => out.push(Value::Atom(*a)),
+                    Binding::Path(p) => out.extend_from_slice(p.values()),
+                },
+                Term::Packed(inner) => out.push(Value::packed(self.apply(inner)?)),
+            }
+        }
+        Some(())
     }
 
     /// Append the segment sequence `expr` denotes under this valuation — one

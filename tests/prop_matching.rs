@@ -6,14 +6,20 @@
 //!
 //! Predicates, tuples and partial valuations are random.  Patterns mix
 //! constants, repeated atomic and path variables, packed terms and `eps`
-//! columns.  Tuples are mostly groundings of the pattern, so matches are
-//! common, and some columns are random paths instead.  Valuations pre-bind
-//! some variables, usually consistently with the grounding and sometimes not.
+//! columns, and often put an atomic variable right after a path variable.
+//! Tuples are mostly groundings of the pattern, so matches are common, and
+//! some columns are random paths instead.  Valuations pre-bind some
+//! variables, usually consistently with the grounding and sometimes not.
+//! Paths run up to eight values over a two-atom alphabet, so the value that
+//! anchors a split usually occurs more than once, and path variables are
+//! often bound to cuts at a nonzero offset of a longer path, as the engine's
+//! own bindings are.  One equation per case has such a cut as its whole
+//! ground side.
 
 mod reference;
 
 use proptest::prelude::*;
-use sequence_datalog::core::{atom, rel, Path, Value};
+use sequence_datalog::core::{atom, rel, Path, PathView, Value};
 use sequence_datalog::engine::matching::{
     match_predicate_det, match_predicate_sink, predicate_matches, solve_equation,
 };
@@ -36,31 +42,63 @@ impl Gen {
         ["a", "b"][self.below(2)]
     }
 
-    /// A random expression of up to four terms; zero terms is `eps`.  Packed
-    /// terms nest while `depth` lasts.
+    /// A random expression of up to four picks; zero terms is `eps`.  A
+    /// pick is one term or a path variable followed by an atomic one.
+    /// Packed terms nest while `depth` lasts.
     fn expr(&mut self, depth: usize) -> PathExpr {
         let mut terms = Vec::new();
         for _ in 0..self.below(5) {
-            terms.push(match self.below(if depth > 0 { 8 } else { 7 }) {
-                0 | 1 => Term::constant(self.atom()),
-                2 | 3 => Term::Var(Var::atom(["x", "y"][self.below(2)])),
-                4..=6 => Term::Var(Var::path(["p", "q", "r"][self.below(3)])),
-                _ => Term::Packed(self.expr(depth - 1)),
-            });
+            match self.below(if depth > 0 { 9 } else { 8 }) {
+                0 | 1 => terms.push(Term::constant(self.atom())),
+                2 | 3 => terms.push(self.atom_var()),
+                4..=6 => terms.push(self.path_var()),
+                7 => terms.extend([self.path_var(), self.atom_var()]),
+                _ => terms.push(Term::Packed(self.expr(depth - 1))),
+            }
         }
         PathExpr::from_terms(terms)
     }
 
-    /// A random path of up to three values, occasionally packed ones.
-    fn path(&mut self, depth: usize) -> Path {
-        let len = self.below(4);
+    fn atom_var(&mut self) -> Term {
+        Term::Var(Var::atom(["x", "y"][self.below(2)]))
+    }
+
+    fn path_var(&mut self) -> Term {
+        Term::Var(Var::path(["p", "q", "r"][self.below(3)]))
+    }
+
+    /// A random path of up to `max` values, occasionally packed ones (of up
+    /// to three values).
+    fn path(&mut self, max: usize, depth: usize) -> Path {
+        let len = self.below(max + 1);
         Path::from_values((0..len).map(|_| {
             if depth > 0 && self.below(4) == 0 {
-                Value::packed(self.path(depth - 1))
+                Value::packed(self.path(3, depth - 1))
             } else {
                 Value::atom(self.atom())
             }
         }))
+    }
+
+    /// `content` as a cut at a nonzero offset of a longer path: one to
+    /// three random values before it, up to two after.
+    fn cut_of(&mut self, content: Path) -> PathView {
+        let before = self.path(2, 0).values().len() + 1;
+        let pre = Path::from_values((0..before).map(|_| Value::atom(self.atom())));
+        let post = self.path(2, 0);
+        let parent = pre.concat(&content).concat(&post);
+        PathView::cut(parent, before, before + content.len())
+    }
+
+    /// A path binding of up to eight values: a whole path, or often a cut of
+    /// a longer one.
+    fn path_binding(&mut self) -> Binding {
+        let content = self.path(8, 1);
+        if self.below(2) == 0 {
+            Binding::Path(self.cut_of(content))
+        } else {
+            Binding::Path(content.into())
+        }
     }
 
     /// A valuation binding every variable the generator uses.
@@ -70,7 +108,8 @@ impl Gen {
             nu.bind_atom(Var::atom(name), atom(self.atom()));
         }
         for name in ["p", "q", "r"] {
-            nu.bind_path(Var::path(name), self.path(1));
+            let binding = self.path_binding();
+            nu.bind(Var::path(name), binding);
         }
         nu
     }
@@ -82,7 +121,10 @@ impl Gen {
             match (self.below(8), binding) {
                 (0 | 1, _) => nu.bind(var, *binding),
                 (2, Binding::Atom(_)) => nu.bind_atom(var, atom(self.atom())),
-                (2, Binding::Path(_)) => nu.bind_path(var, self.path(1)),
+                (2, Binding::Path(_)) => {
+                    let binding = self.path_binding();
+                    nu.bind(var, binding);
+                }
                 _ => {}
             }
         }
@@ -143,7 +185,7 @@ proptest! {
             .iter()
             .map(|arg| {
                 if g.below(4) == 0 {
-                    g.path(1)
+                    g.path(8, 1)
                 } else {
                     total.apply(arg).expect("a total valuation grounds every expression")
                 }
@@ -214,6 +256,33 @@ proptest! {
             "{} under {}",
             &eq,
             &nu
+        );
+
+        // An equation whose ground side is one variable bound to a cut at a
+        // nonzero offset: the engine matches over the cut's parent, the
+        // reference over the interned cut.  The cut's content is usually the
+        // grounding of the open side.
+        let open = g.expr(1);
+        let content = if g.below(4) == 0 {
+            g.path(8, 1)
+        } else {
+            total.apply(&open).expect("a total valuation grounds every expression")
+        };
+        let cut = g.cut_of(content);
+        let mut nu_cut = nu.clone();
+        nu_cut.bind(Var::path("g"), Binding::Path(cut));
+        let ground = PathExpr::var(Var::path("g"));
+        let eq = if g.below(2) == 0 {
+            Equation::new(ground, open)
+        } else {
+            Equation::new(open, ground)
+        };
+        prop_assert_eq!(
+            engine_solutions(&eq, &nu_cut),
+            reference::solve_equation(&eq, &nu_cut).map(|s| sorted(&s)),
+            "{} under {}",
+            &eq,
+            &nu_cut
         );
     }
 }
