@@ -1395,6 +1395,8 @@ mod tests {
             "T",
             "--threads",
             "4",
+            "--shard-size",
+            "1",
             "--trace-out",
             trace_file.to_str().unwrap(),
         ]))
@@ -1406,8 +1408,9 @@ mod tests {
         assert!(json.contains("\"ph\":\"B\""), "{json}");
         assert!(json.contains("\"ph\":\"E\""), "{json}");
         assert!(json.contains("\"name\":\"run\""), "{json}");
-        // Rule passes run on pool workers while the driver holds the round
-        // span, so a parallel run records at least two distinct thread ids.
+        // One delta tuple per shard gives a round several jobs, and every job
+        // but the first runs on a pool worker while the driver holds the
+        // round span, so the run records at least two distinct thread ids.
         let tids: std::collections::BTreeSet<u32> = json
             .split("\"tid\":")
             .skip(1)

@@ -7,7 +7,7 @@
 //! so equality and hashing are O(1) and every identifier can still be printed with
 //! its original name.
 //!
-//! The interner is global (guarded by a `parking_lot::RwLock`) because values flow
+//! The interner is global (guarded by a `std::sync::RwLock`) because values flow
 //! freely between programs, instances, and engines in this workspace; threading an
 //! interner handle through every API would add noise without adding safety.
 //!
@@ -22,11 +22,10 @@
 //! `next` array, each compared against its stored name.
 
 use crate::hash::{FxMap, FxStrHasher};
-use parking_lot::RwLock;
 use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::OnceLock;
+use std::sync::{OnceLock, PoisonError, RwLock};
 
 /// An interned string: a cheap, copyable identity for a name.
 ///
@@ -133,10 +132,14 @@ impl Symbol {
     /// Intern `name`, returning its symbol.  Idempotent.
     pub fn intern(name: &str) -> Symbol {
         let hash = hash_name(name);
-        if let Some(ix) = interner().read().find(name, hash) {
+        if let Some(ix) = interner()
+            .read()
+            .unwrap_or_else(PoisonError::into_inner)
+            .find(name, hash)
+        {
             return Symbol(ix);
         }
-        let mut guard = interner().write();
+        let mut guard = interner().write().unwrap_or_else(PoisonError::into_inner);
         let ix = match guard.find(name, hash) {
             Some(ix) => ix,
             None => guard.add(name, hash),
@@ -146,7 +149,10 @@ impl Symbol {
 
     /// The interned string itself.
     fn text(self) -> &'static str {
-        interner().read().names[self.0 as usize]
+        interner()
+            .read()
+            .unwrap_or_else(PoisonError::into_inner)
+            .names[self.0 as usize]
     }
 
     /// The string this symbol was interned from.
@@ -180,7 +186,11 @@ impl Symbol {
             let n = COUNTER.fetch_add(1, Ordering::Relaxed);
             let candidate = format!("{prefix}{n}");
             let hash = hash_name(&candidate);
-            let already = interner().read().find(&candidate, hash).is_some();
+            let already = interner()
+                .read()
+                .unwrap_or_else(PoisonError::into_inner)
+                .find(&candidate, hash)
+                .is_some();
             if !already {
                 return Symbol::intern(&candidate);
             }

@@ -39,7 +39,7 @@ pub use error::CoreError;
 pub use hash::{fx_hash, FxHasher, FxMap};
 pub use instance::{BucketEntry, ColumnIndex, Fact, Instance, Relation, Rows, Schema, Tuple};
 pub use interner::{AtomId, RelName, Symbol, VarSym};
-pub use path::{Path, PathView, Segment, Subpaths};
+pub use path::{Path, PathView, Subpaths};
 pub use render::Renderer;
 pub use store::{store_stats, PathId, StoreStats};
 pub use value::Value;

@@ -94,9 +94,9 @@ impl Path {
         self.values().iter()
     }
 
-    /// Concatenation `self · other`, built like [`Path::from_segments`]: the
-    /// two operands' values are copied into a reused buffer and interned, so
-    /// a repeat concatenation allocates nothing.
+    /// Concatenation `self · other`: the two operands' values are copied into
+    /// a reused buffer and interned once, so a repeat concatenation allocates
+    /// nothing.
     pub fn concat(&self, other: &Path) -> Path {
         if self.is_empty() {
             return *other;
@@ -104,31 +104,11 @@ impl Path {
         if other.is_empty() {
             return *self;
         }
-        Path::from_segments(&[Segment::Path(self.0), Segment::Path(other.0)])
-    }
-
-    /// Build the path denoted by a segment sequence (single values and whole
-    /// interned paths, spliced in order).  The content is built in a reused
-    /// thread-local buffer and interned from there, so a composition the
-    /// store already holds allocates nothing and a new one is copied once.
-    /// This is how evaluation grounds rule heads.
-    pub fn from_segments(segments: &[Segment]) -> Path {
-        if let [Segment::Path(p)] = segments {
-            return Path(*p);
-        }
+        let (left, right) = (self.values(), other.values());
         Path(store::intern_built(|buf| {
-            for seg in segments {
-                match seg {
-                    Segment::Value(v) => buf.push(*v),
-                    Segment::Path(p) => buf.extend_from_slice(store::resolve(*p)),
-                }
-            }
+            buf.extend_from_slice(left);
+            buf.extend_from_slice(right);
         }))
-    }
-
-    /// This path as a [`Segment`] for [`Path::from_segments`].
-    pub fn as_segment(&self) -> Segment {
-        Segment::Path(self.0)
     }
 
     /// Append a single value, re-interning.  This is O(len); callers building
@@ -242,17 +222,6 @@ impl Path {
     }
 }
 
-/// One segment of a composed path for [`Path::from_segments`]: a single value
-/// or a whole interned path.  Either way a segment is an interned identity,
-/// so a grounded rule head is a few words per term until it is interned.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-pub enum Segment {
-    /// One value.
-    Value(Value),
-    /// All values of an interned path, spliced in order.
-    Path(PathId),
-}
-
 /// An *unregistered* view `parent[start..end]` of an interned path: a
 /// contiguous slice of the parent's shared storage that is **not** itself
 /// interned in the global store.
@@ -323,12 +292,6 @@ impl PathView {
             return Some(self.parent);
         }
         Path::find(self.values())
-    }
-
-    /// This view as a [`Segment`] for [`Path::from_segments`]; interns the
-    /// content (views are registered exactly when they reach an emission).
-    pub fn as_segment(&self) -> Segment {
-        self.to_path().as_segment()
     }
 
     /// The interned parent path this view cuts into.

@@ -42,38 +42,46 @@
 //!
 //! A new content is stored without a copy when the caller hands in a slice
 //! that already lives forever — a cut of a stored path aliases its parent's
-//! storage — and copied once into the arena otherwise.  Compositions are
-//! built in a reused thread-local buffer (`intern_built`), so a repeat
-//! composition allocates nothing.  Reads (`resolve`) go through the
-//! thread-local mirror of the append-only entry table, so resolving an id a
-//! thread has seen before is a plain bounds-checked array read with no
-//! atomics — the "shared read-only store" shape the multi-threaded executor
-//! wants.  Its read-only twin, `find`, probes the same cache and chain for
-//! a content without ever adding it.
+//! storage — and copied once into the arena otherwise.  A composition is
+//! first built as a value sequence in a reused buffer — a rule head argument
+//! in its valuation's, this crate's own compositions ([`Path::from_values`],
+//! [`Path::concat`], [`Path::push`]) in a thread-local one (`intern_built`)
+//! — and interned once, so a repeat composition allocates nothing.  Reads
+//! (`resolve`) go through the thread-local mirror of the append-only entry
+//! table, so resolving an id a thread has seen before is a plain
+//! bounds-checked array read with no atomics — the "shared read-only store"
+//! shape the multi-threaded executor wants.  Its read-only twin, `find`,
+//! probes the same cache and chain for a content without ever adding it.
 //!
-//! **Growth discipline.**  The matcher's backtracking prefix enumeration
-//! tries up to O(L²) distinct cuts of a length-L path probed by adjacent
-//! unbound path variables, and the store never forgets an interned path.
-//! Speculative cuts therefore stay *out* of the store: bindings hold
-//! unregistered `(parent, start, end)` views ([`crate::PathView`]) whose
-//! comparisons run over the shared value slice, and a cut is interned only
-//! when it survives to a fact emission ([`crate::PathView::to_path`]).
-//! Checks intern nothing either: an equation whose ground side is one bound
-//! path variable is matched over that variable's view, an equality filter
-//! compares contents, and a membership check looks its row up with `find`
-//! ([`Path::find`]) — a content the store lacks is in no relation.  (A
-//! packed term still interns the path it packs: a packed value *is* an
-//! id.)  Store growth thus tracks the facts an evaluation *keeps*, not the
-//! matches it *tried* or the checks it *made*; `store_stats` (and the
-//! evaluator's `max_store_bytes` budget) exist so deployments can watch and
-//! bound what remains.
+//! **Growth discipline.**  The store never forgets an interned path, so an
+//! evaluation interns a content only where a relation is to hold it.  The
+//! matcher's backtracking prefix enumeration tries up to O(L²) distinct cuts
+//! of a length-L path probed by adjacent unbound path variables; bindings
+//! hold them as unregistered `(parent, start, end)` views
+//! ([`crate::PathView`]) whose comparisons run over the shared value slice.
+//! A rule head builds each argument's values from its valuation and interns
+//! that content once: a view inside the argument is copied in, and only an
+//! argument that is one path variable interns the view itself, as a cut
+//! aliasing its parent's storage ([`crate::PathView::to_path`]).  Checks
+//! intern nothing: an equation whose ground side is one bound path variable
+//! is matched over that variable's view, an equality filter compares
+//! contents, and a membership check looks its row up with `find`
+//! ([`Path::find`]), a packed path inside the row included — a content the
+//! store lacks is in no relation.  Two equation cases still intern what no
+//! relation need hold: a ground side that is not one variable is interned
+//! so that the other side's bindings can be views of it, and a side that
+//! packs a path interns the packed path (a packed value *is* an id).  Store
+//! growth thus tracks the facts an evaluation *keeps*, not the matches it
+//! *tried* or the checks it *made*: `tests/store_growth_law.rs` checks that
+//! it equals the new paths of the result on random programs, and
+//! `store_stats` (and the evaluator's `max_store_bytes` budget) exist so
+//! deployments can watch and bound what remains.
 
 use crate::hash::{fx_hash, FxMap};
 use crate::path::Path;
 use crate::value::Value;
-use parking_lot::RwLock;
 use std::cell::RefCell;
-use std::sync::OnceLock;
+use std::sync::{OnceLock, PoisonError, RwLock};
 
 /// The identity of an interned path: a dense index into the global store.
 ///
@@ -181,7 +189,7 @@ thread_local! {
 impl Mirror {
     fn resolve(&mut self, ix: usize) -> &'static [Value] {
         if ix >= self.entries.len() {
-            let guard = store().read();
+            let guard = store().read().unwrap_or_else(PoisonError::into_inner);
             let from = self.entries.len();
             self.entries.extend_from_slice(&guard.entries[from..]);
         }
@@ -210,7 +218,7 @@ pub(crate) fn intern(slice: &[Value], stored: Option<&'static [Value]>) -> PathI
                 return PathId(id);
             }
         }
-        let mut guard = store().write();
+        let mut guard = store().write().unwrap_or_else(PoisonError::into_inner);
         let g = &mut *guard;
         let mut id = g.probe(hash, slice);
         if id == 0 {
@@ -241,7 +249,10 @@ pub(crate) fn find(slice: &[Value]) -> Option<PathId> {
                 return Some(PathId(id));
             }
         }
-        let id = store().read().probe(hash, slice);
+        let id = store()
+            .read()
+            .unwrap_or_else(PoisonError::into_inner)
+            .probe(hash, slice);
         (id != 0).then(|| {
             m.cache.insert(hash, id);
             PathId(id)
@@ -285,7 +296,7 @@ impl StoreStats {
 
 /// Snapshot the global store's statistics.
 pub fn store_stats() -> StoreStats {
-    let guard = store().read();
+    let guard = store().read().unwrap_or_else(PoisonError::into_inner);
     // Hash-map overhead estimated as key + value + one byte of control per
     // bucket at the current capacity.
     let map_bytes = guard.newest.capacity() * (std::mem::size_of::<(u64, u32)>() + 1);

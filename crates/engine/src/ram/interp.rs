@@ -39,8 +39,8 @@ use crate::matching::{
 };
 use crate::plan::{PlannedLiteral, PlannedPredicate};
 use crate::ram::ir::{FilterOp, Inst, RuleProc};
-use seqdl_core::{BucketEntry, Instance, Path, PathId, Relation, Rows, Segment, Value};
-use seqdl_syntax::{Binding, Equation, Rule, Term, Valuation, Var};
+use seqdl_core::{BucketEntry, Instance, Path, Relation, Rows, Value};
+use seqdl_syntax::{Binding, Equation, PathExpr, Rule, Term, Valuation, Var};
 
 /// The candidate source of one probe frame.
 enum Cands<'r> {
@@ -294,62 +294,117 @@ fn plan_invariant(step: usize, expected: &str) -> EvalError {
 }
 
 /// Ground the head under `nu` and append the row if the head relation does
-/// not hold it yet.
-#[allow(clippy::too_many_arguments)]
+/// not hold it yet.  Each argument is grounded by [`Valuation::apply`]: built
+/// from values and interned once.
 fn emit_head(
     rule: &Rule,
     head_relation: Option<&Relation>,
-    term_counts: &[usize],
     nu: &Valuation,
-    seg_scratch: &mut Vec<Segment>,
-    row_scratch: &mut Vec<Path>,
+    row: &mut Vec<Path>,
     out: &mut Rows,
     stats: &mut FireStats,
 ) -> Result<(), EvalError> {
-    let head = &rule.head;
-    seg_scratch.clear();
-    for arg in &head.args {
-        if nu.segments_into(arg, seg_scratch).is_none() {
-            return Err(unplannable(rule));
-        }
+    row.clear();
+    for arg in &rule.head.args {
+        row.push(nu.apply(arg).ok_or_else(|| unplannable(rule))?);
     }
-    emit_segs(
-        head_relation,
-        term_counts,
-        seg_scratch,
-        row_scratch,
-        out,
-        stats,
-    );
+    emit_row(head_relation, row, out, stats);
     Ok(())
 }
 
-/// The back half of [`emit_head`]: count the firing, intern the head row's
-/// paths from the built segments, and append the row to `out` unless the
-/// head relation already holds it.  A repeated path hits the thread's
-/// consing cache; a row this job already buffered is buffered again and
-/// dropped at the merge.  Shared with the templated fused-emit loops, which
-/// fill `seg_scratch` holes directly instead of re-walking the head
-/// expression.
-fn emit_segs(
-    head_relation: Option<&Relation>,
-    term_counts: &[usize],
-    seg_scratch: &[Segment],
-    row_scratch: &mut Vec<Path>,
-    out: &mut Rows,
-    stats: &mut FireStats,
-) {
+/// The back half of every emit: count the firing and append the grounded
+/// head row to `out` unless the head relation already holds it.  A row this
+/// job already buffered is buffered again and dropped at the merge.
+fn emit_row(head_relation: Option<&Relation>, row: &[Path], out: &mut Rows, stats: &mut FireStats) {
     stats.firings += 1;
-    row_scratch.clear();
-    let mut offset = 0usize;
-    for &n in term_counts {
-        row_scratch.push(Path::from_segments(&seg_scratch[offset..offset + n]));
-        offset += n;
-    }
-    if head_relation.is_some_and(|r| r.contains(row_scratch)) {
+    if head_relation.is_some_and(|r| r.contains(row)) {
         return;
     }
-    out.push(row_scratch);
+    out.push(row);
+}
+
+/// A fused loop's head row, prefilled from the valuation once per loop
+/// entry so that each candidate only fills the holes its probe binds.
+#[derive(Default)]
+struct HeadTemplate {
+    /// The prefilled arguments' values, one argument after another.  An
+    /// atomic variable the probe binds is one slot, overwritten per
+    /// candidate.
+    values: Vec<Value>,
+    /// Per head argument: the end of its slots in `values`, or `None` for an
+    /// argument grounded per emit by [`Valuation::apply`].  That is a lone
+    /// path variable, interned as a cut of its parent's storage, or one with
+    /// a path variable the probe binds, whose view's values `apply` copies in.
+    ends: Vec<Option<usize>>,
+    /// The slots of the atomic variables the probe binds.
+    holes: Vec<(usize, Var)>,
+}
+
+impl HeadTemplate {
+    /// Prefill from `nu`: every head variable it binds becomes values, every
+    /// other one a hole.  Interns nothing, so a loop that emits nothing
+    /// leaves the store as it was.
+    fn prefill(&mut self, args: &[PathExpr], nu: &Valuation) {
+        self.values.clear();
+        self.ends.clear();
+        self.holes.clear();
+        for arg in args {
+            let terms = arg.terms();
+            let applied = match terms {
+                [Term::Var(v)] => v.is_path_var(),
+                _ => terms.iter().any(|t| match t {
+                    Term::Var(v) => v.is_path_var() && !nu.contains(*v),
+                    _ => false,
+                }),
+            };
+            if applied {
+                self.ends.push(None);
+                continue;
+            }
+            for term in terms {
+                match term {
+                    Term::Const(a) => self.values.push(Value::Atom(*a)),
+                    Term::Var(v) => match nu.get(*v) {
+                        Some(Binding::Atom(a)) => self.values.push(Value::Atom(*a)),
+                        Some(Binding::Path(p)) => self.values.extend_from_slice(p.values()),
+                        None => {
+                            self.holes.push((self.values.len(), *v));
+                            self.values.push(Value::Packed(Path::empty()));
+                        }
+                    },
+                    Term::Packed(_) => unreachable!("templatable excludes packing"),
+                }
+            }
+            self.ends.push(Some(self.values.len()));
+        }
+    }
+
+    /// Ground the head row into `row` and emit it: each prefilled argument
+    /// is interned from its slots, the others are applied.
+    fn emit(
+        &self,
+        rule: &Rule,
+        head_relation: Option<&Relation>,
+        nu: &Valuation,
+        row: &mut Vec<Path>,
+        out: &mut Rows,
+        stats: &mut FireStats,
+    ) -> Result<(), EvalError> {
+        row.clear();
+        let mut start = 0;
+        for (arg, end) in rule.head.args.iter().zip(&self.ends) {
+            row.push(match *end {
+                Some(end) => {
+                    let path = Path::from_slice(&self.values[start..end]);
+                    start = end;
+                    path
+                }
+                None => nu.apply(arg).ok_or_else(|| unplannable(rule))?,
+            });
+        }
+        emit_row(head_relation, row, out, stats);
+        Ok(())
+    }
 }
 
 fn predicate_of(proc: &RuleProc, step: usize) -> Result<&PlannedPredicate, EvalError> {
@@ -387,7 +442,6 @@ pub fn fire_proc(
     let head_relation = instance
         .relation(head.relation)
         .filter(|r| r.arity() == head.args.len());
-    let term_counts = &proc.term_counts;
     let code = &proc.code;
     // Each predicate step's relation, resolved once per pass: positive steps
     // probe it, negated steps check membership in it.  A relation of another
@@ -414,12 +468,11 @@ pub fn fire_proc(
     let mut trail_len = 0usize;
     let mut stats = FireStats::default();
     let mut nu = Valuation::new();
-    let mut seg_scratch: Vec<Segment> = Vec::new();
     // The one scratch row of the pass: membership checks ground into it, and
     // emits build the head row in it.
     let mut row_scratch: Vec<Path> = Vec::new();
     let templatable = proc.templatable;
-    let mut holes: Vec<(usize, Var)> = Vec::new();
+    let mut template = HeadTemplate::default();
 
     let mut pc = 0usize;
     'forward: loop {
@@ -504,52 +557,33 @@ pub fn fire_proc(
                     if templatable && frames[pc].cands_len() >= 4 {
                         // Prefill the head row from the current valuation;
                         // only the probe-bound holes change per candidate.
-                        seg_scratch.clear();
-                        holes.clear();
-                        for arg in &head.args {
-                            for term in arg.terms() {
-                                match term {
-                                    Term::Const(a) => {
-                                        seg_scratch.push(Segment::Value(Value::Atom(*a)));
-                                    }
-                                    Term::Var(v) => match nu.get(*v) {
-                                        Some(Binding::Atom(a)) => {
-                                            seg_scratch.push(Segment::Value(Value::Atom(*a)));
-                                        }
-                                        Some(Binding::Path(p)) => seg_scratch.push(p.as_segment()),
-                                        None => {
-                                            holes.push((seg_scratch.len(), *v));
-                                            seg_scratch.push(Segment::Path(PathId::EMPTY));
-                                        }
-                                    },
-                                    Term::Packed(_) => unreachable!("templatable excludes packing"),
-                                }
-                            }
-                        }
+                        template.prefill(&head.args, &nu);
                         match frames[pc].mode {
                             // Bucket-side bind feeding exactly the one hole:
                             // emit straight from the bucket entries, no
                             // valuation traffic at all.
-                            Mode::BucketBind(v) if holes.len() == 1 && holes[0].1 == v => {
+                            Mode::BucketBind(v)
+                                if template.holes.len() == 1 && template.holes[0].1 == v =>
+                            {
                                 debug_assert!(!once, "the probe binds the head hole");
                                 let entries = match &frames[pc].cands {
                                     Cands::Entries(entries) => *entries,
                                     _ => &[],
                                 };
-                                let pos = holes[0].0;
+                                let pos = template.holes[0].0;
                                 for e in entries {
                                     if e.len == 2 {
                                         if let Some(b) = e.next_atom() {
                                             stats.instructions += 1;
-                                            seg_scratch[pos] = Segment::Value(Value::Atom(b));
-                                            emit_segs(
+                                            template.values[pos] = Value::Atom(b);
+                                            template.emit(
+                                                rule,
                                                 head_relation,
-                                                term_counts,
-                                                &seg_scratch,
+                                                &nu,
                                                 &mut row_scratch,
                                                 out,
                                                 &mut stats,
-                                            );
+                                            )?;
                                         }
                                     }
                                 }
@@ -557,23 +591,20 @@ pub fn fire_proc(
                             _ => {
                                 while frames[pc].next(Some(planned), &mut nu) {
                                     stats.instructions += 1;
-                                    for &(pos, v) in &holes {
-                                        seg_scratch[pos] = match nu.get(v) {
-                                            Some(Binding::Atom(a)) => {
-                                                Segment::Value(Value::Atom(*a))
-                                            }
-                                            Some(Binding::Path(p)) => p.as_segment(),
-                                            None => return Err(unplannable(rule)),
+                                    for &(pos, v) in &template.holes {
+                                        template.values[pos] = match nu.get(v) {
+                                            Some(Binding::Atom(a)) => Value::Atom(*a),
+                                            _ => return Err(unplannable(rule)),
                                         };
                                     }
-                                    emit_segs(
+                                    template.emit(
+                                        rule,
                                         head_relation,
-                                        term_counts,
-                                        &seg_scratch,
+                                        &nu,
                                         &mut row_scratch,
                                         out,
                                         &mut stats,
-                                    );
+                                    )?;
                                     if once {
                                         trail_len = proc.emit_keep;
                                         break;
@@ -584,16 +615,7 @@ pub fn fire_proc(
                     } else {
                         while frames[pc].next(Some(planned), &mut nu) {
                             stats.instructions += 1;
-                            emit_head(
-                                rule,
-                                head_relation,
-                                term_counts,
-                                &nu,
-                                &mut seg_scratch,
-                                &mut row_scratch,
-                                out,
-                                &mut stats,
-                            )?;
+                            emit_head(rule, head_relation, &nu, &mut row_scratch, out, &mut stats)?;
                             if once {
                                 trail_len = proc.emit_keep;
                                 break;
@@ -627,16 +649,7 @@ pub fn fire_proc(
                 }
             }
             Inst::Emit => {
-                emit_head(
-                    rule,
-                    head_relation,
-                    term_counts,
-                    &nu,
-                    &mut seg_scratch,
-                    &mut row_scratch,
-                    out,
-                    &mut stats,
-                )?;
+                emit_head(rule, head_relation, &nu, &mut row_scratch, out, &mut stats)?;
                 trail_len = trail_len.min(proc.emit_keep);
             }
         }

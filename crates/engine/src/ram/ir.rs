@@ -123,12 +123,9 @@ pub struct RuleProc {
     /// The rule is static over its fixpoint scope (no delta positions): it
     /// fires exactly once per stratum and is hoisted into the merge section.
     pub hoisted: bool,
-    /// Per head argument: its term count (precomputed so firing does not
-    /// re-walk the head).
-    pub term_counts: Vec<usize>,
-    /// The head has no packed terms, so it grounds to exactly one segment per
-    /// term — the fused terminal loop may prefill the row once per loop entry
-    /// and only re-fill the probe-fed holes.
+    /// The head has no packed terms, so its content is the values of its
+    /// constants and variables — the fused terminal loop may prefill those
+    /// values once per loop entry and only re-fill the probe-fed holes.
     pub templatable: bool,
 }
 

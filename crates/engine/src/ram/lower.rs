@@ -102,7 +102,6 @@ pub fn lower_rule(rule: &Rule, plan: BodyPlan, recursive_over: &BTreeSet<RelName
         _ => code.push(Inst::Emit),
     }
     RuleProc {
-        term_counts: rule.head.args.iter().map(|a| a.terms().len()).collect(),
         templatable: rule
             .head
             .args

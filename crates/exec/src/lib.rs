@@ -9,7 +9,7 @@
 //!
 //! * `--threads 1` fires the jobs in place, each under `catch_unwind`;
 //! * `--threads N` fans them out over a fixed pool of `N − 1` workers built
-//!   from `std::thread` and `parking_lot`, the driver thread running the
+//!   from `std::thread` and `std::sync`, the driver thread running the
 //!   first job of each round itself.
 //!
 //! Workers only ever *read* the shared instance (behind an `RwLock`) and
@@ -41,7 +41,6 @@
 #![warn(rust_2018_idioms)]
 #![warn(clippy::unwrap_used)]
 
-use parking_lot::Mutex;
 use seqdl_core::{CancelToken, Fact, Instance, Path, RelName, Rows};
 use seqdl_engine::drive::{read, DELTA_SHARD};
 use seqdl_engine::{
@@ -51,7 +50,7 @@ use seqdl_engine::{
 use seqdl_syntax::Program;
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, PoisonError, RwLock};
+use std::sync::{mpsc, Mutex, PoisonError, RwLock};
 use std::thread;
 use std::time::Duration;
 
@@ -217,7 +216,7 @@ fn worker(
         // Hold the queue lock only while drawing one job; blocking in `recv`
         // under the lock is the idiomatic mpmc-over-mpsc pattern — the lock is
         // released as soon as a job (or disconnection) arrives.
-        let job = match jobs.lock().recv() {
+        let job = match jobs.lock().unwrap_or_else(PoisonError::into_inner).recv() {
             Ok(job) => job,
             Err(_) => return,
         };

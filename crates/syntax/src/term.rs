@@ -124,14 +124,6 @@ impl Term {
     pub fn is_var(&self) -> bool {
         matches!(self, Term::Var(_))
     }
-
-    /// The variable, if this term is one.
-    pub fn as_var(&self) -> Option<Var> {
-        match self {
-            Term::Var(v) => Some(*v),
-            _ => None,
-        }
-    }
 }
 
 impl fmt::Display for Term {

@@ -2,14 +2,14 @@
 //! variables (Section 2.3).
 
 use crate::term::{PathExpr, Term, Var, VarKind};
-use seqdl_core::{AtomId, Path, PathView, Segment, Value};
+use seqdl_core::{AtomId, Path, PathView, Value};
 use std::cell::RefCell;
 use std::fmt;
 
 thread_local! {
     /// Reusable content buffer of [`Valuation::apply`] and
     /// [`Valuation::find`].  It is taken out while in use, so a packed term,
-    /// grounded by a nested `apply`, builds in a vector of its own.
+    /// grounded by a nested `apply` or `find`, builds in a vector of its own.
     static VALUES_SCRATCH: RefCell<Vec<Value>> = const { RefCell::new(Vec::new()) };
 }
 
@@ -18,9 +18,11 @@ thread_local! {
 /// Path bindings are [`PathView`]s — possibly unregistered cuts of an interned
 /// path.  The backtracking matcher binds every speculative prefix cut it
 /// enumerates, so holding views (compared by content over shared storage)
-/// keeps rejected candidates out of the global store; a binding is interned
-/// exactly when it reaches an emission or grounding ([`Binding::as_path`],
-/// [`Valuation::apply`], [`Valuation::segments_into`]).
+/// keeps rejected candidates out of the global store.  A binding is interned
+/// on its own only where a grounded expression is that one variable
+/// ([`Binding::as_path`], [`Valuation::apply`]); inside a longer expression
+/// its values are copied into the content being built
+/// ([`Valuation::values_into`]).
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Debug)]
 pub enum Binding {
     /// Binding of an atomic variable.
@@ -247,13 +249,16 @@ impl Valuation {
         // Build the content in a reused buffer and intern it once: re-deriving
         // an already known path allocates nothing, and a cut bound to a
         // variable is copied from, never interned on its own.
-        self.with_values(expr, Path::from_slice)
+        self.with_values(expr, true, |values| Some(Path::from_slice(values)))
+            .flatten()
     }
 
     /// The stored path `expr` denotes under this valuation, found without
     /// interning it ([`Path::find`]): `Some(None)` when the store holds no
     /// such path, so no relation holds it either, and `None` if some variable
-    /// is unbound.  Membership checks ground their rows through this.
+    /// is unbound.  Membership checks ground their rows through this.  A
+    /// packed term's inner path is looked up the same way: one the store
+    /// lacks occurs inside no stored path, so the whole content is absent.
     pub fn find(&self, expr: &PathExpr) -> Option<Option<Path>> {
         match expr.terms() {
             [] => Some(Some(Path::empty())),
@@ -261,19 +266,25 @@ impl Valuation {
                 Binding::Atom(a) => Some(Path::find(&[Value::Atom(*a)])),
                 Binding::Path(p) => Some(p.find()),
             },
-            _ => self.with_values(expr, Path::find),
+            _ => self.with_values(expr, false, Path::find),
         }
     }
 
     /// Build the values `expr` denotes in this thread's reused buffer and
-    /// hand them to `finish`.  `None` if some variable is unbound.
-    fn with_values<T>(&self, expr: &PathExpr, finish: impl FnOnce(&[Value]) -> T) -> Option<T> {
+    /// hand them to `finish`: `None` if some variable is unbound, `Some(None)`
+    /// if, without `intern`, a packed term's inner path is not stored.
+    fn with_values<T>(
+        &self,
+        expr: &PathExpr,
+        intern: bool,
+        finish: impl FnOnce(&[Value]) -> Option<T>,
+    ) -> Option<Option<T>> {
         VALUES_SCRATCH.with(|scratch| {
             let mut values = scratch.take();
             values.clear();
             let out = self
-                .values_into(expr, &mut values)
-                .map(|()| finish(&values));
+                .build_into(expr, intern, &mut values)
+                .map(|built| built.then(|| finish(&values)).flatten());
             scratch.replace(values);
             out
         })
@@ -283,6 +294,14 @@ impl Valuation {
     /// interning nothing but what a packed term packs.  `None` if some
     /// variable is unbound.
     pub fn values_into(&self, expr: &PathExpr, out: &mut Vec<Value>) -> Option<()> {
+        self.build_into(expr, true, out).map(drop)
+    }
+
+    /// The builder behind [`Valuation::values_into`] and
+    /// [`Valuation::find`]: a packed term's inner path is interned with
+    /// `intern` and looked up without, in which case a miss stops the build
+    /// with `Some(false)`.  `None` if some variable is unbound.
+    fn build_into(&self, expr: &PathExpr, intern: bool, out: &mut Vec<Value>) -> Option<bool> {
         for term in expr.terms() {
             match term {
                 Term::Const(a) => out.push(Value::Atom(*a)),
@@ -290,33 +309,20 @@ impl Valuation {
                     Binding::Atom(a) => out.push(Value::Atom(*a)),
                     Binding::Path(p) => out.extend_from_slice(p.values()),
                 },
-                Term::Packed(inner) => out.push(Value::packed(self.apply(inner)?)),
-            }
-        }
-        Some(())
-    }
-
-    /// Append the segment sequence `expr` denotes under this valuation — one
-    /// [`Segment`] per term, each the interned identity of what the term
-    /// denotes.  `None` if some variable is unbound.  The per-term segment
-    /// count is static, so the evaluator splits a rule head's segment
-    /// sequence back into one path per argument.
-    pub fn segments_into(&self, expr: &PathExpr, out: &mut Vec<Segment>) -> Option<()> {
-        for term in expr.terms() {
-            match term {
-                Term::Const(a) => out.push(Segment::Value(Value::Atom(*a))),
-                Term::Var(v) => match self.get(*v)? {
-                    Binding::Atom(a) => out.push(Segment::Value(Value::Atom(*a))),
-                    Binding::Path(p) => out.push(p.as_segment()),
-                },
                 Term::Packed(inner) => {
-                    let mut nested = Vec::new();
-                    self.segments_into(inner, &mut nested)?;
-                    out.push(Segment::Value(Value::packed(Path::from_segments(&nested))));
+                    let packed = if intern {
+                        self.apply(inner)?
+                    } else {
+                        match self.find(inner)? {
+                            Some(packed) => packed,
+                            None => return self.is_appropriate_for(expr).then_some(false),
+                        }
+                    };
+                    out.push(Value::packed(packed));
                 }
             }
         }
-        Some(())
+        Some(true)
     }
 
     /// Restrict the valuation to the given variables.
@@ -373,6 +379,32 @@ mod tests {
         let p = nu.apply(&e).unwrap();
         assert_eq!(p.len(), 2);
         assert_eq!(p.to_string(), "c·<a·b>");
+    }
+
+    #[test]
+    fn find_looks_packed_paths_up_without_interning() {
+        let x = Var::path("x");
+        let mut nu = Valuation::new();
+        nu.bind_path(x, path_of(&["find_pk_a", "find_pk_b"]));
+        let inner = PathExpr::from_terms([Term::Var(x), Term::constant("q")]);
+        let e = PathExpr::from_terms([Term::constant("c"), Term::Packed(inner.clone())]);
+        let inner_values: Vec<Value> = ["find_pk_a", "find_pk_b", "q"]
+            .iter()
+            .map(|n| Value::atom(n))
+            .collect();
+        assert_eq!(nu.find(&e), Some(None));
+        assert_eq!(
+            Path::find(&inner_values),
+            None,
+            "the packed path was stored"
+        );
+        let stored = nu.apply(&e).unwrap();
+        assert_eq!(nu.find(&e), Some(Some(stored)));
+        assert_eq!(nu.find(&inner), Some(Path::find(&inner_values)));
+        // A miss with a variable left unbound after it is still unbound.
+        let missing = PathExpr::from_terms([Term::Var(x), Term::constant("r")]);
+        let unbound = PathExpr::from_terms([Term::Packed(missing), Term::Var(Var::path("u"))]);
+        assert_eq!(nu.find(&unbound), None);
     }
 
     #[test]

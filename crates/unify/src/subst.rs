@@ -71,11 +71,6 @@ impl Substitution {
         expr.substitute(&self.map)
     }
 
-    /// Apply the substitution to both sides of an equation.
-    pub fn apply_eq(&self, eq: &Equation) -> Equation {
-        Equation::new(self.apply(&eq.lhs), self.apply(&eq.rhs))
-    }
-
     /// Composition `step ∘ self`: first apply `self`, then `step`.
     ///
     /// The result maps every variable `v` in `self`'s domain to `step(self(v))`,

@@ -10,8 +10,11 @@
 //! subpaths; with views it grows by O(1).
 //!
 //! Checks intern nothing either: an equality filter compares contents and a
-//! negated predicate looks its row up without interning it, so the store
-//! grows by exactly the paths the answer holds.
+//! negated predicate looks its row up without interning it, even a row that
+//! packs a path.  Nor does a head: a path variable inside a longer head
+//! argument is copied into the argument's content, not stored on its own.
+//! So the store grows by exactly the paths the answer holds
+//! (`tests/store_growth_law.rs` states this for random programs).
 //!
 //! This file is deliberately its own integration-test binary: the path store
 //! is process-global, so the byte accounting must not share a process with
@@ -166,6 +169,72 @@ fn negated_membership_checks_intern_nothing() {
         suffixes.iter().all(|s| Path::find(s).is_none()),
         "a checked suffix was interned"
     );
+    assert_eq!(
+        grown_paths, 0,
+        "the answer holds input paths only (before {before:?}, after {after:?})"
+    );
+    assert_eq!(out, reference::evaluate(&program, &input));
+}
+
+#[test]
+fn heads_store_their_arguments_only() {
+    let _store = hold_store();
+    // `$x` is a proper cut of each input; the head `$x·z` copies its values
+    // in, so the cut itself is not stored.
+    let program = parse_program("T($x·z) <- R($t), $t = $x·c·$y.").unwrap();
+    let inputs = [
+        path_of(&["hd_a", "hd_b", "c", "hd_d"]),
+        path_of(&["hd_e", "hd_f", "c", "hd_g"]),
+    ];
+    let input = Instance::unary(rel("R"), inputs);
+
+    let before = store_stats();
+    let out = Executor::new().run(&program, &input).unwrap();
+    let after = store_stats();
+
+    let grown_paths = after.distinct_paths - before.distinct_paths;
+    println!("head-argument-store: grown_paths={grown_paths}");
+    assert_eq!(
+        out.unary_paths(rel("T")),
+        BTreeSet::from([
+            path_of(&["hd_a", "hd_b", "z"]),
+            path_of(&["hd_e", "hd_f", "z"])
+        ])
+    );
+    for cut in [["hd_a", "hd_b"], ["hd_e", "hd_f"]] {
+        let values: Vec<Value> = cut.iter().map(|n| Value::atom(n)).collect();
+        assert!(Path::find(&values).is_none(), "{cut:?} was stored");
+    }
+    assert_eq!(
+        grown_paths, 2,
+        "the store grew by more than the 2 answers (before {before:?}, after {after:?})"
+    );
+    assert_eq!(out, reference::evaluate(&program, &input));
+}
+
+#[test]
+fn packed_membership_checks_intern_nothing() {
+    let _store = hold_store();
+    // Each check grounds `<$x·q>`; `Q` holds no such packed value, and the
+    // packed path `$x·q` must be found absent without being stored.
+    let program = parse_program("S($x) <- R($x), !Q(<$x·q>).").unwrap();
+    let inputs = [path_of(&["pk_a", "pk_b"]), path_of(&["pk_c", "pk_d"])];
+    let mut input = Instance::unary(rel("R"), inputs);
+    input
+        .insert_fact(Fact::new(rel("Q"), vec![path_of(&["pk_zz"])]))
+        .unwrap();
+
+    let before = store_stats();
+    let out = Executor::new().run(&program, &input).unwrap();
+    let after = store_stats();
+
+    let grown_paths = after.distinct_paths - before.distinct_paths;
+    println!("packed-check-store: grown_paths={grown_paths}");
+    assert_eq!(out.unary_paths(rel("S")), BTreeSet::from(inputs));
+    for packed in [["pk_a", "pk_b", "q"], ["pk_c", "pk_d", "q"]] {
+        let values: Vec<Value> = packed.iter().map(|n| Value::atom(n)).collect();
+        assert!(Path::find(&values).is_none(), "{packed:?} was stored");
+    }
     assert_eq!(
         grown_paths, 0,
         "the answer holds input paths only (before {before:?}, after {after:?})"

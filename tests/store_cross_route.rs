@@ -7,7 +7,7 @@
 //! the store grows by exactly what this test interns, and the test checks
 //! that growth against the number of distinct contents it built.
 
-use sequence_datalog::core::{atom, store_stats, AtomId, Path, PathId, PathView, Segment, Value};
+use sequence_datalog::core::{atom, store_stats, AtomId, Path, PathId, PathView, Value};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Barrier;
 
@@ -126,12 +126,11 @@ fn intern_every_route(seen: &mut Seen<'_>, i: usize) {
         seen.expect(left, &codes[..mid]);
         seen.expect(right, &codes[mid..]);
         seen.expect(left.concat(&right), &codes);
-        let segments: Vec<Segment> = values[..mid]
-            .iter()
-            .map(|v| Segment::Value(*v))
-            .chain([right.as_segment()])
-            .collect();
-        seen.expect(Path::from_segments(&segments), &codes);
+        // The head-grounding route: single values, then a stored path's
+        // values spliced in, interned once from the built content.
+        let mut built = values[..mid].to_vec();
+        built.extend_from_slice(right.values());
+        seen.expect(Path::from_slice(&built), &codes);
     }
 
     // Cuts of `m·content·m`, with `m` a marker no other content holds: a cut
