@@ -431,6 +431,43 @@ fn write_stats(report: &mut String, executor: &Executor, stats: &seqdl_engine::E
     .expect("write to string");
 }
 
+/// The tail `run` and `query` append after their answers: the JSON stats
+/// document, or the text `--stats` block (opened by the command's `preamble`
+/// lines) and the `--profile` table; then the trace note, if any.
+fn write_run_tail(
+    report: &mut String,
+    flags: &Flags,
+    format: StatsFormat,
+    executor: &Executor,
+    stats: &seqdl_engine::EvalStats,
+    preamble: &[String],
+    trace_note: Option<String>,
+) {
+    match format {
+        StatsFormat::Json => {
+            report.push_str(&seqdl_engine::stats_json(
+                stats,
+                &seqdl_core::store_stats(),
+                None,
+            ));
+        }
+        StatsFormat::Text => {
+            if flags.has("stats") {
+                for line in preamble {
+                    writeln!(report, "{line}").expect("write to string");
+                }
+                write_stats(report, executor, stats);
+            }
+            if flags.has("profile") {
+                write_profile(report, stats);
+            }
+        }
+    }
+    if let Some(note) = trace_note {
+        writeln!(report, "{note}").expect("write to string");
+    }
+}
+
 /// Append the `--profile` hot-rules table: every rule that fired, hottest (by
 /// accumulated pass wall time) first, with its counters, then one roll-up
 /// line per stratum.  Parallel passes overlap, so summed rule walls can
@@ -680,35 +717,25 @@ fn cmd_run(flags: &Flags) -> Result<String, CliError> {
             Renderer::new().write_sorted_rows(&mut report, output, relation.iter());
         }
     }
-    match format {
-        StatsFormat::Json => {
-            report.push_str(&seqdl_engine::stats_json(
-                &stats,
-                &seqdl_core::store_stats(),
-                None,
-            ));
-        }
-        StatsFormat::Text => {
-            if flags.has("stats") {
-                if let Some(strip) = &stripped {
-                    writeln!(
-                        report,
-                        "strip-dead: {} of {} rule(s) removed before lowering",
-                        strip.removed.len(),
-                        program.rule_count()
-                    )
-                    .expect("write to string");
-                }
-                write_stats(&mut report, &executor, &stats);
-            }
-            if flags.has("profile") {
-                write_profile(&mut report, &stats);
-            }
-        }
-    }
-    if let Some(note) = trace_note {
-        writeln!(report, "{note}").expect("write to string");
-    }
+    let preamble: Vec<String> = stripped
+        .iter()
+        .map(|strip| {
+            format!(
+                "strip-dead: {} of {} rule(s) removed before lowering",
+                strip.removed.len(),
+                program.rule_count()
+            )
+        })
+        .collect();
+    write_run_tail(
+        &mut report,
+        flags,
+        format,
+        &executor,
+        &stats,
+        &preamble,
+        trace_note,
+    );
     if let Some(path) = flags.get("save") {
         seqdl_io::save_instance(path, &result).map_err(command_error)?;
         writeln!(report, "full result saved to {path}").expect("write to string");
@@ -810,40 +837,29 @@ fn cmd_query(flags: &Flags) -> Result<String, CliError> {
             writeln!(report, "% seed: {seed}").expect("write to string");
         }
     }
-    if flags.has("stats") && format == StatsFormat::Text {
-        writeln!(
-            report,
-            "magic rewrite: {} rule(s) (from {}), {} seed fact(s), answers in {}",
-            mp.program.rule_count(),
-            program.rule_count(),
-            mp.seeds.len(),
-            mp.answer
+    let mut preamble = vec![format!(
+        "magic rewrite: {} rule(s) (from {}), {} seed fact(s), answers in {}",
+        mp.program.rule_count(),
+        program.rule_count(),
+        mp.seeds.len(),
+        mp.answer
+    )];
+    preamble.extend(stripped.iter().map(|strip| {
+        format!(
+            "strip-dead: {} of {} magic rule(s) removed before lowering",
+            strip.removed.len(),
+            mp.program.rule_count()
         )
-        .expect("write to string");
-        if let Some(strip) = &stripped {
-            writeln!(
-                report,
-                "strip-dead: {} of {} magic rule(s) removed before lowering",
-                strip.removed.len(),
-                mp.program.rule_count()
-            )
-            .expect("write to string");
-        }
-        write_stats(&mut report, &executor, &stats);
-    }
-    if flags.has("profile") && format == StatsFormat::Text {
-        write_profile(&mut report, &stats);
-    }
-    if format == StatsFormat::Json {
-        report.push_str(&seqdl_engine::stats_json(
-            &stats,
-            &seqdl_core::store_stats(),
-            None,
-        ));
-    }
-    if let Some(note) = trace_note {
-        writeln!(report, "{note}").expect("write to string");
-    }
+    }));
+    write_run_tail(
+        &mut report,
+        flags,
+        format,
+        &executor,
+        &stats,
+        &preamble,
+        trace_note,
+    );
     Ok(report)
 }
 

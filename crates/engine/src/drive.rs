@@ -18,7 +18,7 @@ use crate::eval::{
     prepare_idb_instance, restrict_head_indexes, seed_instance, DeltaWindow, EvalLimits, EvalStats,
     FireStats, ResourceGovernor, StratumStats,
 };
-use crate::ram::{self, fire_proc, LoopProgram, RuleProc, StratumProgram};
+use crate::ram::{self, fire_proc, Inst, LoopProgram, RuleProc, StratumProgram};
 use seqdl_core::{Fact, Instance, RelName, Relation, Rows};
 use seqdl_syntax::{Program, ProgramInfo};
 use std::collections::BTreeMap;
@@ -164,7 +164,7 @@ fn write(instance: &RwLock<Instance>) -> RwLockWriteGuard<'_, Instance> {
 
 /// Analyse, prepare, and lower a run once: the working instance (input plus
 /// declared IDB relations plus demand `seeds`), with the IDB column indexes
-/// no plan can probe switched off, and the lowered program.
+/// no probe can use switched off, and the lowered program.
 ///
 /// # Errors
 /// Ill-formed programs, IDB relations in the input, input relations at
@@ -179,13 +179,10 @@ pub fn prepare_run(
     let mut instance = prepare_idb_instance(&info, input)?;
     seed_instance(&mut instance, seeds)?;
     let lowered = ram::lower(program)?;
-    // Derived relations keep only the column indexes some plan can probe;
+    // Derived relations keep only the column indexes some probe can use;
     // every other column stops paying per-insert indexing.
-    let plans = lowered
-        .strata
-        .iter()
-        .flat_map(|s| s.procs.iter().map(|p| &p.plan));
-    restrict_head_indexes(info.idb.iter().copied(), plans, &mut instance);
+    let procs = lowered.strata.iter().flat_map(|s| &s.procs);
+    restrict_head_indexes(info.idb.iter().copied(), procs, &mut instance);
     Ok((instance, lowered))
 }
 
@@ -356,7 +353,12 @@ impl<'a> Driver<'a> {
                             &proc.delta_positions
                         };
                         for &pos in positions {
-                            let relation = proc.plan.predicate_at(pos)?.pred.relation;
+                            // invariant: the lowering records only probe
+                            // positions as delta positions.
+                            let Inst::Probe { pred, .. } = &proc.code[pos] else {
+                                unreachable!("a delta position is a probe")
+                            };
+                            let relation = pred.pred.relation;
                             let hi = guard.relation(relation).map_or(0, Relation::len);
                             let lo = if state.round == 0 {
                                 0

@@ -24,13 +24,6 @@ pub enum EvalError {
         /// Rendering of the offending rule.
         rule: String,
     },
-    /// A planner invariant was violated: the evaluator asked a [`crate::plan::BodyPlan`]
-    /// for a step kind it does not hold at that position.  Malformed plans surface
-    /// as this error instead of aborting the process.
-    PlanInvariant {
-        /// What the evaluator expected and what it found.
-        detail: String,
-    },
     /// An evaluation task failed unexpectedly (a panic on an executor worker
     /// thread, say); surfaced as a result so a parallel run aborts cleanly
     /// instead of hanging or crashing the process.
@@ -108,9 +101,6 @@ impl fmt::Display for EvalError {
             ),
             EvalError::Unplannable { rule } => {
                 write!(f, "cannot plan body of rule `{rule}` (rule is not safe)")
-            }
-            EvalError::PlanInvariant { detail } => {
-                write!(f, "planner invariant violated: {detail}")
             }
             EvalError::Internal { detail } => {
                 write!(f, "internal evaluation error: {detail}")

@@ -4,7 +4,8 @@
 //! itself is [`crate::drive`]; runs start at `seqdl_exec::Executor`.
 
 use crate::error::{EvalError, LimitKind};
-use crate::plan::{BodyPlan, ColumnProbe, PlannedLiteral, PlannedPredicate, PrefixSource};
+use crate::plan::{ColumnProbe, PlannedPredicate, PrefixSource};
+use crate::ram::{Inst, RuleProc};
 use seqdl_core::{BucketEntry, CancelToken, CoreError, Fact, Instance, RelName, Relation, Value};
 use seqdl_syntax::{Binding, ProgramInfo, Valuation};
 use std::collections::{BTreeMap, BTreeSet};
@@ -307,8 +308,9 @@ pub struct StratumStats {
     pub wall: std::time::Duration,
 }
 
-/// A *delta window* restricting one positive-predicate step of a plan: the step at
-/// plan position `pos` only draws tuples with ids in `lo..hi`.
+/// A *delta window* restricting one probe of a rule procedure: the
+/// [`Inst::Probe`] at code position `pos` only draws tuples with ids in
+/// `lo..hi`.
 ///
 /// With `lo` the relation's length at the previous iteration boundary and `hi` its
 /// current length, this is classic semi-naive evaluation ("at least one fact from
@@ -316,7 +318,7 @@ pub struct StratumStats {
 /// shards, one job per shard, which a worker pool can fire concurrently.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct DeltaWindow {
-    /// The plan position (index into [`BodyPlan::steps`]) being restricted.
+    /// The code position (index into [`RuleProc::code`]) being restricted.
     pub pos: usize,
     /// First tuple id drawn at the restricted position (inclusive).
     pub lo: usize,
@@ -397,26 +399,28 @@ pub fn prepare_idb_instance(info: &ProgramInfo, input: &Instance) -> Result<Inst
     Ok(instance)
 }
 
-/// Deactivate every column index of the `heads` relations that no plan in
-/// `plans` can ever probe ([`ColumnProbe::can_probe`] is the same static
-/// predicate `choose_candidates` uses at runtime, so a deactivated column
-/// is one the whole evaluation never consults).  Head relations are the
+/// Deactivate every column index of the `heads` relations that no
+/// [`Inst::Probe`] of `procs` can ever use ([`ColumnProbe::can_probe`] is the
+/// same static predicate `choose_candidates` uses at runtime, so a
+/// deactivated column is one the whole evaluation never consults; a
+/// [`FilterOp::FusedProbe`](crate::ram::FilterOp::FusedProbe) only checks
+/// membership, which needs no column index).  Head relations are the
 /// growing ones — every insert during the fixpoint pays for exactly the
 /// indexes some probe can use, instead of indexing every column by default.
 ///
 /// Restriction is safe even when over-eager: `choose_candidates` skips
 /// deactivated columns entirely and falls back to scanning, and
-/// re-activation (by a later evaluation whose plans do probe the column)
+/// re-activation (by a later evaluation whose probes do use the column)
 /// rebuilds the index from the stored tuples.
 pub fn restrict_head_indexes<'a>(
     heads: impl IntoIterator<Item = RelName>,
-    plans: impl IntoIterator<Item = &'a BodyPlan>,
+    procs: impl IntoIterator<Item = &'a RuleProc>,
     instance: &mut Instance,
 ) {
     let mut needed: seqdl_core::FxMap<RelName, u64> = seqdl_core::FxMap::default();
-    for plan in plans {
-        for step in &plan.steps {
-            if let PlannedLiteral::MatchPredicate(p) = step {
+    for proc in procs {
+        for inst in &proc.code {
+            if let Inst::Probe { pred: p, .. } = inst {
                 let mask = needed.entry(p.pred.relation).or_insert(0);
                 for (column, probe) in p.probes.iter().enumerate() {
                     if probe.can_probe() && column < u64::BITS as usize {

@@ -11,12 +11,15 @@
 //!   under a partial valuation: one backtracking walk that enumerates every
 //!   decomposition into a continuation (which can stop it), and one
 //!   deterministic pass for probes proved to admit at most one extension;
-//! * [`plan`] — a body planner that orders literals so that positive predicates bind
-//!   variables first, positive equations are evaluated once one side is ground
-//!   (which rule safety guarantees is always eventually possible), and negated
-//!   literals are checked last;
-//! * [`ram`] — planned rules lowered to a flat instruction IR, and each
-//!   stratum's rules arranged into per-level merge sections and fixpoint loops;
+//! * [`plan`] — the per-predicate probe plan: which leading terms of each
+//!   argument column are known when the predicate is matched, so the
+//!   evaluator can probe a column index instead of scanning;
+//! * [`ram`] — rules lowered in one pass to a flat instruction IR whose
+//!   order binds variables through positive predicates first, evaluates
+//!   positive equations once one side is ground (which rule safety
+//!   guarantees is always eventually possible), and checks negated literals
+//!   last; and each stratum's rules arranged into per-level merge sections
+//!   and fixpoint loops;
 //! * [`drive`] — the one fixpoint driver, which walks the lowered program
 //!   semi-naively under explicit [`EvalLimits`], so that non-terminating
 //!   programs (such as Example 2.3 of the paper) surface as
@@ -62,6 +65,6 @@ pub use eval::{
     EvalLimits, EvalStats, FireStats, ResourceGovernor, RuleStats, StratumStats,
     GOVERNOR_CHECK_INTERVAL,
 };
-pub use plan::{plan_rule, BodyPlan, ColumnProbe, PlannedLiteral, PlannedPredicate, PrefixSource};
+pub use plan::{ColumnProbe, PlannedPredicate, PrefixSource};
 pub use ram::{fire_proc, RuleProc};
 pub use stats_json::stats_json;

@@ -109,8 +109,8 @@ fn side_values<'a>(
 
 /// Hand every extension of `valuation` satisfying `eq` to `sink`, until `sink`
 /// returns `true`.  One side must be fully bound under `valuation` (the
-/// planner guarantees this for safe rules): the other side is matched against
-/// the path it denotes.  Returns `None` if neither side is fully bound.
+/// lowering's body order guarantees this for safe rules): the other side is
+/// matched against the path it denotes.  Returns `None` if neither side is fully bound.
 /// `valuation` is restored before returning, as in [`match_predicate_sink`].
 pub fn solve_equation(
     eq: &Equation,
@@ -265,8 +265,8 @@ fn first_value(term: &Term, nu: &Valuation) -> Option<Value> {
 }
 
 /// In-place matcher for probes the lowering proved *deterministic*: under the
-/// binding state the plan guarantees at this step, every tuple admits at most
-/// one extension (each argument consumes its path left-to-right with no
+/// binding state the lowering guarantees at this probe, every tuple admits at
+/// most one extension (each argument consumes its path left-to-right with no
 /// choice point — constants, atomic variables, bound path variables, and at
 /// most one unbound path variable sitting last in its term list).  Bindings
 /// are applied directly to `nu`; on a mismatch everything added here is
@@ -547,7 +547,7 @@ mod tests {
         assert_eq!(solutions(&eq2, &nu2).unwrap().len(), 1);
         let eq3 = Equation::new(expr("$x"), expr("$z"));
         assert!(solutions(&eq3, &nu2).unwrap().is_empty());
-        // Neither side bound: planner error signalled by None.
+        // Neither side bound: a lowering error signalled by None.
         assert!(solutions(&Equation::new(expr("$p"), expr("$q")), &Valuation::new()).is_none());
     }
 

@@ -3,7 +3,9 @@
 //! One machine executes every lowered procedure: a program counter walks the
 //! instruction sequence forward, each choice point ([`Inst::Probe`],
 //! [`Inst::Solve`]) owns a frame holding its candidate cursor, and a trail of
-//! active choice points drives backtracking.  A single [`Valuation`] is
+//! active choice points drives backtracking.  Every instruction carries the
+//! literal it executes, and a [`DeltaWindow`] names the probe it restricts by
+//! code position, so dispatch reads nothing but the code.  A single [`Valuation`] is
 //! threaded through the whole walk; a frame records the valuation depth on
 //! entry and backtracks by truncating to it — no recursion frames, no
 //! continuation closures, no interior-mutability error channel.
@@ -37,7 +39,7 @@ use crate::eval::{choose_candidates, DeltaWindow, FireStats};
 use crate::matching::{
     equation_holds, find_row, match_predicate_det, match_predicate_sink, solve_equation,
 };
-use crate::plan::{PlannedLiteral, PlannedPredicate};
+use crate::plan::PlannedPredicate;
 use crate::ram::ir::{FilterOp, Inst, RuleProc};
 use seqdl_core::{BucketEntry, Instance, Path, Relation, Rows, Value};
 use seqdl_syntax::{Binding, Equation, PathExpr, Rule, Term, Valuation, Var};
@@ -287,12 +289,6 @@ fn unplannable(rule: &Rule) -> EvalError {
     }
 }
 
-fn plan_invariant(step: usize, expected: &str) -> EvalError {
-    EvalError::PlanInvariant {
-        detail: format!("RAM instruction references step {step}, expected {expected}"),
-    }
-}
-
 /// Ground the head under `nu` and append the row if the head relation does
 /// not hold it yet.  Each argument is grounded by [`Valuation::apply`]: built
 /// from values and interned once.
@@ -407,16 +403,9 @@ impl HeadTemplate {
     }
 }
 
-fn predicate_of(proc: &RuleProc, step: usize) -> Result<&PlannedPredicate, EvalError> {
-    match proc.plan.steps.get(step) {
-        Some(PlannedLiteral::MatchPredicate(p)) => Ok(p),
-        _ => Err(plan_invariant(step, "a positive predicate")),
-    }
-}
-
 /// Execute one lowered rule procedure against the instance, appending derived
 /// head rows to `out` (rows of the head's arity) and returning the pass's
-/// counters.  With a [`DeltaWindow`] the predicate at the window's plan
+/// counters.  With a [`DeltaWindow`] the probe at the window's code
 /// position only draws tuples with ids inside it — the semi-naive
 /// restriction, shardable across jobs.  The call only reads `instance`, so
 /// jobs may run concurrently.
@@ -427,8 +416,7 @@ fn predicate_of(proc: &RuleProc, step: usize) -> Result<&PlannedPredicate, EvalE
 /// firing pass still observes deadlines and cancellation.
 ///
 /// # Errors
-/// Unsafe rules surface as [`EvalError::Unplannable`]; malformed instruction
-/// sequences as [`EvalError::PlanInvariant`]; cancellation as
+/// Unsafe rules surface as [`EvalError::Unplannable`]; cancellation as
 /// [`EvalError::Cancelled`].
 pub fn fire_proc(
     proc: &RuleProc,
@@ -443,17 +431,15 @@ pub fn fire_proc(
         .relation(head.relation)
         .filter(|r| r.arity() == head.args.len());
     let code = &proc.code;
-    // Each predicate step's relation, resolved once per pass: positive steps
-    // probe it, negated steps check membership in it.  A relation of another
-    // arity holds no row the step could match.
-    let step_relations: Vec<Option<&Relation>> = proc
-        .plan
-        .steps
+    // Each predicate instruction's relation, resolved once per pass: probes
+    // enumerate it, filters check membership in it.  A relation of another
+    // arity holds no row the instruction could match.
+    let relations: Vec<Option<&Relation>> = code
         .iter()
-        .map(|s| {
-            let pred = match s {
-                PlannedLiteral::MatchPredicate(p) => &p.pred,
-                PlannedLiteral::CheckNegatedPredicate(pred) => pred,
+        .map(|inst| {
+            let pred = match inst {
+                Inst::Probe { pred, .. } => &pred.pred,
+                Inst::Filter(FilterOp::FusedProbe(pred) | FilterOp::NegPred(pred)) => pred,
                 _ => return None,
             };
             instance
@@ -487,45 +473,29 @@ pub fn fire_proc(
         match &code[pc] {
             Inst::Filter(op) => {
                 let pass = match op {
-                    FilterOp::FusedProbe { step } => {
-                        let planned = predicate_of(proc, *step)?;
+                    FilterOp::FusedProbe(pred) => {
                         stats.index_probes += 1;
                         stats.fused_probes += 1;
-                        match find_row(&planned.pred, &nu, &mut row_scratch) {
+                        match find_row(pred, &nu, &mut row_scratch) {
                             Some(stored) => {
-                                stored
-                                    && step_relations[*step]
-                                        .is_some_and(|r| r.contains(&row_scratch))
+                                stored && relations[pc].is_some_and(|r| r.contains(&row_scratch))
                             }
                             None => return Err(unplannable(rule)),
                         }
                     }
-                    FilterOp::EqHolds { step } => match &proc.plan.steps[*step] {
-                        PlannedLiteral::SolveEquation(eq) => match equation_holds(eq, &nu) {
-                            Some(holds) => holds,
-                            None => return Err(unplannable(rule)),
-                        },
-                        _ => return Err(plan_invariant(*step, "a positive equation")),
+                    FilterOp::EqHolds(eq) => match equation_holds(eq, &nu) {
+                        Some(holds) => holds,
+                        None => return Err(unplannable(rule)),
                     },
-                    FilterOp::NegPred { step } => match &proc.plan.steps[*step] {
-                        PlannedLiteral::CheckNegatedPredicate(pred) => {
-                            match find_row(pred, &nu, &mut row_scratch) {
-                                Some(stored) => {
-                                    !(stored
-                                        && step_relations[*step]
-                                            .is_some_and(|r| r.contains(&row_scratch)))
-                                }
-                                None => return Err(unplannable(rule)),
-                            }
+                    FilterOp::NegPred(pred) => match find_row(pred, &nu, &mut row_scratch) {
+                        Some(stored) => {
+                            !(stored && relations[pc].is_some_and(|r| r.contains(&row_scratch)))
                         }
-                        _ => return Err(plan_invariant(*step, "a negated predicate")),
+                        None => return Err(unplannable(rule)),
                     },
-                    FilterOp::NegEq { step } => match &proc.plan.steps[*step] {
-                        PlannedLiteral::CheckNegatedEquation(eq) => match equation_holds(eq, &nu) {
-                            Some(holds) => !holds,
-                            None => return Err(unplannable(rule)),
-                        },
-                        _ => return Err(plan_invariant(*step, "a negated equation")),
+                    FilterOp::NegEq(eq) => match equation_holds(eq, &nu) {
+                        Some(holds) => !holds,
+                        None => return Err(unplannable(rule)),
                     },
                 };
                 if pass {
@@ -533,13 +503,16 @@ pub fn fire_proc(
                     continue 'forward;
                 }
             }
-            Inst::Probe { step, fused_emit } => {
-                let planned = predicate_of(proc, *step)?;
+            Inst::Probe {
+                pred: planned,
+                det,
+                fused_emit,
+            } => {
                 frames[pc].enter_probe(
                     planned,
-                    step_relations[*step],
-                    window.filter(|w| w.pos == *step),
-                    proc.det[*step],
+                    relations[pc],
+                    window.filter(|w| w.pos == pc),
+                    *det,
                     &nu,
                     &mut stats,
                 );
@@ -629,11 +602,7 @@ pub fn fire_proc(
                     continue 'forward;
                 }
             }
-            Inst::Solve { step } => {
-                let eq = match &proc.plan.steps[*step] {
-                    PlannedLiteral::SolveEquation(eq) => eq,
-                    _ => return Err(plan_invariant(*step, "a positive equation")),
-                };
+            Inst::Solve(eq) => {
                 // Past the cut and right before the emit, the first
                 // extension is the only one whose emit can be new.
                 let once =
@@ -662,11 +631,8 @@ pub fn fire_proc(
             let cp = trail[trail_len - 1];
             stats.instructions += 1;
             let resumed = match &code[cp] {
-                Inst::Probe { step, .. } => {
-                    let planned = predicate_of(proc, *step)?;
-                    frames[cp].next(Some(planned), &mut nu)
-                }
-                Inst::Solve { .. } => frames[cp].next(None, &mut nu),
+                Inst::Probe { pred, .. } => frames[cp].next(Some(pred), &mut nu),
+                Inst::Solve(_) => frames[cp].next(None, &mut nu),
                 _ => unreachable!("only choice points are trailed"),
             };
             if resumed {

@@ -1,13 +1,13 @@
 //! The flat RAM instruction set and lowered program structure.
 //!
-//! A [`RuleProc`] is one rule compiled to a linear instruction sequence over
-//! its [`BodyPlan`]: choice points ([`Inst::Probe`], [`Inst::Solve`]) push a
-//! frame the interpreter backtracks through, deterministic guards
-//! ([`Inst::Filter`]) just pass or fail, and [`Inst::Emit`] grounds the head,
-//! buffers it unless the head relation holds it, then cuts the trail back to
-//! [`RuleProc::emit_keep`] choice points.  Besides the code, a procedure
-//! carries what the lowering proved about it: the per-step
-//! [`RuleProc::det`] verdict and whether the head is
+//! A [`RuleProc`] is one rule compiled to a linear instruction sequence, each
+//! instruction holding the body literal it executes: choice points
+//! ([`Inst::Probe`], [`Inst::Solve`]) push a frame the interpreter
+//! backtracks through, deterministic guards ([`Inst::Filter`]) just pass or
+//! fail, and [`Inst::Emit`] grounds the head, buffers it unless the head
+//! relation holds it, then cuts the trail back to [`RuleProc::emit_keep`]
+//! choice points.  Besides the code, a procedure carries what the lowering
+//! proved about it: its delta positions and whether the head is
 //! [`RuleProc::templatable`] for the fused emit loop.  A [`Program`]
 //! arranges the procedures of each stratum into per-level statements: a
 //! merge section that runs exactly once (non-recursive components plus
@@ -17,38 +17,41 @@
 //! each merge section and lock-step semi-naive rounds for each level's
 //! loops.
 
-use crate::plan::{BodyPlan, PlannedLiteral};
+use crate::plan::PlannedPredicate;
 use seqdl_core::RelName;
-use seqdl_syntax::Rule;
+use seqdl_syntax::{Equation, Predicate, Rule};
 use std::collections::BTreeSet;
 use std::fmt;
 
-/// One instruction of a lowered rule procedure.  `step` indexes into the
-/// procedure's [`BodyPlan::steps`]; the plan's per-step metadata (column
-/// probes, bucket-side eligibility) is reused at execution time.
+/// One instruction of a lowered rule procedure, carrying the body literal it
+/// executes.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Inst {
-    /// Choice point: enumerate the candidates of the positive predicate at
-    /// plan position `step` (through a column's first-value index when
-    /// possible),
-    /// binding its variables per candidate.  With `fused_emit` the probe is
-    /// the last body step and the lowering fused the following [`Inst::Emit`]
-    /// into its candidate loop; a fused probe past the cut (it binds no head
+    /// Choice point: enumerate the candidates of a positive predicate
+    /// (through a column's first-value index when possible), binding its
+    /// variables per candidate.  With `fused_emit` the probe is the last
+    /// body step and the lowering fused the following [`Inst::Emit`] into
+    /// its candidate loop; a fused probe past the cut (it binds no head
     /// variable first, see [`RuleProc::emit_keep`]) leaves that loop after
     /// its first emit.
     Probe {
-        /// Plan position of the predicate.
-        step: usize,
+        /// The predicate and its per-column probe plan.
+        pred: PlannedPredicate,
+        /// The probe is *deterministic* under the binding state the lowering
+        /// guarantees here ([`probe_is_det`](crate::ram::probe_is_det)): each
+        /// candidate tuple admits at most one extension, so the interpreter
+        /// binds in place instead of buffering and replaying enumerated
+        /// extensions (see
+        /// [`match_predicate_det`](crate::matching::match_predicate_det)).
+        det: bool,
         /// Emit directly from the candidate loop (terminal probe fusion).
         fused_emit: bool,
     },
-    /// Choice point: solve the positive equation at plan position `step`,
-    /// enumerating its binding extensions.  Past the cut and directly before
-    /// [`Inst::Emit`], the solver stops at the first extension.
-    Solve {
-        /// Plan position of the equation.
-        step: usize,
-    },
+    /// Choice point: solve a positive equation, one side of which is
+    /// ground here, enumerating its binding extensions.  Past the cut and
+    /// directly before [`Inst::Emit`], the solver stops at the first
+    /// extension.
+    Solve(Equation),
     /// Deterministic guard: pass or backtrack, never binds.
     Filter(FilterOp),
     /// Ground the head under the current valuation and append it to the
@@ -62,41 +65,27 @@ pub enum Inst {
 /// The guard kinds a [`Inst::Filter`] can execute.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum FilterOp {
-    /// A fused probe: every variable of the positive predicate at `step` is
-    /// bound by earlier instructions, so the probe collapses to one ground
-    /// existence check against the relation's dedup index.  Never emitted at
-    /// a delta position (a [`DeltaWindow`](crate::eval::DeltaWindow) must be
-    /// able to restrict the step to a tuple-id range).
-    FusedProbe {
-        /// Plan position of the fully-bound predicate.
-        step: usize,
-    },
+    /// A fused probe: every variable of the positive predicate is bound by
+    /// earlier instructions, so the probe collapses to one ground existence
+    /// check against the relation's dedup index.  Never emitted at a delta
+    /// position (a [`DeltaWindow`](crate::eval::DeltaWindow) must be able to
+    /// restrict the step to a tuple-id range).
+    FusedProbe(Predicate),
     /// A fully-bound positive equation: both sides ground, one comparison.
-    EqHolds {
-        /// Plan position of the equation.
-        step: usize,
-    },
-    /// A negated predicate (always fully bound by plan order).
-    NegPred {
-        /// Plan position of the negated predicate.
-        step: usize,
-    },
-    /// A negated equation (always fully bound by plan order).
-    NegEq {
-        /// Plan position of the negated equation.
-        step: usize,
-    },
+    EqHolds(Equation),
+    /// A negated predicate (always fully bound by lowering order).
+    NegPred(Predicate),
+    /// A negated equation (always fully bound by lowering order).
+    NegEq(Equation),
 }
 
-/// One rule lowered to a RAM procedure: the owned rule and plan plus the
-/// instruction sequence, the precomputed delta-variant expansion, and the
-/// existential cut ([`RuleProc::emit_keep`]).
+/// One rule lowered to a RAM procedure: the owned rule plus the instruction
+/// sequence, the precomputed delta-variant expansion, and the existential
+/// cut ([`RuleProc::emit_keep`]).
 #[derive(Clone, Debug)]
 pub struct RuleProc {
     /// The source rule (owned; procedures outlive the borrow of the program).
     pub rule: Rule,
-    /// The planned body the instructions index into.
-    pub plan: BodyPlan,
     /// The instruction sequence.  Always non-empty; ends in [`Inst::Emit`]
     /// unless the final probe carries `fused_emit`.
     pub code: Vec<Inst>,
@@ -109,16 +98,10 @@ pub struct RuleProc {
     /// duplicate head valuations are pruned, so the new facts a pass derives,
     /// and their order, are unchanged.
     pub emit_keep: usize,
-    /// Per plan step: the probe is *deterministic* under the binding state
-    /// the plan guarantees there — each candidate tuple admits at most one
-    /// extension, so the interpreter binds in place instead of buffering and
-    /// replaying enumerated extensions (see
-    /// [`match_predicate_det`](crate::matching::match_predicate_det)).
-    pub det: Vec<bool>,
-    /// Plan positions that draw from a fixpoint-driving relation — the
-    /// precomputed [`DeltaWindow`](crate::eval::DeltaWindow) variant
-    /// expansion: one windowed variant fires per position per semi-naive
-    /// round.
+    /// Code positions of the [`Inst::Probe`]s that draw from a
+    /// fixpoint-driving relation — the precomputed
+    /// [`DeltaWindow`](crate::eval::DeltaWindow) variant expansion: one
+    /// windowed variant fires per position per semi-naive round.
     pub delta_positions: Vec<usize>,
     /// The rule is static over its fixpoint scope (no delta positions): it
     /// fires exactly once per stratum and is hoisted into the merge section.
@@ -175,11 +158,11 @@ impl RuleProc {
     fn fmt_inst(&self, f: &mut fmt::Formatter<'_>, pc: usize, inst: &Inst) -> fmt::Result {
         write!(f, "      {pc:02}  ")?;
         match inst {
-            Inst::Probe { step, fused_emit } => {
-                let planned = match &self.plan.steps[*step] {
-                    PlannedLiteral::MatchPredicate(p) => p,
-                    other => return writeln!(f, "probe <invalid step {other:?}>"),
-                };
+            Inst::Probe {
+                pred: planned,
+                det,
+                fused_emit,
+            } => {
                 if *fused_emit {
                     write!(f, "probe+emit {} -> {}", planned.pred, self.rule.head)?;
                 } else {
@@ -197,13 +180,13 @@ impl RuleProc {
                 }
                 if planned.extend.is_some() {
                     write!(f, ", bucket")?;
-                } else if self.det[*step] {
+                } else if *det {
                     write!(f, ", det")?;
                 }
                 if *fused_emit && self.once_at(pc) {
                     write!(f, ", once")?;
                 }
-                if self.delta_positions.contains(step) {
+                if self.delta_positions.contains(&pc) {
                     write!(f, "  [delta]")?;
                 }
                 if *fused_emit {
@@ -211,37 +194,20 @@ impl RuleProc {
                 }
                 writeln!(f)
             }
-            Inst::Solve { step } => {
-                match &self.plan.steps[*step] {
-                    PlannedLiteral::SolveEquation(eq) => write!(f, "solve   {eq}")?,
-                    other => write!(f, "solve <invalid step {other:?}>")?,
-                }
+            Inst::Solve(eq) => {
+                write!(f, "solve   {eq}")?;
                 if matches!(self.code.get(pc + 1), Some(Inst::Emit)) && self.once_at(pc) {
                     write!(f, ", once")?;
                 }
                 writeln!(f)
             }
             Inst::Filter(op) => match op {
-                FilterOp::FusedProbe { step } => match &self.plan.steps[*step] {
-                    PlannedLiteral::MatchPredicate(p) => {
-                        writeln!(f, "filter  {}  ; fused probe (fully bound)", p.pred)
-                    }
-                    other => writeln!(f, "filter <invalid step {other:?}>"),
-                },
-                FilterOp::EqHolds { step } => match &self.plan.steps[*step] {
-                    PlannedLiteral::SolveEquation(eq) => {
-                        writeln!(f, "filter  {eq}  ; fully bound")
-                    }
-                    other => writeln!(f, "filter <invalid step {other:?}>"),
-                },
-                FilterOp::NegPred { step } => match &self.plan.steps[*step] {
-                    PlannedLiteral::CheckNegatedPredicate(p) => writeln!(f, "filter  !{p}"),
-                    other => writeln!(f, "filter <invalid step {other:?}>"),
-                },
-                FilterOp::NegEq { step } => match &self.plan.steps[*step] {
-                    PlannedLiteral::CheckNegatedEquation(eq) => writeln!(f, "filter  !({eq})"),
-                    other => writeln!(f, "filter <invalid step {other:?}>"),
-                },
+                FilterOp::FusedProbe(p) => {
+                    writeln!(f, "filter  {p}  ; fused probe (fully bound)")
+                }
+                FilterOp::EqHolds(eq) => writeln!(f, "filter  {eq}  ; fully bound"),
+                FilterOp::NegPred(p) => writeln!(f, "filter  !{p}"),
+                FilterOp::NegEq(eq) => writeln!(f, "filter  !({eq})"),
             },
             Inst::Emit => {
                 write!(f, "emit    {}", self.rule.head)?;
@@ -256,7 +222,7 @@ impl RuleProc {
         self.code
             .iter()
             .enumerate()
-            .filter(|(_, i)| matches!(i, Inst::Probe { .. } | Inst::Solve { .. }))
+            .filter(|(_, i)| matches!(i, Inst::Probe { .. } | Inst::Solve(_)))
             .map(|(pc, _)| pc)
     }
 

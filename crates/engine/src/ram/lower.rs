@@ -1,7 +1,17 @@
-//! Lowering planned rules to RAM procedures and whole programs.
+//! Lowering rules to RAM procedures and whole programs.
 //!
-//! Three fusions, one cut and one per-probe verdict are decided here, all
-//! statically from the planner's bound-set propagation:
+//! [`lower_rule`] orders a rule body and emits its instructions in one pass,
+//! keeping one set of the variables bound so far.  The order is the one the
+//! limited-variable fixpoint of a safe rule (Section 2.2) guarantees:
+//!
+//! 1. positive predicates in source order (binding their variables);
+//! 2. each positive equation at the first point where one of its sides is
+//!    fully bound (so it can be solved by matching against a ground path);
+//! 3. negated predicates and negated equations last, when all their
+//!    variables are bound.
+//!
+//! Three fusions, one cut and one per-probe verdict are decided on the way,
+//! all statically from the bound set:
 //!
 //! * a positive predicate whose variables are all bound by earlier steps
 //!   collapses to a [`FilterOp::FusedProbe`] existence check — except at a
@@ -29,92 +39,117 @@
 //! fixpoint loop per recursive component.
 
 use crate::error::EvalError;
-use crate::plan::{plan_rule, BodyPlan, PlannedLiteral};
+use crate::plan::PlannedPredicate;
 use crate::ram::ir::{
     FilterOp, Inst, LevelProgram, LoopProgram, Program, RuleProc, StratumProgram,
 };
 use seqdl_core::RelName;
-use seqdl_syntax::{PrecedenceGraph, Predicate, Rule, Stratum, Term, Var, VarKind};
+use seqdl_syntax::{Atom, PathExpr, PrecedenceGraph, Predicate, Rule, Stratum, Term, Var, VarKind};
 use std::collections::BTreeSet;
 
-/// Lower one planned rule to a RAM procedure.  `recursive_over` names the
-/// relations driving the enclosing fixpoint (empty for single-pass scopes):
-/// it determines the precomputed delta-variant expansion and blocks probe
-/// fusion at delta positions.
-pub fn lower_rule(rule: &Rule, plan: BodyPlan, recursive_over: &BTreeSet<RelName>) -> RuleProc {
-    let delta_positions = plan.delta_positions(recursive_over);
-    let mut code = Vec::with_capacity(plan.steps.len() + 1);
-    let mut det = vec![false; plan.steps.len()];
+/// Lower one rule to a RAM procedure.  `recursive_over` names the relations
+/// driving the enclosing fixpoint (empty for single-pass scopes): a positive
+/// predicate over one of them is a delta position, which stays an
+/// enumerable probe.
+///
+/// # Errors
+/// [`EvalError::Unplannable`] if some positive equation never acquires a
+/// fully bound side; this only happens for unsafe rules.
+pub fn lower_rule(rule: &Rule, recursive_over: &BTreeSet<RelName>) -> Result<RuleProc, EvalError> {
+    let mut code = Vec::with_capacity(rule.body.len() + 1);
+    let mut delta_positions = Vec::new();
     // Rules are short, so the bound-variable set is a flat vector with linear
-    // membership tests — no per-step tree clones.
+    // membership tests.
     let mut bound: Vec<Var> = Vec::new();
     let head_vars = rule.head.vars();
     let mut choice_points = 0usize;
     let mut emit_keep = 0usize;
-    // Count a choice point binding `vars`; it is kept by the cut if it binds
-    // a head variable first.
-    let mut choice = |vars: &[Var], bound: &[Var]| {
+    // Count a choice point binding `vars` and add them to the bound set; the
+    // choice point is kept by the cut if it binds a head variable first.
+    let mut choice = |vars: Vec<Var>, bound: &mut Vec<Var>| {
         choice_points += 1;
-        if vars
-            .iter()
-            .any(|v| head_vars.contains(v) && !bound.contains(v))
-        {
-            emit_keep = choice_points;
+        for v in vars {
+            if !bound.contains(&v) {
+                if head_vars.contains(&v) {
+                    emit_keep = choice_points;
+                }
+                bound.push(v);
+            }
         }
     };
-    for (ix, step) in plan.steps.iter().enumerate() {
-        match step {
-            PlannedLiteral::MatchPredicate(p) => {
-                let vars = p.pred.vars();
-                let fully_bound = vars.iter().all(|v| bound.contains(v));
-                if fully_bound && !delta_positions.contains(&ix) {
-                    code.push(Inst::Filter(FilterOp::FusedProbe { step: ix }));
-                } else {
-                    det[ix] = probe_is_det(&p.pred, &bound);
-                    code.push(Inst::Probe {
-                        step: ix,
-                        fused_emit: false,
-                    });
-                    choice(&vars, &bound);
-                    bound.extend(vars);
-                }
-            }
-            PlannedLiteral::SolveEquation(eq) => {
-                let vars = eq.vars();
-                if vars.iter().all(|v| bound.contains(v)) {
-                    code.push(Inst::Filter(FilterOp::EqHolds { step: ix }));
-                } else {
-                    code.push(Inst::Solve { step: ix });
-                    choice(&vars, &bound);
-                    bound.extend(vars);
-                }
-            }
-            PlannedLiteral::CheckNegatedPredicate(_) => {
-                code.push(Inst::Filter(FilterOp::NegPred { step: ix }));
-            }
-            PlannedLiteral::CheckNegatedEquation(_) => {
-                code.push(Inst::Filter(FilterOp::NegEq { step: ix }));
-            }
+
+    // 1. Positive predicates, in source order.
+    for lit in rule.body.iter().filter(|l| l.positive) {
+        let Atom::Pred(p) = &lit.atom else { continue };
+        let vars = p.vars();
+        let delta = recursive_over.contains(&p.relation);
+        if !delta && vars.iter().all(|v| bound.contains(v)) {
+            code.push(Inst::Filter(FilterOp::FusedProbe(p.clone())));
+            continue;
+        }
+        if delta {
+            delta_positions.push(code.len());
+        }
+        code.push(Inst::Probe {
+            pred: PlannedPredicate::new(p, &bound),
+            det: probe_is_det(p, &bound),
+            fused_emit: false,
+        });
+        choice(vars, &mut bound);
+    }
+
+    // 2. Positive equations, each at the first point where one side is
+    // fully bound.
+    let mut pending: Vec<_> = rule
+        .body
+        .iter()
+        .filter(|l| l.positive)
+        .filter_map(|l| l.atom.as_equation())
+        .collect();
+    while !pending.is_empty() {
+        let side_bound = |side: &PathExpr| side.vars().iter().all(|v| bound.contains(v));
+        let Some(ix) = pending
+            .iter()
+            .position(|eq| side_bound(&eq.lhs) || side_bound(&eq.rhs))
+        else {
+            return Err(EvalError::Unplannable {
+                rule: rule.to_string(),
+            });
+        };
+        let eq = pending.remove(ix);
+        let vars = eq.vars();
+        if vars.iter().all(|v| bound.contains(v)) {
+            code.push(Inst::Filter(FilterOp::EqHolds(eq.clone())));
+        } else {
+            code.push(Inst::Solve(eq.clone()));
+            choice(vars, &mut bound);
         }
     }
+
+    // 3. Negated literals.
+    for lit in rule.body.iter().filter(|l| !l.positive) {
+        code.push(Inst::Filter(match &lit.atom {
+            Atom::Pred(p) => FilterOp::NegPred(p.clone()),
+            Atom::Eq(e) => FilterOp::NegEq(e.clone()),
+        }));
+    }
+
     match code.last_mut() {
         Some(Inst::Probe { fused_emit, .. }) => *fused_emit = true,
         _ => code.push(Inst::Emit),
     }
-    RuleProc {
+    Ok(RuleProc {
         templatable: rule
             .head
             .args
             .iter()
             .all(|a| a.terms().iter().all(|t| !matches!(t, Term::Packed(_)))),
         rule: rule.clone(),
-        plan,
         code,
         emit_keep,
-        det,
         hoisted: delta_positions.is_empty(),
         delta_positions,
-    }
+    })
 }
 
 /// The lowering's det verdict: is a probe of `pred`, entered with exactly
@@ -169,7 +204,7 @@ fn det_terms(terms: &[Term], bound: &mut Vec<Var>) -> bool {
     true
 }
 
-/// Lower one declared stratum: plan and lower every rule (each with its own
+/// Lower one declared stratum: lower every rule (each with its own
 /// component's relations as the fixpoint scope) and build the per-level
 /// merge/loop statement structure from the precedence graph's condensation.
 ///
@@ -193,11 +228,9 @@ pub fn lower_stratum(stratum: &Stratum) -> Result<StratumProgram, EvalError> {
         .rules
         .iter()
         .enumerate()
-        .map(|(ix, rule)| -> Result<RuleProc, EvalError> {
-            let plan = plan_rule(rule)?;
+        .map(|(ix, rule)| {
             let scc = &condensation.components[comp_of[ix]];
-            let over = if scc.recursive { &scc.members } else { &empty };
-            Ok(lower_rule(rule, plan, over))
+            lower_rule(rule, if scc.recursive { &scc.members } else { &empty })
         })
         .collect::<Result<_, _>>()?;
     let mut levels: Vec<LevelProgram> = (0..condensation.level_count())
@@ -267,7 +300,7 @@ mod tests {
             "{code:?}"
         );
         assert!(
-            matches!(code[1], Inst::Filter(FilterOp::FusedProbe { step: 1 })),
+            matches!(code[1], Inst::Filter(FilterOp::FusedProbe(_))),
             "{code:?}"
         );
         assert!(matches!(code[2], Inst::Emit), "{code:?}");
@@ -304,10 +337,7 @@ mod tests {
             recursive.code
         );
         assert!(
-            matches!(
-                recursive.code[1],
-                Inst::Filter(FilterOp::EqHolds { step: 1 })
-            ),
+            matches!(recursive.code[1], Inst::Filter(FilterOp::EqHolds(_))),
             "{:?}",
             recursive.code
         );
@@ -416,7 +446,7 @@ mod tests {
         let lowered = lower_stratum(&program.strata[1]).unwrap();
         let code = &lowered.procs[0].code;
         assert!(
-            matches!(code[1], Inst::Filter(FilterOp::NegPred { step: 1 })),
+            matches!(code[1], Inst::Filter(FilterOp::NegPred(_))),
             "{code:?}"
         );
     }

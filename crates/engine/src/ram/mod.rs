@@ -1,10 +1,10 @@
-//! The RAM layer: planned rules compiled to a flat instruction IR and run on
-//! one shared non-recursive interpreter.
+//! The RAM layer: rules compiled to a flat instruction IR and run on one
+//! shared non-recursive interpreter.
 //!
-//! Lowering ([`lower()`], [`lower_stratum`], [`lower_rule`]) turns each
-//! [`BodyPlan`](crate::plan::BodyPlan) into a linear [`RuleProc`] — fusing
-//! fully-bound probes and equations into filters and the terminal probe into
-//! its emit — and arranges each stratum's procedures into per-level merge
+//! Lowering ([`lower()`], [`lower_stratum`], [`lower_rule`]) orders each rule
+//! body and emits it in one pass as a linear [`RuleProc`] whose instructions
+//! each hold the literal they execute — fusing fully-bound probes and
+//! equations into filters and the terminal probe into its emit — and arranges each stratum's procedures into per-level merge
 //! sections (run once) and fixpoint loops (one per recursive component).
 //! Execution ([`fire_proc`]) walks one procedure's instruction sequence with
 //! an explicit frame-per-choice-point machine.  The lowered [`Program`] is

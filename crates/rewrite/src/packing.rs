@@ -24,9 +24,8 @@
 use crate::error::RewriteError;
 use seqdl_core::RelName;
 use seqdl_syntax::{
-    analysis::{check_stratification, DependencyGraph},
-    parse_program, Atom, Equation, FeatureSet, Literal, PathExpr, Predicate, Program, Rule,
-    Stratum, Term, Var, VarKind,
+    analysis::check_stratification, parse_program, Atom, Equation, FeatureSet, Literal, PathExpr,
+    PrecedenceGraph, Predicate, Program, Rule, Stratum, Term, Var, VarKind,
 };
 use seqdl_unify::{solve_allowing_empty, SolveOptions, Substitution};
 use std::collections::{BTreeMap, BTreeSet};
@@ -364,38 +363,23 @@ fn apply_substitution_to_rule(rule: &Rule, rho: &Substitution) -> Rule {
 /// # Errors
 /// [`RewriteError::RequiresNonRecursive`] if the program is recursive.
 pub fn split_into_single_idb_strata(program: &Program) -> Result<Program, RewriteError> {
-    let graph = DependencyGraph::of_program(program);
-    if graph.has_cycle() {
+    let condensation = PrecedenceGraph::of_program(program).condensation();
+    if condensation.has_recursion() {
         return Err(RewriteError::RequiresNonRecursive {
             rewrite: "single-IDB stratification",
         });
     }
-    // Topological order: a relation comes after everything it depends on.
-    let mut order: Vec<RelName> = Vec::new();
-    let mut remaining: BTreeSet<RelName> = program.idb_relations();
-    while !remaining.is_empty() {
-        let next: Vec<RelName> = remaining
-            .iter()
-            .filter(|r| {
-                graph
-                    .successors(**r)
-                    .iter()
-                    .all(|s| !remaining.contains(s) || s == *r)
-            })
-            .copied()
-            .collect();
-        if next.is_empty() {
-            return Err(RewriteError::RequiresNonRecursive {
-                rewrite: "single-IDB stratification",
-            });
-        }
-        for r in next {
-            remaining.remove(&r);
-            order.push(r);
-        }
-    }
+    // Topological order: a relation comes after everything it depends on,
+    // level by level (a relation's level is its longest dependency chain),
+    // in relation order within a level.
+    let mut order: Vec<(usize, RelName)> = condensation
+        .components
+        .iter()
+        .flat_map(|c| c.members.iter().map(move |&r| (c.level, r)))
+        .collect();
+    order.sort_unstable();
     let mut strata = Vec::new();
-    for relation in order {
+    for (_, relation) in order {
         let rules: Vec<Rule> = program
             .rules()
             .filter(|r| r.head.relation == relation)

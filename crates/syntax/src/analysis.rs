@@ -1,5 +1,6 @@
 //! Static analyses over programs: limited variables and safety (Section 2.2), the
-//! dependency graph and recursion (Section 3), EDB/IDB classification,
+//! precedence graph and its condensation into strongly connected components —
+//! the one place recursion (Section 3) is decided — EDB/IDB classification,
 //! semipositivity, stratification (Section 2.3), and feature detection (Section 3).
 
 use crate::ast::{Program, Rule};
@@ -14,7 +15,8 @@ use std::fmt;
 pub struct FeatureSet {
     /// **A** — some predicate has arity greater than one.
     pub arity: bool,
-    /// **R** — the dependency graph has a cycle.
+    /// **R** — the dependency graph has a cycle (some strongly connected
+    /// component of the [`PrecedenceGraph`] is recursive).
     pub recursion: bool,
     /// **E** — some rule contains an equation.
     pub equations: bool,
@@ -41,7 +43,9 @@ impl FeatureSet {
         let negation = program.rules().any(|r| r.body.iter().any(|l| !l.positive));
         let packing = program.rules().any(Rule::has_packing);
         let intermediate = program.idb_relations().len() >= 2;
-        let recursion = DependencyGraph::of_program(program).has_cycle();
+        let recursion = PrecedenceGraph::of_program(program)
+            .condensation()
+            .has_recursion();
         FeatureSet {
             arity,
             recursion,
@@ -76,69 +80,6 @@ impl fmt::Display for FeatureSet {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let letters: Vec<String> = self.letters().chars().map(|c| c.to_string()).collect();
         write!(f, "{{{}}}", letters.join(", "))
-    }
-}
-
-/// The dependency graph of a program (footnote 2 of the paper): nodes are the IDB
-/// relation names, and there is an edge from `R1` to `R2` if `R2` occurs in the body
-/// of a rule with `R1` in its head.
-#[derive(Clone, Debug, Default)]
-pub struct DependencyGraph {
-    edges: BTreeMap<RelName, BTreeSet<RelName>>,
-}
-
-impl DependencyGraph {
-    /// Build the dependency graph of a program.
-    pub fn of_program(program: &Program) -> DependencyGraph {
-        let idb = program.idb_relations();
-        let mut edges: BTreeMap<RelName, BTreeSet<RelName>> = BTreeMap::new();
-        for name in &idb {
-            edges.entry(*name).or_default();
-        }
-        for rule in program.rules() {
-            let from = rule.head.relation;
-            for to in rule.body_relations() {
-                if idb.contains(&to) {
-                    edges.entry(from).or_default().insert(to);
-                }
-            }
-        }
-        DependencyGraph { edges }
-    }
-
-    /// The nodes of the graph (the IDB relation names).
-    pub fn nodes(&self) -> impl Iterator<Item = RelName> + '_ {
-        self.edges.keys().copied()
-    }
-
-    /// The successors of a node.
-    pub fn successors(&self, node: RelName) -> BTreeSet<RelName> {
-        self.edges.get(&node).cloned().unwrap_or_default()
-    }
-
-    /// Does the graph contain a cycle (including self-loops)?  This is the paper's
-    /// definition of the **R** feature.
-    pub fn has_cycle(&self) -> bool {
-        self.edges
-            .keys()
-            .any(|&node| self.reachable_from(node).contains(&node))
-    }
-
-    /// Relations reachable from `start` by one or more edges.
-    pub fn reachable_from(&self, start: RelName) -> BTreeSet<RelName> {
-        let mut seen = BTreeSet::new();
-        let mut stack: Vec<RelName> = self.successors(start).into_iter().collect();
-        while let Some(node) = stack.pop() {
-            if seen.insert(node) {
-                stack.extend(self.successors(node));
-            }
-        }
-        seen
-    }
-
-    /// Is the given relation recursive, i.e. does it reach itself in the graph?
-    pub fn is_recursive_relation(&self, relation: RelName) -> bool {
-        self.reachable_from(relation).contains(&relation)
     }
 }
 
@@ -242,13 +183,15 @@ pub fn is_semipositive(program: &Program) -> bool {
 /// with head `S`, i.e. `S` can only be computed once `R` is, whether that
 /// occurrence is positive or negated.
 ///
-/// This is the [`DependencyGraph`] with its edges reversed — the orientation an
-/// evaluation *scheduler* wants: condensing the graph into strongly connected
-/// components and ordering them topologically yields a plan in which every
-/// component is computed after everything it reads, non-recursive components
-/// need a single pass, and components at the same level are mutually
-/// independent (they can run in parallel).  Whether a program is stratified is
-/// decided by [`check_stratification`] over its declared strata.
+/// This is the dependency graph of the paper (footnote 2: an edge from `S` to
+/// `R` when `R` occurs in the body of a rule with head `S`) with its edges
+/// reversed — the orientation an evaluation *scheduler* wants: condensing the
+/// graph into strongly connected components and ordering them topologically
+/// yields a plan in which every component is computed after everything it
+/// reads, non-recursive components need a single pass, and components at the
+/// same level are mutually independent (they can run in parallel).  Whether a
+/// program is stratified is decided by [`check_stratification`] over its
+/// declared strata.
 #[derive(Clone, Debug)]
 pub struct PrecedenceGraph {
     /// The nodes (head relation names of the rules), in first-head order.
@@ -432,6 +375,12 @@ impl Condensation {
             .position(|c| c.members.contains(&relation))
     }
 
+    /// Does some component need a fixpoint — does the graph have a cycle,
+    /// self-loops included?  This is the paper's **R** feature.
+    pub fn has_recursion(&self) -> bool {
+        self.components.iter().any(|c| c.recursive)
+    }
+
     /// Number of levels (1 + the maximum component level; 0 when empty).
     pub fn level_count(&self) -> usize {
         self.components
@@ -509,21 +458,28 @@ mod tests {
     #[test]
     fn dependency_graph_detects_recursion_and_self_loops() {
         let recursive = parse_program("T($x·a) <- T($x).\nT($x) <- R($x).").unwrap();
-        assert!(DependencyGraph::of_program(&recursive).has_cycle());
+        assert!(PrecedenceGraph::of_program(&recursive)
+            .condensation()
+            .has_recursion());
 
         let nonrec = parse_program("T($x) <- R($x).\nS($x) <- T($x).").unwrap();
-        let g = DependencyGraph::of_program(&nonrec);
-        assert!(!g.has_cycle());
-        assert_eq!(g.successors(rel("S")), BTreeSet::from([rel("T")]));
-        assert_eq!(g.successors(rel("T")), BTreeSet::new());
-        assert!(g.reachable_from(rel("S")).contains(&rel("T")));
-        assert!(!g.is_recursive_relation(rel("S")));
-        assert_eq!(g.nodes().count(), 2);
+        let g = PrecedenceGraph::of_program(&nonrec);
+        assert_eq!(g.nodes().len(), 2);
+        assert!(g.has_edge(rel("T"), rel("S")));
+        let c = g.condensation();
+        assert!(!c.has_recursion());
+        let (s, t) = (
+            c.component_of(rel("S")).unwrap(),
+            c.component_of(rel("T")).unwrap(),
+        );
+        assert!(c.components[s].level > c.components[t].level);
 
         let mutual = parse_program("P($x) <- Q($x).\nQ($x) <- P($x·a).\nP($x) <- R($x).").unwrap();
-        let g = DependencyGraph::of_program(&mutual);
-        assert!(g.has_cycle());
-        assert!(g.is_recursive_relation(rel("P")));
+        let c = PrecedenceGraph::of_program(&mutual).condensation();
+        assert!(c.has_recursion());
+        let p = c.component_of(rel("P")).unwrap();
+        assert!(c.components[p].recursive);
+        assert_eq!(c.component_of(rel("Q")), Some(p));
     }
 
     #[test]

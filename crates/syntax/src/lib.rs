@@ -40,9 +40,7 @@ pub mod term;
 pub mod valuation;
 
 pub use adornment::{first_value_expr, guard_exprs, sip_order, Adornment, ColumnBinding, SipStep};
-pub use analysis::{
-    Condensation, DependencyGraph, FeatureSet, PrecedenceGraph, ProgramInfo, SccInfo,
-};
+pub use analysis::{Condensation, FeatureSet, PrecedenceGraph, ProgramInfo, SccInfo};
 pub use ast::{Atom, Equation, Literal, Predicate, Program, Rule, Stratum};
 pub use error::SyntaxError;
 pub use parser::{parse_expr, parse_program, parse_rule, FactReader};

@@ -20,7 +20,7 @@
 
 use crate::measure::Measure;
 use seqdl_core::RelName;
-use seqdl_syntax::{DependencyGraph, Program, Rule};
+use seqdl_syntax::{PrecedenceGraph, Program, Rule};
 use std::collections::BTreeSet;
 use std::fmt;
 
@@ -137,27 +137,20 @@ pub fn guaranteed_terminating(program: &Program) -> bool {
 
 /// Analyse a program and produce a [`TerminationReport`].
 pub fn analyse(program: &Program) -> TerminationReport {
-    let graph = DependencyGraph::of_program(program);
-    let mut seen: BTreeSet<RelName> = BTreeSet::new();
-    let mut cliques = Vec::new();
-
-    for relation in graph.nodes() {
-        if seen.contains(&relation) {
-            continue;
-        }
-        if !graph.is_recursive_relation(relation) {
-            seen.insert(relation);
-            continue;
-        }
-        // The strongly connected component of `relation`: mutually reachable nodes.
-        let forward = graph.reachable_from(relation);
-        let clique: Vec<RelName> = forward
-            .into_iter()
-            .filter(|&other| graph.reachable_from(other).contains(&relation))
-            .collect();
-        seen.extend(clique.iter().copied());
-        cliques.push(analyse_clique(program, &clique));
-    }
+    // The cliques are the recursive strongly connected components, each
+    // listed in relation order and ordered by its smallest member.
+    let mut members: Vec<Vec<RelName>> = PrecedenceGraph::of_program(program)
+        .condensation()
+        .components
+        .into_iter()
+        .filter(|c| c.recursive)
+        .map(|c| c.members.into_iter().collect())
+        .collect();
+    members.sort_unstable();
+    let cliques: Vec<CliqueReport> = members
+        .iter()
+        .map(|clique| analyse_clique(program, clique))
+        .collect();
 
     let verdict = if cliques.iter().all(|c| c.guarantee.is_some()) {
         Verdict::Terminating

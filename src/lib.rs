@@ -12,7 +12,7 @@
 //! * [`analysis`] — the lint framework behind `seqdl check` (stable lint codes,
 //!   dead-code and divergence diagnostics);
 //! * [`unify`] — associative unification for path expressions (extended pig-pug);
-//! * [`engine`] — the planner, RAM lowering, and fixpoint driver behind
+//! * [`engine`] — the one-pass RAM lowering and the fixpoint driver behind
 //!   bottom-up evaluation with stratified negation;
 //! * [`exec`] — [`exec::Executor`], the one way to evaluate a program (in
 //!   place at one thread, over a worker pool at more);

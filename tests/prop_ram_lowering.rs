@@ -1,5 +1,5 @@
 //! wgen-driven differential property test for the RAM lowering: compiling
-//! planned rules to the flat instruction IR and running them on the shared
+//! rules to the flat instruction IR and running them on the shared
 //! interpreter must derive exactly what the reference evaluator
 //! (`tests/reference`) derives — on random safe, stratified programs with
 //! recursion and negation, through the executor at one and four threads, and

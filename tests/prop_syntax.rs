@@ -1,13 +1,16 @@
 //! Property-based tests for the syntax layer: parser/pretty-printer round-trips,
-//! feature detection, limited variables, and valuations.
+//! feature detection, limited variables, valuations, and the precedence
+//! graph's condensation against brute-force reachability.
 
 use proptest::prelude::*;
 use sequence_datalog::prelude::*;
 use sequence_datalog::syntax::PathExpr;
 use sequence_datalog::syntax::{
     analysis::{is_safe, limited_vars},
-    Literal, Predicate, Rule, Term, Valuation, Var,
+    Literal, PrecedenceGraph, Predicate, Rule, Stratum, Term, Valuation, Var,
 };
+use sequence_datalog::wgen::{ProgramConfig, ProgramGenerator};
+use std::collections::{BTreeMap, BTreeSet};
 
 // ---------------------------------------------------------------------------
 // Generators
@@ -276,5 +279,109 @@ proptest! {
         prop_assert!(!features.arity);
         prop_assert!(!features.packing);
         prop_assert!(!features.intermediate);
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The condensation against brute-force reachability
+// ---------------------------------------------------------------------------
+
+/// The relations reachable from `start` by one or more dependency edges
+/// (from a rule's head to each relation of its body), restricted to heads.
+fn reachable(edges: &BTreeMap<RelName, BTreeSet<RelName>>, start: RelName) -> BTreeSet<RelName> {
+    let mut seen = BTreeSet::new();
+    let mut stack: Vec<RelName> = edges[&start].iter().copied().collect();
+    while let Some(node) = stack.pop() {
+        if seen.insert(node) {
+            stack.extend(edges[&node].iter().copied());
+        }
+    }
+    seen
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn condensation_agrees_with_reachability(
+        seed in 0u64..(1u64 << 32),
+        salt in 0u64..(1u64 << 32),
+        links in prop::collection::vec(0usize..256, 0..6),
+    ) {
+        let config = ProgramConfig {
+            strata: 3,
+            allow_recursion: true,
+            ..ProgramConfig::default()
+        };
+        let mut program = ProgramGenerator::new(seed).random_program(salt, &config);
+        // wgen's recursion is self-loops only; extra copy rules between its
+        // heads add arbitrary edges, mutual recursion included.
+        let heads: Vec<RelName> = program.idb_relations().into_iter().collect();
+        let copies: Vec<Rule> = links
+            .iter()
+            .map(|&link| {
+                // The low nibble picks the head, the high one the body.
+                let (h, b) = (link % 16 % heads.len(), link / 16 % heads.len());
+                let x = PathExpr::var(Var::path("x"));
+                Rule::new(
+                    Predicate::new(heads[h], vec![x.clone()]),
+                    vec![Literal::pred(Predicate::new(heads[b], vec![x]))],
+                )
+            })
+            .collect();
+        program.strata.push(Stratum { rules: copies });
+
+        let mut edges: BTreeMap<RelName, BTreeSet<RelName>> = BTreeMap::new();
+        for rule in program.rules() {
+            edges.entry(rule.head.relation).or_default();
+        }
+        for rule in program.rules() {
+            let body: Vec<RelName> = rule
+                .body_relations()
+                .into_iter()
+                .filter(|r| edges.contains_key(r))
+                .collect();
+            edges.entry(rule.head.relation).or_default().extend(body);
+        }
+        let reach: BTreeMap<RelName, BTreeSet<RelName>> =
+            edges.keys().map(|&r| (r, reachable(&edges, r))).collect();
+
+        let condensation = PrecedenceGraph::of_program(&program).condensation();
+        let component = |r: RelName| {
+            condensation
+                .component_of(r)
+                .unwrap_or_else(|| panic!("{r} heads a rule but has no component"))
+        };
+        for (&r, from_r) in &reach {
+            let c = &condensation.components[component(r)];
+            prop_assert_eq!(c.recursive, from_r.contains(&r), "recursive({}) on\n{}", r, &program);
+            for (&s, from_s) in &reach {
+                let mutual = r == s || (from_r.contains(&s) && from_s.contains(&r));
+                prop_assert_eq!(
+                    component(r) == component(s),
+                    mutual,
+                    "{} and {} on\n{}",
+                    r,
+                    s,
+                    &program
+                );
+            }
+        }
+        // Every edge between two components climbs a level: the head's
+        // component sits strictly above each body relation's.
+        for (&head, body) in &edges {
+            for &dep in body {
+                let (h, d) = (component(head), component(dep));
+                if h != d {
+                    prop_assert!(
+                        condensation.components[h].level > condensation.components[d].level,
+                        "{} reads {} on\n{}",
+                        head,
+                        dep,
+                        &program
+                    );
+                }
+            }
+        }
     }
 }
