@@ -1,10 +1,11 @@
 //! The workspace's hash function: a fast multiply-xor hasher (FxHash-style).
 //!
-//! Used for every hash map on the hot path — relation dedup maps, first-value
-//! column buckets, and the hash-consing table of the [`crate::store`] module.  It is
-//! deterministic across runs (unlike `RandomState`) and much cheaper than
-//! SipHash for the short interned-id sequences that make up paths and tuples:
-//! hashing a tuple is one `write_*` call per length prefix and per interned id.
+//! Used for every hash map on the hot path — first-value column buckets, the
+//! store's thread-local consing caches, and the one consing table that finds
+//! paths, relation rows and atom names by their hash.  It is deterministic
+//! across runs (unlike `RandomState`) and much cheaper than SipHash for the
+//! short interned-id sequences that make up paths and tuples: hashing a
+//! tuple is one `write_*` call per length prefix and per interned id.
 //!
 //! Invariant: the last word written must reach the low bits of the hash.  The
 //! std `HashMap` (hashbrown) picks a key's home bucket from those low bits, and
@@ -23,7 +24,7 @@
 //! patterns).  Key maps by interned ids where possible.  The interner finds
 //! names by their hash: it hashes them with `FxStrHasher`, which finishes
 //! with a xor-shift-multiply step that folds the high bits into the low
-//! ones, and keys its map by that `u64`.
+//! ones, and looks that `u64` up in the consing table.
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hash, Hasher};

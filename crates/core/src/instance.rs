@@ -7,15 +7,15 @@
 //! row is `n` four-byte path ids, and a [`Relation`] keeps its rows back to
 //! back in one [`Rows`] arena; [`Fact`] is the owned value of a single fact.
 
+use crate::cons::{Chains, Consed, Full, NO_ID};
 use crate::error::CoreError;
-use crate::hash::{FxHasher, FxMap};
+use crate::hash::{fx_hash, FxMap};
 use crate::interner::{AtomId, RelName};
 use crate::path::Path;
 use crate::render;
 use crate::value::Value;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
-use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 /// A tuple of paths — one row of an n-ary relation, owned.  With paths
@@ -23,34 +23,6 @@ use std::sync::Arc;
 /// relations keep their rows flat in [`Rows`] instead; a `Tuple` is the
 /// owned value of a single [`Fact`].
 pub type Tuple = Vec<Path>;
-
-fn hash_row(row: &[Path]) -> u64 {
-    let mut h = FxHasher::default();
-    row.hash(&mut h);
-    // This crate's unit tests keep two bits of the hash, so distinct rows
-    // collide and every dedup path walks a chain of older ids.
-    if cfg!(test) {
-        h.finish() & 0b11
-    } else {
-        h.finish()
-    }
-}
-
-/// The end of a row-id chain, and so the one id a relation never hands out.
-const NO_ID: u32 = u32::MAX;
-
-/// The id the next row of `relation` gets when it already holds `len` rows.
-/// Ids are `u32`s below [`NO_ID`], so a relation holds at most `u32::MAX`
-/// rows.
-fn next_row_id(relation: RelName, len: usize) -> Result<u32, CoreError> {
-    u32::try_from(len)
-        .ok()
-        .filter(|&id| id != NO_ID)
-        .ok_or(CoreError::TooManyTuples {
-            relation,
-            limit: NO_ID as usize,
-        })
-}
 
 const NO_ENTRIES: &[BucketEntry] = &[];
 
@@ -371,19 +343,16 @@ impl Schema {
 /// grow, a consumer can remember [`Relation::len`] as a watermark and later
 /// read "everything inserted since" through [`Relation::slice_from`] — the
 /// shape semi-naive Datalog evaluation needs for delta views without copying
-/// rows.  Deduplication is the consing shape of the path store: a row's hash
-/// maps to the newest id with that hash, and older ids with an equal hash
-/// chain through a per-id `next` array.  Every maintained column keeps one
-/// [`ColumnIndex`] from the first value of its path to the rows that start
-/// with it ([`Relation::probe_first`]).
+/// rows.  A row's id is found by its hash through the crate's consing
+/// chains (`cons.rs`), as a path's and an atom name's are.  Every
+/// maintained column keeps one [`ColumnIndex`] from the first value of its
+/// path to the rows that start with it ([`Relation::probe_first`]).
 #[derive(Clone, Debug)]
 pub struct Relation {
     /// The rows in insertion order; a row's index is its id.
     rows: Rows,
-    /// Row hash → the newest id with that hash.
-    dedup: FxMap<u64, u32>,
-    /// Id → the next older id with the same row hash, or [`NO_ID`].
-    next: Vec<u32>,
+    /// The row ids, found by row hash.
+    ids: Chains,
     /// One index per column, created by the first insert: a row brings one
     /// path per column, so the indexes never outgrow the stored data, however
     /// large the declared arity.
@@ -401,8 +370,7 @@ impl Relation {
     pub fn new(arity: usize) -> Relation {
         Relation {
             rows: Rows::new(arity),
-            dedup: FxMap::default(),
-            next: Vec::new(),
+            ids: Chains::default(),
             columns: Vec::new(),
             active_columns: !0,
         }
@@ -467,25 +435,12 @@ impl Relation {
                 found: row.len(),
             });
         }
-        let (rows, next) = (&self.rows, &mut self.next);
-        let id = match self.dedup.entry(hash_row(row)) {
-            std::collections::hash_map::Entry::Occupied(mut newest) => {
-                let mut older = *newest.get();
-                while older != NO_ID {
-                    if rows.row(older as usize) == row {
-                        return Ok(false);
-                    }
-                    older = next[older as usize];
-                }
-                let id = next_row_id(relation, rows.len())?;
-                next.push(newest.insert(id));
-                id
-            }
-            std::collections::hash_map::Entry::Vacant(slot) => {
-                let id = next_row_id(relation, rows.len())?;
-                next.push(NO_ID);
-                *slot.insert(id)
-            }
+        let rows = &self.rows;
+        let limit = NO_ID as usize;
+        let is = |id: u32| rows.row(id as usize) == row;
+        let full = |Full| CoreError::TooManyTuples { relation, limit };
+        let Consed::New(id) = self.ids.find_or_add(fx_hash(row), is).map_err(full)? else {
+            return Ok(false);
         };
         if self.columns.is_empty() {
             self.columns.resize_with(self.arity(), ColumnIndex::default);
@@ -501,17 +456,11 @@ impl Relation {
 
     /// Does the relation contain `row`?
     pub fn contains(&self, row: &[Path]) -> bool {
-        if row.len() != self.arity() {
-            return false;
-        }
-        let mut id = self.dedup.get(&hash_row(row)).copied().unwrap_or(NO_ID);
-        while id != NO_ID {
-            if self.rows.row(id as usize) == row {
-                return true;
-            }
-            id = self.next[id as usize];
-        }
-        false
+        row.len() == self.arity()
+            && self
+                .ids
+                .find(fx_hash(row), |id| self.rows.row(id as usize) == row)
+                .is_some()
     }
 
     /// Iterate over the rows in insertion order.
@@ -1097,19 +1046,6 @@ mod tests {
         assert_eq!(r.len(), 1);
         assert!(r.contains(&[]));
         assert_eq!(r.iter().collect::<Vec<_>>(), [&[] as &[Path]]);
-    }
-
-    #[test]
-    fn row_ids_stop_below_u32_max() {
-        let last = u32::MAX as usize - 1;
-        assert_eq!(next_row_id(rel("R"), 0), Ok(0));
-        assert_eq!(next_row_id(rel("R"), last), Ok(u32::MAX - 1));
-        let full = CoreError::TooManyTuples {
-            relation: rel("R"),
-            limit: u32::MAX as usize,
-        };
-        assert_eq!(next_row_id(rel("R"), last + 1), Err(full.clone()));
-        assert_eq!(next_row_id(rel("R"), usize::MAX), Err(full));
     }
 
     #[test]

@@ -25,6 +25,7 @@
 #![warn(clippy::unwrap_used)]
 
 pub mod cancel;
+mod cons;
 pub mod error;
 pub mod hash;
 pub mod instance;

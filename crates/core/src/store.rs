@@ -15,43 +15,36 @@
 //!
 //! The table is append-only and global (like the string interner of
 //! [`crate::interner`], and for the same reason: values flow freely between
-//! programs, instances, and engines).  Content lives in an arena of leaked
-//! fixed-size chunks: a new path is copied to the front of the current
-//! chunk's unused tail and cut off, so storing it allocates nothing until a
-//! chunk fills.  Only a path longer than an eighth of a chunk gets a leaked
-//! allocation of its own.  This is the memory-density trade systems like
-//! Octopus make: storage is shared across identical content and lives for the
-//! process, with [`store_stats`] exposing the footprint so harnesses can
-//! report it.
-//!
-//! **One consing table.**  Besides the id → content table, the store keeps a
-//! single content-keyed table: the content hash maps to the newest id with
-//! that hash, and older ids with an equal hash chain through a per-id `next`
-//! array, so a collision costs four bytes rather than a bucket vector.  Every
-//! construction route — value sequences, slices, cuts of stored paths,
-//! compositions, singletons — is a thin caller of one function, `intern`,
-//! which hashes the content once and
+//! programs, instances, and engines).  It is the crate's one consing table
+//! (`cons.rs`): the content hash leads through a chain of ids to the one
+//! holding an equal content, and new content is copied into leaked arena
+//! chunks, so storage is shared across identical content and lives for the
+//! process; [`store_stats`] reports the footprint.  Entry 0 is `ε`, which is
+//! never hashed.  Every construction route — value sequences, slices, cuts
+//! of stored paths, compositions, singletons — is a thin caller of one
+//! function, `intern`, which hashes the content once and
 //!
 //! * answers the empty path with the constant [`PathId::EMPTY`];
 //! * otherwise checks this thread's consing cache (content hash → id,
 //!   verified against the thread's entry mirror) without taking any lock —
 //!   the dominant case, since every duplicate rule firing re-derives an
 //!   existing path;
-//! * and on a cache miss takes the write lock once to probe the chain and,
-//!   if the content is new, append it.
+//! * and on a cache miss takes the write lock once to find the content or,
+//!   if it is new, add it.
 //!
 //! A new content is stored without a copy when the caller hands in a slice
 //! that already lives forever — a cut of a stored path aliases its parent's
 //! storage — and copied once into the arena otherwise.  A composition is
 //! first built as a value sequence in a reused buffer — a rule head argument
-//! in its valuation's, this crate's own compositions ([`Path::from_values`],
-//! [`Path::concat`], [`Path::push`]) in a thread-local one (`intern_built`)
-//! — and interned once, so a repeat composition allocates nothing.  Reads
+//! in its valuation's, this crate's own compositions
+//! ([`crate::Path::from_values`], [`crate::Path::concat`],
+//! [`crate::Path::push`]) in a thread-local one (`intern_built`) — and
+//! interned once, so a repeat composition allocates nothing.  Reads
 //! (`resolve`) go through the thread-local mirror of the append-only entry
 //! table, so resolving an id a thread has seen before is a plain
 //! bounds-checked array read with no atomics — the "shared read-only store"
 //! shape the multi-threaded executor wants.  Its read-only twin, `find`,
-//! probes the same cache and chain for a content without ever adding it.
+//! looks a content up through the same cache and table without adding it.
 //!
 //! **Growth discipline.**  The store never forgets an interned path, so an
 //! evaluation interns a content only where a relation is to hold it.  The
@@ -66,19 +59,19 @@
 //! intern nothing: an equation whose ground side is one bound path variable
 //! is matched over that variable's view, an equality filter compares
 //! contents, and a membership check looks its row up with `find`
-//! ([`Path::find`]), a packed path inside the row included — a content the
-//! store lacks is in no relation.  Two equation cases still intern what no
-//! relation need hold: a ground side that is not one variable is interned
-//! so that the other side's bindings can be views of it, and a side that
-//! packs a path interns the packed path (a packed value *is* an id).  Store
-//! growth thus tracks the facts an evaluation *keeps*, not the matches it
-//! *tried* or the checks it *made*: `tests/store_growth_law.rs` checks that
-//! it equals the new paths of the result on random programs, and
-//! `store_stats` (and the evaluator's `max_store_bytes` budget) exist so
+//! ([`crate::Path::find`]), a packed path inside the row included — a
+//! content the store lacks is in no relation.  Two equation cases still
+//! intern what no relation need hold: a ground side that is not one variable
+//! is interned so that the other side's bindings can be views of it, and a
+//! side that packs a path interns the packed path (a packed value *is* an
+//! id).  Store growth thus tracks the facts an evaluation *keeps*, not the
+//! matches it *tried* or the checks it *made*: `tests/store_growth_law.rs`
+//! checks that it equals the new paths of the result on random programs,
+//! and `store_stats` (and the evaluator's `max_store_bytes` budget) exist so
 //! deployments can watch and bound what remains.
 
+use crate::cons::ConsTable;
 use crate::hash::{fx_hash, FxMap};
-use crate::path::Path;
 use crate::value::Value;
 use std::cell::RefCell;
 use std::sync::{OnceLock, PoisonError, RwLock};
@@ -100,68 +93,12 @@ impl PathId {
     }
 }
 
-/// Values per arena chunk (8 bytes each, so 32 KiB).
-const CHUNK_VALUES: usize = 4096;
-
-/// The longest content copied into the arena.  A longer one gets a leaked
-/// allocation of its own, so starting a fresh chunk never abandons more than
-/// an eighth of the old one.
-const ARENA_MAX_LEN: usize = CHUNK_VALUES / 8;
-
-struct StoreInner {
-    /// Id → content; append-only, so prefixes of this table never change.
-    entries: Vec<&'static [Value]>,
-    /// Content hash → the newest id whose content has that hash.
-    newest: FxMap<u64, u32>,
-    /// Id → the next older id with the same content hash.  Id 0 (`ε`, which
-    /// is never hashed) ends a chain.
-    next: Vec<u32>,
-    /// The unused tail of the current arena chunk: new content is copied to
-    /// its front and cut off.
-    tail: &'static mut [Value],
-    /// Bytes of copied content (stored cuts alias their parent and add nothing).
-    owned_bytes: usize,
-}
-
-impl StoreInner {
-    /// The id holding `slice`, whose content hash is `hash`, or 0 (`ε`,
-    /// never hashed) if the store holds no such content.
-    fn probe(&self, hash: u64, slice: &[Value]) -> u32 {
-        let mut id = self.newest.get(&hash).copied().unwrap_or(0);
-        while id != 0 && self.entries[id as usize] != slice {
-            id = self.next[id as usize];
-        }
-        id
-    }
-
-    /// A copy of `slice` that lives forever: cut from the arena's tail (a
-    /// fresh chunk when the tail is too short), or leaked on its own when
-    /// `slice` is longer than [`ARENA_MAX_LEN`].
-    fn copy(&mut self, slice: &[Value]) -> &'static [Value] {
-        self.owned_bytes += std::mem::size_of_val(slice);
-        if slice.len() > ARENA_MAX_LEN {
-            return Box::leak(slice.into());
-        }
-        if self.tail.len() < slice.len() {
-            self.tail = Box::leak(vec![Value::Packed(Path::empty()); CHUNK_VALUES].into());
-        }
-        let (stored, rest) = std::mem::take(&mut self.tail).split_at_mut(slice.len());
-        stored.copy_from_slice(slice);
-        self.tail = rest;
-        stored
-    }
-}
-
-fn store() -> &'static RwLock<StoreInner> {
-    static STORE: OnceLock<RwLock<StoreInner>> = OnceLock::new();
+fn store() -> &'static RwLock<ConsTable<Value>> {
+    static STORE: OnceLock<RwLock<ConsTable<Value>>> = OnceLock::new();
     STORE.get_or_init(|| {
-        RwLock::new(StoreInner {
-            entries: vec![&[]],
-            newest: FxMap::default(),
-            next: vec![0],
-            tail: &mut [],
-            owned_bytes: 0,
-        })
+        let mut table = ConsTable::new();
+        table.add_unhashed(&[]);
+        RwLock::new(table)
     })
 }
 
@@ -191,7 +128,7 @@ impl Mirror {
         if ix >= self.entries.len() {
             let guard = store().read().unwrap_or_else(PoisonError::into_inner);
             let from = self.entries.len();
-            self.entries.extend_from_slice(&guard.entries[from..]);
+            self.entries.extend_from_slice(&guard.entries()[from..]);
         }
         self.entries[ix]
     }
@@ -218,16 +155,11 @@ pub(crate) fn intern(slice: &[Value], stored: Option<&'static [Value]>) -> PathI
                 return PathId(id);
             }
         }
-        let mut guard = store().write().unwrap_or_else(PoisonError::into_inner);
-        let g = &mut *guard;
-        let mut id = g.probe(hash, slice);
-        if id == 0 {
-            let stored = stored.unwrap_or_else(|| g.copy(slice));
-            id = u32::try_from(g.entries.len()).expect("path store overflow");
-            g.entries.push(stored);
-            g.next.push(g.newest.insert(hash, id).unwrap_or(0));
-        }
-        drop(guard);
+        let id = store()
+            .write()
+            .unwrap_or_else(PoisonError::into_inner)
+            .intern(hash, slice, stored)
+            .expect("path store overflow");
         m.cache.insert(hash, id);
         PathId(id)
     })
@@ -252,11 +184,9 @@ pub(crate) fn find(slice: &[Value]) -> Option<PathId> {
         let id = store()
             .read()
             .unwrap_or_else(PoisonError::into_inner)
-            .probe(hash, slice);
-        (id != 0).then(|| {
-            m.cache.insert(hash, id);
-            PathId(id)
-        })
+            .find(hash, slice)?;
+        m.cache.insert(hash, id);
+        Some(PathId(id))
     })
 }
 
@@ -296,16 +226,11 @@ impl StoreStats {
 
 /// Snapshot the global store's statistics.
 pub fn store_stats() -> StoreStats {
-    let guard = store().read().unwrap_or_else(PoisonError::into_inner);
-    // Hash-map overhead estimated as key + value + one byte of control per
-    // bucket at the current capacity.
-    let map_bytes = guard.newest.capacity() * (std::mem::size_of::<(u64, u32)>() + 1);
+    let table = store().read().unwrap_or_else(PoisonError::into_inner);
     StoreStats {
-        distinct_paths: guard.entries.len(),
-        owned_bytes: guard.owned_bytes,
-        table_bytes: guard.entries.capacity() * std::mem::size_of::<&'static [Value]>()
-            + map_bytes
-            + guard.next.capacity() * std::mem::size_of::<u32>(),
+        distinct_paths: table.entries().len(),
+        owned_bytes: table.copied_bytes(),
+        table_bytes: table.table_bytes(),
     }
 }
 
@@ -313,8 +238,10 @@ pub fn store_stats() -> StoreStats {
 #[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
+    use crate::cons::{self, ARENA_MAX_LEN, CHUNK_LEN};
     use crate::path::Path;
     use crate::{atom, path_of};
+    use std::collections::HashSet;
 
     #[test]
     fn interning_is_idempotent_and_ids_are_identity() {
@@ -352,17 +279,17 @@ mod tests {
         let filler: Vec<Value> = (0..8)
             .map(|j| Value::atom(&format!("arena_v{j}")))
             .collect();
-        let mut contents: Vec<Vec<Value>> = (0..4 * CHUNK_VALUES / 3)
+        let mut contents: Vec<Vec<Value>> = (0..4 * CHUNK_LEN / 3)
             .map(|i| {
                 let mut values = vec![Value::atom(&format!("arena_k{i}"))];
                 values.extend(filler.iter().cycle().take(i % 5));
                 values
             })
             .collect();
-        for len in [ARENA_MAX_LEN + 1, CHUNK_VALUES + 3] {
+        for len in [ARENA_MAX_LEN + 1, CHUNK_LEN + 3] {
             contents.insert(700, filler.iter().copied().cycle().take(len).collect());
         }
-        assert!(contents.iter().map(Vec::len).sum::<usize>() > 3 * CHUNK_VALUES);
+        assert!(contents.iter().map(Vec::len).sum::<usize>() > 3 * CHUNK_LEN);
         let paths: Vec<Path> = contents.iter().map(|c| Path::from_slice(c)).collect();
         for (path, content) in paths.iter().zip(&contents) {
             assert_eq!(path.values(), content.as_slice());
@@ -390,6 +317,30 @@ mod tests {
         std::thread::spawn(move || assert_eq!(find(&content), Some(stored.id())))
             .join()
             .unwrap();
+    }
+
+    #[test]
+    fn colliding_paths_chain_through_older_ids() {
+        // Unit tests key the chains by two bits of each hash: 40 new paths
+        // share at most four chains, so every lookup below walks one.
+        let contents: Vec<[Value; 2]> = (0..40)
+            .map(|i| [Value::atom("chain_p"), Value::atom(&format!("chain_p{i}"))])
+            .collect();
+        let keys: HashSet<u64> = contents.iter().map(|c| cons::key(fx_hash(c))).collect();
+        assert!(keys.len() <= 4);
+        let paths: Vec<Path> = contents.iter().map(|c| Path::from_slice(c)).collect();
+        for (content, path) in contents.iter().zip(&paths) {
+            assert_eq!(path.values(), content);
+            assert_eq!(find(content), Some(path.id()));
+        }
+        // A thread with an empty consing cache probes the chains themselves.
+        std::thread::spawn(move || {
+            for (content, path) in contents.iter().zip(&paths) {
+                assert_eq!(Path::from_slice(content), *path);
+            }
+        })
+        .join()
+        .unwrap();
     }
 
     #[test]

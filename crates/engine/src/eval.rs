@@ -250,8 +250,6 @@ pub struct FireStats {
     pub instructions: usize,
     /// Executions of fused instructions.
     pub fused_probes: usize,
-    /// Retired: always 0 (see [`EvalStats::emit_memo_hits`]).
-    pub emit_memo_hits: usize,
 }
 
 /// Per-rule profile entry of an evaluation run: one rule's share of the
@@ -281,8 +279,6 @@ pub struct RuleStats {
     pub instructions: usize,
     /// Executions of fused instructions.
     pub fused_probes: usize,
-    /// Retired: always 0 (see [`EvalStats::emit_memo_hits`]).
-    pub emit_memo_hits: usize,
 }
 
 /// Counters for one declared stratum of an evaluation run.

@@ -29,7 +29,8 @@
 //! ```
 //!
 //! `emit_memo_hits` is retired and always 0; the key stays so consumers of
-//! this version keep parsing.
+//! this version keep parsing.  Per rule it is written as a literal `0`: only
+//! the totals still read a field, [`EvalStats::emit_memo_hits`].
 //!
 //! `outcome.status` is `"ok"`, `"cancelled"` (with `"reason"`), `"limit"`
 //! (with `"kind"` ∈ {`iterations`, `facts`, `path_length`, `store_bytes`} and
@@ -136,7 +137,7 @@ pub fn stats_json(stats: &EvalStats, store: &StoreStats, error: Option<&EvalErro
             out,
             "{}\n    {{\"stratum\": {}, \"index\": {}, \"rule\": \"{}\", \"firings\": {}, \
              \"derived_facts\": {}, \"wall_us\": {}, \"index_probes\": {}, \"scans\": {}, \
-             \"instructions\": {}, \"fused_probes\": {}, \"emit_memo_hits\": {}}}",
+             \"instructions\": {}, \"fused_probes\": {}, \"emit_memo_hits\": 0}}",
             if i == 0 { "" } else { "," },
             r.stratum,
             r.rule_ix,
@@ -148,7 +149,6 @@ pub fn stats_json(stats: &EvalStats, store: &StoreStats, error: Option<&EvalErro
             r.scans,
             r.instructions,
             r.fused_probes,
-            r.emit_memo_hits,
         );
     }
     out.push_str("\n  ],\n");
@@ -200,7 +200,6 @@ mod tests {
             scans: 1,
             instructions: 20,
             fused_probes: 2,
-            emit_memo_hits: 0,
         });
         stats
     }

@@ -25,10 +25,12 @@ pub struct ProgramConfig {
     /// Allow binary IDB relations (the A feature); otherwise everything is unary.
     pub allow_arity: bool,
     /// Allow *terminating* recursive rules (the R feature): a stratum may gain a
-    /// suffix-consuming rule `H($y) <- H(@u·$y).` for one of its unary heads.
-    /// Such rules only derive suffixes of already-derived paths, so the fixpoint
-    /// stays finite, and they never appear under negation (negated predicates
-    /// only draw from earlier strata), so stratification is preserved.
+    /// suffix-consuming rule `H($y) <- H(@u·$y).` for one of its unary heads,
+    /// or a mutually recursive pair `H1($y) <- H2(@u·$y).` and
+    /// `H2($y) <- H1(@u·$y).` over two of them.  Such rules only derive
+    /// suffixes of already-derived paths, so the fixpoint stays finite, and
+    /// they never appear under negation (negated predicates only draw from
+    /// earlier strata), so stratification is preserved.
     pub allow_recursion: bool,
 }
 
@@ -116,19 +118,23 @@ impl ProgramGenerator {
                 rules.push(rule);
             }
             // Optionally close one unary head of this stratum under suffixes with
-            // a recursive rule.  The body predicate binds both variables, so the
-            // rule is safe; derivations only shorten paths, so it terminates.
+            // a recursive rule, or sometimes two of them mutually (see
+            // `allow_recursion`).  The body predicate binds both variables, so
+            // the rule is safe; derivations only shorten paths, so it terminates.
             if config.allow_recursion && rng.gen_bool(0.6) {
-                if let Some(&(head, _)) = defined_here.iter().find(|(_, arity)| *arity == 1) {
-                    let u = Var::atom("ru");
-                    let y = Var::path("ry");
-                    rules.push(Rule::new(
-                        Predicate::new(head, vec![PathExpr::var(y)]),
-                        vec![Literal::pred(Predicate::new(
-                            head,
-                            vec![PathExpr::from_terms([Term::Var(u), Term::Var(y)])],
-                        ))],
-                    ));
+                let mut unary = defined_here.iter().filter(|(_, a)| *a == 1).map(|r| r.0);
+                if let Some(h1) = unary.next() {
+                    let h2 = unary.next().filter(|_| rng.gen_bool(0.5)).unwrap_or(h1);
+                    let (u, y) = (Var::atom("ru"), Var::path("ry"));
+                    let suffix = PathExpr::from_terms([Term::Var(u), Term::Var(y)]);
+                    let mut loops = vec![(h1, h2), (h2, h1)];
+                    loops.dedup(); // a self-loop once
+                    for (head, body) in loops {
+                        rules.push(Rule::new(
+                            Predicate::new(head, vec![PathExpr::var(y)]),
+                            vec![Literal::pred(Predicate::new(body, vec![suffix.clone()]))],
+                        ));
+                    }
                 }
             }
             available.extend(defined_here);
@@ -352,7 +358,7 @@ impl ProgramGenerator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use seqdl_syntax::analysis::{check_safety, check_stratification};
+    use seqdl_syntax::analysis::{check_safety, check_stratification, PrecedenceGraph};
     use seqdl_syntax::FeatureSet;
 
     #[test]
@@ -378,7 +384,7 @@ mod tests {
             allow_recursion: true,
             ..ProgramConfig::default()
         };
-        let mut saw_recursion = false;
+        let (mut saw_recursion, mut saw_mutual) = (false, false);
         for salt in 0..40u64 {
             let program = generator.random_program(salt, &config);
             check_safety(&program)
@@ -386,8 +392,14 @@ mod tests {
             check_stratification(&program)
                 .unwrap_or_else(|e| panic!("salt {salt}: not stratified: {e}\n{program}"));
             saw_recursion |= FeatureSet::of_program(&program).recursion;
+            let condensation = PrecedenceGraph::of_program(&program).condensation();
+            saw_mutual |= condensation.components.iter().any(|c| c.members.len() >= 2);
         }
         assert!(saw_recursion, "allow_recursion never produced a cycle");
+        assert!(
+            saw_mutual,
+            "allow_recursion never produced a mutual recursion"
+        );
     }
 
     #[test]
