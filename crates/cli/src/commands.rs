@@ -670,7 +670,31 @@ fn check_idb_schema(program: &Program, instance: &Instance) -> Result<(), seqdl_
     seqdl_engine::check_idb_input(&program.idb_relations(), &arities, instance)
 }
 
+/// Run the body of `run` or `query`, from load to rendered report.  The
+/// `--trace-out` session opens first, because opening one waits for any
+/// other session, whose thread may be interning.  Then, when `--threads`
+/// resolves to one compute thread, the body runs as the one owner of the
+/// path and name tables ([`seqdl_core::exclusive`]): nothing else computes,
+/// so no lookup needs a lock or a per-thread copy.
+fn with_tables(
+    flags: &Flags,
+    body: impl FnOnce(Option<TraceCapture>) -> Result<String, CliError>,
+) -> Result<String, CliError> {
+    let trace = start_trace(flags);
+    // A malformed count is reported by the body, which parses it again.
+    let threads = flags.get_usize("threads").ok().flatten().unwrap_or(1);
+    if Executor::new().with_threads(threads).effective_threads() == 1 {
+        seqdl_core::exclusive(|| body(trace))
+    } else {
+        body(trace)
+    }
+}
+
 fn cmd_run(flags: &Flags) -> Result<String, CliError> {
+    with_tables(flags, |trace| run_report(flags, trace))
+}
+
+fn run_report(flags: &Flags, trace: Option<TraceCapture>) -> Result<String, CliError> {
     let program = load_program_flag(flags)?;
     let instance = load_instance_flag(flags)?;
     let output = output_relation(flags, &program)?;
@@ -690,7 +714,6 @@ fn cmd_run(flags: &Flags) -> Result<String, CliError> {
         )
     });
     let eval_program = stripped.as_ref().map_or(&program, |s| &s.program);
-    let trace = start_trace(flags);
     let run = executor.run_with_stats(eval_program, &instance);
     let trace_note = trace.map(TraceCapture::write).transpose()?;
     let (result, stats) = run.map_err(|e| eval_error_report(&executor, &e, format))?;
@@ -749,6 +772,10 @@ fn cmd_run(flags: &Flags) -> Result<String, CliError> {
 /// facts, and the rewritten program evaluated through the ordinary SCC
 /// schedule — so only rules relevant to the goal fire.
 fn cmd_query(flags: &Flags) -> Result<String, CliError> {
+    with_tables(flags, |trace| query_report(flags, trace))
+}
+
+fn query_report(flags: &Flags, trace: Option<TraceCapture>) -> Result<String, CliError> {
     let program = load_program_flag(flags)?;
     let instance = load_instance_flag(flags)?;
     let goal = parse_goal(flags.require("goal")?).map_err(command_error)?;
@@ -824,7 +851,6 @@ fn cmd_query(flags: &Flags) -> Result<String, CliError> {
         )
     });
     let eval_program = stripped.as_ref().map_or(&mp.program, |s| &s.program);
-    let trace = start_trace(flags);
     let run = executor.run_with_stats_seeded(eval_program, &instance, &mp.seeds);
     let trace_note = trace.map(TraceCapture::write).transpose()?;
     let (result, stats) = run.map_err(|e| eval_error_report(&executor, &e, format))?;

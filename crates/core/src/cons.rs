@@ -45,6 +45,15 @@ pub(crate) enum Consed {
     New(u32),
 }
 
+impl Consed {
+    /// The id, old or new.
+    pub(crate) fn id(self) -> u32 {
+        match self {
+            Consed::Old(id) | Consed::New(id) => id,
+        }
+    }
+}
+
 /// The id a table hands out next when it already holds `len` ids.
 fn new_id(len: usize) -> Result<u32, Full> {
     (len < NO_ID as usize).then_some(len as u32).ok_or(Full)
@@ -159,24 +168,22 @@ impl<T: Copy + PartialEq> ConsTable<T> {
 
     /// The id of `content`, whose hash is `hash`, storing it first if it is
     /// new: as `stored`, which must equal `content` and lives forever, or as
-    /// a copy when `stored` is `None`.
+    /// a copy when `stored` is `None`.  [`Consed::New`] says it was new.
     pub(crate) fn intern(
         &mut self,
         hash: u64,
         content: &[T],
         stored: Option<&'static [T]>,
-    ) -> Result<u32, Full> {
+    ) -> Result<Consed, Full> {
         let entries = &self.entries;
-        let id = match self
+        let consed = self
             .chains
-            .find_or_add(hash, |id| entries[id as usize] == content)?
-        {
-            Consed::Old(id) => return Ok(id),
-            Consed::New(id) => id,
-        };
-        let stored = stored.unwrap_or_else(|| self.copy(content));
-        self.entries.push(stored);
-        Ok(id)
+            .find_or_add(hash, |id| entries[id as usize] == content)?;
+        if let Consed::New(_) = consed {
+            let stored = stored.unwrap_or_else(|| self.copy(content));
+            self.entries.push(stored);
+        }
+        Ok(consed)
     }
 
     /// Store `stored` as the next entry under no hash, so that no lookup
@@ -246,9 +253,10 @@ mod tests {
                 );
             } else {
                 let next = u32::try_from(model.len()).unwrap();
-                let id = table.intern(hash, &content, None).unwrap();
-                assert_eq!(id, known.unwrap_or(next), "step {step}: intern {content:?}");
-                model.insert(content.clone(), id);
+                let consed = table.intern(hash, &content, None).unwrap();
+                let want = known.map_or(Consed::New(next), Consed::Old);
+                assert_eq!(consed, want, "step {step}: intern {content:?}");
+                model.insert(content.clone(), consed.id());
             }
             assert_eq!(table.entries().len(), model.len());
         }
@@ -281,7 +289,7 @@ mod tests {
         assert_eq!(after, before);
         // The unhashed entry is not found either; interning the same content
         // stores it again under a hash.
-        assert_eq!(table.intern(fx_hash(b""), b"", None), Ok(1));
+        assert_eq!(table.intern(fx_hash(b""), b"", None), Ok(Consed::New(1)));
         assert_eq!(table.find(fx_hash(b""), b""), Some(1));
     }
 
@@ -307,16 +315,22 @@ mod tests {
         let mut table = ConsTable::new();
         let ids: Vec<u32> = contents
             .iter()
-            .map(|c| table.intern(fx_hash(c), c, None).unwrap())
+            .map(|c| table.intern(fx_hash(c), c, None).unwrap().id())
             .collect();
         assert_eq!(table.copied_bytes(), total * std::mem::size_of::<T>());
         for (content, &id) in contents.iter().zip(&ids) {
             assert_eq!(table.entries()[id as usize], content.as_slice());
-            assert_eq!(table.intern(fx_hash(content), content, None), Ok(id));
+            assert_eq!(
+                table.intern(fx_hash(content), content, None),
+                Ok(Consed::Old(id))
+            );
         }
         // A content that already lives forever is kept as it is, uncopied.
         let stored: &'static [T] = Box::leak((0..9).map(|j| element(7 * j + 1)).collect());
-        let id = table.intern(fx_hash(stored), stored, Some(stored)).unwrap();
+        let id = table
+            .intern(fx_hash(stored), stored, Some(stored))
+            .unwrap()
+            .id();
         assert!(std::ptr::eq(table.entries()[id as usize], stored));
         assert_eq!(table.copied_bytes(), total * std::mem::size_of::<T>());
     }

@@ -9,7 +9,9 @@
 //!
 //! The interner is global (guarded by a `std::sync::RwLock`) because values flow
 //! freely between programs, instances, and engines in this workspace; threading an
-//! interner handle through every API would add noise without adding safety.
+//! interner handle through every API would add noise without adding safety.  A
+//! thread inside [`crate::store::exclusive`] holds its write lock, and every
+//! lookup on that thread reads the held table with no lock round.
 //!
 //! Each name is stored once and lives for the rest of the process, like the
 //! symbol itself, in a table of the crate's one consing type (`cons.rs`,
@@ -17,12 +19,13 @@
 //! chunk, and it is found by its hash from the crate's finalised string
 //! hasher (see [`crate::hash`]).
 
-use crate::cons::ConsTable;
+use crate::cons::{ConsTable, Consed};
 use crate::hash::FxStrHasher;
+use std::cell::RefCell;
 use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{OnceLock, PoisonError, RwLock};
+use std::sync::{OnceLock, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 /// An interned string: a cheap, copyable identity for a name.
 ///
@@ -39,39 +42,72 @@ fn hash_name(name: &str) -> u64 {
     h.finish()
 }
 
+/// The suffix [`Symbol::fresh`] tries next.
+static FRESH: AtomicU64 = AtomicU64::new(0);
+
 fn interner() -> &'static RwLock<ConsTable<u8>> {
     static INTERNER: OnceLock<RwLock<ConsTable<u8>>> = OnceLock::new();
     INTERNER.get_or_init(|| RwLock::new(ConsTable::new()))
 }
 
-/// The index of `name`, whose hash is `hash`, if it was interned.
-fn find(name: &str, hash: u64) -> Option<u32> {
-    interner()
-        .read()
-        .unwrap_or_else(PoisonError::into_inner)
-        .find(hash, name.as_bytes())
+thread_local! {
+    /// The interner's write guard while this thread owns it.
+    static HELD: RefCell<Option<RwLockWriteGuard<'static, ConsTable<u8>>>> =
+        const { RefCell::new(None) };
+}
+
+/// Run `f` holding the interner's write lock in this thread's state, so
+/// that every lookup on the thread reads the held table; release it when `f`
+/// returns or unwinds.  Called by [`crate::store::exclusive`] only.
+pub(crate) fn holding<R>(f: impl FnOnce() -> R) -> R {
+    struct Release;
+    impl Drop for Release {
+        fn drop(&mut self) {
+            drop(HELD.with_borrow_mut(Option::take));
+        }
+    }
+    HELD.set(Some(
+        interner().write().unwrap_or_else(PoisonError::into_inner),
+    ));
+    let _release = Release;
+    f()
+}
+
+fn shared() -> RwLockReadGuard<'static, ConsTable<u8>> {
+    interner().read().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Find or add `name`, whose hash is `hash`: in the held table, or else in
+/// the shared one under its write lock.
+fn add(name: &str, hash: u64) -> Consed {
+    let add = |table: &mut ConsTable<u8>| table.intern(hash, name.as_bytes(), None);
+    HELD.with_borrow_mut(|held| match held {
+        Some(table) => add(table),
+        None => add(&mut interner().write().unwrap_or_else(PoisonError::into_inner)),
+    })
+    .expect("interner overflow")
 }
 
 impl Symbol {
     /// Intern `name`, returning its symbol.  Idempotent.
     pub fn intern(name: &str) -> Symbol {
         let hash = hash_name(name);
-        let ix = find(name, hash).unwrap_or_else(|| {
-            interner()
-                .write()
-                .unwrap_or_else(PoisonError::into_inner)
-                .intern(hash, name.as_bytes(), None)
-                .expect("interner overflow")
+        // A shared table is probed under the read lock first, so a known name
+        // takes no write lock; a held table is probed once.
+        let known = HELD.with_borrow(|held| match held {
+            Some(_) => None,
+            None => shared().find(hash, name.as_bytes()),
         });
-        Symbol(ix)
+        Symbol(known.unwrap_or_else(|| add(name, hash).id()))
     }
 
     /// The interned string itself.
     fn text(self) -> &'static str {
-        let bytes = interner()
-            .read()
-            .unwrap_or_else(PoisonError::into_inner)
-            .entries()[self.0 as usize];
+        let ix = self.0 as usize;
+        let bytes = HELD.with_borrow(|held| match held {
+            Some(table) => table.entries()[ix],
+            None => shared().entries()[ix],
+        });
         std::str::from_utf8(bytes).expect("a name is stored from a str")
     }
 
@@ -101,12 +137,13 @@ impl Symbol {
     /// to have been interned before this call.  Used by program rewrites that need
     /// fresh relation or variable names.
     pub fn fresh(prefix: &str) -> Symbol {
-        static COUNTER: AtomicU64 = AtomicU64::new(0);
         loop {
-            let n = COUNTER.fetch_add(1, Ordering::Relaxed);
+            let n = FRESH.fetch_add(1, Ordering::Relaxed);
             let candidate = format!("{prefix}{n}");
-            if find(&candidate, hash_name(&candidate)).is_none() {
-                return Symbol::intern(&candidate);
+            // One lock round finds or adds the name, so no other thread can
+            // intern it between the check and the add.
+            if let Consed::New(ix) = add(&candidate, hash_name(&candidate)) {
+                return Symbol(ix);
             }
         }
     }
@@ -314,5 +351,80 @@ mod tests {
         // Threads with the same i % 2 interned the same strings and must agree.
         assert_eq!(results[0], results[2]);
         assert_eq!(results[1], results[3]);
+    }
+
+    #[test]
+    fn fresh_never_returns_a_name_another_thread_added() {
+        use std::sync::{Arc, Barrier};
+        // Two threads intern the next suffixes `fresh` will try, keeping the
+        // symbols they added, while two others draw fresh symbols with the
+        // same prefix.  A fresh symbol is one `fresh` added itself, so no
+        // other thread can have added it.
+        let base = FRESH.load(Ordering::Relaxed);
+        let start = Arc::new(Barrier::new(4));
+        let interning: Vec<_> = (0..2u64)
+            .map(|t| {
+                let start = Arc::clone(&start);
+                std::thread::spawn(move || {
+                    start.wait();
+                    (0..3_000)
+                        .filter_map(|k| {
+                            let name = format!("race{}", base + 2 * k + t);
+                            match add(&name, hash_name(&name)) {
+                                Consed::New(ix) => Some(Symbol(ix)),
+                                Consed::Old(_) => None,
+                            }
+                        })
+                        .collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        let drawing: Vec<_> = (0..2)
+            .map(|_| {
+                let start = Arc::clone(&start);
+                std::thread::spawn(move || {
+                    start.wait();
+                    (0..2_000)
+                        .map(|_| Symbol::fresh("race"))
+                        .collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        let added: HashSet<Symbol> = interning
+            .into_iter()
+            .flat_map(|h| h.join().unwrap())
+            .collect();
+        let fresh: Vec<Symbol> = drawing
+            .into_iter()
+            .flat_map(|h| h.join().unwrap())
+            .collect();
+        let distinct: HashSet<Symbol> = fresh.iter().copied().collect();
+        assert_eq!(distinct.len(), fresh.len());
+        for symbol in fresh {
+            assert!(
+                !added.contains(&symbol),
+                "{symbol} was added by another thread"
+            );
+        }
+    }
+
+    #[test]
+    fn exclusive_names_agree_with_shared_ones() {
+        let known = Symbol::intern("excl_name_known");
+        let (inside, new, fresh) = crate::store::exclusive(|| {
+            assert!(HELD.with_borrow(Option::is_some));
+            assert_eq!(known.name(), "excl_name_known");
+            let new = Symbol::intern("excl_name_new");
+            assert_eq!(Symbol::intern("excl_name_new"), new);
+            let fresh = Symbol::fresh("excl_name_known");
+            assert_ne!(fresh, known);
+            (Symbol::intern("excl_name_known"), new, fresh)
+        });
+        assert!(HELD.with_borrow(Option::is_none));
+        assert_eq!(inside, known);
+        assert_eq!(Symbol::intern("excl_name_new"), new);
+        assert_eq!(new.name(), "excl_name_new");
+        assert_eq!(Symbol::intern(&fresh.name()), fresh);
+        assert!(fresh.name().starts_with("excl_name_known"));
     }
 }

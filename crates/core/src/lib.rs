@@ -42,7 +42,7 @@ pub use instance::{BucketEntry, ColumnIndex, Fact, Instance, Relation, Rows, Sch
 pub use interner::{AtomId, RelName, Symbol, VarSym};
 pub use path::{Path, PathView, Subpaths};
 pub use render::Renderer;
-pub use store::{store_stats, PathId, StoreStats};
+pub use store::{exclusive, store_stats, PathId, StoreStats};
 pub use value::Value;
 
 /// Convenience: intern an atomic value by name.

@@ -25,6 +25,8 @@
 //! function, `intern`, which hashes the content once and
 //!
 //! * answers the empty path with the constant [`PathId::EMPTY`];
+//! * on a thread that owns the store (see below) finds or adds the content
+//!   in the table itself, in one probe;
 //! * otherwise checks this thread's consing cache (content hash → id,
 //!   verified against the thread's entry mirror) without taking any lock —
 //!   the dominant case, since every duplicate rule firing re-derives an
@@ -39,12 +41,26 @@
 //! in its valuation's, this crate's own compositions
 //! ([`crate::Path::from_values`], [`crate::Path::concat`],
 //! [`crate::Path::push`]) in a thread-local one (`intern_built`) — and
-//! interned once, so a repeat composition allocates nothing.  Reads
-//! (`resolve`) go through the thread-local mirror of the append-only entry
-//! table, so resolving an id a thread has seen before is a plain
-//! bounds-checked array read with no atomics — the "shared read-only store"
-//! shape the multi-threaded executor wants.  Its read-only twin, `find`,
-//! looks a content up through the same cache and table without adding it.
+//! interned once, so a repeat composition allocates nothing.  On a thread
+//! that shares the store, reads (`resolve`) go through the thread-local
+//! mirror of the append-only entry table, so resolving an id the thread has
+//! seen before is a plain bounds-checked array read with no atomics — the
+//! "shared read-only store" shape the executor's pool workers want.  The
+//! read-only twin of `intern`, `find`, looks a content up through the same
+//! cache and table without adding it.
+//!
+//! **One owner.**  A thread that loads or evaluates alone need not share:
+//! [`exclusive`] takes the name interner's write lock and then the store's,
+//! runs a closure, and releases both when it returns or unwinds.  The
+//! guards sit in this thread's state, and while they are held every entry
+//! point on the thread — `intern`, `intern_built`, `find`, `resolve`,
+//! [`store_stats`] and the interner's — works on the held table directly:
+//! no lock per lookup, one probe per new path, and nothing copied into the
+//! mirror (neither its entries nor its consing cache).  The instance loader
+//! always owns the tables, and the executor and the CLI do when they run on
+//! one thread.  The owner waits on no other thread, so threads that intern
+//! meanwhile block until the release and then go on as before; a nested
+//! `exclusive` just runs its closure.
 //!
 //! **Growth discipline.**  The store never forgets an interned path, so an
 //! evaluation interns a content only where a relation is to hold it.  The
@@ -72,9 +88,10 @@
 
 use crate::cons::ConsTable;
 use crate::hash::{fx_hash, FxMap};
+use crate::interner;
 use crate::value::Value;
 use std::cell::RefCell;
-use std::sync::{OnceLock, PoisonError, RwLock};
+use std::sync::{OnceLock, PoisonError, RwLock, RwLockWriteGuard};
 
 /// The identity of an interned path: a dense index into the global store.
 ///
@@ -102,12 +119,15 @@ fn store() -> &'static RwLock<ConsTable<Value>> {
     })
 }
 
-/// This thread's side of the store.  `entries` is a prefix copy of the
-/// append-only global table, so it never goes stale: a hit is a plain array
-/// read, and a miss re-syncs the tail under the read lock.  `cache` maps a
-/// content hash to the id this thread last interned under it; `buf` is the
-/// reused buffer of `intern_built`.
+/// This thread's side of the store.  `owner` is the store's write guard
+/// while this thread owns it ([`exclusive`]); every other field is unused
+/// then.  `entries` is a prefix copy of the append-only global table, so it
+/// never goes stale: a hit is a plain array read, and a miss re-syncs the
+/// tail under the read lock.  `cache` maps a content hash to the id this
+/// thread last interned under it; `buf` is the reused buffer of
+/// `intern_built`.
 struct Mirror {
+    owner: Option<RwLockWriteGuard<'static, ConsTable<Value>>>,
     entries: Vec<&'static [Value]>,
     cache: FxMap<u64, u32>,
     buf: Vec<Value>,
@@ -116,6 +136,7 @@ struct Mirror {
 thread_local! {
     static MIRROR: RefCell<Mirror> = const {
         RefCell::new(Mirror {
+            owner: None,
             entries: Vec::new(),
             cache: std::collections::HashMap::with_hasher(std::hash::BuildHasherDefault::new()),
             buf: Vec::new(),
@@ -125,6 +146,9 @@ thread_local! {
 
 impl Mirror {
     fn resolve(&mut self, ix: usize) -> &'static [Value] {
+        if let Some(table) = &self.owner {
+            return table.entries()[ix];
+        }
         if ix >= self.entries.len() {
             let guard = store().read().unwrap_or_else(PoisonError::into_inner);
             let from = self.entries.len();
@@ -132,6 +156,31 @@ impl Mirror {
         }
         self.entries[ix]
     }
+}
+
+/// Run `f` with this thread as the one owner of the name interner and the
+/// path store: take the interner's write lock, then the store's, and
+/// release both when `f` returns or unwinds.  Meanwhile every table lookup
+/// on this thread works on the held tables with no lock and no per-thread
+/// copy, and other threads that intern wait for the release.  So `f` must
+/// not wait on a thread that interns.  A nested call just runs `f`.
+pub fn exclusive<R>(f: impl FnOnce() -> R) -> R {
+    /// Empties this thread's slot when `f` returns or unwinds.
+    struct Release;
+    impl Drop for Release {
+        fn drop(&mut self) {
+            drop(MIRROR.with_borrow_mut(|m| m.owner.take()));
+        }
+    }
+    if MIRROR.with_borrow(|m| m.owner.is_some()) {
+        return f();
+    }
+    interner::holding(|| {
+        let guard = store().write().unwrap_or_else(PoisonError::into_inner);
+        MIRROR.with_borrow_mut(|m| m.owner = Some(guard));
+        let _release = Release;
+        f()
+    })
 }
 
 /// The value slice of an interned path.
@@ -143,6 +192,7 @@ pub(crate) fn resolve(id: PathId) -> &'static [Value] {
 /// On a miss the store keeps `stored` — which must equal `slice` and lives
 /// forever, so nothing is copied — or, when it is `None`, a copy of `slice`.
 pub(crate) fn intern(slice: &[Value], stored: Option<&'static [Value]>) -> PathId {
+    const FULL: &str = "path store overflow";
     debug_assert!(stored.is_none_or(|s| s == slice));
     if slice.is_empty() {
         return PathId::EMPTY;
@@ -150,6 +200,9 @@ pub(crate) fn intern(slice: &[Value], stored: Option<&'static [Value]>) -> PathI
     let hash = fx_hash(slice);
     MIRROR.with(|m| {
         let mut m = m.borrow_mut();
+        if let Some(table) = &mut m.owner {
+            return PathId(table.intern(hash, slice, stored).expect(FULL).id());
+        }
         if let Some(&id) = m.cache.get(&hash) {
             if m.resolve(id as usize) == slice {
                 return PathId(id);
@@ -159,16 +212,18 @@ pub(crate) fn intern(slice: &[Value], stored: Option<&'static [Value]>) -> PathI
             .write()
             .unwrap_or_else(PoisonError::into_inner)
             .intern(hash, slice, stored)
-            .expect("path store overflow");
+            .expect(FULL)
+            .id();
         m.cache.insert(hash, id);
         PathId(id)
     })
 }
 
 /// The id of the stored path with content `slice`, interning nothing: the
-/// thread's consing cache first, then the chain probed under the read lock.
-/// `None` means no path has this content, so no relation can hold a row with
-/// it — which is all a membership check needs to know.
+/// owned table, or else the thread's consing cache and then the chain probed
+/// under the read lock.  `None` means no path has this content, so no
+/// relation can hold a row with it — which is all a membership check needs
+/// to know.
 pub(crate) fn find(slice: &[Value]) -> Option<PathId> {
     if slice.is_empty() {
         return Some(PathId::EMPTY);
@@ -176,6 +231,9 @@ pub(crate) fn find(slice: &[Value]) -> Option<PathId> {
     let hash = fx_hash(slice);
     MIRROR.with(|m| {
         let mut m = m.borrow_mut();
+        if let Some(table) = &m.owner {
+            return table.find(hash, slice).map(PathId);
+        }
         if let Some(&id) = m.cache.get(&hash) {
             if m.resolve(id as usize) == slice {
                 return Some(PathId(id));
@@ -226,12 +284,15 @@ impl StoreStats {
 
 /// Snapshot the global store's statistics.
 pub fn store_stats() -> StoreStats {
-    let table = store().read().unwrap_or_else(PoisonError::into_inner);
-    StoreStats {
+    let of = |table: &ConsTable<Value>| StoreStats {
         distinct_paths: table.entries().len(),
         owned_bytes: table.copied_bytes(),
         table_bytes: table.table_bytes(),
-    }
+    };
+    MIRROR.with_borrow(|m| match &m.owner {
+        Some(table) => of(table),
+        None => of(&store().read().unwrap_or_else(PoisonError::into_inner)),
+    })
 }
 
 #[cfg(test)]
@@ -369,5 +430,135 @@ mod tests {
         // path equality is id equality, must agree on every id.
         assert_eq!(results[0], results[2]);
         assert_eq!(results[1], results[3]);
+    }
+
+    /// This thread's mirror: its entry-copy and consing-cache lengths.
+    fn mirror_lens() -> (usize, usize) {
+        MIRROR.with_borrow(|m| (m.entries.len(), m.cache.len()))
+    }
+
+    fn owns() -> bool {
+        MIRROR.with_borrow(|m| m.owner.is_some())
+    }
+
+    /// Run `f` on a new thread and wait at most ten seconds for its result,
+    /// so that a lock left held fails the test instead of hanging it.
+    fn on_other_thread<R: Send + 'static>(f: impl FnOnce() -> R + Send + 'static) -> R {
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || tx.send(f()).unwrap());
+        rx.recv_timeout(std::time::Duration::from_secs(10))
+            .expect("the other thread interned within ten seconds")
+    }
+
+    #[test]
+    fn exclusive_lookups_agree_with_shared_ones() {
+        let names = ["excl_a", "excl_b", "excl_c"];
+        let known = path_of(&names);
+        let sub = known.subpath(1, 3);
+        let before = store_stats();
+        let (inside, fresh, stats, grown) = exclusive(|| {
+            assert!(owns());
+            let inside = path_of(&names);
+            assert_eq!(inside.values(), known.values());
+            assert_eq!(known.subpath(1, 3), sub);
+            assert_eq!(find(sub.values()), Some(sub.id()));
+            assert_eq!(atom("excl_b").name(), "excl_b");
+            let stats = store_stats();
+            // Nothing else interns meanwhile: a new path takes the next id.
+            let fresh = path_of(&["excl_new", "excl_a"]);
+            assert_eq!(fresh.id().index() as usize, stats.distinct_paths);
+            (inside, fresh, stats, store_stats())
+        });
+        assert!(!owns());
+        assert_eq!(inside, known);
+        assert_eq!(grown.distinct_paths, stats.distinct_paths + 1);
+        assert!(grown.owned_bytes > stats.owned_bytes);
+        assert!(before.distinct_paths <= stats.distinct_paths);
+        assert!(grown.distinct_paths <= store_stats().distinct_paths);
+        assert_eq!(path_of(&["excl_new", "excl_a"]), fresh);
+        assert_eq!(find(fresh.values()), Some(fresh.id()));
+        let resolved = on_other_thread(move || (fresh.to_string(), path_of(&names)));
+        assert_eq!(resolved, ("excl_new·excl_a".to_string(), known));
+    }
+
+    #[test]
+    fn exclusive_fills_no_mirror() {
+        let lens = mirror_lens();
+        let paths = exclusive(|| {
+            let paths: Vec<Path> = (0..50)
+                .map(|i| path_of(&["excl_m", &format!("excl_m{i}")]))
+                .collect();
+            for path in &paths {
+                assert_eq!(path.len(), 2);
+                assert_eq!(find(path.values()), Some(path.id()));
+                assert_eq!(path.subpath(1, 2).len(), 1);
+            }
+            assert_eq!(mirror_lens(), lens);
+            paths
+        });
+        assert_eq!(mirror_lens(), lens);
+        // Outside, the same lookups go through the mirror again.
+        assert_eq!(paths[7].to_string(), "excl_m·excl_m7");
+        assert!(mirror_lens().0 > paths[7].id().index() as usize);
+    }
+
+    #[test]
+    fn nested_exclusive_is_a_no_op() {
+        let path = exclusive(|| {
+            let inner = exclusive(|| {
+                assert!(owns());
+                path_of(&["excl_nested"])
+            });
+            assert!(owns(), "the inner call leaves the outer one holding");
+            assert_eq!(find(inner.values()), Some(inner.id()));
+            inner
+        });
+        assert!(!owns());
+        assert_eq!(path_of(&["excl_nested"]), path);
+    }
+
+    #[test]
+    fn exclusive_releases_both_locks_on_panic() {
+        let unwound = std::panic::catch_unwind(|| {
+            exclusive(|| {
+                let _ = path_of(&["excl_panic"]);
+                panic!("inside exclusive");
+            })
+        });
+        assert!(unwound.is_err());
+        assert!(!owns());
+        // Another thread adds a new name and a new path.
+        let path = on_other_thread(|| path_of(&["excl_after_panic"]));
+        assert_eq!(path.to_string(), "excl_after_panic");
+        assert_eq!(exclusive(|| path_of(&["excl_after_panic"])), path);
+    }
+
+    #[test]
+    fn exclusive_holds_other_interning_threads_until_release() {
+        use std::sync::atomic::{AtomicBool, Ordering};
+        use std::sync::{mpsc, Arc};
+        let done = Arc::new(AtomicBool::new(false));
+        let (ids, waiter) = exclusive(|| {
+            let ids: Vec<Path> = (0..20)
+                .map(|i| path_of(&["excl_wait", &format!("excl_wait{i}")]))
+                .collect();
+            let (started_tx, started) = mpsc::channel();
+            let flag = Arc::clone(&done);
+            let waiter = std::thread::spawn(move || {
+                started_tx.send(()).unwrap();
+                let theirs: Vec<Path> = (0..20)
+                    .map(|i| path_of(&["excl_wait", &format!("excl_wait{i}")]))
+                    .collect();
+                flag.store(true, Ordering::SeqCst);
+                theirs
+            });
+            started.recv().unwrap();
+            std::thread::sleep(std::time::Duration::from_millis(20));
+            // Its first name lookup waits for the interner's lock.
+            assert!(!done.load(Ordering::SeqCst));
+            (ids, waiter)
+        });
+        assert_eq!(waiter.join().unwrap(), ids);
+        assert!(done.load(Ordering::SeqCst));
     }
 }

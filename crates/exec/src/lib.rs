@@ -7,7 +7,8 @@
 //! its recursive loops, each delta window split into shard jobs.  The driver
 //! hands every round to a `round` closure, and this crate supplies two:
 //!
-//! * `--threads 1` fires the jobs in place, each under `catch_unwind`;
+//! * `--threads 1` fires the jobs in place, each under `catch_unwind`, as
+//!   the one owner of the path and name tables ([`seqdl_core::exclusive`]);
 //! * `--threads N` fans them out over a fixed pool of `N − 1` workers built
 //!   from `std::thread` and `std::sync`, the driver thread running the
 //!   first job of each round itself.
@@ -317,10 +318,13 @@ impl Executor {
         ShardPolicy::new(self.shard_size, self.effective_threads())
     }
 
-    /// Set the number of compute threads.  `1` runs in place (no pool);
-    /// `N > 1` spawns `N − 1` pool workers with the driver thread executing
-    /// one job per round itself, so exactly `N` threads compute; `0` means
-    /// "use all available parallelism".
+    /// Set the number of compute threads.  `1` runs in place (no pool), with
+    /// the calling thread as the one owner of the path and name tables
+    /// ([`seqdl_core::exclusive`]) for the whole run, so its lookups take no
+    /// lock and fill no per-thread copy; `N > 1` spawns `N − 1` pool workers
+    /// with the driver thread executing one job per round itself, so exactly
+    /// `N` threads compute, each through its own mirror of the shared
+    /// tables; `0` means "use all available parallelism".
     pub fn with_threads(mut self, threads: usize) -> Executor {
         self.threads = threads;
         self
@@ -387,8 +391,24 @@ impl Executor {
         input: &Instance,
         seeds: &[Fact],
     ) -> Result<(Instance, EvalStats), EvalError> {
-        let (instance, lowered) = prepare_run(program, input, seeds)?;
         let threads = self.effective_threads();
+        if threads <= 1 {
+            // No other thread computes, so this one owns the path and name
+            // tables for the whole run.
+            return seqdl_core::exclusive(|| self.evaluate(program, input, seeds, threads));
+        }
+        self.evaluate(program, input, seeds, threads)
+    }
+
+    /// The body of [`Executor::run_with_stats_seeded`] on `threads` threads.
+    fn evaluate(
+        &self,
+        program: &Program,
+        input: &Instance,
+        seeds: &[Fact],
+        threads: usize,
+    ) -> Result<(Instance, EvalStats), EvalError> {
+        let (instance, lowered) = prepare_run(program, input, seeds)?;
         let lock = RwLock::new(instance);
         // One governor per run: the deadline clock starts here, the store
         // baseline is sampled here, and every checkpoint (stratum boundaries,

@@ -1,6 +1,6 @@
 //! The textual instance format: ground facts, one per line.
 
-use seqdl_core::{Fact, Instance, RelName, Renderer};
+use seqdl_core::{CoreError, Fact, Instance, RelName, Relation, Renderer};
 use seqdl_syntax::{parse_rule, FactReader};
 use std::fmt::{self, Write as _};
 use std::ops::Range;
@@ -67,12 +67,18 @@ pub fn write_instance(instance: &Instance) -> String {
 /// no tokens or syntax tree, and its row is inserted by slice, so a fact
 /// allocates nothing of its own on the way into its relation.  A line the reader declines goes through the
 /// rule parser instead, which accepts the rare spellings the reader leaves
-/// out (such as `R(a) <- .`) and words every error.
+/// out (such as `R(a) <- .`) and words every error.  The whole load runs as
+/// the one owner of the path and name tables ([`seqdl_core::exclusive`]), so
+/// no lookup takes a lock.
 ///
 /// # Errors
 /// Reports the first offending line: syntax errors, non-ground facts, facts with a
-/// body, or arity clashes.
+/// body, or arity clashes, a declaration among them.
 pub fn parse_instance(text: &str) -> Result<Instance, InstanceParseError> {
+    seqdl_core::exclusive(|| parse_lines(text))
+}
+
+fn parse_lines(text: &str) -> Result<Instance, InstanceParseError> {
     let mut instance = Instance::new();
     let mut reader = FactReader::new();
     for (index, raw_line) in text.lines().enumerate() {
@@ -81,23 +87,23 @@ pub fn parse_instance(text: &str) -> Result<Instance, InstanceParseError> {
         if line.is_empty() || line.starts_with('#') || line.starts_with('%') {
             continue;
         }
-        if let Some(declaration) = line.strip_prefix("@relation") {
+        let inserted = if let Some(declaration) = line.strip_prefix("@relation") {
             let (name, arity) =
                 parse_declaration(declaration).map_err(|message| InstanceParseError {
                     line: line_number,
                     message,
                 })?;
-            instance.declare_relation(RelName::new(&name), arity);
-            continue;
-        }
-        let inserted = match reader.read(line) {
-            Some((relation, row)) => instance.insert_row(relation, row),
-            None => {
-                let fact = parse_fact_line(line).map_err(|message| InstanceParseError {
-                    line: line_number,
-                    message,
-                })?;
-                instance.insert_fact(fact)
+            declare(&mut instance, RelName::new(&name), arity)
+        } else {
+            match reader.read(line) {
+                Some((relation, row)) => instance.insert_row(relation, row).map(drop),
+                None => {
+                    let fact = parse_fact_line(line).map_err(|message| InstanceParseError {
+                        line: line_number,
+                        message,
+                    })?;
+                    instance.insert_fact(fact).map(drop)
+                }
             }
         };
         inserted.map_err(|e| InstanceParseError {
@@ -106,6 +112,22 @@ pub fn parse_instance(text: &str) -> Result<Instance, InstanceParseError> {
         })?;
     }
     Ok(instance)
+}
+
+/// Declare `relation` with `arity`, unless it already has another arity:
+/// `declare_relation` would keep it as it is, silently.
+fn declare(instance: &mut Instance, relation: RelName, arity: usize) -> Result<(), CoreError> {
+    match instance.relation(relation).map(Relation::arity) {
+        Some(expected) if expected != arity => Err(CoreError::ArityMismatch {
+            relation,
+            expected,
+            found: arity,
+        }),
+        _ => {
+            instance.declare_relation(relation, arity);
+            Ok(())
+        }
+    }
 }
 
 fn parse_declaration(rest: &str) -> Result<(String, usize), String> {
@@ -282,6 +304,38 @@ mod tests {
         assert!(err.message.contains("arity"));
 
         assert!(parse_instance("not a fact\n").is_err());
+    }
+
+    #[test]
+    fn a_declaration_after_facts_must_match_their_arity() {
+        let err = parse_instance("R(a, b).\n@relation R/1.\n").unwrap_err();
+        assert_eq!(err.line, 2);
+        assert_eq!(
+            err.message,
+            "arity mismatch for relation R: expected 2, found 1"
+        );
+        let same = parse_instance("R(a, b).\n@relation R/2.\n").unwrap();
+        assert_eq!(same.relation(rel("R")).map(|r| r.arity()), Some(2));
+    }
+
+    #[test]
+    fn a_declaration_must_match_an_earlier_declaration() {
+        let err = parse_instance("@relation R/1.\n@relation R/3.\nR(a).\n").unwrap_err();
+        assert_eq!(err.line, 2);
+        assert_eq!(
+            err.message,
+            "arity mismatch for relation R: expected 1, found 3"
+        );
+        // A repeated identical declaration stays legal, and so does a
+        // declaration that facts of its arity follow.
+        let repeated = parse_instance("@relation R/1.\n@relation R/1.\nR(a).\n").unwrap();
+        assert_eq!(repeated.fact_count(), 1);
+        let err = parse_instance("@relation R/1.\nR(a, b).\n").unwrap_err();
+        assert_eq!(err.line, 2);
+        assert_eq!(
+            err.message,
+            "arity mismatch for relation R: expected 1, found 2"
+        );
     }
 
     #[test]
